@@ -5,8 +5,7 @@ can come from a JSON config file (--config); command-line flags win over
 config entries. Every run writes a provenance.json next to its outputs
 with the package version, the digest of the resolved configuration, and
 content digests of all inputs and outputs. Nothing time- or host-
-dependent is recorded, so identical runs produce identical bytes. Worker count is excluded from provenance:
-results must not depend on it.
+dependent is recorded, so identical runs produce identical bytes.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error.
 """
@@ -16,15 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, causalsim, curator, diagnostics, evalmetrics, matcher
+from . import __version__, causalsim, curator, diagnostics, evalmetrics, matcher, vectorops
 from .corpus import load_corpus, load_embeddings
-from .errors import CapsieveError
+from .errors import CapsieveError, FormatError
 from .provenance import config_digest, file_digest
 from .taxonomy import load_taxonomy
 
@@ -83,6 +81,14 @@ def _resolve(args, config: dict, key: str, default=None, required: bool = False)
     return value
 
 
+def _resolve_flag(args, config: dict, key: str) -> bool:
+    """Resolve an on/off option; config entries must be JSON true or false."""
+    value = _resolve(args, config, key, default=False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _input_path(args, config: dict, key: str, required: bool = False):
     """Resolve an input path option; referenced paths must exist."""
     value = _resolve(args, config, key, required=required)
@@ -119,7 +125,12 @@ def _load_pairs(path) -> list[tuple[str, str]]:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            row = json.loads(raw)
+            try:
+                row = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
+            if not isinstance(row, dict):
+                raise FormatError("expected a JSON object", path=path, line=lineno)
             try:
                 pairs.append((row["id"], row["wnid"]))
             except KeyError as exc:
@@ -138,12 +149,11 @@ def _cmd_match(args) -> int:
     caption_emb_path = _input_path(args, config, "caption-embeddings")
     synset_emb_path = _input_path(args, config, "synset-embeddings")
     max_lemmas = _resolve(args, config, "max-lemmas")
-    workers = int(_resolve(args, config, "workers", default=os.cpu_count() or 1))
 
     taxonomy = load_taxonomy(taxonomy_path)
     corpus = load_corpus(corpus_path)
     auto = matcher.build_matcher(taxonomy, max_lemmas_per_synset=max_lemmas)
-    matches = matcher.find_matches(auto, corpus, workers=workers)
+    matches = matcher.find_matches(auto, corpus)
 
     matches_path = out / "matches.jsonl"
     with matches_path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -203,9 +213,9 @@ def _cmd_assemble(args) -> int:
         raise ConfigError(f"threshold {threshold} outside [-1, 1]")
     top_k = _resolve(args, config, "top-k")
     options = curator.AssembleOptions(
-        drop_multi_label=bool(_resolve(args, config, "drop-multi-label", default=False)),
-        drop_nsfw=bool(_resolve(args, config, "drop-nsfw", default=False)),
-        drop_text_in_image=bool(_resolve(args, config, "drop-text-in-image", default=False)),
+        drop_multi_label=_resolve_flag(args, config, "drop-multi-label"),
+        drop_nsfw=_resolve_flag(args, config, "drop-nsfw"),
+        drop_text_in_image=_resolve_flag(args, config, "drop-text-in-image"),
     )
 
     manifest = curator.assemble(
@@ -360,7 +370,9 @@ def _cmd_diagnose(args) -> int:
         texts_matrix = load_embeddings(texts_path)
         synsets = load_embeddings(synset_path)
         pairs = _load_pairs(pairs_path)
-        vectors = np.stack([texts_matrix.rows[texts_matrix.index[i]] for i, _ in pairs])
+        vectors = np.stack(
+            [vectorops.require_embedding(texts_matrix, i, "text") for i, _ in pairs]
+        )
         intended = [wnid for _, wnid in pairs]
         bins = diagnostics.binned_false_class_means(vectors, intended, synsets, edges)
         path = out / "false_class_bins.csv"
@@ -380,7 +392,9 @@ def _cmd_diagnose(args) -> int:
         min_sim = float(_resolve(args, config, "min-sim", default=0.7))
         queries = load_embeddings(queries_path)
         labels = _load_pairs(labels_path)
-        query_texts = [(queries.rows[queries.index[i]], wnid) for i, wnid in labels]
+        query_texts = [
+            (vectorops.require_embedding(queries, i, "query"), wnid) for i, wnid in labels
+        ]
         manifest = diagnostics.nearest_text_dataset(
             query_texts, load_embeddings(corpus_emb_path), min_sim
         )
@@ -426,12 +440,20 @@ def _cmd_diagnose(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"column not found in {csv_path}: {exc}") from None
             xs, ys = [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 cells = line.rstrip("\n").split(",")
-                xs.append(float(cells[xi]))
-                ys.append(float(cells[yi]))
+                try:
+                    x, y = float(cells[xi]), float(cells[yi])
+                except (IndexError, ValueError):
+                    raise FormatError(
+                        f"missing or non-numeric {x_col!r}/{y_col!r} cell",
+                        path=csv_path,
+                        line=lineno,
+                    ) from None
+                xs.append(x)
+                ys.append(y)
         rho = diagnostics.spearman(xs, ys)
         path = out / "correlation.json"
         _write_json(path, {"spearman": rho, "n": len(xs), "x": x_col, "y": y_col})
@@ -541,7 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caption-embeddings")
     p.add_argument("--synset-embeddings")
     p.add_argument("--max-lemmas", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("sweep", help="candidate coverage per similarity threshold")

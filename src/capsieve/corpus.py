@@ -178,14 +178,6 @@ class EmbeddingMatrix:
         return rid in self.index
 
 
-def get_embedding(matrix: EmbeddingMatrix, rid: str) -> np.ndarray:
-    """Return the row for `rid`, bit-identical to the file it came from."""
-    try:
-        return matrix.rows[matrix.index[rid]]
-    except KeyError:
-        raise MissingKeyError(f"unknown embedding id {rid!r}") from None
-
-
 def load_embeddings(path) -> EmbeddingMatrix:
     """Load the binary embedding format, validating header arithmetic."""
     path = Path(path)
@@ -207,7 +199,10 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 f"{count}x{dim} float32, got {len(payload)}",
                 path=path,
             )
-        trailer = fh.read().decode("utf-8")
+        try:
+            trailer = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"id trailer is not UTF-8 ({exc.reason})", path=path) from exc
     ids: list[str] = []
     for lineno, raw in enumerate(trailer.splitlines(), start=1):
         if not raw.strip():

@@ -9,32 +9,26 @@ class CapsieveError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FormatError(CapsieveError):
+class _LocatedError(CapsieveError):
+    """An error that may name the file and line it was found at."""
+
+    def __init__(self, message: str, *, path=None, line: int | None = None):
+        loc = ""
+        if path is not None:
+            loc = f"{path}: "
+        if line is not None:
+            loc = f"{loc}line {line}: "
+        super().__init__(f"{loc}{message}")
+        self.path = path
+        self.line = line
+
+
+class FormatError(_LocatedError):
     """A file is malformed: parse failure, bad magic, truncated payload."""
 
-    def __init__(self, message: str, *, path=None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}: "
-        if line is not None:
-            loc = f"{loc}line {line}: "
-        super().__init__(f"{loc}{message}")
-        self.path = path
-        self.line = line
 
-
-class ValidationError(CapsieveError):
+class ValidationError(_LocatedError):
     """Data violates an invariant: duplicate ids, empty lemmas, zero vectors."""
-
-    def __init__(self, message: str, *, path=None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}: "
-        if line is not None:
-            loc = f"{loc}line {line}: "
-        super().__init__(f"{loc}{message}")
-        self.path = path
-        self.line = line
 
 
 class MissingKeyError(CapsieveError, KeyError):

@@ -2,13 +2,14 @@
 
 This is the first curation filter: find, for every caption, all synsets
 with at least one lemma occurring in the caption as a whole token. Both
-captions and lemmas pass through the same normalization (lowercase,
-underscores to spaces, whitespace collapsed), and a hit is only valid at
-word boundaries: the characters adjacent to the matched span must be
-absent or non-alphanumeric. Raw substring matching would label "pumas"
-with the lemma "puma"; token-boundary semantics avoid that while keeping
-lemmas exact (no stemming, no pluralization). Multiword lemmas match
-across single spaces only, which normalization guarantees.
+captions and lemmas pass through the same normalization,
+`taxonomy.fold_text` (lowercase, underscores to spaces, whitespace
+collapsed), and a hit is only valid at word boundaries: the characters
+adjacent to the matched span must be absent or non-alphanumeric. Raw
+substring matching would label "pumas" with the lemma "puma";
+token-boundary semantics avoid that while keeping lemmas exact (no
+stemming, no pluralization). Multiword lemmas match across single spaces
+only, which normalization guarantees.
 
 The scan uses the Aho-Corasick algorithm (1975): insert every normalized
 lemma into a trie, compute failure links breadth-first (each node's
@@ -18,62 +19,31 @@ failure chains so every occurrence, including patterns that are suffixes
 of other patterns, is reported in a single left-to-right pass. Matching
 is O(caption length + hits) per caption independent of the pattern count,
 which is what makes scanning millions of captions against thousands of
-lemmas tractable.
-
-`find_matches_naive` is the deliberately simple quadratic reference
-implementation of the same boundary rule; tests hold the automaton to
-exact agreement with it.
+lemmas tractable. The scan is serial: it is pure Python and holds the
+interpreter lock, so threads would not speed it up.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import Corpus
-from .taxonomy import Taxonomy, normalize_lemma
+from .taxonomy import Taxonomy, fold_text, normalize_lemma
 
 
 @dataclass(frozen=True)
 class LemmaMatch:
     """One word-boundary occurrence of a lemma, tagged with its synset.
 
-    `span` is a (start, end) character range into the *normalized* caption;
-    the normalized caption sliced at `span` equals `lemma`.
+    `span` is a (start, end) character range into the folded caption
+    (`fold_text(text)`); the folded caption sliced at `span` equals `lemma`.
     """
 
     instance_id: str
     wnid: str
     lemma: str
     span: tuple[int, int]
-
-
-def normalize_caption(text: str) -> tuple[str, list[int]]:
-    """Normalize a caption and map normalized positions back to the input.
-
-    Returns (normalized, offsets) where offsets[i] is the index in `text`
-    of the character that produced normalized character i. A collapsed
-    whitespace run maps to its first whitespace character; a character
-    whose lowercase form expands maps every produced character to the
-    original index. Idempotent on already-normalized text.
-    """
-    out: list[str] = []
-    offsets: list[int] = []
-    pending_space_at: int | None = None
-    for pos, ch in enumerate(text):
-        if ch == "_" or ch.isspace():
-            if out and pending_space_at is None:
-                pending_space_at = pos
-            continue
-        if pending_space_at is not None:
-            out.append(" ")
-            offsets.append(pending_space_at)
-            pending_space_at = None
-        for low in ch.lower():
-            out.append(low)
-            offsets.append(pos)
-    return "".join(out), offsets
 
 
 class _Node:
@@ -167,10 +137,10 @@ def _boundary_ok(text: str, start: int, end: int) -> bool:
 
 
 def _match_record(matcher: Matcher, instance_id: str, text: str) -> list[LemmaMatch]:
-    normalized, _ = normalize_caption(text)
+    folded = fold_text(text)
     matches = []
-    for start, end, pattern in matcher.scan(normalized):
-        if not _boundary_ok(normalized, start, end):
+    for start, end, pattern in matcher.scan(folded):
+        if not _boundary_ok(folded, start, end):
             continue
         for wnid in matcher.wnids_for[pattern]:
             matches.append(
@@ -180,63 +150,13 @@ def _match_record(matcher: Matcher, instance_id: str, text: str) -> list[LemmaMa
     return matches
 
 
-def find_matches(matcher: Matcher, corpus: Corpus, workers: int = 1) -> list[LemmaMatch]:
+def find_matches(matcher: Matcher, corpus: Corpus) -> list[LemmaMatch]:
     """All word-boundary lemma occurrences over the corpus.
 
-    Output order is deterministic (corpus order, then span start, then
-    wnid) and independent of `workers`: records are sharded, scanned
-    independently, and merged back in corpus order.
+    Output order is deterministic: corpus order, then span start, then
+    wnid.
     """
-    if workers <= 1 or len(corpus) < 2:
-        results: list[LemmaMatch] = []
-        for record in corpus:
-            results.extend(_match_record(matcher, record.id, record.text))
-        return results
-
-    records = list(corpus)
-    shard_size = (len(records) + workers - 1) // workers
-    shards = [records[i : i + shard_size] for i in range(0, len(records), shard_size)]
-
-    def scan_shard(shard):
-        out: list[LemmaMatch] = []
-        for record in shard:
-            out.extend(_match_record(matcher, record.id, record.text))
-        return out
-
-    results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for shard_result in pool.map(scan_shard, shards):
-            results.extend(shard_result)
-    return results
-
-
-def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
-    """Reference scan: try every normalized lemma against every caption with
-    str.find, applying the same boundary rule. Quadratic; for testing."""
-    wnid_sets: dict[str, set[str]] = {}
-    for synset in taxonomy:
-        for lemma in synset.lemmas:
-            wnid_sets.setdefault(normalize_lemma(lemma), set()).add(synset.wnid)
-
     results: list[LemmaMatch] = []
     for record in corpus:
-        normalized, _ = normalize_caption(record.text)
-        matches = []
-        for pattern, wnids in wnid_sets.items():
-            start = normalized.find(pattern)
-            while start != -1:
-                end = start + len(pattern)
-                if _boundary_ok(normalized, start, end):
-                    for wnid in wnids:
-                        matches.append(
-                            LemmaMatch(
-                                instance_id=record.id,
-                                wnid=wnid,
-                                lemma=pattern,
-                                span=(start, end),
-                            )
-                        )
-                start = normalized.find(pattern, start + 1)
-        matches.sort(key=lambda m: (m.span[0], m.wnid, m.span[1], m.lemma))
-        results.extend(matches)
+        results.extend(_match_record(matcher, record.id, record.text))
     return results

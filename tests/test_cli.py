@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from capsieve.cli import run
+from capsieve.corpus import EMBEDDING_MAGIC
 
 
 def run_ok(argv):
@@ -15,7 +20,7 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def run_pipeline(fx, out_root: Path, workers=1, boot=50):
+def run_pipeline(fx, out_root: Path, boot=50):
     """match -> sweep -> assemble -> eval -> diagnose, returning the dirs."""
     dirs = {name: out_root / name for name in
             ["match", "sweep", "assemble", "assemble_b", "eval", "intra", "compare",
@@ -23,7 +28,7 @@ def run_pipeline(fx, out_root: Path, workers=1, boot=50):
     run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
             "--caption-embeddings", fx["caption_embeddings"],
             "--synset-embeddings", fx["synset_embeddings"],
-            "--workers", workers, "--out", dirs["match"]])
+            "--out", dirs["match"]])
     candidates = dirs["match"] / "candidates.jsonl"
     run_ok(["sweep", "--candidates", candidates, "--thresholds", "0.0:0.9:0.1",
             "--out", dirs["sweep"]])
@@ -101,8 +106,8 @@ def test_full_pipeline_runs(pipeline_fixture, tmp_path):
 
 
 def test_pipeline_byte_identical_across_runs_and_workers(pipeline_fixture, tmp_path):
-    first = run_pipeline(pipeline_fixture, tmp_path / "one", workers=1)
-    second = run_pipeline(pipeline_fixture, tmp_path / "two", workers=8)
+    first = run_pipeline(pipeline_fixture, tmp_path / "one")
+    second = run_pipeline(pipeline_fixture, tmp_path / "two")
     trees_first = {k: tree_bytes(d) for k, d in first.items()}
     trees_second = {k: tree_bytes(d) for k, d in second.items()}
     assert trees_first == trees_second
@@ -165,7 +170,6 @@ def test_config_file_with_flag_override(pipeline_fixture, tmp_path):
         "taxonomy": str(pipeline_fixture["taxonomy"]),
         "corpus": str(pipeline_fixture["corpus"]),
         "out": str(tmp_path / "from_config"),
-        "workers": 1,
     }
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -223,9 +227,71 @@ def test_diagnose_intra_histogram(pipeline_fixture, tmp_path):
 def test_provenance_contents(pipeline_fixture, tmp_path):
     fx = pipeline_fixture
     run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
-            "--workers", 2, "--out", tmp_path / "m"])
+            "--out", tmp_path / "m"])
     payload = read_json(tmp_path / "m" / "provenance.json")
     assert payload["command"] == "match"
     assert set(payload["inputs"]) == {"taxonomy", "corpus"}
     assert "matches.jsonl" in payload["outputs"]
     assert all(len(digest) == 64 for digest in payload["inputs"].values())
+
+
+@pytest.mark.parametrize("value", ["false", 0])
+def test_non_boolean_flag_in_config_is_config_error(pipeline_fixture, tmp_path, value):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"drop-nsfw": value}), encoding="utf-8")
+    code = run(
+        [
+            "assemble", "--config", str(config_path),
+            "--candidates", str(pipeline_fixture["corpus"]),
+            "--corpus", str(pipeline_fixture["corpus"]),
+            "--threshold", "0.3",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 2
+
+
+DIAGNOSE_ARGV = {
+    "false-class": ["--text-embeddings", "vectors.emb", "--pairs", "pairs.jsonl",
+                    "--synset-embeddings", "vectors.emb", "--bin-edges=-1,0,1"],
+    "nearest-text": ["--query-embeddings", "vectors.emb", "--query-labels", "pairs.jsonl",
+                     "--corpus-embeddings", "vectors.emb"],
+    "correlate": ["--csv", "table.csv", "--x-col", "x", "--y-col", "y"],
+}
+VECTORS = np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4")
+GOOD_INPUTS = {
+    # written out by hand so one byte of the id trailer can be corrupted
+    "vectors.emb": (EMBEDDING_MAGIC + struct.pack("<IQ", 2, 2) + VECTORS.tobytes()
+                    + b'"a"\n"b"\n'),
+    "pairs.jsonl": b'{"id": "a", "wnid": "b"}\n',
+    "table.csv": b"x,y\n1,2\n2,1\n3,3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "analysis, name, content",
+    [
+        ("false-class", "pairs.jsonl", b"{not json\n"),
+        ("false-class", "pairs.jsonl", b'["a", "b"]\n'),
+        ("nearest-text", "pairs.jsonl", b"{not json\n"),
+        ("false-class", "pairs.jsonl", b'{"id": "zzz", "wnid": "b"}\n'),
+        ("nearest-text", "pairs.jsonl", b'{"id": "zzz", "wnid": "b"}\n'),
+        ("correlate", "table.csv", b"x,y\n1,oops\n"),
+        ("false-class", "vectors.emb", GOOD_INPUTS["vectors.emb"].replace(b'"a"', b'"\xff"')),
+    ],
+    ids=["pairs-json", "pairs-not-object", "labels-json", "pairs-id", "labels-id", "csv-cell",
+         "emb-trailer"],
+)
+def test_malformed_diagnose_input_is_data_error(tmp_path, capsys, analysis, name, content):
+    for file_name, good in GOOD_INPUTS.items():
+        (tmp_path / file_name).write_bytes(good)
+    argv = ["diagnose", analysis, "--out", str(tmp_path / "out")]
+    argv += [str(tmp_path / a) if a in GOOD_INPUTS else a for a in DIAGNOSE_ARGV[analysis]]
+    assert run(argv) == 0  # the inputs are valid before the one corruption
+    capsys.readouterr()
+
+    (tmp_path / name).write_bytes(content)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("capsieve: data error:")

@@ -10,13 +10,13 @@ from capsieve.corpus import (
     Corpus,
     EmbeddingMatrix,
     InstanceRecord,
-    get_embedding,
     load_corpus,
     load_embeddings,
     save_corpus,
     write_embeddings,
 )
 from capsieve.errors import FormatError, MissingKeyError, ValidationError
+from capsieve.vectorops import require_embedding
 
 
 def corpus_line(rid, text, **kw):
@@ -150,13 +150,14 @@ def test_duplicate_embedding_ids_rejected():
 
 def test_get_embedding(tmp_path):
     m = matrix([[1, 2], [3, 4]], ["a", "b"])
-    assert get_embedding(m, "b").tolist() == [3.0, 4.0]
+    assert require_embedding(m, "b", "test").tolist() == [3.0, 4.0]
     with pytest.raises(MissingKeyError, match="zzz"):
-        get_embedding(m, "zzz")
+        require_embedding(m, "zzz", "test")
 
 
 def test_every_id_resolves(rng):
     ids = [f"k{i}" for i in range(25)]
     m = matrix(rng.standard_normal((25, 3)).astype(np.float32), ids)
     for i, rid in enumerate(ids):
-        assert get_embedding(m, rid) is m.rows[i] or (get_embedding(m, rid) == m.rows[i]).all()
+        row = require_embedding(m, rid, "test")
+        assert row is m.rows[i] or (row == m.rows[i]).all()
