@@ -22,6 +22,10 @@ images have the same mean on the non-text dimensions. Text rules pass that
 check; image rules fail it. Comparisons between rules should be made at
 matched acceptance rates (see `matched_ball_radius`), since selection
 strength alone changes variances.
+
+Samples are held as columns (`Samples`): one array each for y, x and t,
+so selection is a boolean mask and every statistic reads the arrays
+directly.
 """
 
 from __future__ import annotations
@@ -61,13 +65,21 @@ class GenConfig:
             raise ValidationError("text_noise_sd must be finite and >= 0")
         if not (math.isfinite(self.class_sep) and self.class_sep >= 0):
             raise ValidationError("class_sep must be finite and >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
-class Sample:
-    y: int
+class Samples:
+    """n samples as columns: class labels y (n,) int64, images x (n, x_dim)
+    float64 and texts t (n,) float64; row i of each is sample i."""
+
+    y: np.ndarray
     x: np.ndarray
-    t: float
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -118,71 +130,60 @@ def class_means(config: GenConfig) -> np.ndarray:
     return means
 
 
-def generate(config: GenConfig, n: int) -> list[Sample]:
+def generate(config: GenConfig, n: int) -> Samples:
     """Draw n samples; bitwise deterministic for a given config.
 
-    Samples are generated in fixed-size blocks, each from its own
-    counter-derived stream, so the result does not depend on how blocks
-    are distributed across workers.
+    Samples are generated in fixed-size blocks, each filled from its own
+    counter-derived stream keyed by the block index.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     means = class_means(config)
-    samples: list[Sample] = []
+    y = np.empty(n, dtype=np.int64)
+    x = np.empty((n, config.x_dim))
+    t = np.empty(n)
     for block_idx, start in enumerate(range(0, n, _GENERATION_BLOCK)):
-        m = min(_GENERATION_BLOCK, n - start)
+        rows = slice(start, min(start + _GENERATION_BLOCK, n))
+        m = rows.stop - start
         rng = stream(config.seed, block_idx)
-        y = rng.integers(0, config.n_classes, size=m)
-        x = means[y] + rng.standard_normal((m, config.x_dim))
-        t = x[:, 0] + config.text_noise_sd * rng.standard_normal(m)
-        for i in range(m):
-            samples.append(Sample(y=int(y[i]), x=x[i], t=float(t[i])))
-    return samples
+        y[rows] = rng.integers(0, config.n_classes, size=m)
+        x[rows] = means[y[rows]] + rng.standard_normal((m, config.x_dim))
+        t[rows] = x[rows, 0] + config.text_noise_sd * rng.standard_normal(m)
+    return Samples(y, x, t)
 
 
-def as_arrays(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y = np.array([s.y for s in samples], dtype=np.int64)
-    x = np.stack([s.x for s in samples]) if samples else np.empty((0, 0))
-    t = np.array([s.t for s in samples], dtype=np.float64)
-    return y, x, t
+def _ball_distances(x: np.ndarray, prototype) -> np.ndarray:
+    """Euclidean distance of each image to an image_ball prototype."""
+    proto = np.asarray(prototype, dtype=np.float64)
+    if proto.shape != (x.shape[1],):
+        raise ValidationError(f"prototype shape {proto.shape} does not match x_dim {x.shape[1]}")
+    return np.sqrt(((x - proto) ** 2).sum(axis=1))
 
 
-def _keep_mask(samples: list[Sample], rule: SelectionRule) -> np.ndarray:
-    y, x, t = as_arrays(samples)
+def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
     if rule.kind == "text_threshold":
-        mask = t > rule.threshold
+        mask = samples.t > rule.threshold
     elif rule.kind == "image_ball":
-        proto = np.asarray(rule.prototype, dtype=np.float64)
-        if proto.shape[0] != x.shape[1]:
-            raise ValidationError(
-                f"prototype dim {proto.shape[0]} does not match x_dim {x.shape[1]}"
-            )
-        dists = np.sqrt(((x - proto) ** 2).sum(axis=1))
-        mask = dists < rule.radius
+        mask = _ball_distances(samples.x, rule.prototype) < rule.radius
     else:  # image_threshold
-        mask = x.mean(axis=1) > rule.threshold
+        mask = samples.x.mean(axis=1) > rule.threshold
     if rule.text_threshold_also is not None:
-        mask = mask & (t > rule.text_threshold_also)
+        mask = mask & (samples.t > rule.text_threshold_also)
     return mask
 
 
-def select(samples: list[Sample], rule: SelectionRule) -> list[Sample]:
+def select(samples: Samples, rule: SelectionRule) -> Samples:
     """Samples passing the rule, order preserved. May be empty."""
-    if not samples:
-        return []
     mask = _keep_mask(samples, rule)
-    return [s for s, keep in zip(samples, mask) if keep]
+    return Samples(samples.y[mask], samples.x[mask], samples.t[mask])
 
 
-def matched_ball_radius(samples: list[Sample], prototype, rate: float) -> float:
+def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
     """Radius giving an image_ball rule approximately the target acceptance
     rate on these samples (the empirical distance quantile)."""
     if not 0.0 < rate < 1.0:
         raise ValidationError(f"rate must be in (0, 1), got {rate}")
-    _, x, _ = as_arrays(samples)
-    proto = np.asarray(prototype, dtype=np.float64)
-    dists = np.sqrt(((x - proto) ** 2).sum(axis=1))
-    return float(np.quantile(dists, rate))
+    return float(np.quantile(_ball_distances(samples.x, prototype), rate))
 
 
 @dataclass(frozen=True)
@@ -204,15 +205,17 @@ class BinIndependenceTest:
 
 
 def cond_indep_bin_test(
-    samples: list[Sample],
+    samples: Samples,
     rule: SelectionRule,
     bin_width: float = 0.05,
     alpha: float = 0.01,
     min_per_group: int = 30,
 ) -> BinIndependenceTest:
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise ValidationError(f"bin_width must be > 0, got {bin_width}")
-    _, x, t = as_arrays(samples)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    x, t = samples.x, samples.t
     mask = _keep_mask(samples, rule)
     # Anchor bins at the observed minimum rather than a multiple of the
     # width: a grid-aligned edge can coincide with a threshold rule's
@@ -295,7 +298,7 @@ class BottleneckReport:
 
 
 def bottleneck_gap(
-    samples: list[Sample],
+    samples: Samples,
     text_rule: SelectionRule,
     image_rule: SelectionRule,
     bin_width: float = 0.05,
@@ -312,7 +315,6 @@ def bottleneck_gap(
         raise ValidationError(f"text rule must be text_threshold, got {text_rule.kind!r}")
     if not image_rule.reads_image:
         raise ValidationError("image rule must read the image")
-    y, x, _ = as_arrays(samples)
     text_selected = select(samples, text_rule)
     image_selected = select(samples, image_rule)
     for name, subset in (("text", text_selected), ("image", image_selected)):
@@ -320,14 +322,12 @@ def bottleneck_gap(
             raise ValidationError(
                 f"{name} rule kept {len(subset)} samples; need >= {min_survivors}"
             )
-    yt, xt, _ = as_arrays(text_selected)
-    yi, xi, _ = as_arrays(image_selected)
     test_text = cond_indep_bin_test(samples, text_rule, bin_width, alpha, min_per_group)
     test_image = cond_indep_bin_test(samples, image_rule, bin_width, alpha, min_per_group)
     return BottleneckReport(
-        baseline_var=_per_class_dim_variance(y, x),
-        per_dim_var_text=_per_class_dim_variance(yt, xt),
-        per_dim_var_image=_per_class_dim_variance(yi, xi),
+        baseline_var=_per_class_dim_variance(samples.y, samples.x),
+        per_dim_var_text=_per_class_dim_variance(text_selected.y, text_selected.x),
+        per_dim_var_image=_per_class_dim_variance(image_selected.y, image_selected.x),
         acceptance_text=len(text_selected) / len(samples),
         acceptance_image=len(image_selected) / len(samples),
         cond_indep_stat=test_text.max_stat,

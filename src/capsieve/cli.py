@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -138,6 +139,23 @@ def _load_pairs(path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _load_weights(path) -> dict[str, float]:
+    """JSON object mapping wnid to class weight."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"invalid JSON ({exc})", path=path) from None
+    if not isinstance(document, dict):
+        raise FormatError("expected a JSON object of class weights", path=path)
+    weights = {}
+    for wnid, value in document.items():
+        try:
+            weights[wnid] = float(value)
+        except (TypeError, ValueError):
+            raise FormatError(f"non-numeric weight {value!r} for {wnid!r}", path=path) from None
+    return weights
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -149,6 +167,10 @@ def _cmd_match(args) -> int:
     caption_emb_path = _input_path(args, config, "caption-embeddings")
     synset_emb_path = _input_path(args, config, "synset-embeddings")
     max_lemmas = _resolve(args, config, "max-lemmas")
+    if bool(caption_emb_path) != bool(synset_emb_path):
+        raise ConfigError(
+            "scoring needs both --caption-embeddings and --synset-embeddings, or neither"
+        )
 
     taxonomy = load_taxonomy(taxonomy_path)
     corpus = load_corpus(corpus_path)
@@ -173,7 +195,7 @@ def _cmd_match(args) -> int:
     outputs = [matches_path]
     inputs = {"taxonomy": taxonomy_path, "corpus": corpus_path}
 
-    if caption_emb_path and synset_emb_path:
+    if caption_emb_path:
         candidates = curator.score_candidates(
             matches, load_embeddings(caption_emb_path), load_embeddings(synset_emb_path)
         )
@@ -263,11 +285,8 @@ def _cmd_eval(args) -> int:
     elif weights_mode == "uniform":
         weights = {wnid: 1.0 / len(manifest.class_counts) for wnid in manifest.class_counts}
     else:
-        weights = {
-            str(k): float(v)
-            for k, v in json.loads(Path(weights_mode).read_text(encoding="utf-8")).items()
-        }
-        inputs["weights"] = weights_mode
+        inputs["weights"] = _input_path(args, config, "weights")
+        weights = _load_weights(inputs["weights"])
 
     outputs = []
     summary: dict[str, dict] = {}
@@ -468,16 +487,33 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _rule_from_config(spec: dict) -> causalsim.SelectionRule:
+def _number(value, what: str, convert=float):
+    """`convert(value)`, raising ConfigError for a value of the wrong type."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _rule_from_config(spec) -> causalsim.SelectionRule:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"selection rule must be an object with a 'kind', got {spec!r}")
+
+    def optional(key):
+        value = spec.get(key)
+        return None if value is None else _number(value, f"selection rule {key}")
+
     prototype = spec.get("prototype")
+    if prototype is not None:
+        if not isinstance(prototype, list):
+            raise ConfigError(f"selection rule prototype must be a list, got {prototype!r}")
+        prototype = tuple(_number(v, "selection rule prototype entry") for v in prototype)
     return causalsim.SelectionRule(
         kind=spec["kind"],
-        threshold=spec.get("threshold"),
-        radius=spec.get("radius"),
-        prototype=tuple(prototype) if prototype is not None else None,
-        text_threshold_also=spec.get("text_threshold_also"),
+        threshold=optional("threshold"),
+        radius=optional("radius"),
+        prototype=prototype,
+        text_threshold_also=optional("text_threshold_also"),
     )
 
 
@@ -488,35 +524,36 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args, config)
     try:
         gen = causalsim.GenConfig(
-            n_classes=int(config["n_classes"]),
-            x_dim=int(config["x_dim"]),
-            text_noise_sd=float(config["text_noise_sd"]),
-            class_sep=float(config["class_sep"]),
-            seed=int(_resolve(args, config, "seed", default=config.get("seed", 0))),
+            n_classes=_number(config["n_classes"], "n_classes", int),
+            x_dim=_number(config["x_dim"], "x_dim", int),
+            text_noise_sd=_number(config["text_noise_sd"], "text_noise_sd"),
+            class_sep=_number(config["class_sep"], "class_sep"),
+            seed=_number(_resolve(args, config, "seed", default=0), "seed", int),
         )
-        n = int(_resolve(args, config, "n", default=config.get("n", 100_000)))
+        n = _number(_resolve(args, config, "n", default=100_000), "n", int)
+        bin_width = _number(config.get("bin_width", 0.05), "bin_width")
+        alpha = _number(config.get("alpha", 0.01), "alpha")
         text_rule = _rule_from_config(config["text_rule"])
-        image_spec = dict(config["image_rule"])
+        image_spec = config["image_rule"]
     except KeyError as exc:
         raise ConfigError(f"simulate config missing {exc.args[0]!r}") from None
+    # With "radius": "match", pick the ball radius so the image rule accepts
+    # at the same rate as the text rule; selection strength would otherwise
+    # confound the variance comparison.
+    match_radius = (
+        isinstance(image_spec, dict)
+        and image_spec.get("kind") == "image_ball"
+        and image_spec.get("radius") == "match"
+    )
+    image_rule = _rule_from_config({**image_spec, "radius": 0.0} if match_radius else image_spec)
 
     samples = causalsim.generate(gen, n)
-    if image_spec.get("kind") == "image_ball" and image_spec.get("radius") == "match":
-        # Pick the ball radius so the image rule accepts at the same rate as
-        # the text rule; selection strength would otherwise confound the
-        # variance comparison.
+    if match_radius:
         rate = len(causalsim.select(samples, text_rule)) / len(samples)
-        image_spec["radius"] = causalsim.matched_ball_radius(
-            samples, image_spec.get("prototype"), rate
-        )
-    image_rule = _rule_from_config(image_spec)
-    report = causalsim.bottleneck_gap(
-        samples,
-        text_rule,
-        image_rule,
-        bin_width=float(config.get("bin_width", 0.05)),
-        alpha=float(config.get("alpha", 0.01)),
-    )
+        radius = causalsim.matched_ball_radius(samples, image_rule.prototype, rate)
+        image_rule = dataclasses.replace(image_rule, radius=radius)
+        image_spec = {**image_spec, "radius": radius}
+    report = causalsim.bottleneck_gap(samples, text_rule, image_rule, bin_width, alpha)
 
     report_path = out / "report.json"
     _write_json(report_path, report.as_dict())

@@ -8,7 +8,6 @@ import pytest
 from capsieve.causalsim import (
     GenConfig,
     SelectionRule,
-    as_arrays,
     bottleneck_gap,
     class_means,
     cond_indep_bin_test,
@@ -36,6 +35,8 @@ def test_config_validation():
         config(text_noise_sd=-0.1)
     with pytest.raises(ValidationError):
         config(class_sep=float("inf"))
+    with pytest.raises(ValidationError):
+        config(seed=-1)
 
 
 def test_class_means_pairwise_distance():
@@ -47,25 +48,56 @@ def test_class_means_pairwise_distance():
 
 def test_noiseless_text_channel_is_dim0():
     samples = generate(config(text_noise_sd=0.0), 5000)
-    assert all(s.t == s.x[0] for s in samples)
+    assert samples.t.tobytes() == samples.x[:, 0].tobytes()
+
+
+def test_columns_span_generation_blocks():
+    n = 2 * 8192 + 5  # two full generation blocks and a partial third
+    samples = generate(config(x_dim=5, text_noise_sd=0.0), n)
+    assert len(samples) == n
+    assert samples.y.shape == (n,) and samples.y.dtype == np.int64
+    assert samples.x.shape == (n, 5) and samples.x.dtype == np.float64
+    assert samples.t.shape == (n,) and samples.t.dtype == np.float64
+    assert samples.t.tobytes() == samples.x[:, 0].tobytes()
+    rule = SelectionRule(kind="image_threshold", threshold=0.1, text_threshold_also=-0.5)
+    mask = (samples.x.mean(axis=1) > 0.1) & (samples.t > -0.5)
+    kept = select(samples, rule)
+    assert kept.y.tobytes() == samples.y[mask].tobytes()
+    assert kept.x.tobytes() == samples.x[mask].tobytes()
+    assert kept.t.tobytes() == samples.t[mask].tobytes()
+
+
+def test_prototype_must_match_x_dim():
+    samples = generate(config(), 1000)
+    short = (0.0, 0.0)
+    with pytest.raises(ValidationError, match="x_dim"):
+        select(samples, SelectionRule(kind="image_ball", radius=1.0, prototype=short))
+    with pytest.raises(ValidationError, match="x_dim"):
+        matched_ball_radius(samples, short, 0.5)
+
+
+def test_bin_test_parameter_validation():
+    samples = generate(config(), 1000)
+    rule = SelectionRule(kind="text_threshold", threshold=0.0)
+    for kwargs in ({"bin_width": 0.0}, {"bin_width": math.nan}, {"alpha": 0.0}, {"alpha": 1.0}):
+        with pytest.raises(ValidationError):
+            cond_indep_bin_test(samples, rule, **kwargs)
 
 
 def test_generation_deterministic_bitwise():
     cfg = config()
     a = generate(cfg, 20000)  # spans multiple generation blocks
     b = generate(cfg, 20000)
-    ya, xa, ta = as_arrays(a)
-    yb, xb, tb = as_arrays(b)
-    assert (ya == yb).all()
-    assert xa.tobytes() == xb.tobytes()
-    assert ta.tobytes() == tb.tobytes()
+    assert (a.y == b.y).all()
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.t.tobytes() == b.t.tobytes()
     different = generate(config(seed=12), 20000)
-    assert as_arrays(different)[1].tobytes() != xa.tobytes()
+    assert different.x.tobytes() != a.x.tobytes()
 
 
 def test_zero_separation_classes_indistinguishable():
     samples = generate(config(n_classes=2, class_sep=0.0, seed=3), 60000)
-    y, x, _ = as_arrays(samples)
+    y, x = samples.y, samples.x
     mean0 = x[y == 0].mean(axis=0)
     mean1 = x[y == 1].mean(axis=0)
     n0 = (y == 0).sum()
@@ -76,7 +108,7 @@ def test_zero_separation_classes_indistinguishable():
 def test_sample_mean_near_class_mean():
     cfg = config(n_classes=3, x_dim=6, class_sep=3.0, seed=8)
     samples = generate(cfg, 100_000)
-    y, x, _ = as_arrays(samples)
+    y, x = samples.y, samples.x
     means = class_means(cfg)
     for c in range(3):
         xc = x[y == c]
@@ -87,21 +119,23 @@ def test_sample_mean_near_class_mean():
 def test_select_low_threshold_keeps_all():
     samples = generate(config(), 2000)
     kept = select(samples, SelectionRule(kind="text_threshold", threshold=-1e9))
-    assert kept == samples
+    assert np.array_equal(kept.y, samples.y)
+    assert np.array_equal(kept.x, samples.x)
+    assert np.array_equal(kept.t, samples.t)
 
 
 def test_select_zero_radius_keeps_none():
     samples = generate(config(), 2000)
     rule = SelectionRule(kind="image_ball", radius=0.0, prototype=(0.0, 0.0, 0.0, 0.0))
-    assert select(samples, rule) == []
+    kept = select(samples, rule)
+    assert len(kept) == 0
+    assert kept.x.shape == (0, 4)
 
 
 def test_select_preserves_order():
     samples = generate(config(), 2000)
     kept = select(samples, SelectionRule(kind="text_threshold", threshold=0.0))
-    positions = {id(s): i for i, s in enumerate(samples)}
-    indices = [positions[id(s)] for s in kept]
-    assert indices == sorted(indices)
+    assert kept.t.tobytes() == samples.t[samples.t > 0.0].tobytes()
 
 
 def test_gaussian_tail_acceptance_rate():
@@ -133,7 +167,7 @@ def test_image_rule_may_also_read_text():
     kept_plain = select(samples, plain)
     kept_both = select(samples, with_text)
     assert len(kept_both) < len(kept_plain)
-    assert all(s.t > 0.5 for s in kept_both)
+    assert (kept_both.t > 0.5).all()
 
 
 def test_matched_ball_radius_hits_target_rate():
@@ -176,10 +210,9 @@ def test_bin_test_vacuous_when_groups_never_share_a_bin():
     # noiseless text rule with bins aligned exactly on the threshold
     cfg = GenConfig(n_classes=1, x_dim=2, text_noise_sd=0.0, class_sep=0.0, seed=2)
     samples = generate(cfg, 5000)
-    shifted = [s for s in samples]
-    rule = SelectionRule(kind="text_threshold", threshold=float(as_arrays(samples)[2].min()))
+    rule = SelectionRule(kind="text_threshold", threshold=float(samples.t.min()))
     # threshold at the minimum: everything selected, no unselected group
-    result = cond_indep_bin_test(shifted, rule)
+    result = cond_indep_bin_test(samples, rule)
     assert result.n_comparisons == 0
     assert result.reject is False
 

@@ -295,3 +295,93 @@ def test_malformed_diagnose_input_is_data_error(tmp_path, capsys, analysis, name
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("capsieve: data error:")
+
+
+SIM_CONFIG = {
+    "n_classes": 2,
+    "x_dim": 4,
+    "text_noise_sd": 0.25,
+    "class_sep": 1.5,
+    "seed": 9,
+    "n": 5000,
+    "text_rule": {"kind": "text_threshold", "threshold": 0.8},
+    "image_rule": {"kind": "image_ball", "radius": "match", "prototype": [1.06, 0.0, 0.0, 0.0]},
+}
+BALL = SIM_CONFIG["image_rule"]
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("image_rule", {**BALL, "prototype": [1.06, 0.0]}, 3),
+        ("n_classes", "two", 2),
+        ("image_rule", [BALL], 2),
+        ("image_rule", {**BALL, "radius": "wide"}, 2),
+        ("text_rule", {"kind": "text_threshold", "threshold": "high"}, 2),
+        ("image_rule", {**BALL, "prototype": ["a", 0.0, 0.0, 0.0]}, 2),
+        ("bin_width", "narrow", 2),
+        ("bin_width", float("nan"), 3),
+        ("alpha", 0.0, 3),
+        ("seed", -1, 3),
+    ],
+    ids=["proto-length-match", "n_classes-str", "image-rule-list", "radius-str", "threshold-str",
+         "proto-entry-str", "bin-width-str", "bin-width-nan", "alpha-zero", "seed-negative"],
+)
+def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, code):
+    config_path = tmp_path / "sim.json"
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    config_path.write_text(json.dumps(SIM_CONFIG), encoding="utf-8")
+    assert run(argv) == 0  # the config is valid before the one change
+    capsys.readouterr()
+
+    config_path.write_text(json.dumps({**SIM_CONFIG, key: value}), encoding="utf-8")
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        (None, 2),
+        (b"{not json", 3),
+        (b'["n00000001"]', 3),
+        (b'{"n00000001": "heavy"}', 3),
+        (b'{"n00000001": \xff}', 3),
+    ],
+    ids=["missing", "json", "not-object", "weight-str", "utf8"],
+)
+def test_malformed_eval_weights(tmp_path, capsys, content, code):
+    (tmp_path / "manifest.jsonl").write_text(
+        '{"id": "a", "wnid": "n00000001", "score": 0.9}\n', encoding="utf-8"
+    )
+    (tmp_path / "predictions.jsonl").write_text(
+        '{"id": "a", "ranked": ["n00000001"]}\n', encoding="utf-8"
+    )
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"n00000001": 1.0}', encoding="utf-8")
+    argv = ["eval", "--manifest", str(tmp_path / "manifest.jsonl"),
+            "--predictions", str(tmp_path / "predictions.jsonl"),
+            "--weights", str(weights), "--out", str(tmp_path / "out")]
+    assert run(argv) == 0  # the weights file is valid before the one change
+    capsys.readouterr()
+
+    if content is None:
+        weights.unlink()
+    else:
+        weights.write_bytes(content)
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("given", ["caption-embeddings", "synset-embeddings"])
+def test_match_with_one_embedding_file_is_config_error(pipeline_fixture, tmp_path, given):
+    fx = pipeline_fixture
+    argv = ["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+            f"--{given}", fx[given.replace("-", "_")], "--out", tmp_path / "m"]
+    assert run([str(a) for a in argv]) == 2
