@@ -7,7 +7,18 @@ with the package version, the digest of the resolved configuration, and
 content digests of all inputs and outputs. Nothing time- or host-
 dependent is recorded, so identical runs produce identical bytes.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error.
+Exit codes, by the class of the bad input:
+
+    0  ok
+    2  a flag or config value: a missing option, a value of the wrong type,
+       an input path that is not an existing file, or an --out that cannot
+       be made a directory
+    3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
+       missing or wrongly typed field, or data that break an invariant
+       (duplicate ids, unknown ids, non-finite vectors)
+
+Each error prints one "capsieve: config error: ..." or "capsieve: data
+error: ..." line on stderr; no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, causalsim, curator, diagnostics, evalmetrics, matcher, vectorops
-from .corpus import load_corpus, load_embeddings
+from .corpus import load_corpus, load_embeddings, read_jsonl
 from .errors import CapsieveError, FormatError
 from .provenance import config_digest, file_digest
 from .taxonomy import load_taxonomy
@@ -33,6 +44,8 @@ class ConfigError(CapsieveError):
 
 
 def _parse_thresholds(spec: str) -> list[float]:
+    if not isinstance(spec, str):
+        raise TypeError("a threshold spec is a string")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -61,89 +74,113 @@ def _parse_thresholds(spec: str) -> list[float]:
     return values
 
 
+def _parse_cutoffs(spec) -> list[int]:
+    ks = [int(v) for v in str(spec).split(",") if v.strip()]
+    if not ks or any(k < 1 for k in ks):
+        raise ConfigError(f"--k must list integers >= 1, got {ks}")
+    return ks
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8, bad JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return config
 
 
-def _resolve(args, config: dict, key: str, default=None, required: bool = False):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise ConfigError(f"missing required option --{key}")
-    return value
+def _typed(value, kind, what: str):
+    """`value` as a `kind`, or ConfigError naming `what`.
 
-
-def _resolve_flag(args, config: dict, key: str) -> bool:
-    """Resolve an on/off option; config entries must be JSON true or false."""
-    value = _resolve(args, config, key, default=False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _input_path(args, config: dict, key: str, required: bool = False):
-    """Resolve an input path option; referenced paths must exist."""
-    value = _resolve(args, config, key, required=required)
-    if value is not None and not Path(value).exists():
-        raise ConfigError(f"--{key}: no such file {value}")
-    return value
+    `bool` and `str` options take only JSON booleans and strings as they
+    are; every other kind (float, int, Path, a spec parser) converts any
+    value it can except a boolean.
+    """
+    if kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"bad {what}: {value!r}")
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_provenance(out_dir: Path, command: str, params: dict, inputs: dict, outputs: list[Path]):
-    payload = {
-        "artifact_version": __version__,
-        "command": command,
-        "config_digest": config_digest(params),
-        "inputs": {name: file_digest(p) for name, p in sorted(inputs.items())},
-        "outputs": {p.name: file_digest(p) for p in sorted(outputs)},
-    }
-    _write_json(out_dir / "provenance.json", payload)
+class _Stage:
+    """One run of a subcommand. Owns the config and `--out`, resolves typed
+    options (a flag wins over its config entry), records the inputs and
+    outputs, and writes provenance.json."""
 
+    def __init__(self, args):
+        self.args = args
+        self.config = _load_config_file(args.config)
+        self.inputs: dict[str, Path] = {}
+        self.outputs: list[Path] = []
+        self.out = self.get("out", Path, required=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file is in the way, or no permission
+            raise ConfigError(f"--out: cannot make directory {self.out}: {exc.strerror}") from None
 
-def _out_dir(args, config) -> Path:
-    out = Path(_resolve(args, config, "out", required=True))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def get(self, key: str, kind=str, default=None, required: bool = False):
+        """Option `key` as a `kind`: its flag, else its config entry, else
+        `default`."""
+        attr = key.replace("-", "_")
+        what = f"--{key}" if hasattr(self.args, attr) else key
+        value = getattr(self.args, attr, None)
+        if value is None:
+            value = self.config.get(key, default)
+        if value is None:
+            if required:
+                raise ConfigError(f"missing required option {what}")
+            return None
+        return _typed(value, kind, what)
+
+    def input(self, key: str, required: bool = True) -> Path | None:
+        """An input file, recorded in provenance under `key` with - as _."""
+        path = self.get(key, Path, required=required)
+        if path is not None:
+            if not path.is_file():
+                raise ConfigError(f"--{key}: no such file {path}")
+            self.inputs[key.replace("-", "_")] = path
+        return path
+
+    def output(self, name: str) -> Path:
+        path = self.out / name
+        self.outputs.append(path)
+        return path
+
+    def write_provenance(self, params: dict) -> None:
+        command = " ".join(filter(None, [self.args.command, getattr(self.args, "analysis", None)]))
+        payload = {
+            "artifact_version": __version__,
+            "command": command,
+            "config_digest": config_digest(params),
+            "inputs": {name: file_digest(p) for name, p in sorted(self.inputs.items())},
+            "outputs": {p.name: file_digest(p) for p in sorted(self.outputs)},
+        }
+        _write_json(self.out / "provenance.json", payload)
 
 
 def _load_pairs(path) -> list[tuple[str, str]]:
     """JSONL of {"id": str, "wnid": str} pairs (extra keys ignored)."""
-    pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            if not isinstance(row, dict):
-                raise FormatError("expected a JSON object", path=path, line=lineno)
-            try:
-                pairs.append((row["id"], row["wnid"]))
-            except KeyError as exc:
-                raise ConfigError(f"{path}: line {lineno}: missing {exc.args[0]!r}") from None
-    return pairs
+    return [(row["id"], row["wnid"]) for _, row in read_jsonl(path, {"id": str, "wnid": str})]
 
 
 def _load_weights(path) -> dict[str, float]:
     """JSON object mapping wnid to class weight."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
         raise FormatError(f"invalid JSON ({exc})", path=path) from None
     if not isinstance(document, dict):
         raise FormatError("expected a JSON object of class weights", path=path)
@@ -157,17 +194,18 @@ def _load_weights(path) -> dict[str, float]:
 
 
 # -- subcommands ---------------------------------------------------------------
+#
+# Each takes the _Stage and returns the parameters whose digest goes into
+# provenance.json.
 
 
-def _cmd_match(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args, config)
-    taxonomy_path = _input_path(args, config, "taxonomy", required=True)
-    corpus_path = _input_path(args, config, "corpus", required=True)
-    caption_emb_path = _input_path(args, config, "caption-embeddings")
-    synset_emb_path = _input_path(args, config, "synset-embeddings")
-    max_lemmas = _resolve(args, config, "max-lemmas")
-    if bool(caption_emb_path) != bool(synset_emb_path):
+def _cmd_match(stage: _Stage) -> dict:
+    taxonomy_path = stage.input("taxonomy")
+    corpus_path = stage.input("corpus")
+    caption_emb_path = stage.input("caption-embeddings", required=False)
+    synset_emb_path = stage.input("synset-embeddings", required=False)
+    max_lemmas = stage.get("max-lemmas", int)
+    if (caption_emb_path is None) != (synset_emb_path is None):
         raise ConfigError(
             "scoring needs both --caption-embeddings and --synset-embeddings, or neither"
         )
@@ -177,8 +215,7 @@ def _cmd_match(args) -> int:
     auto = matcher.build_matcher(taxonomy, max_lemmas_per_synset=max_lemmas)
     matches = matcher.find_matches(auto, corpus)
 
-    matches_path = out / "matches.jsonl"
-    with matches_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with stage.output("matches.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
         for m in matches:
             fh.write(
                 json.dumps(
@@ -192,63 +229,46 @@ def _cmd_match(args) -> int:
                 )
             )
             fh.write("\n")
-    outputs = [matches_path]
-    inputs = {"taxonomy": taxonomy_path, "corpus": corpus_path}
 
-    if caption_emb_path:
+    if caption_emb_path is not None:
         candidates = curator.score_candidates(
             matches, load_embeddings(caption_emb_path), load_embeddings(synset_emb_path)
         )
-        candidates_path = out / "candidates.jsonl"
-        curator.write_candidates(candidates, candidates_path)
-        outputs.append(candidates_path)
-        inputs["caption_embeddings"] = caption_emb_path
-        inputs["synset_embeddings"] = synset_emb_path
-
-    params = {"command": "match", "max_lemmas": max_lemmas}
-    _write_provenance(out, "match", params, inputs, outputs)
-    return 0
+        curator.write_candidates(candidates, stage.output("candidates.jsonl"))
+    return {"command": "match", "max_lemmas": max_lemmas}
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args, config)
-    candidates_path = _input_path(args, config, "candidates", required=True)
-    thresholds = _parse_thresholds(_resolve(args, config, "thresholds", required=True))
+def _cmd_sweep(stage: _Stage) -> dict:
+    candidates_path = stage.input("candidates")
+    thresholds = stage.get("thresholds", _parse_thresholds, required=True)
 
-    candidates = curator.load_candidates(candidates_path)
-    points = curator.threshold_sweep(candidates, thresholds)
-    sweep_path = out / "sweep.csv"
-    curator.write_sweep_csv(points, sweep_path)
-    params = {"command": "sweep", "thresholds": thresholds}
-    _write_provenance(out, "sweep", params, {"candidates": candidates_path}, [sweep_path])
-    return 0
+    points = curator.threshold_sweep(curator.load_candidates(candidates_path), thresholds)
+    curator.write_sweep_csv(points, stage.output("sweep.csv"))
+    return {"command": "sweep", "thresholds": thresholds}
 
 
-def _cmd_assemble(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args, config)
-    candidates_path = _input_path(args, config, "candidates", required=True)
-    corpus_path = _input_path(args, config, "corpus", required=True)
-    threshold = float(_resolve(args, config, "threshold", required=True))
+def _cmd_assemble(stage: _Stage) -> dict:
+    candidates_path = stage.input("candidates")
+    corpus_path = stage.input("corpus")
+    threshold = stage.get("threshold", float, required=True)
     if not -1.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold {threshold} outside [-1, 1]")
-    top_k = _resolve(args, config, "top-k")
+    top_k = stage.get("top-k", int)
     options = curator.AssembleOptions(
-        drop_multi_label=_resolve_flag(args, config, "drop-multi-label"),
-        drop_nsfw=_resolve_flag(args, config, "drop-nsfw"),
-        drop_text_in_image=_resolve_flag(args, config, "drop-text-in-image"),
+        drop_multi_label=stage.get("drop-multi-label", bool, default=False),
+        drop_nsfw=stage.get("drop-nsfw", bool, default=False),
+        drop_text_in_image=stage.get("drop-text-in-image", bool, default=False),
     )
 
     manifest = curator.assemble(
         curator.load_candidates(candidates_path), threshold, load_corpus(corpus_path), options
     )
     if top_k is not None:
-        manifest = curator.top_k_per_class(manifest, int(top_k))
-    rows_path = out / "manifest.jsonl"
-    meta_path = out / "manifest.meta.json"
-    curator.write_manifest(manifest, rows_path, meta_path)
-    params = {
+        manifest = curator.top_k_per_class(manifest, top_k)
+    curator.write_manifest(
+        manifest, stage.output("manifest.jsonl"), stage.output("manifest.meta.json")
+    )
+    return {
         "command": "assemble",
         "threshold": threshold,
         "top_k": top_k,
@@ -256,243 +276,189 @@ def _cmd_assemble(args) -> int:
         "drop_nsfw": options.drop_nsfw,
         "drop_text_in_image": options.drop_text_in_image,
     }
-    _write_provenance(
-        out,
-        "assemble",
-        params,
-        {"candidates": candidates_path, "corpus": corpus_path},
-        [rows_path, meta_path],
-    )
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args, config)
-    manifest_path = _input_path(args, config, "manifest", required=True)
-    predictions_path = _input_path(args, config, "predictions", required=True)
-    weights_mode = _resolve(args, config, "weights", default="freq")
-    ks = [int(v) for v in str(_resolve(args, config, "k", default="1,5")).split(",") if v.strip()]
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError(f"--k must list integers >= 1, got {ks}")
+def _cmd_eval(stage: _Stage) -> dict:
+    manifest_path = stage.input("manifest")
+    predictions_path = stage.input("predictions")
+    weights_mode = stage.get("weights", default="freq")
+    ks = stage.get("k", _parse_cutoffs, default="1,5")
 
     manifest = curator.load_manifest(manifest_path)
     predictions = evalmetrics.load_predictions(predictions_path)
-    inputs = {"manifest": manifest_path, "predictions": predictions_path}
-
     if weights_mode == "freq":
         weights = curator.relative_frequencies(manifest)
     elif weights_mode == "uniform":
         weights = {wnid: 1.0 / len(manifest.class_counts) for wnid in manifest.class_counts}
     else:
-        inputs["weights"] = _input_path(args, config, "weights")
-        weights = _load_weights(inputs["weights"])
+        weights = _load_weights(stage.input("weights"))
 
-    outputs = []
     summary: dict[str, dict] = {}
     for k in ks:
         stats = evalmetrics.per_class_recall(manifest, predictions, k)
-        stats_path = out / f"recall_k{k}.csv"
-        evalmetrics.write_class_stats_csv(stats, stats_path)
-        outputs.append(stats_path)
+        evalmetrics.write_class_stats_csv(stats, stage.output(f"recall_k{k}.csv"))
         summary[str(k)] = {
             "equally_weighted": evalmetrics.equally_weighted_accuracy(stats),
             "weighted": evalmetrics.weighted_accuracy(stats, weights),
             "n_classes": len(stats),
         }
-    accuracy_path = out / "accuracy.json"
-    _write_json(accuracy_path, {"weights_mode": weights_mode, "topk": summary})
-    outputs.append(accuracy_path)
-
-    params = {"command": "eval", "k": ks, "weights_mode": weights_mode}
-    _write_provenance(out, "eval", params, inputs, outputs)
-    return 0
+    _write_json(stage.output("accuracy.json"), {"weights_mode": weights_mode, "topk": summary})
+    return {"command": "eval", "k": ks, "weights_mode": weights_mode}
 
 
-def _write_diff_curve_csv(stats, path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+def _diagnose_intra(stage: _Stage, seed: int, n_boot: int) -> dict:
+    manifest_path = stage.input("manifest")
+    emb_path = stage.input("image-embeddings")
+    edges = stage.get("hist-edges", _parse_thresholds)
+    sets = diagnostics.intra_class_sims(
+        curator.load_manifest(manifest_path), load_embeddings(emb_path)
+    )
+    with stage.output("intra_class_sims.csv").open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("wnid,n_images,n_pairs,mean_sim\n")
+        for s in sets:
+            mean = repr(float(s.sims.mean())) if len(s.sims) else ""
+            fh.write(f"{s.wnid},{s.n_images},{len(s.sims)},{mean}\n")
+    if edges is None:
+        return {}
+    pooled = np.concatenate([s.sims for s in sets]) if sets else np.empty(0)
+    counts, _ = np.histogram(pooled, bins=np.asarray(edges))
+    with stage.output("intra_hist.csv").open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("lo,hi,count\n")
+        for i, count in enumerate(counts):
+            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(count)}\n")
+    return {"hist_edges": edges}
+
+
+def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
+    a_path = stage.input("manifest-a")
+    b_path = stage.input("manifest-b")
+    emb_a = stage.input("image-embeddings-a")
+    emb_b = stage.input("image-embeddings-b")
+    sets_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
+    sets_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
+    diffs = diagnostics.per_class_mean_diff_ci(sets_a, sets_b, n_boot=n_boot, seed=seed)
+    comparison = diagnostics.compare_datasets(sets_a, sets_b, n_boot=n_boot, seed=seed)
+    with stage.output("intra_class_diff.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("wnid,value,ci_low,ci_high\n")
-        for s in stats:
-            fh.write(f"{s.wnid},{s.value!r},{s.ci_low!r},{s.ci_high!r}\n")
+        for d in diffs:
+            fh.write(f"{d.wnid},{d.value!r},{d.ci_low!r},{d.ci_high!r}\n")
+    _write_json(
+        stage.output("comparison.json"),
+        {
+            "prop_A_lower": comparison.prop_A_lower,
+            "prop_B_lower": comparison.prop_B_lower,
+            "n_shared": comparison.n_shared,
+        },
+    )
+    return {}
 
 
-def _cmd_diagnose(args) -> int:
-    config = _load_config_file(args.config)
-    out = _out_dir(args, config)
-    analysis = args.analysis
-    seed = int(_resolve(args, config, "seed", default=0))
-    n_boot = int(_resolve(args, config, "boot", default=diagnostics.DEFAULT_BOOTSTRAP_REPLICATES))
-    inputs: dict[str, str] = {}
-    outputs: list[Path] = []
-    params: dict = {"command": "diagnose", "analysis": analysis, "seed": seed, "boot": n_boot}
-
-    if analysis == "intra":
-        manifest_path = _input_path(args, config, "manifest", required=True)
-        emb_path = _input_path(args, config, "image-embeddings", required=True)
-        hist_edges = _resolve(args, config, "hist-edges")
-        sets = diagnostics.intra_class_sims(
-            curator.load_manifest(manifest_path), load_embeddings(emb_path)
-        )
-        path = out / "intra_class_sims.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("wnid,n_images,n_pairs,mean_sim\n")
-            for s in sets:
-                mean = repr(float(s.sims.mean())) if len(s.sims) else ""
-                fh.write(f"{s.wnid},{s.n_images},{len(s.sims)},{mean}\n")
-        inputs = {"manifest": manifest_path, "image_embeddings": emb_path}
-        outputs = [path]
-        if hist_edges is not None:
-            edges = _parse_thresholds(hist_edges)
-            pooled = np.concatenate([s.sims for s in sets]) if sets else np.empty(0)
-            counts, _ = np.histogram(pooled, bins=np.asarray(edges))
-            hist_path = out / "intra_hist.csv"
-            with hist_path.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write("lo,hi,count\n")
-                for i, count in enumerate(counts):
-                    fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(count)}\n")
-            outputs.append(hist_path)
-            params["hist_edges"] = edges
-
-    elif analysis == "compare":
-        a_path = _input_path(args, config, "manifest-a", required=True)
-        b_path = _input_path(args, config, "manifest-b", required=True)
-        emb_a = _input_path(args, config, "image-embeddings-a", required=True)
-        emb_b = _input_path(args, config, "image-embeddings-b", required=True)
-        sets_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
-        sets_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
-        diffs = diagnostics.per_class_mean_diff_ci(sets_a, sets_b, n_boot=n_boot, seed=seed)
-        comparison = diagnostics.compare_datasets(sets_a, sets_b, n_boot=n_boot, seed=seed)
-        curve_path = out / "intra_class_diff.csv"
-        _write_diff_curve_csv(diffs, curve_path)
-        summary_path = out / "comparison.json"
-        _write_json(
-            summary_path,
-            {
-                "prop_A_lower": comparison.prop_A_lower,
-                "prop_B_lower": comparison.prop_B_lower,
-                "n_shared": comparison.n_shared,
-            },
-        )
-        inputs = {
-            "manifest_a": a_path,
-            "manifest_b": b_path,
-            "image_embeddings_a": emb_a,
-            "image_embeddings_b": emb_b,
-        }
-        outputs = [curve_path, summary_path]
-
-    elif analysis == "false-class":
-        texts_path = _input_path(args, config, "text-embeddings", required=True)
-        pairs_path = _input_path(args, config, "pairs", required=True)
-        synset_path = _input_path(args, config, "synset-embeddings", required=True)
-        edges = _parse_thresholds(_resolve(args, config, "bin-edges", required=True))
-        texts_matrix = load_embeddings(texts_path)
-        synsets = load_embeddings(synset_path)
-        pairs = _load_pairs(pairs_path)
-        vectors = np.stack(
-            [vectorops.require_embedding(texts_matrix, i, "text") for i, _ in pairs]
-        )
-        intended = [wnid for _, wnid in pairs]
-        bins = diagnostics.binned_false_class_means(vectors, intended, synsets, edges)
-        path = out / "false_class_bins.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lo,hi,count,mean_false_class_proportion\n")
-            for b in bins:
-                mean = repr(b.mean) if b.mean is not None else ""
-                fh.write(f"{b.lo!r},{b.hi!r},{b.count},{mean}\n")
-        inputs = {"text_embeddings": texts_path, "pairs": pairs_path, "synset_embeddings": synset_path}
-        outputs = [path]
-        params["bin_edges"] = edges
-
-    elif analysis == "nearest-text":
-        queries_path = _input_path(args, config, "query-embeddings", required=True)
-        labels_path = _input_path(args, config, "query-labels", required=True)
-        corpus_emb_path = _input_path(args, config, "corpus-embeddings", required=True)
-        min_sim = float(_resolve(args, config, "min-sim", default=0.7))
-        queries = load_embeddings(queries_path)
-        labels = _load_pairs(labels_path)
-        query_texts = [
-            (vectorops.require_embedding(queries, i, "query"), wnid) for i, wnid in labels
-        ]
-        manifest = diagnostics.nearest_text_dataset(
-            query_texts, load_embeddings(corpus_emb_path), min_sim
-        )
-        rows_path = out / "manifest.jsonl"
-        meta_path = out / "manifest.meta.json"
-        curator.write_manifest(manifest, rows_path, meta_path)
-        inputs = {
-            "query_embeddings": queries_path,
-            "query_labels": labels_path,
-            "corpus_embeddings": corpus_emb_path,
-        }
-        outputs = [rows_path, meta_path]
-        params["min_sim"] = min_sim
-
-    elif analysis == "cross-modal":
-        manifest_path = _input_path(args, config, "manifest", required=True)
-        image_path = _input_path(args, config, "image-embeddings", required=True)
-        synset_path = _input_path(args, config, "synset-embeddings", required=True)
-        stats = diagnostics.cross_modal_class_stats(
-            curator.load_manifest(manifest_path),
-            load_embeddings(image_path),
-            load_embeddings(synset_path),
-            n_boot=n_boot,
-            seed=seed,
-        )
-        path = out / "cross_modal.csv"
-        evalmetrics.write_class_stats_csv(stats, path)
-        inputs = {
-            "manifest": manifest_path,
-            "image_embeddings": image_path,
-            "synset_embeddings": synset_path,
-        }
-        outputs = [path]
-
-    elif analysis == "correlate":
-        csv_path = _input_path(args, config, "csv", required=True)
-        x_col = _resolve(args, config, "x-col", required=True)
-        y_col = _resolve(args, config, "y-col", required=True)
-        with Path(csv_path).open("r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            try:
-                xi, yi = header.index(x_col), header.index(y_col)
-            except ValueError as exc:
-                raise ConfigError(f"column not found in {csv_path}: {exc}") from None
-            xs, ys = [], []
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                cells = line.rstrip("\n").split(",")
-                try:
-                    x, y = float(cells[xi]), float(cells[yi])
-                except (IndexError, ValueError):
-                    raise FormatError(
-                        f"missing or non-numeric {x_col!r}/{y_col!r} cell",
-                        path=csv_path,
-                        line=lineno,
-                    ) from None
-                xs.append(x)
-                ys.append(y)
-        rho = diagnostics.spearman(xs, ys)
-        path = out / "correlation.json"
-        _write_json(path, {"spearman": rho, "n": len(xs), "x": x_col, "y": y_col})
-        inputs = {"csv": csv_path}
-        outputs = [path]
-        params.update({"x_col": x_col, "y_col": y_col})
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown diagnose analysis {analysis!r}")
-
-    _write_provenance(out, f"diagnose {analysis}", params, inputs, outputs)
-    return 0
+def _diagnose_false_class(stage: _Stage, seed: int, n_boot: int) -> dict:
+    texts_path = stage.input("text-embeddings")
+    pairs_path = stage.input("pairs")
+    synset_path = stage.input("synset-embeddings")
+    edges = stage.get("bin-edges", _parse_thresholds, required=True)
+    texts_matrix = load_embeddings(texts_path)
+    synsets = load_embeddings(synset_path)
+    pairs = _load_pairs(pairs_path)
+    rows = [vectorops.require_embedding(texts_matrix, i, "text") for i, _ in pairs]
+    vectors = np.stack(rows) if rows else np.empty((0, texts_matrix.dim))
+    intended = [wnid for _, wnid in pairs]
+    bins = diagnostics.binned_false_class_means(vectors, intended, synsets, edges)
+    with stage.output("false_class_bins.csv").open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("lo,hi,count,mean_false_class_proportion\n")
+        for b in bins:
+            mean = repr(b.mean) if b.mean is not None else ""
+            fh.write(f"{b.lo!r},{b.hi!r},{b.count},{mean}\n")
+    return {"bin_edges": edges}
 
 
-def _number(value, what: str, convert=float):
-    """`convert(value)`, raising ConfigError for a value of the wrong type."""
+def _diagnose_nearest_text(stage: _Stage, seed: int, n_boot: int) -> dict:
+    queries_path = stage.input("query-embeddings")
+    labels_path = stage.input("query-labels")
+    corpus_emb_path = stage.input("corpus-embeddings")
+    min_sim = stage.get("min-sim", float, default=0.7)
+    queries = load_embeddings(queries_path)
+    query_texts = [
+        (vectorops.require_embedding(queries, i, "query"), wnid)
+        for i, wnid in _load_pairs(labels_path)
+    ]
+    manifest = diagnostics.nearest_text_dataset(
+        query_texts, load_embeddings(corpus_emb_path), min_sim
+    )
+    curator.write_manifest(
+        manifest, stage.output("manifest.jsonl"), stage.output("manifest.meta.json")
+    )
+    return {"min_sim": min_sim}
+
+
+def _diagnose_cross_modal(stage: _Stage, seed: int, n_boot: int) -> dict:
+    manifest_path = stage.input("manifest")
+    image_path = stage.input("image-embeddings")
+    synset_path = stage.input("synset-embeddings")
+    stats = diagnostics.cross_modal_class_stats(
+        curator.load_manifest(manifest_path),
+        load_embeddings(image_path),
+        load_embeddings(synset_path),
+        n_boot=n_boot,
+        seed=seed,
+    )
+    evalmetrics.write_class_stats_csv(stats, stage.output("cross_modal.csv"))
+    return {}
+
+
+def _diagnose_correlate(stage: _Stage, seed: int, n_boot: int) -> dict:
+    csv_path = stage.input("csv")
+    x_col = stage.get("x-col", required=True)
+    y_col = stage.get("y-col", required=True)
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        header, *lines = csv_path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 ({exc.reason})", path=csv_path) from None
+    header = header.strip().split(",")
+    try:
+        xi, yi = header.index(x_col), header.index(y_col)
+    except ValueError as exc:
+        raise ConfigError(f"column not found in {csv_path}: {exc}") from None
+    xs, ys = [], []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        try:
+            x, y = float(cells[xi]), float(cells[yi])
+        except (IndexError, ValueError):
+            raise FormatError(
+                f"missing or non-numeric {x_col!r}/{y_col!r} cell", path=csv_path, line=lineno
+            ) from None
+        xs.append(x)
+        ys.append(y)
+    rho = diagnostics.spearman(xs, ys)
+    _write_json(
+        stage.output("correlation.json"), {"spearman": rho, "n": len(xs), "x": x_col, "y": y_col}
+    )
+    return {"x_col": x_col, "y_col": y_col}
+
+
+_DIAGNOSE = {
+    "intra": _diagnose_intra,
+    "compare": _diagnose_compare,
+    "false-class": _diagnose_false_class,
+    "nearest-text": _diagnose_nearest_text,
+    "cross-modal": _diagnose_cross_modal,
+    "correlate": _diagnose_correlate,
+}
+
+
+def _cmd_diagnose(stage: _Stage) -> dict:
+    params = {
+        "command": "diagnose",
+        "analysis": stage.args.analysis,
+        "seed": stage.get("seed", int, default=0),
+        "boot": stage.get("boot", int, default=diagnostics.DEFAULT_BOOTSTRAP_REPLICATES),
+    }
+    params.update(_DIAGNOSE[stage.args.analysis](stage, params["seed"], params["boot"]))
+    return params
 
 
 def _rule_from_config(spec) -> causalsim.SelectionRule:
@@ -501,13 +467,13 @@ def _rule_from_config(spec) -> causalsim.SelectionRule:
 
     def optional(key):
         value = spec.get(key)
-        return None if value is None else _number(value, f"selection rule {key}")
+        return None if value is None else _typed(value, float, f"selection rule {key}")
 
     prototype = spec.get("prototype")
     if prototype is not None:
         if not isinstance(prototype, list):
             raise ConfigError(f"selection rule prototype must be a list, got {prototype!r}")
-        prototype = tuple(_number(v, "selection rule prototype entry") for v in prototype)
+        prototype = tuple(_typed(v, float, "selection rule prototype entry") for v in prototype)
     return causalsim.SelectionRule(
         kind=spec["kind"],
         threshold=optional("threshold"),
@@ -517,26 +483,23 @@ def _rule_from_config(spec) -> causalsim.SelectionRule:
     )
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config_file(args.config)
+def _cmd_simulate(stage: _Stage) -> dict:
+    config = stage.config
     if not config:
         raise ConfigError("simulate needs --config with the generator and rule parameters")
-    out = _out_dir(args, config)
-    try:
-        gen = causalsim.GenConfig(
-            n_classes=_number(config["n_classes"], "n_classes", int),
-            x_dim=_number(config["x_dim"], "x_dim", int),
-            text_noise_sd=_number(config["text_noise_sd"], "text_noise_sd"),
-            class_sep=_number(config["class_sep"], "class_sep"),
-            seed=_number(_resolve(args, config, "seed", default=0), "seed", int),
-        )
-        n = _number(_resolve(args, config, "n", default=100_000), "n", int)
-        bin_width = _number(config.get("bin_width", 0.05), "bin_width")
-        alpha = _number(config.get("alpha", 0.01), "alpha")
-        text_rule = _rule_from_config(config["text_rule"])
-        image_spec = config["image_rule"]
-    except KeyError as exc:
-        raise ConfigError(f"simulate config missing {exc.args[0]!r}") from None
+    stage.inputs["config"] = Path(stage.args.config)
+    gen = causalsim.GenConfig(
+        n_classes=stage.get("n_classes", int, required=True),
+        x_dim=stage.get("x_dim", int, required=True),
+        text_noise_sd=stage.get("text_noise_sd", float, required=True),
+        class_sep=stage.get("class_sep", float, required=True),
+        seed=stage.get("seed", int, default=0),
+    )
+    n = stage.get("n", int, default=100_000)
+    bin_width = stage.get("bin_width", float, default=0.05)
+    alpha = stage.get("alpha", float, default=0.01)
+    text_rule = _rule_from_config(config.get("text_rule"))
+    image_spec = config.get("image_rule")
     # With "radius": "match", pick the ball radius so the image rule accepts
     # at the same rate as the text rule; selection strength would otherwise
     # confound the variance comparison.
@@ -555,17 +518,15 @@ def _cmd_simulate(args) -> int:
         image_spec = {**image_spec, "radius": radius}
     report = causalsim.bottleneck_gap(samples, text_rule, image_rule, bin_width, alpha)
 
-    report_path = out / "report.json"
-    _write_json(report_path, report.as_dict())
-    csv_path = out / "variances.csv"
-    with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
+    _write_json(stage.output("report.json"), report.as_dict())
+    with stage.output("variances.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("dim,baseline,text_rule,image_rule\n")
         for d in range(gen.x_dim):
             fh.write(
                 f"{d},{report.baseline_var[d]!r},"
                 f"{report.per_dim_var_text[d]!r},{report.per_dim_var_image[d]!r}\n"
             )
-    params = {
+    return {
         "command": "simulate",
         "n": n,
         "n_classes": gen.n_classes,
@@ -576,8 +537,6 @@ def _cmd_simulate(args) -> int:
         "text_rule": config["text_rule"],
         "image_rule": image_spec,
     }
-    _write_provenance(out, "simulate", params, {"config": args.config}, [report_path, csv_path])
-    return 0
 
 
 # -- entry point ---------------------------------------------------------------
@@ -670,16 +629,15 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        stage = _Stage(args)
+        stage.write_provenance(args.func(stage))
     except ConfigError as exc:
         print(f"capsieve: config error: {exc}", file=sys.stderr)
         return 2
     except CapsieveError as exc:
         print(f"capsieve: data error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"capsieve: data error: {exc}", file=sys.stderr)
-        return 3
+    return 0
 
 
 def main() -> None:

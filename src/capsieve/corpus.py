@@ -20,12 +20,19 @@ rejected at load because cosine similarity is undefined for them, and
 non-finite values are rejected because every downstream statistic assumes
 finite scores. NSFW and text-in-image flags are trusted inputs produced by
 upstream tooling; this module never recomputes them.
+
+`read_jsonl` is the one JSONL row reader: the taxonomy, corpus,
+candidate, prediction and pair loaders all read through it.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import os
+import re
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -81,40 +88,110 @@ class Corpus:
             raise MissingKeyError(f"unknown instance id {instance_id!r}") from None
 
 
+# Undecodable bytes, read with errors="surrogateescape", and JSON escapes
+# such as "\ud800" both give lone surrogates, which no UTF-8 output can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
+
+
+def _is_text_list(value) -> bool:
+    try:
+        joined = "".join(value) if isinstance(value, list) else None
+    except TypeError:  # an entry that is not a string
+        return False
+    return _is_text(joined)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# Field kinds `read_jsonl` checks, and how an error names them.
+_KINDS = {
+    str: (_is_text, "a Unicode string"),
+    list: (_is_text_list, "a list of Unicode strings"),
+    float: (_is_finite_number, "a finite number"),
+}
+
+
+def _json_lines(lines, path, checks=None) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of `lines`, text
+    decoded from UTF-8 with errors="surrogateescape". With `checks`, each
+    value must be an object with those (name, predicate, kind) fields."""
+    for lineno, text in enumerate(lines, start=1):
+        if not text.strip():
+            continue
+        if not text.isascii() and _SURROGATE.search(text):
+            raise FormatError("not UTF-8", path=path, line=lineno)
+        try:
+            value = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise FormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
+        if checks is not None:
+            if not isinstance(value, dict):
+                raise FormatError("expected a JSON object", path=path, line=lineno)
+            for name, is_kind, kind in checks:
+                if name not in value:
+                    raise FormatError(f"missing field {name!r}", path=path, line=lineno)
+                if not is_kind(value[name]):
+                    raise FormatError(
+                        f"field {name!r} must be {kind}, got {reprlib.repr(value[name])}",
+                        path=path,
+                        line=lineno,
+                    )
+        yield lineno, value
+
+
+def read_jsonl(path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, row) for each non-blank line of a JSONL file.
+
+    Every row must be a JSON object holding each field named in `fields`
+    with a value of its kind: `str` a string (of valid Unicode, so no lone surrogate), `list`
+    a list of such strings, `float` a finite number. Raises FormatError with
+    the path and line for bad UTF-8, bad JSON, a row that is not an object,
+    and a missing or wrongly typed field.
+    """
+    path = Path(path)
+    checks = [(name, *_KINDS[kind]) for name, kind in fields.items()]
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield from _json_lines(fh, path, checks)
+
+
 def load_corpus(path) -> Corpus:
     """Stream-load a JSONL corpus, rejecting duplicate ids with line numbers."""
     path = Path(path)
     records: list[InstanceRecord] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            try:
-                rid = row["id"]
-                text = row["text"]
-            except KeyError as exc:
-                raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=lineno) from exc
-            if rid in seen:
-                raise ValidationError(
-                    f"duplicate instance id {rid!r} (first seen on line {seen[rid]})",
-                    path=path,
-                    line=lineno,
-                )
-            seen[rid] = lineno
-            records.append(
-                InstanceRecord(
-                    id=rid,
-                    text=text,
-                    nsfw=bool(row.get("nsfw", False)),
-                    text_in_image=row.get("text_in_image"),
-                    meta=dict(row.get("meta") or {}),
-                )
+    for lineno, row in read_jsonl(path, {"id": str, "text": str}):
+        rid = row["id"]
+        if rid in seen:
+            raise ValidationError(
+                f"duplicate instance id {rid!r} (first seen on line {seen[rid]})",
+                path=path,
+                line=lineno,
             )
+        seen[rid] = lineno
+        meta = row.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise FormatError("field 'meta' must be an object", path=path, line=lineno)
+        records.append(
+            InstanceRecord(
+                id=rid,
+                text=row["text"],
+                nsfw=bool(row.get("nsfw", False)),
+                text_in_image=row.get("text_in_image"),
+                meta=dict(meta),
+            )
+        )
     return Corpus(records)
 
 
@@ -192,25 +269,18 @@ def load_embeddings(path) -> EmbeddingMatrix:
         if dim == 0:
             raise FormatError("header declares dim = 0", path=path)
         payload_size = count * dim * 4
-        payload = fh.read(payload_size)
-        if len(payload) != payload_size:
+        available = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if payload_size > available:
             raise FormatError(
                 f"payload truncated: expected {payload_size} bytes for "
-                f"{count}x{dim} float32, got {len(payload)}",
+                f"{count}x{dim} float32, got {max(available, 0)}",
                 path=path,
             )
-        try:
-            trailer = fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"id trailer is not UTF-8 ({exc.reason})", path=path) from exc
+        payload = fh.read(payload_size)
+        trailer = fh.read()
     ids: list[str] = []
-    for lineno, raw in enumerate(trailer.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rid = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid id trailer JSON ({exc.msg})", path=path) from exc
+    trailer_lines = trailer.decode("utf-8", "surrogateescape").split("\n")
+    for lineno, rid in _json_lines(trailer_lines, path):  # numbered from the trailer's start
         if not isinstance(rid, str):
             raise FormatError(f"id trailer entry {lineno} is not a string", path=path)
         ids.append(rid)

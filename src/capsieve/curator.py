@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, EmbeddingMatrix
-from .errors import FormatError, MissingKeyError, ValidationError
+from .corpus import Corpus, EmbeddingMatrix, read_jsonl
+from .errors import MissingKeyError, ValidationError
 from .matcher import LemmaMatch
 from .provenance import config_digest
 from .seeding import stream
@@ -281,27 +281,15 @@ def load_candidates(path) -> list[ScoredCandidate]:
     path = Path(path)
     candidates: list[ScoredCandidate] = []
     seen: set[tuple[str, str]] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            try:
-                candidate = ScoredCandidate(
-                    instance_id=row["id"], wnid=row["wnid"], score=float(row["score"])
-                )
-            except KeyError as exc:
-                raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=lineno) from exc
-            key = (candidate.instance_id, candidate.wnid)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate candidate {key}", path=path, line=lineno
-                )
-            seen.add(key)
-            candidates.append(candidate)
+    for lineno, row in read_jsonl(path, {"id": str, "wnid": str, "score": float}):
+        candidate = ScoredCandidate(
+            instance_id=row["id"], wnid=row["wnid"], score=float(row["score"])
+        )
+        key = (candidate.instance_id, candidate.wnid)
+        if key in seen:
+            raise ValidationError(f"duplicate candidate {key}", path=path, line=lineno)
+        seen.add(key)
+        candidates.append(candidate)
     return candidates
 
 

@@ -222,14 +222,19 @@ def false_class_proportion(
     """Fraction of other synsets strictly more similar to the caption than
     the intended one. 0 means the intended synset is the best explanation
     of the text; exact ties do not count against it."""
-    if synset_text_embeddings.count < 2:
+    return _own_score_and_false_class(caption_embedding, intended_wnid, synset_text_embeddings)[1]
+
+
+def _own_score_and_false_class(vec, wnid: str, synsets: EmbeddingMatrix) -> tuple[float, float]:
+    """The caption's similarity to its intended synset, and the fraction of
+    the other synsets that score strictly higher; one batch_cosine call."""
+    if synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
-    if intended_wnid not in synset_text_embeddings.index:
-        raise MissingKeyError(f"unknown wnid {intended_wnid!r}")
-    scores = batch_cosine(caption_embedding, synset_text_embeddings)
-    intended = scores[synset_text_embeddings.index[intended_wnid]]
-    higher = int(np.sum(scores > intended))
-    return higher / (synset_text_embeddings.count - 1)
+    if wnid not in synsets.index:
+        raise MissingKeyError(f"unknown wnid {wnid!r}")
+    scores = batch_cosine(vec, synsets)
+    own = scores[synsets.index[wnid]]
+    return own, int(np.sum(scores > own)) / (synsets.count - 1)
 
 
 def binned_false_class_means(
@@ -253,11 +258,7 @@ def binned_false_class_means(
     sums = [0.0] * n_bins
     counts = [0] * n_bins
     for vec, wnid in zip(texts, intended):
-        if wnid not in synset_text_embeddings.index:
-            raise MissingKeyError(f"unknown wnid {wnid!r}")
-        scores = batch_cosine(vec, synset_text_embeddings)
-        own = scores[synset_text_embeddings.index[wnid]]
-        prop = int(np.sum(scores > own)) / (synset_text_embeddings.count - 1)
+        own, prop = _own_score_and_false_class(vec, wnid, synset_text_embeddings)
         b = int(np.searchsorted(bin_edges, own, side="right")) - 1
         if 0 <= b < n_bins and own < bin_edges[b + 1]:
             sums[b] += prop

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import EmbeddingMatrix
+from .corpus import EmbeddingMatrix, read_jsonl
 from .curator import DatasetManifest
-from .errors import FormatError, MissingKeyError, ValidationError
+from .errors import MissingKeyError, ValidationError
 from .vectorops import argmax_class
 
 log = logging.getLogger(__name__)
@@ -210,24 +210,14 @@ def load_predictions(path) -> list[PredictionRecord]:
     path = Path(path)
     records: list[PredictionRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            try:
-                record = PredictionRecord(instance_id=row["id"], ranked=tuple(row["ranked"]))
-            except KeyError as exc:
-                raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=lineno) from exc
-            if record.instance_id in seen:
-                raise ValidationError(
-                    f"duplicate prediction for {record.instance_id!r}", path=path, line=lineno
-                )
-            seen.add(record.instance_id)
-            records.append(record)
+    for lineno, row in read_jsonl(path, {"id": str, "ranked": list}):
+        record = PredictionRecord(instance_id=row["id"], ranked=tuple(row["ranked"]))
+        if record.instance_id in seen:
+            raise ValidationError(
+                f"duplicate prediction for {record.instance_id!r}", path=path, line=lineno
+            )
+        seen.add(record.instance_id)
+        records.append(record)
     return records
 
 

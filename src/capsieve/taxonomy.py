@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import FormatError, ValidationError
+from .corpus import read_jsonl
+from .errors import ValidationError
 
 _WNID_RE = re.compile(r"^n\d{8}$")
 
@@ -90,35 +91,23 @@ def load_taxonomy(path) -> Taxonomy:
     path = Path(path)
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from exc
-            if not isinstance(row, dict):
-                raise FormatError("expected a JSON object", path=path, line=lineno)
-            try:
-                wnid = row["wnid"]
-                lemmas = row["lemmas"]
-                name = row["name"]
-                gloss = row["gloss"]
-            except KeyError as exc:
-                raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=lineno) from exc
-            if wnid in seen:
-                raise ValidationError(
-                    f"duplicate wnid {wnid} (first seen on line {seen[wnid]})",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                synset = Synset(wnid=wnid, lemmas=tuple(lemmas), name=name, gloss=gloss)
-            except ValidationError as exc:
-                raise ValidationError(str(exc), path=path, line=lineno) from exc
-            seen[wnid] = lineno
-            synsets.append(synset)
+    fields = {"wnid": str, "lemmas": list, "name": str, "gloss": str}
+    for lineno, row in read_jsonl(path, fields):
+        wnid = row["wnid"]
+        if wnid in seen:
+            raise ValidationError(
+                f"duplicate wnid {wnid} (first seen on line {seen[wnid]})",
+                path=path,
+                line=lineno,
+            )
+        try:
+            synset = Synset(
+                wnid=wnid, lemmas=tuple(row["lemmas"]), name=row["name"], gloss=row["gloss"]
+            )
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path=path, line=lineno) from exc
+        seen[wnid] = lineno
+        synsets.append(synset)
     return Taxonomy(synsets)
 
 

@@ -251,50 +251,190 @@ def test_non_boolean_flag_in_config_is_config_error(pipeline_fixture, tmp_path, 
     assert code == 2
 
 
-DIAGNOSE_ARGV = {
-    "false-class": ["--text-embeddings", "vectors.emb", "--pairs", "pairs.jsonl",
-                    "--synset-embeddings", "vectors.emb", "--bin-edges=-1,0,1"],
-    "nearest-text": ["--query-embeddings", "vectors.emb", "--query-labels", "pairs.jsonl",
-                     "--corpus-embeddings", "vectors.emb"],
-    "correlate": ["--csv", "table.csv", "--x-col", "x", "--y-col", "y"],
-}
-VECTORS = np.array([[1.0, 0.0], [0.0, 1.0]], dtype="<f4")
-GOOD_INPUTS = {
-    # written out by hand so one byte of the id trailer can be corrupted
-    "vectors.emb": (EMBEDDING_MAGIC + struct.pack("<IQ", 2, 2) + VECTORS.tobytes()
-                    + b'"a"\n"b"\n'),
-    "pairs.jsonl": b'{"id": "a", "wnid": "b"}\n',
-    "table.csv": b"x,y\n1,2\n2,1\n3,3\n",
-}
-
-
-@pytest.mark.parametrize(
-    "analysis, name, content",
-    [
-        ("false-class", "pairs.jsonl", b"{not json\n"),
-        ("false-class", "pairs.jsonl", b'["a", "b"]\n'),
-        ("nearest-text", "pairs.jsonl", b"{not json\n"),
-        ("false-class", "pairs.jsonl", b'{"id": "zzz", "wnid": "b"}\n'),
-        ("nearest-text", "pairs.jsonl", b'{"id": "zzz", "wnid": "b"}\n'),
-        ("correlate", "table.csv", b"x,y\n1,oops\n"),
-        ("false-class", "vectors.emb", GOOD_INPUTS["vectors.emb"].replace(b'"a"', b'"\xff"')),
-    ],
-    ids=["pairs-json", "pairs-not-object", "labels-json", "pairs-id", "labels-id", "csv-cell",
-         "emb-trailer"],
+VECTOR_IDS = ["a", "b", "c", "d", "n00000001", "n00000002"]
+VECTORS = np.array(
+    [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9], [1.0, 0.2], [0.2, 1.0]], dtype="<f4"
 )
-def test_malformed_diagnose_input_is_data_error(tmp_path, capsys, analysis, name, content):
-    for file_name, good in GOOD_INPUTS.items():
-        (tmp_path / file_name).write_bytes(good)
-    argv = ["diagnose", analysis, "--out", str(tmp_path / "out")]
-    argv += [str(tmp_path / a) if a in GOOD_INPUTS else a for a in DIAGNOSE_ARGV[analysis]]
+ROWS = [("a", "n00000001", 0.9), ("b", "n00000001", 0.8), ("c", "n00000002", 0.7),
+        ("d", "n00000002", 0.6)]
+GOOD_INPUTS = {
+    "taxonomy.jsonl": "".join(
+        json.dumps({"wnid": w, "lemmas": [name], "name": name, "gloss": f"a {name}"}) + "\n"
+        for w, name in [("n00000001", "cat"), ("n00000002", "dog")]
+    ).encode(),
+    "corpus.jsonl": b'{"id": "a", "text": "a cat"}\n{"id": "b", "text": "the cat"}\n'
+                    b'{"id": "c", "text": "a dog"}\n{"id": "d", "text": "big dog"}\n',
+    "candidates.jsonl": "".join(json.dumps({"id": i, "wnid": w, "score": v}) + "\n"
+                                for i, w, v in ROWS).encode(),
+    "predictions.jsonl": "".join(json.dumps({"id": i, "ranked": [w]}) + "\n"
+                                 for i, w, _ in ROWS).encode(),
+    "pairs.jsonl": b'{"id": "a", "wnid": "n00000001"}\n',
+    "table.csv": b"x,y\n1,2\n2,1\n3,3\n",
+    # written out by hand so one byte of the id trailer can be corrupted
+    "vectors.emb": (EMBEDDING_MAGIC + struct.pack("<IQ", 2, len(VECTOR_IDS)) + VECTORS.tobytes()
+                    + "".join(f'"{i}"\n' for i in VECTOR_IDS).encode()),
+}
+GOOD_INPUTS["manifest.jsonl"] = GOOD_INPUTS["candidates.jsonl"]
+# Every option of a stage comes from its config, so that any of them can be
+# given a value of the wrong type; values naming a file above are made paths.
+STAGES = {
+    "match": (["match"], {"taxonomy": "taxonomy.jsonl", "corpus": "corpus.jsonl",
+                          "caption-embeddings": "vectors.emb",
+                          "synset-embeddings": "vectors.emb", "max-lemmas": 2}),
+    "sweep": (["sweep"], {"candidates": "candidates.jsonl", "thresholds": "0:1:0.5"}),
+    "assemble": (["assemble"], {"candidates": "candidates.jsonl", "corpus": "corpus.jsonl",
+                                "threshold": 0.3, "top-k": 1, "drop-nsfw": True}),
+    "eval": (["eval"], {"manifest": "manifest.jsonl", "predictions": "predictions.jsonl",
+                        "k": "1,2", "weights": "freq"}),
+    "intra": (["diagnose", "intra"], {"manifest": "manifest.jsonl",
+                                      "image-embeddings": "vectors.emb",
+                                      "hist-edges": "-1:1:0.5"}),
+    "compare": (["diagnose", "compare"], {"manifest-a": "manifest.jsonl",
+                                          "manifest-b": "manifest.jsonl",
+                                          "image-embeddings-a": "vectors.emb",
+                                          "image-embeddings-b": "vectors.emb",
+                                          "boot": 20, "seed": 1}),
+    "false-class": (["diagnose", "false-class"], {"text-embeddings": "vectors.emb",
+                                                  "pairs": "pairs.jsonl",
+                                                  "synset-embeddings": "vectors.emb",
+                                                  "bin-edges": "-1,0,1"}),
+    "nearest-text": (["diagnose", "nearest-text"], {"query-embeddings": "vectors.emb",
+                                                    "query-labels": "pairs.jsonl",
+                                                    "corpus-embeddings": "vectors.emb",
+                                                    "min-sim": 0.7}),
+    "cross-modal": (["diagnose", "cross-modal"], {"manifest": "manifest.jsonl",
+                                                  "image-embeddings": "vectors.emb",
+                                                  "synset-embeddings": "vectors.emb",
+                                                  "boot": 20}),
+    "correlate": (["diagnose", "correlate"], {"csv": "table.csv", "x-col": "x", "y-col": "y"}),
+    "simulate": (["simulate"], {"n_classes": 2, "x_dim": 4, "text_noise_sd": 0.25,
+                                "class_sep": 1.5, "seed": 9, "n": 2000,
+                                "text_rule": {"kind": "text_threshold", "threshold": 0.8},
+                                "image_rule": {"kind": "image_ball", "radius": 1.0,
+                                               "prototype": [1.06, 0.0, 0.0, 0.0]}}),
+}
+
+
+def first_line(name, line):
+    """The good `name` with its first line replaced by `line`."""
+    return line + b"\n" + GOOD_INPUTS[name].split(b"\n", 1)[1]
+
+
+NOT_UTF8 = b'{"id": "\xff"}'
+NOT_OBJECT = b'["a", "n00000001", 0.9]'
+BAD_SCORE = b'{"id": "a", "wnid": "n00000001", "score": "high"}'
+BAD_TEXT = b'{"id": "a", "text": ["a", "cat"]}'
+BAD_RANKED = b'{"id": "a", "ranked": "xyz"}'  # not a list, though its letters are distinct
+BAD_LEMMAS = b'{"wnid": "n00000001", "lemmas": "cat", "name": "cat", "gloss": "a cat"}'
+UNKNOWN_ID = b'{"id": "zzz", "wnid": "n00000001"}'
+LONE_SURROGATE = b'{"id": "a", "wnid": "\\ud800", "score": 0.9}'  # valid JSON, not UTF-8 text
+FILE, UNDER_FILE = "<a file>", "<a path below a file>"  # values for --out
+# (stage, target, value, exit code): `target` is an input file whose bytes
+# become `value`, or a config key set to `value`; "run.json" is the config.
+MALFORMED = [
+    ("match", "taxonomy.jsonl", first_line("taxonomy.jsonl", NOT_UTF8), 3),
+    ("match", "taxonomy.jsonl", first_line("taxonomy.jsonl", BAD_LEMMAS), 3),
+    ("match", "corpus.jsonl", first_line("corpus.jsonl", NOT_UTF8), 3),
+    ("match", "corpus.jsonl", first_line("corpus.jsonl", NOT_OBJECT), 3),
+    ("match", "corpus.jsonl", first_line("corpus.jsonl", BAD_TEXT), 3),
+    ("match", "max-lemmas", "x", 2),
+    ("match", "out", 5, 2),
+    ("match", "out", FILE, 2),
+    ("match", "out", UNDER_FILE, 2),
+    ("match", "run.json", b'{"max-lemmas": "\xff"}', 2),
+    ("sweep", "candidates.jsonl", first_line("candidates.jsonl", NOT_UTF8), 3),
+    ("sweep", "candidates.jsonl", first_line("candidates.jsonl", NOT_OBJECT), 3),
+    ("sweep", "candidates.jsonl", first_line("candidates.jsonl", BAD_SCORE), 3),
+    ("sweep", "thresholds", [0.1, 0.5], 2),
+    ("assemble", "candidates.jsonl", first_line("candidates.jsonl", NOT_UTF8), 3),
+    ("assemble", "candidates.jsonl", first_line("candidates.jsonl", NOT_OBJECT), 3),
+    ("assemble", "candidates.jsonl", first_line("candidates.jsonl", BAD_SCORE), 3),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", NOT_UTF8), 3),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", NOT_OBJECT), 3),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", BAD_TEXT), 3),
+    ("assemble", "threshold", "abc", 2),
+    ("assemble", "top-k", "x", 2),
+    ("assemble", "out", FILE, 2),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", NOT_OBJECT), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", BAD_SCORE), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", LONE_SURROGATE), 3),
+    ("eval", "predictions.jsonl", first_line("predictions.jsonl", NOT_UTF8), 3),
+    ("eval", "predictions.jsonl", first_line("predictions.jsonl", NOT_OBJECT), 3),
+    ("eval", "predictions.jsonl", first_line("predictions.jsonl", BAD_RANKED), 3),
+    ("eval", "k", "a", 2),
+    ("eval", "weights", 5, 2),
+    ("intra", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
+    ("intra", "hist-edges", 0.5, 2),
+    ("compare", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
+    ("compare", "boot", "x", 2),
+    ("false-class", "pairs.jsonl", NOT_UTF8, 3),
+    ("false-class", "pairs.jsonl", b"{not json", 3),
+    ("false-class", "pairs.jsonl", b'["a", "b"]', 3),
+    ("false-class", "pairs.jsonl", b'{"id": "a"}', 3),
+    ("false-class", "pairs.jsonl", UNKNOWN_ID, 3),
+    ("false-class", "vectors.emb", GOOD_INPUTS["vectors.emb"].replace(b'"a"', b'"\xff"'), 3),
+    ("false-class", "bin-edges", [-1, 0, 1], 2),
+    ("nearest-text", "pairs.jsonl", NOT_UTF8, 3),
+    ("nearest-text", "pairs.jsonl", b"{not json", 3),
+    ("nearest-text", "pairs.jsonl", UNKNOWN_ID, 3),
+    ("nearest-text", "min-sim", "x", 2),
+    ("cross-modal", "manifest.jsonl", first_line("manifest.jsonl", BAD_SCORE), 3),
+    ("cross-modal", "boot", "x", 2),
+    ("correlate", "table.csv", b"x,y\n1,\xff\n", 3),
+    ("correlate", "table.csv", b"x,y\n1,oops\n", 3),
+    ("simulate", "run.json", b'{"n": "\xff"}', 2),
+    ("simulate", "out", 5, 2),
+    ("simulate", "out", FILE, 2),
+]
+
+
+def _case_id(case):
+    stage, target, value, _ = case
+    if target.endswith(".emb"):
+        value = "id-trailer"  # its leading bytes are the binary header
+    elif isinstance(value, bytes):  # show the line that was corrupted
+        good = GOOD_INPUTS.get(target, b"").split(b"\n")
+        value = next(line for line in value.split(b"\n") if line not in good)
+    return f"{stage}-{target}-{value!r}"
+
+
+@pytest.mark.parametrize("stage, target, value, code", MALFORMED, ids=map(_case_id, MALFORMED))
+def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value, code):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    config = {key: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for key, v in options.items()}
+    config["out"] = str(tmp_path / "out")
+    config_path = tmp_path / "run.json"
+    argv = command + ["--config", str(config_path)]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     assert run(argv) == 0  # the inputs are valid before the one corruption
     capsys.readouterr()
 
-    (tmp_path / name).write_bytes(content)
-    assert run(argv) == 3
+    if target in GOOD_INPUTS or target == "run.json":
+        (tmp_path / target).write_bytes(value)
+    else:
+        if value in (FILE, UNDER_FILE):
+            value = str(tmp_path / "table.csv") + ("" if value == FILE else "/out")
+        config_path.write_text(json.dumps({**config, target: value}), encoding="utf-8")
+    assert run(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("capsieve: data error:")
+    prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+def test_false_class_with_no_pairs_reports_empty_bins(tmp_path):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    (tmp_path / "pairs.jsonl").write_bytes(b"")
+    run_ok(["diagnose", "false-class", "--text-embeddings", tmp_path / "vectors.emb",
+            "--pairs", tmp_path / "pairs.jsonl", "--synset-embeddings", tmp_path / "vectors.emb",
+            "--bin-edges=-1,0,1", "--out", tmp_path / "out"])
+    lines = (tmp_path / "out" / "false_class_bins.csv").read_text().splitlines()
+    assert lines[1:] == ["-1.0,0.0,0,", "0.0,1.0,0,"]
 
 
 SIM_CONFIG = {

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from capsieve.cli import _load_pairs
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
     Corpus,
@@ -12,10 +17,14 @@ from capsieve.corpus import (
     InstanceRecord,
     load_corpus,
     load_embeddings,
+    read_jsonl,
     save_corpus,
     write_embeddings,
 )
-from capsieve.errors import FormatError, MissingKeyError, ValidationError
+from capsieve.curator import load_candidates
+from capsieve.errors import CapsieveError, FormatError, MissingKeyError, ValidationError
+from capsieve.evalmetrics import load_predictions
+from capsieve.taxonomy import load_taxonomy
 from capsieve.vectorops import require_embedding
 
 
@@ -161,3 +170,88 @@ def test_every_id_resolves(rng):
     for i, rid in enumerate(ids):
         row = require_embedding(m, rid, "test")
         assert row is m.rows[i] or (row == m.rows[i]).all()
+
+
+def test_header_count_beyond_file_is_truncation(tmp_path):
+    # checked against the file size before anything is allocated for it
+    path = tmp_path / "huge.emb"
+    path.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", 4, 2**40) + b"\x00" * 16)
+    with pytest.raises(FormatError, match="truncated"):
+        load_embeddings(path)
+
+
+def test_ids_with_unicode_line_separators_round_trip(tmp_path):
+    # the trailer is split on LF only; U+2028 and U+0085 are written unescaped
+    m = matrix([[1, 2], [3, 4]], ["a\u2028b", "c\x85d"])
+    path = tmp_path / "emb.bin"
+    write_embeddings(m, path)
+    assert load_embeddings(path).ids == ["a\u2028b", "c\x85d"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": "\xff"}', "line 2: not UTF-8"),
+        (b"{not json", "line 2: invalid JSON"),
+        (b'["a", 1.0]', "line 2: expected a JSON object"),
+        (b'{"id": "b"}', "line 2: missing field 'score'"),
+        (b'{"id": 7, "score": 1.0}', "line 2: field 'id' must be a Unicode string"),
+        (b'{"id": "\\udc80", "score": 1.0}', "line 2: field 'id' must be a Unicode string"),
+        (b'{"id": "b", "score": NaN}', "line 2: field 'score' must be a finite number"),
+        (b'{"id": "b", "score": 1' + b"0" * 400 + b"}", "line 2: field 'score' must be a finite"),
+        (b'{"id": "b", "score": true}', "line 2: field 'score' must be a finite number"),
+        (b'{"id": "b", "score": 1, "tags": ["x"]}\n{"id": "c", "score": 1, "tags": "x"}',
+         "line 3: field 'tags' must be a list of Unicode"),
+    ],
+)
+def test_read_jsonl_locates_each_fault(tmp_path, line, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "a", "score": 0.5, "tags": []}\n' + line + b"\n")
+    with pytest.raises(FormatError, match=message) as info:
+        list(read_jsonl(path, {"id": str, "score": float, "tags": list}))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_read_jsonl_skips_blank_lines_and_keeps_numbers(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'\n{"id": "a", "score": 1}\r\n  \n{"id": "b", "score": -0.25}\n')
+    assert list(read_jsonl(path, {"id": str, "score": float})) == [
+        (2, {"id": "a", "score": 1}),
+        (4, {"id": "b", "score": -0.25}),
+    ]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+FIELD_VALUES = JSON_VALUES | st.lists(st.text(max_size=4), max_size=3) | st.just("n00000001")
+ROWS = st.fixed_dictionaries(
+    {},
+    optional={key: FIELD_VALUES for key in
+              ["id", "wnid", "text", "lemmas", "name", "gloss", "score", "ranked", "meta"]},
+)
+LINES = st.one_of(
+    ROWS.map(lambda row: json.dumps(row).encode()),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.binary(max_size=40),
+)
+LOADERS = [load_taxonomy, load_corpus, load_candidates, load_predictions, _load_pairs]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+@settings(
+    derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(content=st.lists(LINES, max_size=4).map(b"\n".join))
+@example(content=b"[" * 100_000)
+@example(content=b'{"id": "a", "wnid": "n00000001", "score": 1' + b"0" * 5000 + b"}")
+def test_loaders_raise_only_capsieve_errors(tmp_path, loader, content):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(content)
+    try:
+        loader(path)
+    except CapsieveError:
+        pass

@@ -273,6 +273,25 @@ def test_binned_requires_increasing_edges():
         binned_false_class_means(np.zeros((0, 2)), [], synset_matrix(), [0.5, 0.5])
 
 
+def test_binned_means_agree_with_false_class_proportion(rng):
+    synsets = embeddings(
+        [f"n{j:08d}" for j in range(1, 9)], rng.standard_normal((8, 4)).astype(np.float32)
+    )
+    texts = rng.standard_normal((40, 4))
+    intended = [f"n{int(j):08d}" for j in rng.integers(1, 9, size=40)]
+    bins = binned_false_class_means(texts, intended, synsets, [-1.01, 1.01])
+    props = [false_class_proportion(t, w, synsets) for t, w in zip(texts, intended)]
+    assert bins[0].count == 40 and bins[0].mean == sum(props) / 40
+
+
+def test_binned_errors_match_false_class_proportion():
+    with pytest.raises(MissingKeyError):
+        binned_false_class_means([[1.0, 0, 0, 0, 0]], ["n09999999"], synset_matrix(), [0, 1])
+    single = embeddings(["n00000001"], [[1.0, 0.0]])
+    with pytest.raises(ValidationError, match="at least 2 synsets"):  # was ZeroDivisionError
+        binned_false_class_means([[1.0, 0.0]], ["n00000001"], single, [0, 1])
+
+
 # -- nearest_text_dataset ---------------------------------------------------------
 
 
