@@ -98,16 +98,20 @@ def _typed(value, kind, what: str):
 
     `bool` and `str` options take only JSON booleans and strings as they
     are; every other kind (float, int, Path, a spec parser) converts any
-    value it can except a boolean.
+    value it can except a boolean. An int option takes no float it would
+    truncate: 2.0 is 2, but 2.5 is an error.
     """
     if kind in (bool, str):
         if isinstance(value, kind):
             return value
     elif not isinstance(value, bool):
         try:
-            return kind(value)
+            converted = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if kind is not int or not isinstance(value, float) or converted == value:
+                return converted
     raise ConfigError(f"bad {what}: {value!r}")
 
 
@@ -173,7 +177,7 @@ class _Stage:
 
 def _load_pairs(path) -> list[tuple[str, str]]:
     """JSONL of {"id": str, "wnid": str} pairs (extra keys ignored)."""
-    return [(row["id"], row["wnid"]) for _, row in read_jsonl(path, {"id": str, "wnid": str})]
+    return [(row["id"], row["wnid"]) for _, row in read_jsonl(path, {"id": str, "wnid": "wnid"})]
 
 
 def _load_weights(path) -> dict[str, float]:
@@ -337,7 +341,7 @@ def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
     sets_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
     sets_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
     diffs = diagnostics.per_class_mean_diff_ci(sets_a, sets_b, n_boot=n_boot, seed=seed)
-    comparison = diagnostics.compare_datasets(sets_a, sets_b, n_boot=n_boot, seed=seed)
+    comparison = diagnostics.compare_datasets(diffs)
     with stage.output("intra_class_diff.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("wnid,value,ci_low,ci_high\n")
         for d in diffs:

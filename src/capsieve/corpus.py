@@ -105,6 +105,28 @@ def _is_text_list(value) -> bool:
     return _is_text(joined)
 
 
+# A WordNet noun id: "n" and 8 ASCII digits. The taxonomy checks its wnids
+# with it too, so a wnid can never break a CSV row.
+WNID_RE = re.compile("n[0-9]{8}")
+_WNIDS_JOINED = re.compile("n[0-9]{8}(?: n[0-9]{8})*")
+
+
+def _is_wnid(value) -> bool:
+    return isinstance(value, str) and WNID_RE.fullmatch(value) is not None
+
+
+def _is_wnid_list(value) -> bool:
+    # One match over the entries joined by spaces. The length rules out an
+    # entry that holds a space: k wnids joined take exactly 10k - 1 chars.
+    if not isinstance(value, list) or not value:
+        return isinstance(value, list)
+    try:
+        joined = " ".join(value)
+    except TypeError:  # an entry that is not a string
+        return False
+    return len(joined) == 10 * len(value) - 1 and _WNIDS_JOINED.fullmatch(joined) is not None
+
+
 def _is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -119,13 +141,19 @@ _KINDS = {
     str: (_is_text, "a Unicode string"),
     list: (_is_text_list, "a list of Unicode strings"),
     float: (_is_finite_number, "a finite number"),
+    bool: (lambda value: isinstance(value, bool), "a JSON boolean"),
+    "bool or null": (lambda value: value is None or isinstance(value, bool),
+                     "a JSON boolean or null"),
+    "wnid": (_is_wnid, "a wnid ('n' and 8 digits)"),
+    "wnid list": (_is_wnid_list, "a list of wnids ('n' and 8 digits)"),
 }
 
 
 def _json_lines(lines, path, checks=None) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of `lines`, text
     decoded from UTF-8 with errors="surrogateescape". With `checks`, each
-    value must be an object with those (name, predicate, kind) fields."""
+    value must be an object with those (name, predicate, kind, required)
+    fields; a field that is not required may be absent."""
     for lineno, text in enumerate(lines, start=1):
         if not text.strip():
             continue
@@ -139,8 +167,10 @@ def _json_lines(lines, path, checks=None) -> Iterator[tuple[int, object]]:
         if checks is not None:
             if not isinstance(value, dict):
                 raise FormatError("expected a JSON object", path=path, line=lineno)
-            for name, is_kind, kind in checks:
+            for name, is_kind, kind, required in checks:
                 if name not in value:
+                    if not required:
+                        continue
                     raise FormatError(f"missing field {name!r}", path=path, line=lineno)
                 if not is_kind(value[name]):
                     raise FormatError(
@@ -151,17 +181,23 @@ def _json_lines(lines, path, checks=None) -> Iterator[tuple[int, object]]:
         yield lineno, value
 
 
-def read_jsonl(path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
+def read_jsonl(
+    path, fields: Mapping[str, object], optional: Mapping[str, object] | None = None
+) -> Iterator[tuple[int, dict]]:
     """Yield (line number, row) for each non-blank line of a JSONL file.
 
-    Every row must be a JSON object holding each field named in `fields`
-    with a value of its kind: `str` a string (of valid Unicode, so no lone surrogate), `list`
-    a list of such strings, `float` a finite number. Raises FormatError with
-    the path and line for bad UTF-8, bad JSON, a row that is not an object,
-    and a missing or wrongly typed field.
+    Every row must be a JSON object holding each field named in `fields`,
+    and may hold those named in `optional`, each with a value of its kind:
+    `str` a string of valid Unicode (no lone surrogate), `list` a list of
+    such strings, `float` a finite number, `bool` a JSON boolean, "bool or
+    null" a JSON boolean or null, "wnid" a string of "n" and 8 digits, and
+    "wnid list" a list of those. Raises FormatError with the path and line
+    for bad UTF-8, bad JSON, a row that is not an object, a missing
+    required field and a field of the wrong kind.
     """
     path = Path(path)
-    checks = [(name, *_KINDS[kind]) for name, kind in fields.items()]
+    checks = [(name, *_KINDS[kind], True) for name, kind in fields.items()]
+    checks += [(name, *_KINDS[kind], False) for name, kind in (optional or {}).items()]
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from _json_lines(fh, path, checks)
 
@@ -171,7 +207,8 @@ def load_corpus(path) -> Corpus:
     path = Path(path)
     records: list[InstanceRecord] = []
     seen: dict[str, int] = {}
-    for lineno, row in read_jsonl(path, {"id": str, "text": str}):
+    flags = {"nsfw": bool, "text_in_image": "bool or null"}
+    for lineno, row in read_jsonl(path, {"id": str, "text": str}, optional=flags):
         rid = row["id"]
         if rid in seen:
             raise ValidationError(
@@ -187,7 +224,7 @@ def load_corpus(path) -> Corpus:
             InstanceRecord(
                 id=rid,
                 text=row["text"],
-                nsfw=bool(row.get("nsfw", False)),
+                nsfw=row.get("nsfw", False),
                 text_in_image=row.get("text_in_image"),
                 meta=dict(meta),
             )

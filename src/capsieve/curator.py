@@ -29,7 +29,11 @@ from .errors import MissingKeyError, ValidationError
 from .matcher import LemmaMatch
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import cosine, require_embedding
+from .vectorops import pair_cosine, require_embedding
+
+# Pairs scored per `pair_cosine` call; a bounded block keeps the float64
+# copies of the gathered rows small.
+_PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -92,21 +96,17 @@ def score_candidates(
     synset_text_embeddings: EmbeddingMatrix,
 ) -> list[ScoredCandidate]:
     """One ScoredCandidate per distinct (instance, wnid) pair in `matches`,
-    in first-occurrence order."""
+    in first-occurrence order, scored by `pair_cosine` in blocks of pairs."""
+    pairs = list(dict.fromkeys((m.instance_id, m.wnid) for m in matches))
     candidates: list[ScoredCandidate] = []
-    seen: set[tuple[str, str]] = set()
-    for match in matches:
-        key = (match.instance_id, match.wnid)
-        if key in seen:
-            continue
-        seen.add(key)
-        caption = require_embedding(caption_embeddings, match.instance_id, "caption")
-        synset = require_embedding(synset_text_embeddings, match.wnid, "synset text")
-        candidates.append(
-            ScoredCandidate(
-                instance_id=match.instance_id, wnid=match.wnid, score=cosine(caption, synset)
-            )
-        )
+    for lo in range(0, len(pairs), _PAIR_BLOCK):
+        block = pairs[lo : lo + _PAIR_BLOCK]
+        captions, synsets = [], []
+        for instance_id, wnid in block:
+            captions.append(require_embedding(caption_embeddings, instance_id, "caption"))
+            synsets.append(require_embedding(synset_text_embeddings, wnid, "synset text"))
+        scores = pair_cosine(captions, synsets).tolist()
+        candidates.extend(ScoredCandidate(i, w, score) for (i, w), score in zip(block, scores))
     return candidates
 
 
@@ -281,7 +281,7 @@ def load_candidates(path) -> list[ScoredCandidate]:
     path = Path(path)
     candidates: list[ScoredCandidate] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, row in read_jsonl(path, {"id": str, "wnid": str, "score": float}):
+    for lineno, row in read_jsonl(path, {"id": str, "wnid": "wnid", "score": float}):
         candidate = ScoredCandidate(
             instance_id=row["id"], wnid=row["wnid"], score=float(row["score"])
         )

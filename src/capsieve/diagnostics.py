@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,11 +30,15 @@ from .errors import MissingKeyError, ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import batch_cosine, nearest_neighbor, require_embedding
+from .vectorops import batch_cosine, cosine_blocks, require_embedding, top_k
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
+
+# Replicate vector sums accumulated at once by the bootstrap: 256 KiB of
+# float64, so a chunk stays in cache while every image is added to it.
+_BOOT_CHUNK_VALUES = 1 << 15
 
 
 @dataclass
@@ -140,10 +145,25 @@ def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
 
     Uses sum-of-vectors algebra: for resampled unit vectors u_1..u_n,
     sum over pairs of u_i . u_j equals (|sum u|^2 - sum |u|^2) / 2.
+
+    Each replicate's vector sum starts from its first image and adds the
+    others one by one, in resample order: the order in which
+    `units[idx].sum(axis=1)` adds, so the means are bitwise the same
+    without its n_boot x n x d array. The sums are built a cache-sized
+    chunk of replicates at a time.
     """
-    n = units.shape[0]
+    n, d = units.shape
     idx = rng.integers(0, n, size=(n_boot, n))
-    sums = units[idx].sum(axis=1)
+    sums = np.empty((n_boot, d), dtype=units.dtype)
+    step = max(1, _BOOT_CHUNK_VALUES // d)
+    row = np.empty((min(step, n_boot), d), dtype=units.dtype)
+    for lo in range(0, n_boot, step):
+        chunk = idx[lo : lo + step]
+        acc, nxt = sums[lo : lo + step], row[: len(chunk)]
+        np.take(units, chunk[:, 0], axis=0, out=acc)
+        for j in range(1, n):
+            np.take(units, chunk[:, j], axis=0, out=nxt)
+            acc += nxt
     norm_sq = np.einsum("ij,ij->i", units, units)
     total_sq = np.einsum("ij,ij->i", sums, sums)
     self_sq = norm_sq[idx].sum(axis=1)
@@ -197,14 +217,23 @@ def per_class_mean_diff_ci(
 
 
 def compare_datasets(
-    setsA: list[ClassSimilaritySet],
-    setsB: list[ClassSimilaritySet],
+    setsA,
+    setsB: list[ClassSimilaritySet] | None = None,
     n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> DatasetComparison:
     """Proportion of shared classes where each dataset's intra-class
-    similarity is significantly lower (its diff interval clear of zero)."""
-    diffs = per_class_mean_diff_ci(setsA, setsB, n_boot=n_boot, seed=seed)
+    similarity is significantly lower (its diff interval clear of zero).
+
+    `setsA` and `setsB` are the two datasets' ClassSimilaritySet lists, or
+    `setsA` alone is the ClassStat list `per_class_mean_diff_ci` returned
+    for them, so that a caller holding the intervals does not run the
+    bootstrap a second time.
+    """
+    if setsB is None:
+        diffs = setsA
+    else:
+        diffs = per_class_mean_diff_ci(setsA, setsB, n_boot=n_boot, seed=seed)
     if not diffs:
         raise ValidationError("no shared classes with enough images to compare")
     a_lower = sum(1 for d in diffs if d.ci_high < 0.0)
@@ -222,19 +251,27 @@ def false_class_proportion(
     """Fraction of other synsets strictly more similar to the caption than
     the intended one. 0 means the intended synset is the best explanation
     of the text; exact ties do not count against it."""
-    return _own_score_and_false_class(caption_embedding, intended_wnid, synset_text_embeddings)[1]
+    texts, intended = [caption_embedding], [intended_wnid]
+    return next(_own_score_and_false_class(texts, intended, synset_text_embeddings))[1]
 
 
-def _own_score_and_false_class(vec, wnid: str, synsets: EmbeddingMatrix) -> tuple[float, float]:
-    """The caption's similarity to its intended synset, and the fraction of
-    the other synsets that score strictly higher; one batch_cosine call."""
-    if synsets.count < 2:
+def _own_score_and_false_class(
+    texts, intended: list[str], synsets: EmbeddingMatrix
+) -> Iterator[tuple[float, float]]:
+    """For each text in order, its similarity to its intended synset and the
+    fraction of the other synsets that score strictly higher; the texts are
+    scored in `cosine_blocks`."""
+    if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
-    if wnid not in synsets.index:
-        raise MissingKeyError(f"unknown wnid {wnid!r}")
-    scores = batch_cosine(vec, synsets)
-    own = scores[synsets.index[wnid]]
-    return own, int(np.sum(scores > own)) / (synsets.count - 1)
+    cols = []
+    for wnid in intended:
+        if wnid not in synsets.index:
+            raise MissingKeyError(f"unknown wnid {wnid!r}")
+        cols.append(synsets.index[wnid])
+    for start, scores in cosine_blocks(texts, synsets):
+        own = scores[np.arange(len(scores)), cols[start : start + len(scores)]]
+        higher = np.count_nonzero(scores > own[:, np.newaxis], axis=1)
+        yield from zip(own.tolist(), (higher / (synsets.count - 1)).tolist())
 
 
 def binned_false_class_means(
@@ -257,8 +294,7 @@ def binned_false_class_means(
     n_bins = len(bin_edges) - 1
     sums = [0.0] * n_bins
     counts = [0] * n_bins
-    for vec, wnid in zip(texts, intended):
-        own, prop = _own_score_and_false_class(vec, wnid, synset_text_embeddings)
+    for own, prop in _own_score_and_false_class(texts, intended, synset_text_embeddings):
         b = int(np.searchsorted(bin_edges, own, side="right")) - 1
         if 0 <= b < n_bins and own < bin_edges[b + 1]:
             sums[b] += prop
@@ -294,8 +330,9 @@ def nearest_text_dataset(
     best: dict[str, ScoredCandidate] = {}
     dropped = 0
     collapsed = 0
-    for embedding, wnid in query_texts:
-        rid, score = nearest_neighbor(embedding, corpus_matrix)
+    nearest = top_k([embedding for embedding, _ in query_texts], corpus_matrix, 1)
+    for (_, wnid), (row_index, scores) in zip(query_texts, nearest):
+        rid, score = corpus_matrix.ids[row_index[0]], float(scores[0])
         if score < min_sim:
             dropped += 1
             continue

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .corpus import EmbeddingMatrix, read_jsonl
 from .curator import DatasetManifest
 from .errors import MissingKeyError, ValidationError
-from .vectorops import argmax_class
+from .vectorops import top_k
 
 log = logging.getLogger(__name__)
 
@@ -150,19 +150,19 @@ def zero_shot_predict(
     synset_text_embeddings: EmbeddingMatrix,
     k: int,
 ) -> list[PredictionRecord]:
-    """Rank synsets for each image by image-to-synset-text cosine."""
+    """Rank synsets for each image by image-to-synset-text cosine, best
+    first, exact ties by wnid ascending."""
     if image_embeddings.dim != synset_text_embeddings.dim:
         raise ValidationError(
             f"dimension mismatch: images {image_embeddings.dim} vs "
             f"synset texts {synset_text_embeddings.dim}"
         )
-    records = []
-    for i, image_id in enumerate(image_embeddings.ids):
-        ranked = argmax_class(image_embeddings.rows[i], synset_text_embeddings, k)
-        records.append(
-            PredictionRecord(instance_id=image_id, ranked=tuple(wnid for wnid, _ in ranked))
-        )
-    return records
+    wnids = synset_text_embeddings.ids
+    ranked = top_k(image_embeddings.rows, synset_text_embeddings, k)
+    return [
+        PredictionRecord(instance_id=image_id, ranked=tuple(wnids[j] for j in order))
+        for image_id, (order, _) in zip(image_embeddings.ids, ranked)
+    ]
 
 
 def per_class_recall_diff_ci(
@@ -210,7 +210,7 @@ def load_predictions(path) -> list[PredictionRecord]:
     path = Path(path)
     records: list[PredictionRecord] = []
     seen: set[str] = set()
-    for lineno, row in read_jsonl(path, {"id": str, "ranked": list}):
+    for lineno, row in read_jsonl(path, {"id": str, "ranked": "wnid list"}):
         record = PredictionRecord(instance_id=row["id"], ranked=tuple(row["ranked"]))
         if record.instance_id in seen:
             raise ValidationError(

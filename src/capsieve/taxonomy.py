@@ -14,15 +14,12 @@ data and spaces after normalization).
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .corpus import read_jsonl
+from .corpus import WNID_RE, read_jsonl
 from .errors import ValidationError
-
-_WNID_RE = re.compile(r"^n\d{8}$")
 
 # Separator between a synset's name and gloss in its query text.
 SYNSET_TEXT_SEPARATOR = ": "
@@ -38,7 +35,7 @@ class Synset:
     gloss: str
 
     def __post_init__(self):
-        if not _WNID_RE.match(self.wnid):
+        if not WNID_RE.fullmatch(self.wnid):
             raise ValidationError(f"bad wnid {self.wnid!r}: expected 'n' + 8 digits")
         if not self.lemmas:
             raise ValidationError(f"synset {self.wnid}: lemmas list is empty")
@@ -91,7 +88,7 @@ def load_taxonomy(path) -> Taxonomy:
     path = Path(path)
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
-    fields = {"wnid": str, "lemmas": list, "name": str, "gloss": str}
+    fields = {"wnid": "wnid", "lemmas": list, "name": str, "gloss": str}
     for lineno, row in read_jsonl(path, fields):
         wnid = row["wnid"]
         if wnid in seen:

@@ -1,10 +1,24 @@
-"""Exact cosine-similarity kernels and brute-force nearest-neighbor scans.
+"""Exact cosine-similarity kernels.
 
-Scores are accumulated in float64 regardless of input dtype. All batch
-operations compute each row's score with the same accumulation as the
-scalar `cosine`, so a score never depends on which other rows share the
-matrix: sharded scans are bitwise identical to serial ones, and a full-sort
-oracle over per-pair `cosine` calls reproduces `argmax_class` exactly.
+Exactness contract: every score is accumulated in float64, whatever the
+input dtype, and is bitwise equal to the scalar `cosine` of its pair. A
+score never depends on which other rows or queries share a call, so
+sharded or blocked scans are bitwise identical to serial ones. Two kernels
+carry the contract:
+
+- `cosine_blocks`, many queries against every row of a matrix. It converts
+  the matrix to float64 and computes its row norms once per call, then
+  scores consecutive query blocks with einsum("ij,kj->ki"); no block holds
+  more than max(1, 2**18 // rows) queries. `batch_cosine` is its one-query
+  case and `top_k` ranks its blocks.
+- `pair_cosine`, row i of one array against row i of another, with
+  einsum("ij,ij->i") over the gathered pairs. `cosine` is its one-pair case.
+
+Both contract with einsum, never with BLAS (`@`, `np.dot`, `matmul`): a
+BLAS kernel may change its summation order with the operand shapes, and
+`Q @ A.T` differs from `cosine` by up to 1e-13. The one documented
+exception is `diagnostics.intra_class_sims`, whose within-class pair
+similarities come from the BLAS Gram matrix `units @ units.T`.
 
 No approximate index is provided by design; exact scans keep every
 downstream statistic reproducible and testable.
@@ -12,28 +26,52 @@ downstream statistic reproducible and testable.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .corpus import EmbeddingMatrix
 from .errors import MissingKeyError, ValidationError
 
-
-def _as_f64_rows(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    return np.ascontiguousarray(arr)
+# Scores in one query block of `cosine_blocks`: 2 MiB of float64.
+_BLOCK_SCORES = 1 << 18
 
 
-def _row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # einsum with a fixed contraction order; each output element depends
-    # only on its own row, unlike BLAS matvec whose kernel can vary with
-    # the matrix shape.
-    return np.einsum("ij,j->i", rows, vec)
+def _f64(a) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+
+
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.einsum of two 2-D float64 operands.
+
+    numpy's einsum may add up a contraction with a single output element
+    in pieces of its buffer (8192 values), and any other in one pass. So a
+    lone pair of rows is contracted as the first of two identical pairs:
+    at any dimension, a score never depends on how many rows share a call.
+    """
+    if len(a) == 1 and len(b) == 1:
+        out = np.einsum(subscripts, np.concatenate([a, a]), np.concatenate([b, b]))
+        return out[(slice(0, 1),) * out.ndim]
+    return np.einsum(subscripts, a, b)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return np.sqrt(_contract("ij,ij->i", rows, rows))
+
+
+def pair_cosine(a, b) -> np.ndarray:
+    """Cosine of row i of `a` with row i of `b`, for every i; element i
+    equals cosine(a[i], b[i]) bitwise.
+
+    Raises ValidationError when the shapes differ or a row is all zero.
+    """
+    a, b = _f64(a), _f64(b)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na, nb = _row_norms(a), _row_norms(b)
+    if not (na.all() and nb.all()):
+        raise ValidationError("cosine undefined for all-zero vector")
+    return _contract("ij,ij->i", a, b) / (na * nb)
 
 
 def cosine(a, b) -> float:
@@ -41,48 +79,70 @@ def cosine(a, b) -> float:
 
     Raises ValidationError on dimension mismatch or an all-zero input.
     """
-    av = _as_f64_rows(a)
-    bv = np.ascontiguousarray(np.asarray(b, dtype=np.float64).ravel())
-    if av.shape[1] != bv.shape[0]:
-        raise ValidationError(f"dimension mismatch: {av.shape[1]} vs {bv.shape[0]}")
-    na = _row_norms(av)[0]
-    nb = _row_norms(bv[np.newaxis, :])[0]
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine undefined for all-zero vector")
-    return float(_row_dots(av, bv)[0] / (na * nb))
+    av, bv = _f64(a).ravel(), _f64(b).ravel()
+    if av.shape != bv.shape:
+        raise ValidationError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
+    return float(pair_cosine(av[np.newaxis], bv[np.newaxis])[0])
+
+
+def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, scores) for consecutive blocks of `queries`, one query
+    vector per entry: scores[q, i] is the cosine of query start + q with
+    matrix row i, bitwise equal to cosine(queries[start + q], matrix.rows[i]).
+
+    Raises ValidationError when a query's dimension differs from the
+    matrix's or a query is all zero.
+    """
+    rows = _f64(matrix.rows)
+    norms = _row_norms(rows)
+    step = max(1, _BLOCK_SCORES // max(matrix.count, 1))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        try:
+            q = _f64(block).reshape(len(block), -1)
+        except ValueError:  # vectors of different lengths
+            raise ValidationError("dimension mismatch among the queries") from None
+        if q.shape[1] != matrix.dim:
+            raise ValidationError(f"dimension mismatch: query {q.shape[1]} vs matrix {matrix.dim}")
+        qn = _row_norms(q)
+        if not qn.all():
+            raise ValidationError("cosine undefined for all-zero query")
+        yield start, _contract("ij,kj->ki", rows, q) / (norms * qn[:, np.newaxis])
 
 
 def batch_cosine(query, matrix: EmbeddingMatrix) -> np.ndarray:
     """Cosine of `query` against every row; element i equals
     cosine(query, matrix.rows[i]) bitwise."""
-    q = np.ascontiguousarray(np.asarray(query, dtype=np.float64).ravel())
-    if q.shape[0] != matrix.dim:
-        raise ValidationError(f"dimension mismatch: query {q.shape[0]} vs matrix {matrix.dim}")
-    qn = _row_norms(q[np.newaxis, :])[0]
-    if qn == 0.0:
-        raise ValidationError("cosine undefined for all-zero query")
-    rows = _as_f64_rows(matrix.rows)
-    return _row_dots(rows, q) / (_row_norms(rows) * qn)
+    return next(cosine_blocks(_f64(query).ravel()[np.newaxis], matrix))[1][0]
 
 
-def argmax_class(query, matrix: EmbeddingMatrix, k: int) -> list[tuple[str, float]]:
-    """Top-k (id, score) by cosine against `query`, ties broken by id
-    ascending."""
+def top_k(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each query in order, the row indices of its k best rows and their
+    scores: by cosine descending, exact ties by id ascending (in numpy's
+    string order, stable by row). k = 1 takes the maximum without sorting.
+
+    Raises ValidationError for an empty matrix or k outside 1..count.
+    """
     if matrix.count == 0:
         raise ValidationError("empty matrix")
     if not 1 <= k <= matrix.count:
         raise ValidationError(f"k={k} out of range 1..{matrix.count}")
-    scores = batch_cosine(query, matrix)
-    ids = np.asarray(matrix.ids)
-    order = np.lexsort((ids, -scores))
-    return [(str(ids[i]), float(scores[i])) for i in order[:k]]
+    return _ranked(queries, matrix, k)
 
 
-def nearest_neighbor(query, matrix: EmbeddingMatrix) -> tuple[str, float]:
-    """The single best (id, score); equivalent to argmax_class(..., 1)[0]."""
-    if matrix.count == 0:
-        raise ValidationError("empty matrix")
-    return argmax_class(query, matrix, 1)[0]
+def _ranked(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ids = None  # built on first need: for k = 1, only on an exact tie
+    for _, scores in cosine_blocks(queries, matrix):
+        for row in scores:
+            if k == 1:
+                order = np.flatnonzero(row == row.max())
+                if len(order) > 1:
+                    ids = np.asarray(matrix.ids) if ids is None else ids
+                    order = order[np.lexsort((ids[order],))[:1]]
+            else:
+                ids = np.asarray(matrix.ids) if ids is None else ids
+                order = np.lexsort((ids, -row))[:k]
+            yield order, row[order]
 
 
 def require_embedding(matrix: EmbeddingMatrix, rid: str, kind: str) -> np.ndarray:

@@ -3,9 +3,13 @@ package's optimized code to."""
 
 from __future__ import annotations
 
-from capsieve.corpus import Corpus
+import numpy as np
+
+from capsieve.corpus import Corpus, EmbeddingMatrix
+from capsieve.errors import ValidationError
 from capsieve.matcher import LemmaMatch
 from capsieve.taxonomy import Taxonomy, fold_text, normalize_lemma
+from capsieve.vectorops import batch_cosine
 
 
 def _whole_token(text: str, start: int, end: int) -> bool:
@@ -44,3 +48,35 @@ def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
         matches.sort(key=lambda m: (m.span[0], m.wnid, m.span[1], m.lemma))
         results.extend(matches)
     return results
+
+
+def argmax_class(query, matrix: EmbeddingMatrix, k: int) -> list[tuple[str, float]]:
+    """Top-k (id, score) by cosine against `query`, ties broken by id
+    ascending: one `batch_cosine` call and a full lexsort per query."""
+    if matrix.count == 0:
+        raise ValidationError("empty matrix")
+    if not 1 <= k <= matrix.count:
+        raise ValidationError(f"k={k} out of range 1..{matrix.count}")
+    scores = batch_cosine(query, matrix)
+    ids = np.asarray(matrix.ids)
+    order = np.lexsort((ids, -scores))
+    return [(str(ids[i]), float(scores[i])) for i in order[:k]]
+
+
+def nearest_neighbor(query, matrix: EmbeddingMatrix) -> tuple[str, float]:
+    """The single best (id, score); equivalent to argmax_class(..., 1)[0]."""
+    if matrix.count == 0:
+        raise ValidationError("empty matrix")
+    return argmax_class(query, matrix, 1)[0]
+
+
+def bootstrap_pair_means_gather(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The bootstrap's mean pairwise similarities by gathering every
+    resample at once: an n_boot x n x d array summed over its images."""
+    n = units.shape[0]
+    idx = rng.integers(0, n, size=(n_boot, n))
+    sums = units[idx].sum(axis=1)
+    norm_sq = np.einsum("ij,ij->i", units, units)
+    total_sq = np.einsum("ij,ij->i", sums, sums)
+    self_sq = norm_sq[idx].sum(axis=1)
+    return (total_sq - self_sq) / (n * (n - 1))

@@ -328,6 +328,14 @@ BAD_RANKED = b'{"id": "a", "ranked": "xyz"}'  # not a list, though its letters a
 BAD_LEMMAS = b'{"wnid": "n00000001", "lemmas": "cat", "name": "cat", "gloss": "a cat"}'
 UNKNOWN_ID = b'{"id": "zzz", "wnid": "n00000001"}'
 LONE_SURROGATE = b'{"id": "a", "wnid": "\\ud800", "score": 0.9}'  # valid JSON, not UTF-8 text
+NSFW_STRING = b'{"id": "a", "text": "a cat", "nsfw": "false"}'  # was read as true
+NSFW_NULL = b'{"id": "a", "text": "a cat", "nsfw": null}'
+TEXT_IN_IMAGE_STRING = b'{"id": "a", "text": "a cat", "text_in_image": "no"}'
+SPLIT_WNID = b'{"id": "a", "wnid": "x,y\\nz", "score": 0.9}'  # split a CSV row in two
+SHORT_WNID = b'{"id": "a", "wnid": "n0000001", "score": 0.9}'
+WIDE_DIGIT_WNID = b'{"id": "a", "wnid": "n0000000\\uff11", "score": 0.9}'  # fullwidth 1
+BAD_RANKED_WNID = b'{"id": "a", "ranked": ["n00000001", "cat"]}'
+BAD_PAIR_WNID = b'{"id": "a", "wnid": "n00000001\\n"}'
 FILE, UNDER_FILE = "<a file>", "<a path below a file>"  # values for --out
 # (stage, target, value, exit code): `target` is an input file whose bytes
 # become `value`, or a config key set to `value`; "run.json" is the config.
@@ -354,6 +362,12 @@ MALFORMED = [
     ("assemble", "corpus.jsonl", first_line("corpus.jsonl", BAD_TEXT), 3),
     ("assemble", "threshold", "abc", 2),
     ("assemble", "top-k", "x", 2),
+    ("assemble", "top-k", 1.5, 2),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", NSFW_STRING), 3),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", NSFW_NULL), 3),
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", TEXT_IN_IMAGE_STRING), 3),
+    ("match", "corpus.jsonl", first_line("corpus.jsonl", NSFW_STRING), 3),
+    ("sweep", "candidates.jsonl", first_line("candidates.jsonl", SPLIT_WNID), 3),
     ("assemble", "out", FILE, 2),
     ("eval", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
     ("eval", "manifest.jsonl", first_line("manifest.jsonl", NOT_OBJECT), 3),
@@ -362,22 +376,32 @@ MALFORMED = [
     ("eval", "predictions.jsonl", first_line("predictions.jsonl", NOT_UTF8), 3),
     ("eval", "predictions.jsonl", first_line("predictions.jsonl", NOT_OBJECT), 3),
     ("eval", "predictions.jsonl", first_line("predictions.jsonl", BAD_RANKED), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", SPLIT_WNID), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", SHORT_WNID), 3),
+    ("eval", "manifest.jsonl", first_line("manifest.jsonl", WIDE_DIGIT_WNID), 3),
+    ("eval", "predictions.jsonl", first_line("predictions.jsonl", BAD_RANKED_WNID), 3),
     ("eval", "k", "a", 2),
     ("eval", "weights", 5, 2),
     ("intra", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
     ("intra", "hist-edges", 0.5, 2),
+    ("intra", "manifest.jsonl", first_line("manifest.jsonl", SPLIT_WNID), 3),
     ("compare", "manifest.jsonl", first_line("manifest.jsonl", NOT_UTF8), 3),
+    ("compare", "manifest.jsonl", first_line("manifest.jsonl", SPLIT_WNID), 3),
     ("compare", "boot", "x", 2),
+    ("compare", "boot", 2.5, 2),
+    ("compare", "seed", 1.9, 2),
     ("false-class", "pairs.jsonl", NOT_UTF8, 3),
     ("false-class", "pairs.jsonl", b"{not json", 3),
     ("false-class", "pairs.jsonl", b'["a", "b"]', 3),
     ("false-class", "pairs.jsonl", b'{"id": "a"}', 3),
     ("false-class", "pairs.jsonl", UNKNOWN_ID, 3),
     ("false-class", "vectors.emb", GOOD_INPUTS["vectors.emb"].replace(b'"a"', b'"\xff"'), 3),
+    ("false-class", "pairs.jsonl", BAD_PAIR_WNID, 3),
     ("false-class", "bin-edges", [-1, 0, 1], 2),
     ("nearest-text", "pairs.jsonl", NOT_UTF8, 3),
     ("nearest-text", "pairs.jsonl", b"{not json", 3),
     ("nearest-text", "pairs.jsonl", UNKNOWN_ID, 3),
+    ("nearest-text", "pairs.jsonl", BAD_PAIR_WNID, 3),
     ("nearest-text", "min-sim", "x", 2),
     ("cross-modal", "manifest.jsonl", first_line("manifest.jsonl", BAD_SCORE), 3),
     ("cross-modal", "boot", "x", 2),
@@ -435,6 +459,44 @@ def test_false_class_with_no_pairs_reports_empty_bins(tmp_path):
             "--bin-edges=-1,0,1", "--out", tmp_path / "out"])
     lines = (tmp_path / "out" / "false_class_bins.csv").read_text().splitlines()
     assert lines[1:] == ["-1.0,0.0,0,", "0.0,1.0,0,"]
+
+
+def test_drop_nsfw_reads_the_flag_as_a_json_boolean(tmp_path, capsys):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    corpus = tmp_path / "corpus.jsonl"
+    argv = ["assemble", "--candidates", tmp_path / "candidates.jsonl", "--corpus", corpus,
+            "--threshold", "0.3", "--drop-nsfw", "--out", tmp_path / "out"]
+    corpus.write_bytes(first_line("corpus.jsonl", b'{"id": "a", "text": "a cat", "nsfw": false}')
+                       .replace(b'"big dog"}', b'"big dog", "nsfw": true}'))
+    run_ok(argv)
+    kept = [json.loads(line)["id"] for line in (tmp_path / "out" / "manifest.jsonl").open()]
+    assert kept == ["a", "b", "c"]
+    assert read_json(tmp_path / "out" / "manifest.meta.json")["drop_ledger"]["nsfw"] == 1
+
+    # the string "false" used to count as true, and dropped the row
+    corpus.write_bytes(first_line("corpus.jsonl", NSFW_STRING))
+    (tmp_path / "out" / "manifest.jsonl").unlink()
+    assert run([str(a) for a in argv]) == 3
+    assert "field 'nsfw' must be a JSON boolean" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, value, same_as", [("boot", 20.0, 20), ("seed", 1.0, 1),
+                                                  ("boot", "20", 20)])
+def test_int_option_takes_values_that_convert_without_loss(tmp_path, key, value, same_as):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES["compare"]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    trees = []
+    for given in (value, same_as):
+        out = tmp_path / f"out-{given!r}"
+        (tmp_path / "run.json").write_text(json.dumps({**config, key: given, "out": str(out)}))
+        run_ok(command + ["--config", tmp_path / "run.json"])
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 SIM_CONFIG = {

@@ -221,6 +221,50 @@ def test_read_jsonl_skips_blank_lines_and_keeps_numbers(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"wnid": "n1234567"}', "field 'wnid' must be a wnid"),
+        (b'{"wnid": "n123456789"}', "field 'wnid' must be a wnid"),
+        (b'{"wnid": "n1234567\\u0668"}', "field 'wnid' must be a wnid"),  # Arabic-Indic 8
+        (b'{"wnid": "n12345678\\n"}', "field 'wnid' must be a wnid"),
+        (b'{"wnid": "N12345678"}', "field 'wnid' must be a wnid"),
+        (b'{"wnid": "n12345678", "ranked": ["n12345678", 5]}', "field 'ranked' must be a list"),
+        (b'{"wnid": "n12345678", "ranked": "n12345678"}', "field 'ranked' must be a list"),
+        (b'{"wnid": "n12345678", "nsfw": "false"}', "field 'nsfw' must be a JSON boolean"),
+        (b'{"wnid": "n12345678", "nsfw": null}', "field 'nsfw' must be a JSON boolean"),
+        (b'{"wnid": "n12345678", "nsfw": 0}', "field 'nsfw' must be a JSON boolean"),
+        (b'{"wnid": "n12345678", "tii": "no"}', "field 'tii' must be a JSON boolean or null"),
+    ],
+)
+def test_read_jsonl_checks_wnids_and_optional_flags(tmp_path, line, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(line + b"\n")
+    fields, optional = {"wnid": "wnid"}, {"ranked": "wnid list", "nsfw": bool,
+                                          "tii": "bool or null"}
+    with pytest.raises(FormatError, match=f"line 1: {message}"):
+        list(read_jsonl(path, fields, optional))
+
+
+def test_read_jsonl_optional_fields_may_be_absent(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"wnid": "n00000001"}, {"wnid": "n99999999", "ranked": [], "nsfw": False, "tii": None},
+            {"wnid": "n00000002", "ranked": ["n00000001", "n00000003"], "tii": True}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    optional = {"ranked": "wnid list", "nsfw": bool, "tii": "bool or null"}
+    assert [row for _, row in read_jsonl(path, {"wnid": "wnid"}, optional)] == rows
+
+
+def test_corpus_flags_load_as_written(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "x", "nsfw": false, "text_in_image": null}\n'
+                     b'{"id": "b", "text": "y", "nsfw": true, "text_in_image": false}\n'
+                     b'{"id": "c", "text": "z", "text_in_image": true}\n')
+    corpus = load_corpus(path)
+    assert [(r.nsfw, r.text_in_image) for r in corpus] == [(False, None), (True, False),
+                                                          (False, True)]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
@@ -231,7 +275,8 @@ FIELD_VALUES = JSON_VALUES | st.lists(st.text(max_size=4), max_size=3) | st.just
 ROWS = st.fixed_dictionaries(
     {},
     optional={key: FIELD_VALUES for key in
-              ["id", "wnid", "text", "lemmas", "name", "gloss", "score", "ranked", "meta"]},
+              ["id", "wnid", "text", "lemmas", "name", "gloss", "score", "ranked", "meta",
+               "nsfw", "text_in_image"]},
 )
 LINES = st.one_of(
     ROWS.map(lambda row: json.dumps(row).encode()),

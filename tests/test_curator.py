@@ -63,6 +63,24 @@ def test_score_candidates_matches_cosine_oracle(rng):
         assert c.score == expected
 
 
+def test_score_candidates_across_pair_blocks(rng):
+    # 700 distinct pairs span three blocks of 256; repeats keep first order
+    ids = [f"i{j}" for j in range(70)]
+    wnids = [f"n{j:08d}" for j in range(1, 11)]
+    captions = random_matrix(rng, ids, 512)
+    synsets = random_matrix(rng, wnids, 512)
+    pairs = [(i, w) for i in ids for w in wnids]
+    order = [pairs[int(j)] for j in rng.permutation(len(pairs))]
+    matches = [match(i, w) for i, w in order + order[::3]]
+    out = score_candidates(matches, captions, synsets)
+    assert [(c.instance_id, c.wnid) for c in out] == order
+    for c in out:
+        expected = cosine(
+            captions.rows[captions.index[c.instance_id]], synsets.rows[synsets.index[c.wnid]]
+        )
+        assert c.score == expected
+
+
 def test_score_candidates_missing_embedding():
     captions = embeddings(["i1"], [[1.0, 0.0]])
     synsets = embeddings(["n00000001"], [[1.0, 0.0]])
@@ -70,6 +88,9 @@ def test_score_candidates_missing_embedding():
         score_candidates([match("i9", "n00000001")], captions, synsets)
     with pytest.raises(MissingKeyError, match="n00000009"):
         score_candidates([match("i1", "n00000009")], captions, synsets)
+    # the first pair with a missing row is named, its caption before its synset
+    with pytest.raises(MissingKeyError, match="synset text embedding for id 'n00000009'"):
+        score_candidates([match("i1", "n00000009"), match("i9", "n00000001")], captions, synsets)
 
 
 def test_sweep_trivial_points():

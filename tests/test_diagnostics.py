@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from capsieve import diagnostics, vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.curator import DatasetManifest, ScoredCandidate
 from capsieve.diagnostics import (
+    ClassSimilaritySet,
     binned_false_class_means,
     compare_datasets,
     cross_modal_class_stats,
@@ -19,9 +22,11 @@ from capsieve.diagnostics import (
     spearman,
 )
 from capsieve.errors import MissingKeyError, ValidationError
+from capsieve.seeding import stream
 from capsieve.vectorops import cosine
 
 from conftest import random_matrix, unit
+from oracles import bootstrap_pair_means_gather, nearest_neighbor
 
 
 def manifest_of(pairs):
@@ -189,6 +194,56 @@ def test_compare_constructed_proportion(rng):
     assert comparison.prop_A_lower + comparison.prop_B_lower <= 1.0
 
 
+def unit_rows(rows, dtype=np.float64):
+    rows = np.asarray(rows, dtype=dtype)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "n, d, n_boot", [(2, 3, 300), (5, 1, 300), (24, 512, 300), (13, 700, 300), (4, 40000, 9)]
+)
+def test_streamed_bootstrap_equals_gather_bitwise(rng, n, d, n_boot, dtype):
+    # d = 512 splits 300 replicates into uneven chunks; d = 40000 gives
+    # chunks of one replicate (the gather oracle's array stays under 30 MiB)
+    units = unit_rows(rng.standard_normal((n, d)), dtype)
+    for seed in (0, 7):
+        streamed = diagnostics._bootstrap_pair_means(units, n_boot, stream(seed))
+        gathered = bootstrap_pair_means_gather(units, n_boot, stream(seed))
+        assert np.array_equal(streamed, gathered)
+
+
+def test_mean_diff_ci_memory_is_bounded(rng):
+    # the gather form would hold a 1000 x 200 x 512 float64 array: 781 MiB
+    n, d = 200, 512
+    sets = [
+        ClassSimilaritySet(
+            wnid="n00000001",
+            sims=np.zeros(n * (n - 1) // 2),
+            vectors=unit_rows(rng.standard_normal((n, d))),
+        )
+        for _ in range(2)
+    ]
+    tracemalloc.start()
+    try:
+        per_class_mean_diff_ci(sets[:1], sets[1:], n_boot=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_compare_from_intervals_equals_compare_from_sets(rng):
+    sets_a, sets_b = [], []
+    for j in range(1, 7):
+        sets_a.append(class_set_from_vectors(f"n{j:08d}", tight_cluster(rng, 5, 6)))
+        sets_b.append(class_set_from_vectors(f"n{j:08d}", rng.standard_normal((6, 6))))
+    diffs = per_class_mean_diff_ci(sets_a, sets_b, n_boot=200, seed=4)
+    assert compare_datasets(diffs) == compare_datasets(sets_a, sets_b, n_boot=200, seed=4)
+    with pytest.raises(ValidationError, match="enough images"):
+        compare_datasets([])
+
+
 # -- false_class_proportion ------------------------------------------------------
 
 
@@ -292,6 +347,20 @@ def test_binned_errors_match_false_class_proportion():
         binned_false_class_means([[1.0, 0.0]], ["n00000001"], single, [0, 1])
 
 
+def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
+    synsets = embeddings(
+        [f"n{j:08d}" for j in range(1, 10)], rng.standard_normal((9, 5)).astype(np.float32)
+    )
+    texts = rng.standard_normal((23, 5))
+    intended = [f"n{int(j):08d}" for j in rng.integers(1, 10, size=23)]
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * synsets.count)  # blocks of 4 texts
+    scored = list(diagnostics._own_score_and_false_class(texts, intended, synsets))
+    for (own, prop), text, wnid in zip(scored, texts, intended):
+        assert own == cosine(text, synsets.rows[synsets.index[wnid]])
+        assert prop == false_class_proportion(text, wnid, synsets)
+    assert len(scored) == 23
+
+
 # -- nearest_text_dataset ---------------------------------------------------------
 
 
@@ -340,6 +409,32 @@ def test_nearest_text_empty_corpus():
     corpus = EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[])
     with pytest.raises(ValidationError, match="empty"):
         nearest_text_dataset([([1.0, 0.0, 0.0], "n00000001")], corpus, 0.5)
+
+
+def nearest_text_oracle(query_texts, corpus, min_sim):
+    """Rows (id, wnid, score) from a per-query `nearest_neighbor` scan."""
+    best = {}
+    for embedding, wnid in query_texts:
+        rid, score = nearest_neighbor(embedding, corpus)
+        if score >= min_sim and (-score, wnid) < best.get(rid, (math.inf, ""))[:2]:
+            best[rid] = (-score, wnid)
+    return [(rid, wnid, -neg) for rid, (neg, wnid) in sorted(best.items())]
+
+
+def test_nearest_text_agrees_with_per_query_oracle(rng, monkeypatch):
+    rows = rng.standard_normal((40, 8)).astype(np.float32)
+    rows[[7, 19, 30]] = rows[2]  # exact score ties between ids
+    ids = [f"c{int(i):02d}" for i in rng.permutation(40)]
+    corpus = embeddings(ids, rows)
+    queries = [(rng.standard_normal(8), f"n{j:08d}") for j in range(1, 26)]
+    queries += [(rows[2] * 2.0, "n00000031"), (rows[7].astype(np.float64), "n00000032")]
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 6 * corpus.count)  # blocks of 6 queries
+    for min_sim in (-1.0, 0.3):
+        manifest = nearest_text_dataset(queries, corpus, min_sim)
+        got = [(r.instance_id, r.wnid, r.score) for r in manifest.rows]
+        assert got == nearest_text_oracle(queries, corpus, min_sim)
+    tied = [r for r in manifest.rows if r.wnid in ("n00000031", "n00000032")]
+    assert [r.instance_id for r in tied] == [min(ids[i] for i in (2, 7, 19, 30))]
 
 
 # -- cross_modal_class_stats ------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.curator import DatasetManifest, ScoredCandidate
 from capsieve.errors import MissingKeyError, ValidationError
@@ -20,6 +22,7 @@ from capsieve.evalmetrics import (
 from capsieve.vectorops import cosine
 
 from conftest import random_matrix
+from oracles import argmax_class
 
 
 def manifest_of(pairs):
@@ -187,6 +190,23 @@ def test_zero_shot_matches_exhaustive_oracle(rng):
         scored.sort(key=lambda p: (-p[0], p[1]))
         assert record.ranked == tuple(w for _, w in scored)
         assert sorted(record.ranked) == sorted(synsets.ids)  # permutation at k = count
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_zero_shot_agrees_with_argmax_oracle(rng, monkeypatch, k):
+    rows = rng.standard_normal((12, 16)).astype(np.float32)
+    rows[[4, 9]] = rows[1]  # exact ties, broken by wnid
+    wnids = [f"n{int(j):08d}" for j in rng.permutation(np.arange(1, 13))]
+    synsets = EmbeddingMatrix(rows=rows, ids=wnids)
+    images = np.concatenate([rng.standard_normal((20, 16)), rows[[1, 4]] * 3.0])
+    image_matrix = EmbeddingMatrix(
+        rows=images.astype(np.float32), ids=[f"img{i}" for i in range(22)]
+    )
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 5 * synsets.count)  # blocks of 5 images
+    records = zero_shot_predict(image_matrix, synsets, k=k)
+    assert [r.instance_id for r in records] == image_matrix.ids
+    for record, image in zip(records, image_matrix.rows):
+        assert record.ranked == tuple(w for w, _ in argmax_class(image, synsets, k))
 
 
 def test_zero_shot_dim_mismatch(rng):

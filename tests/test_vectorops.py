@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.errors import ValidationError
-from capsieve.vectorops import argmax_class, batch_cosine, cosine, nearest_neighbor
+from capsieve.vectorops import batch_cosine, cosine, cosine_blocks, pair_cosine, top_k
+
+from oracles import argmax_class, nearest_neighbor
 
 
 def matrix(rows, ids):
@@ -148,3 +151,81 @@ def test_empty_matrix_rejected():
     m = EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[])
     with pytest.raises(ValidationError, match="empty"):
         nearest_neighbor([1.0, 0.0, 0.0], m)
+
+
+# -- block and pair kernels ------------------------------------------------------
+
+
+def scaled_rows(rng, n, d):
+    """Rows of widely different norms, so the norms matter to every score."""
+    rows = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
+    return rows.astype(np.float32)
+
+
+# d = 20000 is past einsum's 8192-value buffer, where a lone pair of rows
+# would otherwise be added up in pieces
+@pytest.mark.parametrize("d", [7, 64, 512, 768, 20000])
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_block_kernel_equals_scalar_bitwise(rng, monkeypatch, d, block):
+    m = matrix(scaled_rows(rng, 23, d), [f"r{i:02d}" for i in range(23)])
+    queries = scaled_rows(rng, 12, d)
+    if block is not None:  # split the 12 queries into blocks of `block`
+        monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * m.count)
+    starts = []
+    for start, scores in cosine_blocks(queries, m):
+        starts.append(start)
+        assert scores.shape == (min(block or 12, 12 - start), m.count)
+        for q, row in enumerate(scores):
+            for i in range(m.count):
+                assert row[i] == cosine(queries[start + q], m.rows[i])
+    assert starts == list(range(0, 12, block or 12))
+
+
+@pytest.mark.parametrize("d", [9, 20000])
+def test_batch_cosine_is_the_one_query_block(rng, d):
+    m = matrix(scaled_rows(rng, 30, d), [f"r{i:02d}" for i in range(30)])
+    queries = scaled_rows(rng, 4, d)
+    (_, scores), = cosine_blocks(queries, m)
+    for q, row in zip(queries, scores):
+        assert (batch_cosine(q, m) == row).all()
+        lone = matrix(m.rows[:1], ["r00"])  # one query against one row
+        assert batch_cosine(q, lone)[0] == row[0]
+
+
+@pytest.mark.parametrize("d", [7, 64, 512, 768, 20000])
+def test_pair_kernel_equals_cosine_bitwise(rng, d):
+    a, b = scaled_rows(rng, 40, d), scaled_rows(rng, 40, d)
+    scores = pair_cosine(a, b)
+    assert scores.dtype == np.float64
+    for i in range(40):
+        assert scores[i] == cosine(a[i], b[i])
+
+
+def test_kernel_errors(rng):
+    m = matrix(scaled_rows(rng, 3, 4), ["a", "b", "c"])
+    with pytest.raises(ValidationError, match="mismatch"):
+        list(cosine_blocks(np.ones((2, 5)), m))
+    with pytest.raises(ValidationError, match="mismatch"):
+        list(cosine_blocks([np.ones(4), np.ones(3)], m))
+    with pytest.raises(ValidationError, match="zero"):
+        list(cosine_blocks(np.zeros((1, 4)), m))
+    with pytest.raises(ValidationError, match="mismatch"):
+        pair_cosine(np.ones((2, 4)), np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="zero"):
+        pair_cosine(np.ones((2, 4)), np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+    with pytest.raises(ValidationError, match="empty"):
+        top_k([np.ones(3)], EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[]), 1)
+    with pytest.raises(ValidationError, match="out of range"):
+        top_k([np.ones(4)], m, 4)
+
+
+def test_top_k_matches_oracle_across_blocks_with_ties(rng, monkeypatch):
+    rows = scaled_rows(rng, 20, 6)
+    rows[[3, 11, 17]] = rows[5]  # exact ties among four ids
+    rows[8] = rows[5] * 4.0  # a power-of-two multiple ties exactly too
+    m = matrix(rows, [f"r{int(i):02d}" for i in rng.permutation(20)])
+    queries = np.concatenate([scaled_rows(rng, 9, 6), rows[[5, 3]]])
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * m.count)
+    for k in (1, 2, 7, 20):
+        for q, (order, scores) in zip(queries, top_k(queries, m, k)):
+            assert [(m.ids[i], float(s)) for i, s in zip(order, scores)] == argmax_class(q, m, k)
