@@ -341,7 +341,7 @@ def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
     sets_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
     sets_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
     diffs = diagnostics.per_class_mean_diff_ci(sets_a, sets_b, n_boot=n_boot, seed=seed)
-    comparison = diagnostics.compare_datasets(diffs)
+    comparison = diagnostics.compare_from_intervals(diffs)
     with stage.output("intra_class_diff.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("wnid,value,ci_low,ci_high\n")
         for d in diffs:

@@ -36,10 +36,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 
-# Replicate vector sums accumulated at once by the bootstrap: 256 KiB of
-# float64, so a chunk stays in cache while every image is added to it.
-_BOOT_CHUNK_VALUES = 1 << 15
-
 
 @dataclass
 class ClassSimilaritySet:
@@ -149,21 +145,13 @@ def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
     Each replicate's vector sum starts from its first image and adds the
     others one by one, in resample order: the order in which
     `units[idx].sum(axis=1)` adds, so the means are bitwise the same
-    without its n_boot x n x d array. The sums are built a cache-sized
-    chunk of replicates at a time.
+    without its n_boot x n x d array.
     """
-    n, d = units.shape
+    n = units.shape[0]
     idx = rng.integers(0, n, size=(n_boot, n))
-    sums = np.empty((n_boot, d), dtype=units.dtype)
-    step = max(1, _BOOT_CHUNK_VALUES // d)
-    row = np.empty((min(step, n_boot), d), dtype=units.dtype)
-    for lo in range(0, n_boot, step):
-        chunk = idx[lo : lo + step]
-        acc, nxt = sums[lo : lo + step], row[: len(chunk)]
-        np.take(units, chunk[:, 0], axis=0, out=acc)
-        for j in range(1, n):
-            np.take(units, chunk[:, j], axis=0, out=nxt)
-            acc += nxt
+    sums = units[idx[:, 0]]
+    for j in range(1, n):
+        sums += units[idx[:, j]]
     norm_sq = np.einsum("ij,ij->i", units, units)
     total_sq = np.einsum("ij,ij->i", sums, sums)
     self_sq = norm_sq[idx].sum(axis=1)
@@ -217,23 +205,19 @@ def per_class_mean_diff_ci(
 
 
 def compare_datasets(
-    setsA,
-    setsB: list[ClassSimilaritySet] | None = None,
+    setsA: list[ClassSimilaritySet],
+    setsB: list[ClassSimilaritySet],
     n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> DatasetComparison:
     """Proportion of shared classes where each dataset's intra-class
-    similarity is significantly lower (its diff interval clear of zero).
+    similarity is significantly lower (its diff interval clear of zero)."""
+    return compare_from_intervals(per_class_mean_diff_ci(setsA, setsB, n_boot=n_boot, seed=seed))
 
-    `setsA` and `setsB` are the two datasets' ClassSimilaritySet lists, or
-    `setsA` alone is the ClassStat list `per_class_mean_diff_ci` returned
-    for them, so that a caller holding the intervals does not run the
-    bootstrap a second time.
-    """
-    if setsB is None:
-        diffs = setsA
-    else:
-        diffs = per_class_mean_diff_ci(setsA, setsB, n_boot=n_boot, seed=seed)
+
+def compare_from_intervals(diffs: list[ClassStat]) -> DatasetComparison:
+    """`compare_datasets` from the ClassStat list `per_class_mean_diff_ci`
+    returned, for a caller that already holds the intervals."""
     if not diffs:
         raise ValidationError("no shared classes with enough images to compare")
     a_lower = sum(1 for d in diffs if d.ci_high < 0.0)

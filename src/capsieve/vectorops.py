@@ -119,7 +119,7 @@ def batch_cosine(query, matrix: EmbeddingMatrix) -> np.ndarray:
 def top_k(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each query in order, the row indices of its k best rows and their
     scores: by cosine descending, exact ties by id ascending (in numpy's
-    string order, stable by row). k = 1 takes the maximum without sorting.
+    string order, stable by row).
 
     Raises ValidationError for an empty matrix or k outside 1..count.
     """
@@ -131,17 +131,10 @@ def top_k(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray
 
 
 def _ranked(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    ids = None  # built on first need: for k = 1, only on an exact tie
+    ids = np.asarray(matrix.ids)
     for _, scores in cosine_blocks(queries, matrix):
         for row in scores:
-            if k == 1:
-                order = np.flatnonzero(row == row.max())
-                if len(order) > 1:
-                    ids = np.asarray(matrix.ids) if ids is None else ids
-                    order = order[np.lexsort((ids[order],))[:1]]
-            else:
-                ids = np.asarray(matrix.ids) if ids is None else ids
-                order = np.lexsort((ids, -row))[:k]
+            order = np.lexsort((ids, -row))[:k]
             yield order, row[order]
 
 

@@ -65,7 +65,7 @@ def test_criterion_2_vectorops_exactness():
             m = EmbeddingMatrix(rows=rows, ids=ids)
             q = rng.standard_normal(d).astype(np.float32)
             k = int(rng.integers(1, n + 1))
-            for kk in (k, 1):  # k = 1 takes the maximum without sorting
+            for kk in (k, 1):  # the top k, and the nearest row alone
                 best, scores = next(vectorops.top_k([q], m, kk))
                 got = [(m.ids[i], float(s)) for i, s in zip(best, scores)]
                 assert got == full_sort_oracle(q, m, kk)

@@ -13,6 +13,7 @@ from capsieve.diagnostics import (
     ClassSimilaritySet,
     binned_false_class_means,
     compare_datasets,
+    compare_from_intervals,
     cross_modal_class_stats,
     false_class_proportion,
     intra_class_sims,
@@ -204,8 +205,7 @@ def unit_rows(rows, dtype=np.float64):
     "n, d, n_boot", [(2, 3, 300), (5, 1, 300), (24, 512, 300), (13, 700, 300), (4, 40000, 9)]
 )
 def test_streamed_bootstrap_equals_gather_bitwise(rng, n, d, n_boot, dtype):
-    # d = 512 splits 300 replicates into uneven chunks; d = 40000 gives
-    # chunks of one replicate (the gather oracle's array stays under 30 MiB)
+    # at d = 40000, 9 replicates keep the gather oracle's array under 30 MiB
     units = unit_rows(rng.standard_normal((n, d)), dtype)
     for seed in (0, 7):
         streamed = diagnostics._bootstrap_pair_means(units, n_boot, stream(seed))
@@ -239,9 +239,9 @@ def test_compare_from_intervals_equals_compare_from_sets(rng):
         sets_a.append(class_set_from_vectors(f"n{j:08d}", tight_cluster(rng, 5, 6)))
         sets_b.append(class_set_from_vectors(f"n{j:08d}", rng.standard_normal((6, 6))))
     diffs = per_class_mean_diff_ci(sets_a, sets_b, n_boot=200, seed=4)
-    assert compare_datasets(diffs) == compare_datasets(sets_a, sets_b, n_boot=200, seed=4)
+    assert compare_from_intervals(diffs) == compare_datasets(sets_a, sets_b, n_boot=200, seed=4)
     with pytest.raises(ValidationError, match="enough images"):
-        compare_datasets([])
+        compare_from_intervals([])
 
 
 # -- false_class_proportion ------------------------------------------------------

@@ -75,19 +75,36 @@ def test_shard_invariance_bitwise(rng):
         assert (batch_cosine(q, shard) == full[lo:hi]).all()
 
 
+def top_k_ranked(query, m, k):
+    """`top_k` for one query, as the (id, score) list `argmax_class` returns."""
+    order, scores = next(top_k([query], m, k))
+    return [(m.ids[i], float(s)) for i, s in zip(order, scores)]
+
+
+def top_k_nearest(query, m):
+    return top_k_ranked(query, m, 1)[0]
+
+
+# each ranking contract holds for the package's `top_k` and for its oracle
+RANKERS = (top_k_ranked, argmax_class)
+NEAREST = (top_k_nearest, nearest_neighbor)
+
+
 def test_argmax_rank1_is_query_row(rng):
     rows = rng.standard_normal((6, 5)).astype(np.float32)
     m = matrix(rows, [f"r{i}" for i in range(6)])
-    top = argmax_class(rows[3], m, 1)
-    assert top[0][0] == "r3"
-    assert top[0][1] == pytest.approx(1.0, abs=1e-9)
+    for rank in RANKERS:
+        top = rank(rows[3], m, 1)
+        assert top[0][0] == "r3"
+        assert top[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_argmax_tie_broken_by_id():
     # two identical rows: exactly equal scores, smaller id must come first
     m = matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["zz", "aa", "mm"])
-    top = argmax_class([2.0, 0.0], m, 2)
-    assert [t[0] for t in top] == ["aa", "zz"]
+    for rank in RANKERS:
+        assert [t[0] for t in rank([2.0, 0.0], m, 2)] == ["aa", "zz"]
+        assert rank([2.0, 0.0], m, 1)[0][0] == "aa"
 
 
 def test_argmax_matches_full_sort_oracle(rng):
@@ -97,46 +114,51 @@ def test_argmax_matches_full_sort_oracle(rng):
         m = matrix(rng.standard_normal((n, d)).astype(np.float32), [f"r{i}" for i in range(n)])
         q = rng.standard_normal(d).astype(np.float32)
         k = int(rng.integers(1, n + 1))
-        assert argmax_class(q, m, k) == full_sort_oracle(q, m, k)
+        for rank in RANKERS:
+            assert rank(q, m, k) == full_sort_oracle(q, m, k)
 
 
 def test_argmax_k_bounds(rng):
     m = matrix(rng.standard_normal((3, 4)).astype(np.float32), ["a", "b", "c"])
     q = np.ones(4, dtype=np.float32)
-    with pytest.raises(ValidationError):
-        argmax_class(q, m, 0)
-    with pytest.raises(ValidationError):
-        argmax_class(q, m, 4)
+    for rank in RANKERS:
+        with pytest.raises(ValidationError, match="out of range"):
+            rank(q, m, 0)
+        with pytest.raises(ValidationError, match="out of range"):
+            rank(q, m, 4)
 
 
 def test_scale_invariance_exact_for_power_of_two(rng):
     m = matrix(rng.standard_normal((10, 6)).astype(np.float32), [f"r{i}" for i in range(10)])
     q = rng.standard_normal(6).astype(np.float32)
-    base = argmax_class(q, m, 10)
-    for c in (2.0, 0.5, 4.0):
-        assert argmax_class(q * c, m, 10) == base
+    for rank in RANKERS:
+        base = rank(q, m, 10)
+        for c in (2.0, 0.5, 4.0):
+            assert rank(q * c, m, 10) == base
 
 
 def test_scale_invariance_ranking_for_general_scale(rng):
     m = matrix(rng.standard_normal((10, 6)).astype(np.float32), [f"r{i}" for i in range(10)])
     q = rng.standard_normal(6).astype(np.float32)
-    base_ids = [t[0] for t in argmax_class(q, m, 10)]
-    for c in (3.7, 0.013, 812.0):
-        scaled = argmax_class((q.astype(np.float64) * c).astype(np.float32), m, 10)
-        assert [t[0] for t in scaled] == base_ids
+    for rank in RANKERS:
+        base_ids = [t[0] for t in rank(q, m, 10)]
+        for c in (3.7, 0.013, 812.0):
+            scaled = rank((q.astype(np.float64) * c).astype(np.float32), m, 10)
+            assert [t[0] for t in scaled] == base_ids
 
 
 def test_nearest_neighbor_single_row():
     m = matrix([[0.5, 0.5]], ["only"])
-    rid, score = nearest_neighbor([1.0, 1.0], m)
-    assert rid == "only"
-    assert score == pytest.approx(1.0, abs=1e-9)
+    for nearest in NEAREST:
+        rid, score = nearest([1.0, 1.0], m)
+        assert rid == "only"
+        assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nearest_neighbor_orthogonal_but_one():
     m = matrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.1, 0.0]], ["u", "v", "w"])
-    rid, _ = nearest_neighbor([1.0, 0.0, 0.0], m)
-    assert rid == "w"
+    for nearest in NEAREST:
+        assert nearest([1.0, 0.0, 0.0], m)[0] == "w"
 
 
 def test_nearest_neighbor_equals_argmax(rng):
@@ -144,13 +166,15 @@ def test_nearest_neighbor_equals_argmax(rng):
         n = int(rng.integers(1, 12))
         m = matrix(rng.standard_normal((n, 4)).astype(np.float32), [f"r{i}" for i in range(n)])
         q = rng.standard_normal(4).astype(np.float32)
-        assert nearest_neighbor(q, m) == argmax_class(q, m, 1)[0]
+        expected = full_sort_oracle(q, m, 1)[0]
+        assert top_k_nearest(q, m) == nearest_neighbor(q, m) == argmax_class(q, m, 1)[0] == expected
 
 
 def test_empty_matrix_rejected():
     m = EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[])
-    with pytest.raises(ValidationError, match="empty"):
-        nearest_neighbor([1.0, 0.0, 0.0], m)
+    for nearest in NEAREST:
+        with pytest.raises(ValidationError, match="empty"):
+            nearest([1.0, 0.0, 0.0], m)
 
 
 # -- block and pair kernels ------------------------------------------------------
