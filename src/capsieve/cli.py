@@ -10,12 +10,14 @@ dependent is recorded, so identical runs produce identical bytes.
 Exit codes, by the class of the bad input:
 
     0  ok
-    2  a flag or config value: a missing option, a value of the wrong type,
-       an input path that is not an existing file, or an --out that cannot
-       be made a directory
+    2  a flag or config value: a missing option, a value of the wrong type
+       or out of range (checked before any input is read), an input path
+       that is not an existing file, or an --out that cannot be made a
+       directory
     3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
        missing or wrongly typed field, or data that break an invariant
-       (duplicate ids, unknown ids, non-finite vectors)
+       (duplicate ids, unknown ids, non-finite vectors, class weights that
+       are not finite numbers >= 0)
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
 error: ..." line on stderr; no input ends in a traceback.
@@ -27,13 +29,14 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, causalsim, curator, diagnostics, evalmetrics, matcher, vectorops
-from .corpus import load_corpus, load_embeddings, read_jsonl
+from .corpus import _is_finite_number, load_corpus, load_embeddings, read_jsonl
 from .errors import CapsieveError, FormatError
 from .provenance import config_digest, file_digest
 from .taxonomy import load_taxonomy
@@ -43,7 +46,14 @@ class ConfigError(CapsieveError):
     """Bad flags, malformed config, or out-of-range parameters."""
 
 
+# The most values a:b:step may give, checked before any is generated.
+MAX_RANGE_VALUES = 1_000_000
+
+
 def _parse_thresholds(spec: str) -> list[float]:
+    """An a:b:step range (a, a + step, ... up to b) or a comma list of
+    numbers. Every number must be finite, and a range may give at most
+    MAX_RANGE_VALUES values."""
     if not isinstance(spec, str):
         raise TypeError("a threshold spec is a string")
     if ":" in spec:
@@ -54,8 +64,12 @@ def _parse_thresholds(spec: str) -> list[float]:
             a, b, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric threshold range {spec!r}") from None
+        if not all(math.isfinite(v) for v in (a, b, step)):
+            raise ConfigError(f"threshold range needs finite a, b and step, got {spec!r}")
         if step <= 0 or b < a:
             raise ConfigError(f"threshold range needs step > 0 and b >= a, got {spec!r}")
+        if not (b + 1e-12 - a) / step < MAX_RANGE_VALUES:  # the loop's own bound; inf fails
+            raise ConfigError(f"threshold range {spec!r} gives more than {MAX_RANGE_VALUES} values")
         values = []
         i = 0
         while True:
@@ -71,6 +85,8 @@ def _parse_thresholds(spec: str) -> list[float]:
         raise ConfigError(f"non-numeric thresholds {spec!r}") from None
     if not values:
         raise ConfigError("no thresholds given")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"thresholds must be finite, got {spec!r}")
     return values
 
 
@@ -78,6 +94,8 @@ def _parse_cutoffs(spec) -> list[int]:
     ks = [int(v) for v in str(spec).split(",") if v.strip()]
     if not ks or any(k < 1 for k in ks):
         raise ConfigError(f"--k must list integers >= 1, got {ks}")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"--k lists a cutoff more than once: {ks}")
     return ks
 
 
@@ -177,11 +195,12 @@ class _Stage:
 
 def _load_pairs(path) -> list[tuple[str, str]]:
     """JSONL of {"id": str, "wnid": str} pairs (extra keys ignored)."""
-    return [(row["id"], row["wnid"]) for _, row in read_jsonl(path, {"id": str, "wnid": "wnid"})]
+    _, columns = read_jsonl(path, {"id": str, "wnid": "wnid"})
+    return list(zip(columns["id"], columns["wnid"]))
 
 
 def _load_weights(path) -> dict[str, float]:
-    """JSON object mapping wnid to class weight."""
+    """JSON object mapping wnid to class weight, a finite number >= 0."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
@@ -190,10 +209,11 @@ def _load_weights(path) -> dict[str, float]:
         raise FormatError("expected a JSON object of class weights", path=path)
     weights = {}
     for wnid, value in document.items():
-        try:
-            weights[wnid] = float(value)
-        except (TypeError, ValueError):
-            raise FormatError(f"non-numeric weight {value!r} for {wnid!r}", path=path) from None
+        if not (_is_finite_number(value) and value >= 0):
+            raise FormatError(
+                f"weight for {wnid!r} must be a finite number >= 0, got {value!r}", path=path
+            )
+        weights[wnid] = float(value)
     return weights
 
 
@@ -209,6 +229,8 @@ def _cmd_match(stage: _Stage) -> dict:
     caption_emb_path = stage.input("caption-embeddings", required=False)
     synset_emb_path = stage.input("synset-embeddings", required=False)
     max_lemmas = stage.get("max-lemmas", int)
+    if max_lemmas is not None and max_lemmas < 1:
+        raise ConfigError(f"--max-lemmas must be >= 1, got {max_lemmas}")
     if (caption_emb_path is None) != (synset_emb_path is None):
         raise ConfigError(
             "scoring needs both --caption-embeddings and --synset-embeddings, or neither"
@@ -219,20 +241,7 @@ def _cmd_match(stage: _Stage) -> dict:
     auto = matcher.build_matcher(taxonomy, max_lemmas_per_synset=max_lemmas)
     matches = matcher.find_matches(auto, corpus)
 
-    with stage.output("matches.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for m in matches:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": m.instance_id,
-                        "wnid": m.wnid,
-                        "lemma": m.lemma,
-                        "start": m.span[0],
-                        "end": m.span[1],
-                    }
-                )
-            )
-            fh.write("\n")
+    matcher.write_matches(matches, stage.output("matches.jsonl"))
 
     if caption_emb_path is not None:
         candidates = curator.score_candidates(
@@ -258,6 +267,8 @@ def _cmd_assemble(stage: _Stage) -> dict:
     if not -1.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold {threshold} outside [-1, 1]")
     top_k = stage.get("top-k", int)
+    if top_k is not None and top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     options = curator.AssembleOptions(
         drop_multi_label=stage.get("drop-multi-label", bool, default=False),
         drop_nsfw=stage.get("drop-nsfw", bool, default=False),
@@ -461,6 +472,9 @@ def _cmd_diagnose(stage: _Stage) -> dict:
         "seed": stage.get("seed", int, default=0),
         "boot": stage.get("boot", int, default=diagnostics.DEFAULT_BOOTSTRAP_REPLICATES),
     }
+    if params["boot"] < 1 or params["seed"] < 0:
+        raise ConfigError(f"--boot must be >= 1 and --seed >= 0, got {params['boot']} and "
+                          f"{params['seed']}")
     params.update(_DIAGNOSE[stage.args.analysis](stage, params["seed"], params["boot"]))
     return params
 

@@ -22,7 +22,9 @@ finite scores. NSFW and text-in-image flags are trusted inputs produced by
 upstream tooling; this module never recomputes them.
 
 `read_jsonl` is the one JSONL row reader: the taxonomy, corpus,
-candidate, prediction and pair loaders all read through it.
+candidate, prediction and pair loaders all read through it. It returns
+columns, one list per field, and checks each field's kind once per column
+after the whole file has parsed.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ import os
 import re
 import reprlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, MissingKeyError, ValidationError
+from .errors import FormatError, ValidationError
 
 EMBEDDING_MAGIC = b"EMB1"
 _HEADER_SIZE = 4 + 4 + 8  # magic + u32 dim + u64 count
@@ -47,45 +50,49 @@ _F32LE = np.dtype("<f4")
 
 
 @dataclass(frozen=True)
-class InstanceRecord:
-    """One corpus item: caption text plus ingested safety/OCR flags."""
-
-    id: str
-    text: str
-    nsfw: bool = False
-    text_in_image: bool | None = None
-    meta: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class Corpus:
-    """Ordered, uniquely-keyed caption records; immutable after load."""
+    """Captions and their flags as columns, in file order; ids are unique.
 
-    records: list[InstanceRecord]
-    index: dict[str, int] = field(init=False)
+    Row i is the caption `texts[i]` of instance `ids[i]`, with its NSFW
+    flag, its text-in-image flag (None when unset) and its `meta` object.
+    `index` maps each id to its row.
+    """
+
+    ids: list[str]
+    texts: list[str]
+    nsfw: list[bool]
+    text_in_image: list[bool | None]
+    meta: list[dict]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index: dict[str, int] = {}
-        for pos, record in enumerate(self.records):
-            if record.id in index:
-                raise ValidationError(f"duplicate instance id {record.id!r}")
-            index[record.id] = pos
-        self.index = index
+        n = len(self.ids)
+        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == len(self.meta) == n:
+            raise ValidationError("corpus columns differ in length")
+        index = dict(zip(self.ids, range(n)))
+        if len(index) != n:
+            _, again = first_repeat(self.ids)
+            raise ValidationError(f"duplicate instance id {self.ids[again]!r}")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[InstanceRecord]:
-        return iter(self.records)
+        return len(self.ids)
 
     def __contains__(self, instance_id: str) -> bool:
         return instance_id in self.index
 
-    def get(self, instance_id: str) -> InstanceRecord:
-        try:
-            return self.records[self.index[instance_id]]
-        except KeyError:
-            raise MissingKeyError(f"unknown instance id {instance_id!r}") from None
+
+def first_repeat(keys: Sequence) -> tuple[int, int] | None:
+    """Positions (first, again) of the first key equal to an earlier one,
+    or None when the keys are distinct."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen: dict = {}
+    for pos, key in enumerate(keys):
+        first = seen.setdefault(key, pos)
+        if first != pos:
+            return first, pos
+    return None
 
 
 # Undecodable bytes, read with errors="surrogateescape", and JSON escapes
@@ -136,113 +143,217 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-# Field kinds `read_jsonl` checks, and how an error names them.
+def _all_finite(values: list) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# Field kinds `read_jsonl` checks, as (the types a value may have, a check
+# of the whole column once its types are right, the check of one value,
+# how an error names the kind). The column check holds iff every value
+# passes the one-value check; the latter only runs to find the first bad
+# row. "any" takes every value and leaves the check to the caller.
 _KINDS = {
-    str: (_is_text, "a Unicode string"),
-    list: (_is_text_list, "a list of Unicode strings"),
-    float: (_is_finite_number, "a finite number"),
-    bool: (lambda value: isinstance(value, bool), "a JSON boolean"),
-    "bool or null": (lambda value: value is None or isinstance(value, bool),
+    str: ({str}, lambda col: _is_text("".join(col)), _is_text, "a Unicode string"),
+    list: ({list}, lambda col: _is_text_list(list(chain.from_iterable(col))), _is_text_list,
+           "a list of Unicode strings"),
+    float: ({int, float}, _all_finite, _is_finite_number, "a finite number"),
+    bool: ({bool}, None, lambda value: isinstance(value, bool), "a JSON boolean"),
+    "bool or null": ({bool, type(None)}, None,
+                     lambda value: value is None or isinstance(value, bool),
                      "a JSON boolean or null"),
-    "wnid": (_is_wnid, "a wnid ('n' and 8 digits)"),
-    "wnid list": (_is_wnid_list, "a list of wnids ('n' and 8 digits)"),
+    "wnid": ({str}, _is_wnid_list, _is_wnid, "a wnid ('n' and 8 digits)"),
+    "wnid list": ({list}, lambda col: _is_wnid_list(list(chain.from_iterable(col))),
+                  _is_wnid_list, "a list of wnids ('n' and 8 digits)"),
+    "any": (None, None, lambda value: True, "any JSON value"),
 }
 
 
-def _json_lines(lines, path, checks=None) -> Iterator[tuple[int, object]]:
+class _Absent:
+    """The value of an optional field a row leaves out, until the column is
+    checked."""
+
+
+_ABSENT = _Absent()
+_DECODE = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # the only whitespace JSON allows around a value
+
+
+def _loads(text: str, path, lineno: int):
+    """`text` parsed by `json.loads`, or FormatError with its reason."""
+    if not text.isascii() and _SURROGATE.search(text):
+        raise FormatError("not UTF-8", path=path, line=lineno)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise FormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
+
+
+def _json_lines(lines, path, before_fault=None) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of `lines`, text
-    decoded from UTF-8 with errors="surrogateescape". With `checks`, each
-    value must be an object with those (name, predicate, kind, required)
-    fields; a field that is not required may be absent."""
+    decoded from UTF-8 with errors="surrogateescape".
+
+    Each line is parsed by one `raw_decode` call on the line stripped of
+    JSON whitespace. A line it does not parse whole, and that is not blank
+    by `str.strip`, goes to `_loads`, whose FormatError names the line with
+    the words `json.loads` gives; `before_fault` runs first, so a caller
+    can report a fault it holds from an earlier line.
+    """
     for lineno, text in enumerate(lines, start=1):
-        if not text.strip():
+        body = text.strip(_JSON_SPACE)
+        if not body:
             continue
-        if not text.isascii() and _SURROGATE.search(text):
-            raise FormatError("not UTF-8", path=path, line=lineno)
-        try:
-            value = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            raise FormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
-        if checks is not None:
-            if not isinstance(value, dict):
-                raise FormatError("expected a JSON object", path=path, line=lineno)
-            for name, is_kind, kind, required in checks:
-                if name not in value:
-                    if not required:
-                        continue
-                    raise FormatError(f"missing field {name!r}", path=path, line=lineno)
-                if not is_kind(value[name]):
-                    raise FormatError(
-                        f"field {name!r} must be {kind}, got {reprlib.repr(value[name])}",
-                        path=path,
-                        line=lineno,
-                    )
-        yield lineno, value
+        if text.isascii() or not _SURROGATE.search(text):
+            try:
+                value, end = _DECODE(body)
+            except (ValueError, RecursionError):
+                pass
+            else:
+                if end == len(body):
+                    yield lineno, value
+                    continue
+        if not text.strip():  # only whitespace JSON does not allow, such as U+00A0
+            continue
+        if before_fault is not None:
+            before_fault()
+        yield lineno, _loads(text, path, lineno)
+
+
+def _bad_row(column: list, kind, required: bool) -> int | None:
+    """The first row of `column` whose value is not of `kind` (a row that
+    leaves out an optional field is never bad), or None."""
+    types, column_ok, is_kind, _ = _KINDS[kind]
+    if types is None:
+        return None
+    found = set(map(type, column))
+    values = column
+    if not required and _Absent in found:
+        found.discard(_Absent)
+        values = [value for value in column if value is not _ABSENT]
+    if found <= types and (column_ok is None or not values or column_ok(values)):
+        return None
+    for row, value in enumerate(column):
+        if not (is_kind(value) or (value is _ABSENT and not required)):
+            return row
+    return None
+
+
+def _first_fault(columns, checks, lines, path) -> FormatError | None:
+    """The fault of the earliest bad row in `columns`, by line and then by
+    field order, as a FormatError; None if every value has its kind."""
+    first = None
+    for name, kind, required in checks:
+        row = _bad_row(columns[name], kind, required)
+        if row is not None and (first is None or row < first[0]):
+            first = (row, name, kind)
+    if first is None:
+        return None
+    row, name, kind = first
+    return FormatError(
+        f"field {name!r} must be {_KINDS[kind][3]}, got {reprlib.repr(columns[name][row])}",
+        path=path,
+        line=lines[row],
+    )
 
 
 def read_jsonl(
     path, fields: Mapping[str, object], optional: Mapping[str, object] | None = None
-) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, row) for each non-blank line of a JSONL file.
+) -> tuple[list[int], dict[str, list]]:
+    """The non-blank lines of a JSONL file, as columns: (line numbers, one
+    list per field named in `fields` or `optional`, in row order).
 
     Every row must be a JSON object holding each field named in `fields`,
     and may hold those named in `optional`, each with a value of its kind:
     `str` a string of valid Unicode (no lone surrogate), `list` a list of
     such strings, `float` a finite number, `bool` a JSON boolean, "bool or
-    null" a JSON boolean or null, "wnid" a string of "n" and 8 digits, and
-    "wnid list" a list of those. Raises FormatError with the path and line
-    for bad UTF-8, bad JSON, a row that is not an object, a missing
-    required field and a field of the wrong kind.
+    null" a JSON boolean or null, "wnid" a string of "n" and 8 digits,
+    "wnid list" a list of those, and "any" any value. An optional field a
+    row leaves out reads as None. Raises FormatError with the path and line
+    of the first faulty line, for bad UTF-8, bad JSON, a row that is not an
+    object, a missing required field and a field of the wrong kind; faults
+    on one line are reported in that order, and fields in the order given.
+    The file is streamed line by line; kinds are checked once per column.
     """
     path = Path(path)
-    checks = [(name, *_KINDS[kind], True) for name, kind in fields.items()]
-    checks += [(name, *_KINDS[kind], False) for name, kind in (optional or {}).items()]
+    optional = optional or {}
+    checks = [(name, kind, True) for name, kind in fields.items()]
+    checks += [(name, kind, False) for name, kind in optional.items()]
+    lines: list[int] = []
+    columns: dict[str, list] = {name: [] for name, _, _ in checks}
+    required_appends = [(name, columns[name].append) for name in fields]
+    optional_appends = [(name, columns[name].append) for name in optional]
+
+    def raise_earlier_fault():
+        error = _first_fault(columns, checks, lines, path)
+        if error is not None:
+            raise error
+
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        yield from _json_lines(fh, path, checks)
+        for lineno, row in _json_lines(fh, path, raise_earlier_fault):
+            if not isinstance(row, dict):
+                raise_earlier_fault()
+                raise FormatError("expected a JSON object", path=path, line=lineno)
+            lines.append(lineno)
+            try:
+                for name, append in required_appends:
+                    append(row[name])
+            except KeyError as exc:  # the fields before it are in the columns
+                raise_earlier_fault()
+                missing = exc.args[0]
+                raise FormatError(f"missing field {missing!r}", path=path, line=lineno) from None
+            for name, append in optional_appends:
+                append(row.get(name, _ABSENT))
+    raise_earlier_fault()
+    for name in optional:
+        if _ABSENT in columns[name]:
+            columns[name] = [None if value is _ABSENT else value for value in columns[name]]
+    return lines, columns
 
 
 def load_corpus(path) -> Corpus:
-    """Stream-load a JSONL corpus, rejecting duplicate ids with line numbers."""
+    """Stream-load a JSONL corpus as columns; duplicate ids are rejected
+    with both line numbers."""
     path = Path(path)
-    records: list[InstanceRecord] = []
-    seen: dict[str, int] = {}
-    flags = {"nsfw": bool, "text_in_image": "bool or null"}
-    for lineno, row in read_jsonl(path, {"id": str, "text": str}, optional=flags):
-        rid = row["id"]
-        if rid in seen:
-            raise ValidationError(
-                f"duplicate instance id {rid!r} (first seen on line {seen[rid]})",
-                path=path,
-                line=lineno,
-            )
-        seen[rid] = lineno
-        meta = row.get("meta") or {}
-        if not isinstance(meta, dict):
-            raise FormatError("field 'meta' must be an object", path=path, line=lineno)
-        records.append(
-            InstanceRecord(
-                id=rid,
-                text=row["text"],
-                nsfw=row.get("nsfw", False),
-                text_in_image=row.get("text_in_image"),
-                meta=dict(meta),
-            )
+    flags = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
+    lines, columns = read_jsonl(path, {"id": str, "text": str}, optional=flags)
+    meta = [value or {} for value in columns["meta"]]
+    for row, value in enumerate(meta):
+        if not isinstance(value, dict):
+            raise FormatError("field 'meta' must be an object", path=path, line=lines[row])
+    ids = columns["id"]
+    repeat = first_repeat(ids)
+    if repeat is not None:
+        first, again = repeat
+        raise ValidationError(
+            f"duplicate instance id {ids[again]!r} (first seen on line {lines[first]})",
+            path=path,
+            line=lines[again],
         )
-    return Corpus(records)
+    return Corpus(
+        ids=ids,
+        texts=columns["text"],
+        nsfw=[value is True for value in columns["nsfw"]],
+        text_in_image=columns["text_in_image"],
+        meta=meta,
+    )
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus to JSONL with a fixed key order (byte-reproducible)."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for r in corpus:
+        for rid, text, nsfw, text_in_image, meta in zip(
+            corpus.ids, corpus.texts, corpus.nsfw, corpus.text_in_image, corpus.meta
+        ):
             row = {
-                "id": r.id,
-                "text": r.text,
-                "nsfw": r.nsfw,
-                "text_in_image": r.text_in_image,
-                "meta": dict(r.meta),
+                "id": rid,
+                "text": text,
+                "nsfw": nsfw,
+                "text_in_image": text_in_image,
+                "meta": dict(meta),
             }
             fh.write(json.dumps(row, ensure_ascii=False))
             fh.write("\n")

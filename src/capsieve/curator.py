@@ -19,12 +19,15 @@ curve and chooses the largest threshold that keeps class coverage.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, EmbeddingMatrix, read_jsonl
+from .corpus import Corpus, EmbeddingMatrix, first_repeat, read_jsonl
 from .errors import MissingKeyError, ValidationError
 from .matcher import LemmaMatch
 from .provenance import config_digest
@@ -36,13 +39,56 @@ from .vectorops import pair_cosine, require_embedding
 _PAIR_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A (caption, synset) pair with its text-to-synset cosine similarity."""
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """(caption, synset) pairs with their text-to-synset cosine similarity,
+    as columns: row i pairs instance `ids[i]` with synset `wnids[i]` at
+    `scores[i]`.
 
-    instance_id: str
-    wnid: str
-    score: float
+    `scores` is stored as a read-only float64 array of finite values. Two
+    Candidates are equal when their columns are.
+    """
+
+    ids: list[str]
+    wnids: list[str]
+    scores: np.ndarray
+
+    def __post_init__(self):
+        scores = np.array(self.scores, dtype=np.float64)
+        if scores.ndim != 1 or not len(self.ids) == len(self.wnids) == len(scores):
+            raise ValidationError(
+                f"candidate columns differ: {len(self.ids)} ids, {len(self.wnids)} wnids, "
+                f"scores of shape {scores.shape}"
+            )
+        finite = np.isfinite(scores)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValidationError(
+                f"non-finite score for candidate ({self.ids[row]}, {self.wnids[row]})"
+            )
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Candidates)
+            and self.ids == other.ids
+            and self.wnids == other.wnids
+            and np.array_equal(self.scores, other.scores)
+        )
+
+    def take(self, rows) -> Candidates:
+        """The candidates at the positions `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        picks = rows.tolist()
+        return Candidates(
+            ids=[self.ids[i] for i in picks],
+            wnids=[self.wnids[i] for i in picks],
+            scores=self.scores[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -68,51 +114,60 @@ class DatasetManifest:
     of the configuration that produced the manifest.
     """
 
-    rows: list[ScoredCandidate]
+    rows: Candidates
     threshold: float
     provenance: str = ""
     drop_ledger: dict[str, int] = field(default_factory=dict)
     class_counts: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            if row.instance_id in seen:
-                raise ValidationError(f"instance {row.instance_id!r} appears more than once")
-            seen.add(row.instance_id)
-            if not row.score >= self.threshold:
-                raise ValidationError(
-                    f"row ({row.instance_id}, {row.wnid}) score {row.score} "
-                    f"below threshold {self.threshold}"
-                )
-            counts[row.wnid] = counts.get(row.wnid, 0) + 1
-        self.class_counts = counts
+        rows = self.rows
+        repeat = first_repeat(rows.ids)
+        below = np.flatnonzero(~(rows.scores >= self.threshold))
+        # The first faulty row is reported; on one row the repeat comes first.
+        if repeat is not None and not (len(below) and below[0] < repeat[1]):
+            raise ValidationError(f"instance {rows.ids[repeat[1]]!r} appears more than once")
+        if len(below):
+            row = int(below[0])
+            raise ValidationError(
+                f"row ({rows.ids[row]}, {rows.wnids[row]}) score {rows.scores[row].item()} "
+                f"below threshold {self.threshold}"
+            )
+        self.class_counts = dict(Counter(rows.wnids))
 
 
 def score_candidates(
     matches: list[LemmaMatch],
     caption_embeddings: EmbeddingMatrix,
     synset_text_embeddings: EmbeddingMatrix,
-) -> list[ScoredCandidate]:
-    """One ScoredCandidate per distinct (instance, wnid) pair in `matches`,
-    in first-occurrence order, scored by `pair_cosine` in blocks of pairs."""
-    pairs = list(dict.fromkeys((m.instance_id, m.wnid) for m in matches))
-    candidates: list[ScoredCandidate] = []
-    for lo in range(0, len(pairs), _PAIR_BLOCK):
-        block = pairs[lo : lo + _PAIR_BLOCK]
-        captions, synsets = [], []
-        for instance_id, wnid in block:
-            captions.append(require_embedding(caption_embeddings, instance_id, "caption"))
-            synsets.append(require_embedding(synset_text_embeddings, wnid, "synset text"))
-        scores = pair_cosine(captions, synsets).tolist()
-        candidates.extend(ScoredCandidate(i, w, score) for (i, w), score in zip(block, scores))
-    return candidates
+) -> Candidates:
+    """One candidate per distinct (instance, wnid) pair in `matches`, in
+    first-occurrence order, scored by `pair_cosine` in blocks of pairs.
+
+    Raises MissingKeyError for the first pair with a missing embedding,
+    naming its caption before its synset.
+    """
+    pairs = dict.fromkeys((m.instance_id, m.wnid) for m in matches)
+    ids = [instance_id for instance_id, _ in pairs]
+    wnids = [wnid for _, wnid in pairs]
+    caption_rows = np.array([caption_embeddings.index.get(i, -1) for i in ids], dtype=np.intp)
+    synset_rows = np.array([synset_text_embeddings.index.get(w, -1) for w in wnids], dtype=np.intp)
+    missing = np.flatnonzero((caption_rows < 0) | (synset_rows < 0))
+    if len(missing):  # the first pair with a missing row: one of these raises
+        row = int(missing[0])
+        require_embedding(caption_embeddings, ids[row], "caption")
+        require_embedding(synset_text_embeddings, wnids[row], "synset text")
+    scores = np.empty(len(ids), dtype=np.float64)
+    for lo in range(0, len(ids), _PAIR_BLOCK):
+        block = slice(lo, lo + _PAIR_BLOCK)
+        scores[block] = pair_cosine(
+            caption_embeddings.rows[caption_rows[block]],
+            synset_text_embeddings.rows[synset_rows[block]],
+        )
+    return Candidates(ids=ids, wnids=wnids, scores=scores)
 
 
-def threshold_sweep(
-    candidates: list[ScoredCandidate], thresholds: list[float]
-) -> list[SweepPoint]:
+def threshold_sweep(candidates: Candidates, thresholds: list[float]) -> list[SweepPoint]:
     """Raw candidate coverage (rows and distinct classes) at each threshold.
 
     `thresholds` must be strictly increasing; both counts are non-increasing
@@ -121,12 +176,12 @@ def threshold_sweep(
     for a, b in zip(thresholds, thresholds[1:]):
         if not b > a:
             raise ValidationError(f"thresholds not strictly increasing at {a} -> {b}")
-    scores = np.sort(np.array([c.score for c in candidates], dtype=np.float64))
+    scores = np.sort(candidates.scores)
     class_best: dict[str, float] = {}
-    for c in candidates:
-        best = class_best.get(c.wnid)
-        if best is None or c.score > best:
-            class_best[c.wnid] = c.score
+    for wnid, score in zip(candidates.wnids, candidates.scores.tolist()):
+        best = class_best.get(wnid)
+        if best is None or score > best:
+            class_best[wnid] = score
     best_scores = np.sort(np.array(list(class_best.values()), dtype=np.float64))
     points = []
     for t in thresholds:
@@ -137,7 +192,7 @@ def threshold_sweep(
 
 
 def assemble(
-    candidates: list[ScoredCandidate],
+    candidates: Candidates,
     threshold: float,
     corpus: Corpus,
     options: AssembleOptions = AssembleOptions(),
@@ -154,49 +209,43 @@ def assemble(
     3. "nsfw": rows whose instance carries the NSFW flag, when enabled.
     4. "text_in_image": rows whose instance has text_in_image == True,
        when enabled. Unset flags (None) are never treated as True.
+
+    Kept rows stay in candidate order. Raises MissingKeyError for the first
+    candidate whose instance is not in the corpus.
     """
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
+    try:
+        where = np.array([corpus.index[i] for i in candidates.ids], dtype=np.intp)
+    except KeyError as exc:
+        raise MissingKeyError(f"candidate instance {exc.args[0]!r} not in corpus") from None
     ledger = {"below_threshold": 0, "multi_label": 0, "nsfw": 0, "text_in_image": 0}
 
-    surviving: list[ScoredCandidate] = []
-    for c in candidates:
-        if c.instance_id not in corpus:
-            raise MissingKeyError(f"candidate instance {c.instance_id!r} not in corpus")
-        if c.score >= threshold:
-            surviving.append(c)
-        else:
-            ledger["below_threshold"] += 1
+    keep = candidates.scores >= threshold
+    ledger["below_threshold"] = int(len(keep) - np.count_nonzero(keep))
 
-    by_instance: dict[str, list[ScoredCandidate]] = {}
-    for c in surviving:
-        by_instance.setdefault(c.instance_id, []).append(c)
+    labels = np.bincount(where[keep], minlength=len(corpus))
+    multi = np.flatnonzero(keep & (labels[where] > 1)).tolist()
+    keep[multi] = False
+    best: dict[int, tuple[tuple[float, str], int]] = {}  # instance -> its best label's row
+    if not options.drop_multi_label:
+        for row in multi:
+            rank = (-candidates.scores[row].item(), candidates.wnids[row])
+            prior = best.get(where[row].item())
+            if prior is None or rank < prior[0]:  # ties keep the earlier row
+                best[where[row].item()] = (rank, row)
+        keep[[row for _, row in best.values()]] = True
+    ledger["multi_label"] = len(multi) - len(best)
 
-    single: list[ScoredCandidate] = []
-    for c in surviving:
-        group = by_instance[c.instance_id]
-        if len(group) == 1:
-            single.append(c)
-            continue
-        if options.drop_multi_label:
-            ledger["multi_label"] += 1
-            continue
-        best = min(group, key=lambda g: (-g.score, g.wnid))
-        if c is best:
-            single.append(c)
-        else:
-            ledger["multi_label"] += 1
-
-    rows: list[ScoredCandidate] = []
-    for c in single:
-        record = corpus.get(c.instance_id)
-        if options.drop_nsfw and record.nsfw:
-            ledger["nsfw"] += 1
-            continue
-        if options.drop_text_in_image and record.text_in_image is True:
-            ledger["text_in_image"] += 1
-            continue
-        rows.append(c)
+    if options.drop_nsfw:
+        flagged = keep & np.array(corpus.nsfw, dtype=bool)[where]
+        ledger["nsfw"] = int(np.count_nonzero(flagged))
+        keep &= ~flagged
+    if options.drop_text_in_image:
+        text_in_image = np.array([flag is True for flag in corpus.text_in_image], dtype=bool)
+        flagged = keep & text_in_image[where]
+        ledger["text_in_image"] = int(np.count_nonzero(flagged))
+        keep &= ~flagged
 
     digest = config_digest(
         {
@@ -206,23 +255,27 @@ def assemble(
             "drop_text_in_image": options.drop_text_in_image,
         }
     )
-    return DatasetManifest(rows=rows, threshold=float(threshold), provenance=digest, drop_ledger=ledger)
+    return DatasetManifest(
+        rows=candidates.take(np.flatnonzero(keep)),
+        threshold=float(threshold),
+        provenance=digest,
+        drop_ledger=ledger,
+    )
 
 
 def top_k_per_class(manifest: DatasetManifest, k: int) -> DatasetManifest:
     """Keep each class's k best-scoring rows (ties to the smaller instance
-    id); classes with fewer than k rows keep all. Idempotent for fixed k."""
+    id), in manifest order; classes with fewer than k rows keep all.
+    Idempotent for fixed k."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    by_class: dict[str, list[ScoredCandidate]] = {}
-    for row in manifest.rows:
-        by_class.setdefault(row.wnid, []).append(row)
-    keep: set[tuple[str, str]] = set()
-    for wnid, group in by_class.items():
-        ranked = sorted(group, key=lambda r: (-r.score, r.instance_id))
-        keep.update((r.instance_id, r.wnid) for r in ranked[:k])
-    rows = [r for r in manifest.rows if (r.instance_id, r.wnid) in keep]
-    return replace(manifest, rows=rows)
+    rows = manifest.rows
+    scores = rows.scores.tolist()
+    order = sorted(range(len(rows)), key=lambda r: (rows.wnids[r], -scores[r], rows.ids[r]))
+    keep = np.zeros(len(rows), dtype=bool)
+    for _, ranked in groupby(order, key=rows.wnids.__getitem__):
+        keep[list(islice(ranked, k))] = True
+    return replace(manifest, rows=rows.take(np.flatnonzero(keep)))
 
 
 def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
@@ -234,7 +287,7 @@ def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
 
 
 def sample_by_similarity_bins(
-    candidates: list[ScoredCandidate],
+    candidates: Candidates,
     bin_edges: list[float],
     n_per_bin: int,
     seed: int,
@@ -248,9 +301,11 @@ def sample_by_similarity_bins(
     for a, b in zip(bin_edges, bin_edges[1:]):
         if not b > a:
             raise ValidationError(f"bin edges not strictly increasing at {a} -> {b}")
+    scores = candidates.scores
     out: dict[tuple[float, float], list[str]] = {}
     for i, (lo, hi) in enumerate(zip(bin_edges, bin_edges[1:])):
-        members = [c.instance_id for c in candidates if lo <= c.score < hi]
+        inside = np.flatnonzero((scores >= lo) & (scores < hi)).tolist()
+        members = [candidates.ids[row] for row in inside]
         if len(members) <= n_per_bin:
             out[(lo, hi)] = members
         else:
@@ -269,28 +324,31 @@ def sample_by_similarity_bins(
 #      "config_digest": str}
 
 
-def write_candidates(candidates: list[ScoredCandidate], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for c in candidates:
-            fh.write(json.dumps({"id": c.instance_id, "wnid": c.wnid, "score": c.score}))
-            fh.write("\n")
-
-
-def load_candidates(path) -> list[ScoredCandidate]:
-    path = Path(path)
-    candidates: list[ScoredCandidate] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, row in read_jsonl(path, {"id": str, "wnid": "wnid", "score": float}):
-        candidate = ScoredCandidate(
-            instance_id=row["id"], wnid=row["wnid"], score=float(row["score"])
+def write_candidates(candidates: Candidates, path) -> None:
+    """One line per row, the bytes `json.dumps` gives for the row object:
+    ASCII-escaped strings and `float.__repr__` of each score."""
+    rows = zip(candidates.ids, candidates.wnids, candidates.scores.tolist())
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(
+            f'{{"id": {encode_basestring_ascii(i)}, "wnid": {encode_basestring_ascii(w)}, '
+            f'"score": {score!r}}}\n'
+            for i, w, score in rows
         )
-        key = (candidate.instance_id, candidate.wnid)
-        if key in seen:
-            raise ValidationError(f"duplicate candidate {key}", path=path, line=lineno)
-        seen.add(key)
-        candidates.append(candidate)
-    return candidates
+
+
+def load_candidates(path) -> Candidates:
+    """Read candidates JSONL; a repeated (id, wnid) pair is rejected with
+    its line."""
+    path = Path(path)
+    lines, columns = read_jsonl(path, {"id": str, "wnid": "wnid", "score": float})
+    ids, wnids = columns["id"], columns["wnid"]
+    repeat = first_repeat(list(zip(ids, wnids)))
+    if repeat is not None:
+        row = repeat[1]
+        raise ValidationError(
+            f"duplicate candidate {(ids[row], wnids[row])}", path=path, line=lines[row]
+        )
+    return Candidates(ids=ids, wnids=wnids, scores=np.array(columns["score"], dtype=np.float64))
 
 
 def write_manifest(manifest: DatasetManifest, rows_path, sidecar_path=None) -> None:
@@ -309,7 +367,7 @@ def write_manifest(manifest: DatasetManifest, rows_path, sidecar_path=None) -> N
 
 def load_manifest(rows_path, sidecar_path=None) -> DatasetManifest:
     rows = load_candidates(rows_path)
-    threshold = min((r.score for r in rows), default=-1.0)
+    threshold = float(rows.scores.min()) if len(rows) else -1.0
     provenance = ""
     ledger: dict[str, int] = {}
     if sidecar_path is not None:

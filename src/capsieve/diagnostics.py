@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import EmbeddingMatrix
-from .curator import DatasetManifest, ScoredCandidate
+from .curator import Candidates, DatasetManifest
 from .errors import MissingKeyError, ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
@@ -104,8 +104,8 @@ def intra_class_sims(
     downstream comparisons skip them.
     """
     by_class: dict[str, list[str]] = {}
-    for row in manifest.rows:
-        by_class.setdefault(row.wnid, []).append(row.instance_id)
+    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
+        by_class.setdefault(wnid, []).append(instance_id)
     out = []
     for wnid in sorted(by_class):
         ids = by_class[wnid]
@@ -311,7 +311,7 @@ def nearest_text_dataset(
         raise ValidationError(f"min_sim {min_sim} outside [-1, 1]")
     if corpus_matrix.count == 0:
         raise ValidationError("empty corpus matrix")
-    best: dict[str, ScoredCandidate] = {}
+    best: dict[str, tuple[float, str]] = {}  # corpus id -> (score, wnid) of its best hit
     dropped = 0
     collapsed = 0
     nearest = top_k([embedding for embedding, _ in query_texts], corpus_matrix, 1)
@@ -320,15 +320,19 @@ def nearest_text_dataset(
         if score < min_sim:
             dropped += 1
             continue
-        row = ScoredCandidate(instance_id=rid, wnid=wnid, score=score)
         prior = best.get(rid)
         if prior is None:
-            best[rid] = row
+            best[rid] = (score, wnid)
         else:
             collapsed += 1
-            if (-row.score, row.wnid) < (-prior.score, prior.wnid):
-                best[rid] = row
-    rows = [best[rid] for rid in sorted(best)]
+            if (-score, wnid) < (-prior[0], prior[1]):
+                best[rid] = (score, wnid)
+    ids = sorted(best)
+    rows = Candidates(
+        ids=ids,
+        wnids=[best[rid][1] for rid in ids],
+        scores=np.array([best[rid][0] for rid in ids], dtype=np.float64),
+    )
     return DatasetManifest(
         rows=rows,
         threshold=float(min_sim),
@@ -353,8 +357,8 @@ def cross_modal_class_stats(
             f"synset texts {synset_text_embeddings.dim}"
         )
     by_class: dict[str, list[str]] = {}
-    for row in manifest.rows:
-        by_class.setdefault(row.wnid, []).append(row.instance_id)
+    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
+        by_class.setdefault(wnid, []).append(instance_id)
     out = []
     for class_idx, wnid in enumerate(sorted(by_class)):
         ids = by_class[wnid]

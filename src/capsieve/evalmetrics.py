@@ -1,6 +1,7 @@
 """Classifier evaluation over a curated manifest.
 
-Predictions are ingested as ranked wnid lists per instance (this package
+Predictions are ingested as ranked wnid lists per instance, held as one
+mapping from instance id to its ranked wnids, best first (this package
 never runs a model). Accuracy is the unweighted mean of per-class recalls
 unless explicit class weights are supplied, in which case weights are
 restricted to the evaluated classes and renormalized before use.
@@ -20,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .corpus import EmbeddingMatrix, read_jsonl
 from .curator import DatasetManifest
@@ -30,18 +31,6 @@ from .vectorops import top_k
 log = logging.getLogger(__name__)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Ranked predictions for one instance, highest confidence first."""
-
-    instance_id: str
-    ranked: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.ranked)) != len(self.ranked):
-            raise ValidationError(f"ranked predictions for {self.instance_id!r} not distinct")
 
 
 @dataclass(frozen=True)
@@ -82,31 +71,23 @@ def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, 
     return low, high
 
 
-def _prediction_index(predictions) -> Mapping[str, PredictionRecord]:
-    if isinstance(predictions, Mapping):
-        return predictions
-    return {p.instance_id: p for p in predictions}
-
-
 def per_class_recall(
-    manifest: DatasetManifest,
-    predictions: Iterable[PredictionRecord] | Mapping[str, PredictionRecord],
-    k: int,
+    manifest: DatasetManifest, predictions: Mapping[str, Sequence[str]], k: int
 ) -> list[ClassStat]:
     """Recall@k per class: the fraction of the class's instances whose true
-    wnid appears in the top-k predictions. Sorted by wnid."""
+    wnid appears among the first k of their ranked predictions. Sorted by
+    wnid."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    index = _prediction_index(predictions)
     hits: dict[str, int] = {}
     totals: dict[str, int] = {}
-    for row in manifest.rows:
-        pred = index.get(row.instance_id)
-        if pred is None:
-            raise MissingKeyError(f"no prediction for instance {row.instance_id!r}")
-        totals[row.wnid] = totals.get(row.wnid, 0) + 1
-        if row.wnid in pred.ranked[:k]:
-            hits[row.wnid] = hits.get(row.wnid, 0) + 1
+    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
+        ranked = predictions.get(instance_id)
+        if ranked is None:
+            raise MissingKeyError(f"no prediction for instance {instance_id!r}")
+        totals[wnid] = totals.get(wnid, 0) + 1
+        if wnid in ranked[:k]:
+            hits[wnid] = hits.get(wnid, 0) + 1
     stats = []
     for wnid in sorted(totals):
         n = totals[wnid]
@@ -149,9 +130,10 @@ def zero_shot_predict(
     image_embeddings: EmbeddingMatrix,
     synset_text_embeddings: EmbeddingMatrix,
     k: int,
-) -> list[PredictionRecord]:
+) -> dict[str, list[str]]:
     """Rank synsets for each image by image-to-synset-text cosine, best
-    first, exact ties by wnid ascending."""
+    first, exact ties by wnid ascending: image id -> its k ranked wnids,
+    in image order."""
     if image_embeddings.dim != synset_text_embeddings.dim:
         raise ValidationError(
             f"dimension mismatch: images {image_embeddings.dim} vs "
@@ -159,10 +141,10 @@ def zero_shot_predict(
         )
     wnids = synset_text_embeddings.ids
     ranked = top_k(image_embeddings.rows, synset_text_embeddings, k)
-    return [
-        PredictionRecord(instance_id=image_id, ranked=tuple(wnids[j] for j in order))
+    return {
+        image_id: [wnids[j] for j in order.tolist()]
         for image_id, (order, _) in zip(image_embeddings.ids, ranked)
-    ]
+    }
 
 
 def per_class_recall_diff_ci(
@@ -205,27 +187,31 @@ def per_class_recall_diff_ci(
 # -- file formats -------------------------------------------------------------
 
 
-def load_predictions(path) -> list[PredictionRecord]:
-    """Read predictions JSONL: {"id": str, "ranked": [wnid, ...]}."""
+def load_predictions(path) -> dict[str, list[str]]:
+    """Read predictions JSONL, {"id": str, "ranked": [wnid, ...]}, as a
+    mapping from id to ranked wnids. A ranked list that repeats a wnid and
+    an id seen before are rejected with their line."""
     path = Path(path)
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
-    for lineno, row in read_jsonl(path, {"id": str, "ranked": "wnid list"}):
-        record = PredictionRecord(instance_id=row["id"], ranked=tuple(row["ranked"]))
-        if record.instance_id in seen:
+    lines, columns = read_jsonl(path, {"id": str, "ranked": "wnid list"})
+    predictions: dict[str, list[str]] = {}
+    for lineno, instance_id, ranked in zip(lines, columns["id"], columns["ranked"]):
+        if len(set(ranked)) != len(ranked):
             raise ValidationError(
-                f"duplicate prediction for {record.instance_id!r}", path=path, line=lineno
+                f"ranked predictions for {instance_id!r} not distinct", path=path, line=lineno
             )
-        seen.add(record.instance_id)
-        records.append(record)
-    return records
+        if instance_id in predictions:
+            raise ValidationError(
+                f"duplicate prediction for {instance_id!r}", path=path, line=lineno
+            )
+        predictions[instance_id] = ranked
+    return predictions
 
 
-def write_predictions(records: list[PredictionRecord], path) -> None:
+def write_predictions(predictions: Mapping[str, Sequence[str]], path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(json.dumps({"id": r.instance_id, "ranked": list(r.ranked)}))
+        for instance_id, ranked in predictions.items():
+            fh.write(json.dumps({"id": instance_id, "ranked": list(ranked)}))
             fh.write("\n")
 
 

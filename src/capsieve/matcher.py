@@ -27,8 +27,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 from .corpus import Corpus
+from .errors import ValidationError
 from .taxonomy import Taxonomy, fold_text, normalize_lemma
 
 
@@ -89,7 +92,10 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
 
     `max_lemmas_per_synset` optionally restricts matching to each synset's
     first N lemmas (N=1 means the headword only); the default uses all.
+    Raises ValidationError for N < 1.
     """
+    if max_lemmas_per_synset is not None and max_lemmas_per_synset < 1:
+        raise ValidationError(f"max_lemmas_per_synset must be >= 1, got {max_lemmas_per_synset}")
     wnid_sets: dict[str, set[str]] = {}
     for synset in taxonomy:
         lemmas = synset.lemmas
@@ -157,6 +163,20 @@ def find_matches(matcher: Matcher, corpus: Corpus) -> list[LemmaMatch]:
     wnid.
     """
     results: list[LemmaMatch] = []
-    for record in corpus:
-        results.extend(_match_record(matcher, record.id, record.text))
+    for instance_id, text in zip(corpus.ids, corpus.texts):
+        results.extend(_match_record(matcher, instance_id, text))
     return results
+
+
+def write_matches(matches: list[LemmaMatch], path) -> None:
+    """Write matches JSONL, one {"id", "wnid", "lemma", "start", "end"}
+    object per line: the bytes `json.dumps` gives for it, with ASCII-escaped
+    strings."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(
+            f'{{"id": {encode_basestring_ascii(m.instance_id)}, '
+            f'"wnid": {encode_basestring_ascii(m.wnid)}, '
+            f'"lemma": {encode_basestring_ascii(m.lemma)}, '
+            f'"start": {m.span[0]}, "end": {m.span[1]}}}\n'
+            for m in matches
+        )

@@ -86,11 +86,12 @@ def load_taxonomy(path) -> Taxonomy:
     ValidationError on duplicate wnids or malformed synsets.
     """
     path = Path(path)
+    fields = {"wnid": "wnid", "lemmas": list, "name": str, "gloss": str}
+    lines, columns = read_jsonl(path, fields)
     synsets: list[Synset] = []
     seen: dict[str, int] = {}
-    fields = {"wnid": "wnid", "lemmas": list, "name": str, "gloss": str}
-    for lineno, row in read_jsonl(path, fields):
-        wnid = row["wnid"]
+    rows = zip(lines, columns["wnid"], columns["lemmas"], columns["name"], columns["gloss"])
+    for lineno, wnid, lemmas, name, gloss in rows:
         if wnid in seen:
             raise ValidationError(
                 f"duplicate wnid {wnid} (first seen on line {seen[wnid]})",
@@ -98,9 +99,7 @@ def load_taxonomy(path) -> Taxonomy:
                 line=lineno,
             )
         try:
-            synset = Synset(
-                wnid=wnid, lemmas=tuple(row["lemmas"]), name=row["name"], gloss=row["gloss"]
-            )
+            synset = Synset(wnid=wnid, lemmas=tuple(lemmas), name=name, gloss=gloss)
         except ValidationError as exc:
             raise ValidationError(str(exc), path=path, line=lineno) from exc
         seen[wnid] = lineno

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from capsieve.corpus import Corpus, EmbeddingMatrix, InstanceRecord
+from capsieve.corpus import Corpus, EmbeddingMatrix
+from capsieve.curator import Candidates
 from capsieve.seeding import stream
 from capsieve.taxonomy import Synset, Taxonomy
 
@@ -24,17 +25,27 @@ def make_taxonomy(lemma_lists) -> Taxonomy:
 
 
 def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Corpus:
-    records = []
-    for i, text in enumerate(texts):
-        records.append(
-            InstanceRecord(
-                id=ids[i] if ids else f"inst{i:04d}",
-                text=text,
-                nsfw=bool(nsfw[i]) if nsfw else False,
-                text_in_image=text_in_image[i] if text_in_image else None,
-            )
-        )
-    return Corpus(records)
+    n = len(texts)
+    return Corpus(
+        ids=list(ids) if ids else [f"inst{i:04d}" for i in range(n)],
+        texts=list(texts),
+        nsfw=[bool(flag) for flag in nsfw] if nsfw else [False] * n,
+        text_in_image=list(text_in_image) if text_in_image else [None] * n,
+        meta=[{} for _ in range(n)],
+    )
+
+
+def make_candidates(rows) -> Candidates:
+    """Candidates from (instance id, wnid, score) rows."""
+    rows = list(rows)
+    return Candidates(
+        ids=[r[0] for r in rows], wnids=[r[1] for r in rows], scores=[r[2] for r in rows]
+    )
+
+
+def candidate_rows(candidates: Candidates) -> list[tuple[str, str, float]]:
+    """The (instance id, wnid, score) rows of `candidates`, in order."""
+    return list(zip(candidates.ids, candidates.wnids, candidates.scores.tolist()))
 
 
 def random_matrix(rng, ids, dim) -> EmbeddingMatrix:
@@ -108,7 +119,7 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
     import json
 
     from capsieve.corpus import EmbeddingMatrix, write_embeddings
-    from capsieve.evalmetrics import PredictionRecord, write_predictions
+    from capsieve.evalmetrics import write_predictions
     from capsieve.taxonomy import Taxonomy, save_taxonomy
 
     root.mkdir(parents=True, exist_ok=True)
@@ -157,12 +168,7 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
         nsfw.append(bool(rng.random() < 0.05))
         tii.append(bool(rng.random() < 0.05) if rng.random() < 0.5 else None)
 
-    corpus = Corpus(
-        [
-            InstanceRecord(id=ids[i], text=texts[i], nsfw=nsfw[i], text_in_image=tii[i])
-            for i in range(n_instances)
-        ]
-    )
+    corpus = make_corpus(texts, ids=ids, nsfw=nsfw, text_in_image=tii)
     corpus_path = root / "corpus.jsonl"
     from capsieve.corpus import save_corpus
 
@@ -179,16 +185,15 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
         image_emb_path,
     )
 
-    records = []
+    predictions = {}
     for i, rid in enumerate(ids):
         j = true_class[rid]
         scores = rng.standard_normal(n_synsets)
         if j is not None and rng.random() < 0.7:
             scores[j] += 4.0  # classifier usually right
-        ranked = [wnids[int(k)] for k in np.argsort(-scores)][:5]
-        records.append(PredictionRecord(instance_id=rid, ranked=tuple(ranked)))
+        predictions[rid] = [wnids[int(k)] for k in np.argsort(-scores)][:5]
     predictions_path = root / "predictions.jsonl"
-    write_predictions(records, predictions_path)
+    write_predictions(predictions, predictions_path)
 
     labels_path = root / "query_labels.jsonl"
     with labels_path.open("w", encoding="utf-8", newline="\n") as fh:

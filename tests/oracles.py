@@ -3,10 +3,13 @@ package's optimized code to."""
 
 from __future__ import annotations
 
+import json
+import reprlib
+
 import numpy as np
 
-from capsieve.corpus import Corpus, EmbeddingMatrix
-from capsieve.errors import ValidationError
+from capsieve.corpus import _KINDS, _SURROGATE, Corpus, EmbeddingMatrix
+from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
 from capsieve.taxonomy import Taxonomy, fold_text, normalize_lemma
 from capsieve.vectorops import batch_cosine
@@ -27,8 +30,8 @@ def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
             wnid_sets.setdefault(normalize_lemma(lemma), set()).add(synset.wnid)
 
     results: list[LemmaMatch] = []
-    for record in corpus:
-        folded = fold_text(record.text)
+    for instance_id, text in zip(corpus.ids, corpus.texts):
+        folded = fold_text(text)
         matches = []
         for pattern, wnids in wnid_sets.items():
             start = folded.find(pattern)
@@ -38,7 +41,7 @@ def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
                     for wnid in wnids:
                         matches.append(
                             LemmaMatch(
-                                instance_id=record.id,
+                                instance_id=instance_id,
                                 wnid=wnid,
                                 lemma=pattern,
                                 span=(start, end),
@@ -80,3 +83,41 @@ def bootstrap_pair_means_gather(units: np.ndarray, n_boot: int, rng) -> np.ndarr
     total_sq = np.einsum("ij,ij->i", sums, sums)
     self_sq = norm_sq[idx].sum(axis=1)
     return (total_sq - self_sq) / (n * (n - 1))
+
+
+def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[str, list]]:
+    """What `read_jsonl` returns, read the simple way: one `json.loads` per
+    line, and every check of a line made before the next line is read, so
+    the first fault in file order is raised."""
+    checks = [(name, kind, True) for name, kind in fields.items()]
+    checks += [(name, kind, False) for name, kind in (optional or {}).items()]
+    lines: list[int] = []
+    columns: dict[str, list] = {name: [] for name, _, _ in checks}
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            if not text.isascii() and _SURROGATE.search(text):
+                raise FormatError("not UTF-8", path=path, line=lineno)
+            try:
+                row = json.loads(text)
+            except (ValueError, RecursionError) as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise FormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
+            if not isinstance(row, dict):
+                raise FormatError("expected a JSON object", path=path, line=lineno)
+            for name, kind, required in checks:
+                _, _, is_kind, description = _KINDS[kind]
+                if name not in row:
+                    if required:
+                        raise FormatError(f"missing field {name!r}", path=path, line=lineno)
+                elif not is_kind(row[name]):
+                    raise FormatError(
+                        f"field {name!r} must be {description}, got {reprlib.repr(row[name])}",
+                        path=path,
+                        line=lineno,
+                    )
+            lines.append(lineno)
+            for name in columns:
+                columns[name].append(row.get(name))
+    return lines, columns

@@ -23,7 +23,7 @@ from capsieve.errors import FormatError, ValidationError
 from capsieve.seeding import stream
 from capsieve.taxonomy import load_taxonomy, save_taxonomy
 
-from conftest import build_pipeline_fixture, make_corpus, random_match_case
+from conftest import build_pipeline_fixture, make_candidates, make_corpus, random_match_case
 from oracles import find_matches_naive
 from test_cli import run_pipeline, tree_bytes
 from test_diagnostics import class_set_from_vectors, rank_formula_oracle
@@ -76,14 +76,10 @@ def test_criterion_3_curator_laws():
         rng = stream(303)
         for _ in range(100):
             n = int(rng.integers(1, 150))
-            candidates = [
-                curator.ScoredCandidate(
-                    instance_id=f"i{j}",
-                    wnid=f"n{int(rng.integers(1, 15)):08d}",
-                    score=float(rng.uniform(-1, 1)),
-                )
+            candidates = make_candidates(
+                (f"i{j}", f"n{int(rng.integers(1, 15)):08d}", float(rng.uniform(-1, 1)))
                 for j in range(n)
-            ]
+            )
             thresholds = sorted({float(t) for t in rng.uniform(-1.1, 1.1, size=12)})
             points = curator.threshold_sweep(candidates, thresholds)
             for earlier, later in zip(points, points[1:]):
@@ -104,15 +100,15 @@ def test_criterion_3_curator_laws():
                 key = (ids[int(rng.integers(0, 30))], f"n{int(rng.integers(1, 6)):08d}")
                 if key not in seen:
                     seen.add(key)
-                    candidates.append(
-                        curator.ScoredCandidate(*key, score=float(rng.uniform(-1, 1)))
-                    )
+                    candidates.append((*key, float(rng.uniform(-1, 1))))
             options = curator.AssembleOptions(
                 drop_multi_label=bool(rng.integers(0, 2)),
                 drop_nsfw=bool(rng.integers(0, 2)),
                 drop_text_in_image=bool(rng.integers(0, 2)),
             )
-            manifest = curator.assemble(candidates, float(rng.uniform(-1, 1)), corpus, options)
+            manifest = curator.assemble(
+                make_candidates(candidates), float(rng.uniform(-1, 1)), corpus, options
+            )
             assert sum(manifest.drop_ledger.values()) == len(candidates) - len(manifest.rows)
 
             if manifest.rows:
@@ -132,17 +128,17 @@ def test_criterion_4_metrics_oracles():
             wnids = [f"n{j:08d}" for j in range(1, n_classes + 1)]
             pairs = [(f"i{j}", wnids[int(rng.integers(0, n_classes))]) for j in range(n_items)]
             manifest = curator.DatasetManifest(
-                rows=[curator.ScoredCandidate(i, w, 1.0) for i, w in pairs], threshold=0.0
+                rows=make_candidates((i, w, 1.0) for i, w in pairs), threshold=0.0
             )
             predictions = {}
             for rid, _ in pairs:
                 ranked = [wnids[int(j)] for j in rng.permutation(n_classes)]
-                predictions[rid] = evalmetrics.PredictionRecord(rid, tuple(ranked))
+                predictions[rid] = ranked
             k = int(rng.integers(1, n_classes + 1))
             stats = evalmetrics.per_class_recall(manifest, predictions, k)
             for s in stats:
                 members = [rid for rid, w in pairs if w == s.wnid]
-                hits = sum(1 for rid in members if s.wnid in predictions[rid].ranked[:k])
+                hits = sum(1 for rid in members if s.wnid in predictions[rid][:k])
                 assert s.value == hits / len(members)
 
             # accuracy oracles

@@ -275,6 +275,7 @@ GOOD_INPUTS = {
                     + "".join(f'"{i}"\n' for i in VECTOR_IDS).encode()),
 }
 GOOD_INPUTS["manifest.jsonl"] = GOOD_INPUTS["candidates.jsonl"]
+GOOD_INPUTS["weights.json"] = b'{"n00000001": 0.75, "n00000002": 0.25}'
 # Every option of a stage comes from its config, so that any of them can be
 # given a value of the wrong type; values naming a file above are made paths.
 STAGES = {
@@ -286,6 +287,8 @@ STAGES = {
                                 "threshold": 0.3, "top-k": 1, "drop-nsfw": True}),
     "eval": (["eval"], {"manifest": "manifest.jsonl", "predictions": "predictions.jsonl",
                         "k": "1,2", "weights": "freq"}),
+    "eval-weights": (["eval"], {"manifest": "manifest.jsonl", "predictions": "predictions.jsonl",
+                                "weights": "weights.json"}),
     "intra": (["diagnose", "intra"], {"manifest": "manifest.jsonl",
                                       "image-embeddings": "vectors.emb",
                                       "hist-edges": "-1:1:0.5"}),
@@ -410,6 +413,25 @@ MALFORMED = [
     ("simulate", "run.json", b'{"n": "\xff"}', 2),
     ("simulate", "out", 5, 2),
     ("simulate", "out", FILE, 2),
+    # non-finite numbers, and ranges too long to generate
+    ("sweep", "thresholds", "0:inf:0.5", 2),
+    ("sweep", "thresholds", "0:1e300:1", 2),
+    ("sweep", "thresholds", "0.1,nan", 2),
+    ("intra", "hist-edges", "-1,0,nan", 2),
+    ("false-class", "bin-edges", "-1,inf", 2),
+    # class weights that are not finite numbers >= 0
+    ("eval-weights", "weights.json", b'{"n00000001": true, "n00000002": 1}', 3),
+    ("eval-weights", "weights.json", b'{"n00000001": "nan", "n00000002": 1}', 3),
+    ("eval-weights", "weights.json", b'{"n00000001": NaN, "n00000002": 1}', 3),
+    ("eval-weights", "weights.json", b'{"n00000001": -0.5, "n00000002": 1}', 3),
+    # integer options out of range, refused before any input is read
+    ("match", "max-lemmas", -1, 2),
+    ("match", "max-lemmas", 0, 2),
+    ("assemble", "top-k", 0, 2),
+    ("eval", "k", "1,1", 2),
+    ("compare", "boot", 0, 2),
+    ("cross-modal", "boot", -1, 2),
+    ("compare", "seed", -1, 2),
 ]
 
 
@@ -448,6 +470,21 @@ def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+def test_repeated_ranked_wnid_names_path_and_line(tmp_path, capsys):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_bytes(GOOD_INPUTS["predictions.jsonl"].replace(
+        b'"ranked": ["n00000002"]}\n{"id": "d"', b'"ranked": ["n00000002", "n00000002"]}\n{"id": "d"'
+    ))
+    argv = ["eval", "--manifest", tmp_path / "manifest.jsonl", "--predictions", predictions,
+            "--out", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"capsieve: data error: {predictions}: line 3: "
+                   "ranked predictions for 'c' not distinct\n")
 
 
 def test_false_class_with_no_pairs_reports_empty_bins(tmp_path):

@@ -14,7 +14,6 @@ from capsieve.corpus import (
     EMBEDDING_MAGIC,
     Corpus,
     EmbeddingMatrix,
-    InstanceRecord,
     load_corpus,
     load_embeddings,
     read_jsonl,
@@ -26,6 +25,8 @@ from capsieve.errors import CapsieveError, FormatError, MissingKeyError, Validat
 from capsieve.evalmetrics import load_predictions
 from capsieve.taxonomy import load_taxonomy
 from capsieve.vectorops import require_embedding
+
+from oracles import read_jsonl_per_line
 
 
 def corpus_line(rid, text, **kw):
@@ -45,7 +46,7 @@ def test_load_three_records(tmp_path):
     )
     corpus = load_corpus(path)
     assert len(corpus) == 3
-    assert corpus.get("c").text == ""  # empty caption is still a valid record
+    assert corpus.texts[corpus.index["c"]] == ""  # empty caption is still a valid record
 
 
 def test_duplicate_id_names_line(tmp_path):
@@ -64,19 +65,22 @@ def test_flag_passthrough(tmp_path):
         corpus_line("a", "x", nsfw=True, text_in_image=True, meta={"sel_freq": "0.7"}) + "\n",
         encoding="utf-8",
     )
-    record = load_corpus(path).get("a")
-    assert record.nsfw is True
-    assert record.text_in_image is True
-    assert record.meta["sel_freq"] == "0.7"
+    corpus = load_corpus(path)
+    assert corpus.nsfw == [True]
+    assert corpus.text_in_image == [True]
+    assert corpus.meta[0]["sel_freq"] == "0.7"
 
 
 def test_corpus_jsonl_round_trips_bytes(tmp_path):
-    records = [
-        InstanceRecord(id="a", text="a puma in the snow", nsfw=True),
-        InstanceRecord(id="b", text="unicode café", text_in_image=False, meta={"k": "v"}),
-    ]
+    corpus = Corpus(
+        ids=["a", "b"],
+        texts=["a puma in the snow", "unicode café"],
+        nsfw=[True, False],
+        text_in_image=[None, False],
+        meta=[{}, {"k": "v"}],
+    )
     first = tmp_path / "one.jsonl"
-    save_corpus(Corpus(records), first)
+    save_corpus(corpus, first)
     second = tmp_path / "two.jsonl"
     save_corpus(load_corpus(first), second)
     assert second.read_bytes() == first.read_bytes()
@@ -215,10 +219,10 @@ def test_read_jsonl_locates_each_fault(tmp_path, line, message):
 def test_read_jsonl_skips_blank_lines_and_keeps_numbers(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(b'\n{"id": "a", "score": 1}\r\n  \n{"id": "b", "score": -0.25}\n')
-    assert list(read_jsonl(path, {"id": str, "score": float})) == [
-        (2, {"id": "a", "score": 1}),
-        (4, {"id": "b", "score": -0.25}),
-    ]
+    assert read_jsonl(path, {"id": str, "score": float}) == (
+        [2, 4],
+        {"id": ["a", "b"], "score": [1, -0.25]},
+    )
 
 
 @pytest.mark.parametrize(
@@ -252,7 +256,9 @@ def test_read_jsonl_optional_fields_may_be_absent(tmp_path):
             {"wnid": "n00000002", "ranked": ["n00000001", "n00000003"], "tii": True}]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     optional = {"ranked": "wnid list", "nsfw": bool, "tii": "bool or null"}
-    assert [row for _, row in read_jsonl(path, {"wnid": "wnid"}, optional)] == rows
+    _, columns = read_jsonl(path, {"wnid": "wnid"}, optional)
+    assert columns == {name: [row.get(name) for row in rows]
+                       for name in ["wnid", "ranked", "nsfw", "tii"]}
 
 
 def test_corpus_flags_load_as_written(tmp_path):
@@ -261,8 +267,8 @@ def test_corpus_flags_load_as_written(tmp_path):
                      b'{"id": "b", "text": "y", "nsfw": true, "text_in_image": false}\n'
                      b'{"id": "c", "text": "z", "text_in_image": true}\n')
     corpus = load_corpus(path)
-    assert [(r.nsfw, r.text_in_image) for r in corpus] == [(False, None), (True, False),
-                                                          (False, True)]
+    assert list(zip(corpus.nsfw, corpus.text_in_image)) == [(False, None), (True, False),
+                                                           (False, True)]
 
 
 JSON_VALUES = st.recursive(
@@ -300,3 +306,60 @@ def test_loaders_raise_only_capsieve_errors(tmp_path, loader, content):
         loader(path)
     except CapsieveError:
         pass
+
+
+# Lines that test the reader's fast path against the per-line oracle: rows
+# of every kind, right and wrong; the lines "1,2", "[3" and "4]", each
+# invalid alone though together one JSON array of three values; a BOM; lines
+# holding only U+00A0; a "\ud800" escape; trailing data; undecodable bytes.
+ORACLE_FIELDS = {"id": str, "wnid": "wnid", "score": float}
+ORACLE_OPTIONAL = {"tags": list, "flag": bool, "tii": "bool or null", "ranked": "wnid list",
+                   "meta": "any"}
+WNIDS = st.sampled_from(["n00000001", "n12345678", "n1234567", "n00000001 ", "N00000001"])
+ORACLE_VALUES = {
+    "id": st.text(max_size=4) | st.just("a\ud800") | st.integers(),
+    "wnid": WNIDS | st.integers(),
+    "score": st.floats() | st.integers() | st.booleans() | st.just(10**400) | st.text(max_size=2),
+    "tags": st.lists(st.text(max_size=3) | st.just("\udc80"), max_size=3) | st.text(max_size=2),
+    "flag": st.booleans() | st.none() | st.integers(0, 1),
+    "tii": st.booleans() | st.none() | st.text(max_size=2),
+    "ranked": st.lists(WNIDS, max_size=3) | st.lists(st.integers(), max_size=2, min_size=1),
+    "meta": JSON_VALUES,
+}
+ORACLE_ROWS = st.fixed_dictionaries(
+    {name: ORACLE_VALUES[name] for name in ORACLE_FIELDS},
+    optional={name: ORACLE_VALUES[name] for name in ORACLE_OPTIONAL},
+) | st.fixed_dictionaries({}, optional=ORACLE_VALUES)
+ORACLE_LINES = st.one_of(
+    st.tuples(ORACLE_ROWS, st.booleans(), st.sampled_from(["", " ", "\t", "\r", "  "])).map(
+        lambda t: (json.dumps(t[0], ensure_ascii=t[1]) + t[2]).encode("utf-8", "surrogatepass")
+    ),
+    st.sampled_from([b"1,2", b"[3", b"4]", b"", b"  ", b"\xc2\xa0", b"\xc2\xa0\xc2\xa0 ",
+                     b'\xef\xbb\xbf{"id": "a", "wnid": "n00000001", "score": 1}',
+                     b'{"id": "\\ud800", "wnid": "n00000001", "score": 1}',
+                     b'{"id": "a", "wnid": "n00000001", "score": 1} x',
+                     b'{"id": "a", "wnid": "n00000001", "score": 1}{}',
+                     b'{"id": "\xff", "wnid": "n00000001", "score": 1}', b"[]", b"7"]),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.binary(max_size=12),
+)
+
+
+def _outcome(reader, path):
+    try:
+        return repr(reader(path, ORACLE_FIELDS, ORACLE_OPTIONAL))
+    except FormatError as exc:
+        return ("FormatError", str(exc), exc.line)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(ORACLE_LINES, max_size=8), newline=st.sampled_from([b"\n", b"\r\n"]))
+@example(lines=[b"1,2", b"[3", b"4]"], newline=b"\n")
+@example(lines=[b'{"id": "a", "wnid": "n00000001", "score": 1, "tags": [1]}',
+                b'{"id": "b", "wnid": "n00000001"}'], newline=b"\n")
+@example(lines=[b'{"id": "a", "wnid": "n1", "score": 1}', b"[" * 100_000], newline=b"\n")
+def test_read_jsonl_agrees_with_per_line_oracle(tmp_path, lines, newline):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(newline.join(lines))
+    assert _outcome(read_jsonl, path) == _outcome(read_jsonl_per_line, path)

@@ -8,7 +8,7 @@ import pytest
 
 from capsieve import diagnostics, vectorops
 from capsieve.corpus import EmbeddingMatrix
-from capsieve.curator import DatasetManifest, ScoredCandidate
+from capsieve.curator import DatasetManifest
 from capsieve.diagnostics import (
     ClassSimilaritySet,
     binned_false_class_means,
@@ -26,13 +26,12 @@ from capsieve.errors import MissingKeyError, ValidationError
 from capsieve.seeding import stream
 from capsieve.vectorops import cosine
 
-from conftest import random_matrix, unit
+from conftest import candidate_rows, make_candidates, random_matrix, unit
 from oracles import bootstrap_pair_means_gather, nearest_neighbor
 
 
 def manifest_of(pairs):
-    rows = [ScoredCandidate(instance_id=i, wnid=w, score=1.0) for i, w in pairs]
-    return DatasetManifest(rows=rows, threshold=0.0)
+    return DatasetManifest(rows=make_candidates((i, w, 1.0) for i, w in pairs), threshold=0.0)
 
 
 def embeddings(ids, rows):
@@ -369,16 +368,16 @@ def test_nearest_text_keeps_exact_match(rng):
     query = corpus.rows[4].copy()
     manifest = nearest_text_dataset([(query, "n00000001")], corpus, min_sim=0.7)
     assert len(manifest.rows) == 1
-    row = manifest.rows[0]
-    assert row.instance_id == "c4"
-    assert row.wnid == "n00000001"
-    assert row.score == pytest.approx(1.0, abs=1e-9)
+    instance_id, wnid, score = candidate_rows(manifest.rows)[0]
+    assert instance_id == "c4"
+    assert wnid == "n00000001"
+    assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nearest_text_drops_below_threshold():
     corpus = embeddings(["c0", "c1"], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     manifest = nearest_text_dataset([([1.0, 0.0, 0.0], "n00000001")], corpus, min_sim=0.7)
-    assert manifest.rows == []
+    assert len(manifest.rows) == 0
     assert manifest.drop_ledger["below_min_sim"] == 1
 
 
@@ -388,7 +387,7 @@ def test_nearest_text_monotone_in_min_sim(rng):
     sizes = []
     for min_sim in (0.0, 0.3, 0.6, 0.9):
         manifest = nearest_text_dataset(queries, corpus, min_sim)
-        assert all(r.score >= min_sim for r in manifest.rows)
+        assert all(score >= min_sim for score in manifest.rows.scores)
         sizes.append(len(manifest.rows))
     assert sizes == sorted(sizes, reverse=True)
 
@@ -401,7 +400,7 @@ def test_nearest_text_collapses_duplicates():
     ]
     manifest = nearest_text_dataset(queries, corpus, min_sim=0.5)
     assert len(manifest.rows) == 1
-    assert manifest.rows[0].wnid == "n00000001"  # tie resolved to the smaller wnid
+    assert manifest.rows.wnids == ["n00000001"]  # tie resolved to the smaller wnid
     assert manifest.drop_ledger["duplicate_neighbor"] == 1
 
 
@@ -431,10 +430,10 @@ def test_nearest_text_agrees_with_per_query_oracle(rng, monkeypatch):
     monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 6 * corpus.count)  # blocks of 6 queries
     for min_sim in (-1.0, 0.3):
         manifest = nearest_text_dataset(queries, corpus, min_sim)
-        got = [(r.instance_id, r.wnid, r.score) for r in manifest.rows]
+        got = candidate_rows(manifest.rows)
         assert got == nearest_text_oracle(queries, corpus, min_sim)
-    tied = [r for r in manifest.rows if r.wnid in ("n00000031", "n00000032")]
-    assert [r.instance_id for r in tied] == [min(ids[i] for i in (2, 7, 19, 30))]
+    tied = [i for i, w, _ in candidate_rows(manifest.rows) if w in ("n00000031", "n00000032")]
+    assert tied == [min(ids[i] for i in (2, 7, 19, 30))]
 
 
 # -- cross_modal_class_stats ------------------------------------------------------

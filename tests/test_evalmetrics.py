@@ -5,11 +5,10 @@ import pytest
 
 from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
-from capsieve.curator import DatasetManifest, ScoredCandidate
+from capsieve.curator import DatasetManifest
 from capsieve.errors import MissingKeyError, ValidationError
 from capsieve.evalmetrics import (
     ClassStat,
-    PredictionRecord,
     equally_weighted_accuracy,
     load_predictions,
     per_class_recall,
@@ -21,17 +20,12 @@ from capsieve.evalmetrics import (
 )
 from capsieve.vectorops import cosine
 
-from conftest import random_matrix
+from conftest import make_candidates, random_matrix
 from oracles import argmax_class
 
 
 def manifest_of(pairs):
-    rows = [ScoredCandidate(instance_id=i, wnid=w, score=1.0) for i, w in pairs]
-    return DatasetManifest(rows=rows, threshold=0.0)
-
-
-def pred(instance_id, ranked):
-    return PredictionRecord(instance_id=instance_id, ranked=tuple(ranked))
+    return DatasetManifest(rows=make_candidates((i, w, 1.0) for i, w in pairs), threshold=0.0)
 
 
 def stat(wnid, value, n):
@@ -53,12 +47,12 @@ def test_wilson_extremes():
 
 def test_per_class_recall_counts():
     manifest = manifest_of([(f"i{j}", "n00000001") for j in range(4)])
-    predictions = [
-        pred("i0", ["n00000001"]),
-        pred("i1", ["n00000001"]),
-        pred("i2", ["n00000009"]),
-        pred("i3", ["n00000009"]),
-    ]
+    predictions = {
+        "i0": ["n00000001"],
+        "i1": ["n00000001"],
+        "i2": ["n00000009"],
+        "i3": ["n00000009"],
+    }
     stats = per_class_recall(manifest, predictions, k=1)
     assert len(stats) == 1
     assert stats[0].value == 0.5
@@ -67,7 +61,7 @@ def test_per_class_recall_counts():
 
 def test_per_class_recall_all_correct_has_unit_upper_bound():
     manifest = manifest_of([(f"i{j}", "n00000001") for j in range(5)])
-    predictions = [pred(f"i{j}", ["n00000001"]) for j in range(5)]
+    predictions = {f"i{j}": ["n00000001"] for j in range(5)}
     stats = per_class_recall(manifest, predictions, k=1)
     assert stats[0].value == 1.0
     assert stats[0].ci_high == 1.0
@@ -76,7 +70,7 @@ def test_per_class_recall_all_correct_has_unit_upper_bound():
 
 def test_per_class_recall_at_k():
     manifest = manifest_of([("i0", "n00000002")])
-    predictions = [pred("i0", ["n00000001", "n00000002", "n00000003"])]
+    predictions = {"i0": ["n00000001", "n00000002", "n00000003"]}
     assert per_class_recall(manifest, predictions, k=1)[0].value == 0.0
     assert per_class_recall(manifest, predictions, k=2)[0].value == 1.0
 
@@ -88,11 +82,11 @@ def test_per_class_recall_matches_recount_oracle(rng):
     predictions = {}
     for rid, _ in pairs:
         ranked = list(rng.permutation(wnids))[: int(rng.integers(1, 6))]
-        predictions[rid] = pred(rid, ranked)
+        predictions[rid] = ranked
     for k in (1, 3):
         for s in per_class_recall(manifest, predictions, k):
             members = [rid for rid, w in pairs if w == s.wnid]
-            hits = sum(1 for rid in members if s.wnid in predictions[rid].ranked[:k])
+            hits = sum(1 for rid in members if s.wnid in predictions[rid][:k])
             assert s.value == hits / len(members)
             assert s.n == len(members)
 
@@ -100,7 +94,7 @@ def test_per_class_recall_matches_recount_oracle(rng):
 def test_per_class_recall_missing_prediction():
     manifest = manifest_of([("i0", "n00000001")])
     with pytest.raises(MissingKeyError, match="i0"):
-        per_class_recall(manifest, [], k=1)
+        per_class_recall(manifest, {}, k=1)
 
 
 def test_equally_weighted_accuracy():
@@ -175,21 +169,21 @@ def test_weighted_accuracy_monotone_in_recall(rng):
 def test_zero_shot_identity_row(rng):
     synsets = random_matrix(rng, [f"n{j:08d}" for j in range(1, 5)], 6)
     images = EmbeddingMatrix(rows=synsets.rows[2:3].copy(), ids=["img0"])
-    records = zero_shot_predict(images, synsets, k=2)
-    assert records[0].ranked[0] == "n00000003"
+    predictions = zero_shot_predict(images, synsets, k=2)
+    assert predictions["img0"][0] == "n00000003"
 
 
 def test_zero_shot_matches_exhaustive_oracle(rng):
     synsets = random_matrix(rng, [f"n{j:08d}" for j in range(1, 5)], 8)
     images = random_matrix(rng, ["a", "b", "c"], 8)
-    records = zero_shot_predict(images, synsets, k=4)
-    for i, record in enumerate(records):
+    predictions = zero_shot_predict(images, synsets, k=4)
+    for i, ranked in enumerate(predictions.values()):
         scored = [
             (cosine(images.rows[i], synsets.rows[j]), synsets.ids[j]) for j in range(4)
         ]
         scored.sort(key=lambda p: (-p[0], p[1]))
-        assert record.ranked == tuple(w for _, w in scored)
-        assert sorted(record.ranked) == sorted(synsets.ids)  # permutation at k = count
+        assert ranked == [w for _, w in scored]
+        assert sorted(ranked) == sorted(synsets.ids)  # permutation at k = count
 
 
 @pytest.mark.parametrize("k", [1, 3, 12])
@@ -203,10 +197,10 @@ def test_zero_shot_agrees_with_argmax_oracle(rng, monkeypatch, k):
         rows=images.astype(np.float32), ids=[f"img{i}" for i in range(22)]
     )
     monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 5 * synsets.count)  # blocks of 5 images
-    records = zero_shot_predict(image_matrix, synsets, k=k)
-    assert [r.instance_id for r in records] == image_matrix.ids
-    for record, image in zip(records, image_matrix.rows):
-        assert record.ranked == tuple(w for w, _ in argmax_class(image, synsets, k))
+    predictions = zero_shot_predict(image_matrix, synsets, k=k)
+    assert list(predictions) == image_matrix.ids
+    for ranked, image in zip(predictions.values(), image_matrix.rows):
+        assert ranked == [w for w, _ in argmax_class(image, synsets, k)]
 
 
 def test_zero_shot_dim_mismatch(rng):
@@ -255,15 +249,19 @@ def test_diff_ci_requires_shared_classes():
 
 
 def test_predictions_round_trip(tmp_path):
-    records = [pred("a", ["n00000001", "n00000002"]), pred("b", ["n00000002"])]
+    predictions = {"a": ["n00000001", "n00000002"], "b": ["n00000002"]}
     path = tmp_path / "preds.jsonl"
-    write_predictions(records, path)
-    assert load_predictions(path) == records
+    write_predictions(predictions, path)
+    assert load_predictions(path) == predictions
     again = tmp_path / "preds2.jsonl"
     write_predictions(load_predictions(path), again)
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_duplicate_ranked_entries_rejected():
-    with pytest.raises(ValidationError, match="distinct"):
-        pred("a", ["n00000001", "n00000001"])
+def test_duplicate_ranked_entries_rejected(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"id": "a", "ranked": ["n00000001"]}\n'
+                    '{"id": "b", "ranked": ["n00000001", "n00000001"]}\n')
+    with pytest.raises(ValidationError, match="distinct") as info:
+        load_predictions(path)
+    assert str(info.value).startswith(f"{path}: line 2: ")

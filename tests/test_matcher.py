@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from capsieve.errors import ValidationError
 from capsieve.matcher import LemmaMatch, build_matcher, find_matches
 from capsieve.taxonomy import Taxonomy, fold_text
 
@@ -90,7 +91,7 @@ def test_suffix_pattern_also_reported():
 def test_span_slice_equals_lemma(rng):
     taxonomy, corpus = random_match_case(rng, max_captions=50, max_lemmas=30)
     matcher = build_matcher(taxonomy)
-    normalized = {r.id: fold_text(r.text) for r in corpus}
+    normalized = {rid: fold_text(text) for rid, text in zip(corpus.ids, corpus.texts)}
     for m in find_matches(matcher, corpus):
         start, end = m.span
         assert normalized[m.instance_id][start:end] == m.lemma
@@ -188,3 +189,10 @@ def test_oracle_equivalence_unicode(lemma_lists, texts):
     taxonomy = make_taxonomy(lemma_lists)
     corpus = make_corpus(texts)
     assert find_matches(build_matcher(taxonomy), corpus) == find_matches_naive(taxonomy, corpus)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_lemma_limit_below_one_is_rejected(limit):
+    # -1 used to drop each synset's last lemma, and 0 every lemma
+    with pytest.raises(ValidationError, match="max_lemmas_per_synset must be >= 1"):
+        build_matcher(make_taxonomy([["puma", "cougar"]]), max_lemmas_per_synset=limit)
