@@ -41,6 +41,11 @@ from .seeding import stream
 
 _GENERATION_BLOCK = 8192  # samples per independently-seeded block
 
+# A bin is tested only when it holds this many selected and this many
+# unselected samples; bottleneck_gap needs this many survivors per rule.
+MIN_PER_GROUP = 30
+MIN_SURVIVORS = 100
+
 VALID_RULE_KINDS = ("text_threshold", "image_ball", "image_threshold")
 
 
@@ -209,7 +214,6 @@ def cond_indep_bin_test(
     rule: SelectionRule,
     bin_width: float = 0.05,
     alpha: float = 0.01,
-    min_per_group: int = 30,
 ) -> BinIndependenceTest:
     if not bin_width > 0:
         raise ValidationError(f"bin_width must be > 0, got {bin_width}")
@@ -233,7 +237,7 @@ def cond_indep_bin_test(
         sel = in_bin & mask
         uns = in_bin & ~mask
         ns, nu = int(sel.sum()), int(uns.sum())
-        if ns < min_per_group or nu < min_per_group:
+        if ns < MIN_PER_GROUP or nu < MIN_PER_GROUP:
             continue
         bins_tested += 1
         xs, xu = x[sel, 1:], x[uns, 1:]
@@ -257,13 +261,13 @@ def cond_indep_bin_test(
     )
 
 
-def _per_class_dim_variance(y: np.ndarray, x: np.ndarray, min_class_count: int = 2) -> np.ndarray:
+def _per_class_dim_variance(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-dimension sample variance within each class, averaged over the
-    classes with at least `min_class_count` members."""
+    classes with at least two members."""
     per_class = []
     for c in np.unique(y):
         xc = x[y == c]
-        if xc.shape[0] >= min_class_count:
+        if xc.shape[0] >= 2:
             per_class.append(xc.var(axis=0, ddof=1))
     if not per_class:
         raise ValidationError("no class has enough members for a variance estimate")
@@ -303,8 +307,6 @@ def bottleneck_gap(
     image_rule: SelectionRule,
     bin_width: float = 0.05,
     alpha: float = 0.01,
-    min_per_group: int = 30,
-    min_survivors: int = 100,
 ) -> BottleneckReport:
     """Measure how each selection distorts the within-class image
 
@@ -318,12 +320,12 @@ def bottleneck_gap(
     text_selected = select(samples, text_rule)
     image_selected = select(samples, image_rule)
     for name, subset in (("text", text_selected), ("image", image_selected)):
-        if len(subset) < min_survivors:
+        if len(subset) < MIN_SURVIVORS:
             raise ValidationError(
-                f"{name} rule kept {len(subset)} samples; need >= {min_survivors}"
+                f"{name} rule kept {len(subset)} samples; need >= {MIN_SURVIVORS}"
             )
-    test_text = cond_indep_bin_test(samples, text_rule, bin_width, alpha, min_per_group)
-    test_image = cond_indep_bin_test(samples, image_rule, bin_width, alpha, min_per_group)
+    test_text = cond_indep_bin_test(samples, text_rule, bin_width, alpha)
+    test_image = cond_indep_bin_test(samples, image_rule, bin_width, alpha)
     return BottleneckReport(
         baseline_var=_per_class_dim_variance(samples.y, samples.x),
         per_dim_var_text=_per_class_dim_variance(text_selected.y, text_selected.x),

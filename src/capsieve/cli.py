@@ -11,13 +11,14 @@ Exit codes, by the class of the bad input:
 
     0  ok
     2  a flag or config value: a missing option, a value of the wrong type
-       or out of range (checked before any input is read), an input path
+       or out of range, or a number list that is not strictly increasing
+       (checked before any input is read), an input path
        that is not an existing file, or an --out that cannot be made a
        directory
     3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
        missing or wrongly typed field, or data that break an invariant
-       (duplicate ids, unknown ids, non-finite vectors, class weights that
-       are not finite numbers >= 0)
+       (duplicate ids, unknown ids, non-finite vectors or CSV cells, class
+       weights that are not finite numbers >= 0)
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
 error: ..." line on stderr; no input ends in a traceback.
@@ -52,8 +53,8 @@ MAX_RANGE_VALUES = 1_000_000
 
 def _parse_thresholds(spec: str) -> list[float]:
     """An a:b:step range (a, a + step, ... up to b) or a comma list of
-    numbers. Every number must be finite, and a range may give at most
-    MAX_RANGE_VALUES values."""
+    numbers. The numbers must be finite and strictly increasing, and a range
+    may give at most MAX_RANGE_VALUES values."""
     if not isinstance(spec, str):
         raise TypeError("a threshold spec is a string")
     if ":" in spec:
@@ -78,15 +79,17 @@ def _parse_thresholds(spec: str) -> list[float]:
                 break
             values.append(round(v, 12))
             i += 1
-        return values
-    try:
-        values = [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"non-numeric thresholds {spec!r}") from None
-    if not values:
-        raise ConfigError("no thresholds given")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"thresholds must be finite, got {spec!r}")
+    else:
+        try:
+            values = [float(p) for p in spec.split(",") if p.strip()]
+        except ValueError:
+            raise ConfigError(f"non-numeric thresholds {spec!r}") from None
+        if not values:
+            raise ConfigError("no thresholds given")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"thresholds must be finite, got {spec!r}")
+    if not all(a < b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"thresholds must be strictly increasing, got {spec!r}")
     return values
 
 
@@ -393,6 +396,8 @@ def _diagnose_nearest_text(stage: _Stage, seed: int, n_boot: int) -> dict:
     labels_path = stage.input("query-labels")
     corpus_emb_path = stage.input("corpus-embeddings")
     min_sim = stage.get("min-sim", float, default=0.7)
+    if not -1.0 <= min_sim <= 1.0:
+        raise ConfigError(f"--min-sim {min_sim} outside [-1, 1]")
     queries = load_embeddings(queries_path)
     query_texts = [
         (vectorops.require_embedding(queries, i, "query"), wnid)
@@ -446,6 +451,8 @@ def _diagnose_correlate(stage: _Stage, seed: int, n_boot: int) -> dict:
             raise FormatError(
                 f"missing or non-numeric {x_col!r}/{y_col!r} cell", path=csv_path, line=lineno
             ) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError(f"non-finite {x_col!r}/{y_col!r} cell", path=csv_path, line=lineno)
         xs.append(x)
         ys.append(y)
     rho = diagnostics.spearman(xs, ys)
@@ -568,7 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="root random seed")
 
     p = sub.add_parser("match", help="find lemma occurrences (and score candidates)")
     common(p)
@@ -610,6 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["intra", "compare", "false-class", "nearest-text", "cross-modal", "correlate"],
     )
     common(p)
+    p.add_argument("--seed", type=int, help="root random seed")
     p.add_argument("--boot", type=int, help="bootstrap replicates")
     p.add_argument("--manifest")
     p.add_argument("--manifest-a")
@@ -633,6 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the selection-bias simulator")
     common(p)
+    p.add_argument("--seed", type=int, help="root random seed")
     p.add_argument("--n", type=int, help="number of samples")
     p.set_defaults(func=_cmd_simulate)
 

@@ -31,7 +31,6 @@ from .corpus import Corpus, EmbeddingMatrix, first_repeat, read_jsonl
 from .errors import MissingKeyError, ValidationError
 from .matcher import LemmaMatch
 from .provenance import config_digest
-from .seeding import stream
 from .vectorops import pair_cosine, require_embedding
 
 # Pairs scored per `pair_cosine` call; a bounded block keeps the float64
@@ -286,35 +285,6 @@ def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
     return {wnid: count / total for wnid, count in manifest.class_counts.items()}
 
 
-def sample_by_similarity_bins(
-    candidates: Candidates,
-    bin_edges: list[float],
-    n_per_bin: int,
-    seed: int,
-) -> dict[tuple[float, float], list[str]]:
-    """Uniform sample (without replacement) of candidate instance ids from
-    each half-open score bin [e_i, e_{i+1}).
-
-    Bins short of `n_per_bin` return all their members. Each bin draws from
-    its own stream, so the sample in one bin never depends on another.
-    """
-    for a, b in zip(bin_edges, bin_edges[1:]):
-        if not b > a:
-            raise ValidationError(f"bin edges not strictly increasing at {a} -> {b}")
-    scores = candidates.scores
-    out: dict[tuple[float, float], list[str]] = {}
-    for i, (lo, hi) in enumerate(zip(bin_edges, bin_edges[1:])):
-        inside = np.flatnonzero((scores >= lo) & (scores < hi)).tolist()
-        members = [candidates.ids[row] for row in inside]
-        if len(members) <= n_per_bin:
-            out[(lo, hi)] = members
-        else:
-            rng = stream(seed, i)
-            picks = rng.choice(len(members), size=n_per_bin, replace=False)
-            out[(lo, hi)] = [members[j] for j in picks]
-    return out
-
-
 # -- file formats -------------------------------------------------------------
 #
 # Candidates and manifest rows share one JSONL schema:
@@ -351,31 +321,25 @@ def load_candidates(path) -> Candidates:
     return Candidates(ids=ids, wnids=wnids, scores=np.array(columns["score"], dtype=np.float64))
 
 
-def write_manifest(manifest: DatasetManifest, rows_path, sidecar_path=None) -> None:
+def write_manifest(manifest: DatasetManifest, rows_path, meta_path) -> None:
     write_candidates(manifest.rows, rows_path)
-    if sidecar_path is not None:
-        sidecar = {
-            "threshold": manifest.threshold,
-            "counts": manifest.class_counts,
-            "drop_ledger": manifest.drop_ledger,
-            "config_digest": manifest.provenance,
-        }
-        Path(sidecar_path).write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    sidecar = {
+        "threshold": manifest.threshold,
+        "counts": manifest.class_counts,
+        "drop_ledger": manifest.drop_ledger,
+        "config_digest": manifest.provenance,
+    }
+    Path(meta_path).write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
-def load_manifest(rows_path, sidecar_path=None) -> DatasetManifest:
+def load_manifest(rows_path) -> DatasetManifest:
+    """Read manifest rows; the threshold is their lowest score (-1.0 for
+    none)."""
     rows = load_candidates(rows_path)
     threshold = float(rows.scores.min()) if len(rows) else -1.0
-    provenance = ""
-    ledger: dict[str, int] = {}
-    if sidecar_path is not None:
-        sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-        threshold = float(sidecar["threshold"])
-        provenance = sidecar.get("config_digest", "")
-        ledger = {k: int(v) for k, v in sidecar.get("drop_ledger", {}).items()}
-    return DatasetManifest(rows=rows, threshold=threshold, provenance=provenance, drop_ledger=ledger)
+    return DatasetManifest(rows=rows, threshold=threshold)
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> None:

@@ -95,6 +95,24 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return out / norms[:, np.newaxis]
 
 
+def _ids_by_class(manifest: DatasetManifest) -> list[tuple[str, list[str]]]:
+    """Each class's instance ids in manifest order, classes in wnid order."""
+    by_class: dict[str, list[str]] = {}
+    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
+        by_class.setdefault(wnid, []).append(instance_id)
+    return sorted(by_class.items())
+
+
+def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) -> ClassStat:
+    """`value` with the 95% percentile interval of its bootstrap
+    `replicates`, widened if necessary to contain `value` (the percentile
+    interval of a skewed bootstrap distribution can otherwise exclude it)."""
+    lo, hi = np.percentile(replicates, [2.5, 97.5])
+    return ClassStat(
+        wnid=wnid, value=value, ci_low=min(float(lo), value), ci_high=max(float(hi), value), n=n
+    )
+
+
 def intra_class_sims(
     manifest: DatasetManifest, image_embeddings: EmbeddingMatrix
 ) -> list[ClassSimilaritySet]:
@@ -103,12 +121,8 @@ def intra_class_sims(
     Classes with a single instance yield an empty similarity set (logged);
     downstream comparisons skip them.
     """
-    by_class: dict[str, list[str]] = {}
-    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
-        by_class.setdefault(wnid, []).append(instance_id)
     out = []
-    for wnid in sorted(by_class):
-        ids = by_class[wnid]
+    for wnid, ids in _ids_by_class(manifest):
         vectors = np.stack([require_embedding(image_embeddings, i, "image") for i in ids])
         units = _unit_rows(vectors)
         n = len(ids)
@@ -121,19 +135,6 @@ def intra_class_sims(
             sims = gram[iu, ju]
         out.append(ClassSimilaritySet(wnid=wnid, sims=sims, vectors=units))
     return out
-
-
-def resample_match(sims, target_count: int, seed: int) -> np.ndarray:
-    """Sample `target_count` similarities with replacement (e.g. to match a
-    reference dataset's pair count before aggregating distributions)."""
-    values = np.asarray(sims, dtype=np.float64)
-    if values.size == 0:
-        raise ValidationError("cannot resample from an empty similarity set")
-    if target_count < 0:
-        raise ValidationError(f"target_count must be >= 0, got {target_count}")
-    rng = stream(seed)
-    idx = rng.integers(0, values.size, size=target_count)
-    return values[idx]
 
 
 def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
@@ -167,9 +168,8 @@ def per_class_mean_diff_ci(
     """mean(A sims) - mean(B sims) per shared class, 95% bootstrap interval.
 
     Each side resamples its own images independently per replicate. The
-    interval is widened, if necessary, to contain the point estimate (the
-    percentile interval of a skewed bootstrap distribution can otherwise
-    exclude it). Output sorted ascending by the difference.
+    interval is widened, if necessary, to contain the point estimate.
+    Output sorted ascending by the difference.
     """
     a_by = {s.wnid: s for s in setsA}
     b_by = {s.wnid: s for s in setsB}
@@ -190,16 +190,7 @@ def per_class_mean_diff_ci(
         value = float(a.sims.mean() - b.sims.mean())
         means_a = _bootstrap_pair_means(a.vectors, n_boot, stream(seed, class_idx, 0))
         means_b = _bootstrap_pair_means(b.vectors, n_boot, stream(seed, class_idx, 1))
-        lo, hi = np.percentile(means_a - means_b, [2.5, 97.5])
-        out.append(
-            ClassStat(
-                wnid=wnid,
-                value=value,
-                ci_low=min(float(lo), value),
-                ci_high=max(float(hi), value),
-                n=min(a.n_images, b.n_images),
-            )
-        )
+        out.append(_percentile_stat(wnid, value, means_a - means_b, min(a.n_images, b.n_images)))
     out.sort(key=lambda s: (s.value, s.wnid))
     return out
 
@@ -356,28 +347,15 @@ def cross_modal_class_stats(
             f"dimension mismatch: images {image_embeddings.dim} vs "
             f"synset texts {synset_text_embeddings.dim}"
         )
-    by_class: dict[str, list[str]] = {}
-    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
-        by_class.setdefault(wnid, []).append(instance_id)
     out = []
-    for class_idx, wnid in enumerate(sorted(by_class)):
-        ids = by_class[wnid]
+    for class_idx, (wnid, ids) in enumerate(_ids_by_class(manifest)):
         synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
         images = np.stack([require_embedding(image_embeddings, i, "image") for i in ids])
         values = batch_cosine(synset_vec, EmbeddingMatrix(rows=images, ids=list(ids)))
         value = float(values.mean())
         rng = stream(seed, class_idx)
         idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))
-        lo, hi = np.percentile(values[idx].mean(axis=1), [2.5, 97.5])
-        out.append(
-            ClassStat(
-                wnid=wnid,
-                value=value,
-                ci_low=min(float(lo), value),
-                ci_high=max(float(hi), value),
-                n=len(ids),
-            )
-        )
+        out.append(_percentile_stat(wnid, value, values[idx].mean(axis=1), len(ids)))
     return out
 
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import EmbeddingMatrix, read_jsonl
+from .corpus import read_jsonl
 from .curator import DatasetManifest
 from .errors import MissingKeyError, ValidationError
-from .vectorops import top_k
 
 log = logging.getLogger(__name__)
 
@@ -51,15 +50,15 @@ class ClassStat:
             )
 
 
-def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if total <= 0:
         raise ValidationError("wilson_interval needs total >= 1")
     p = successes / total
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     low = max(0.0, center - half)
     high = min(1.0, center + half)
     # At the extremes the bound equals the estimate analytically; keep that
@@ -124,27 +123,6 @@ def weighted_accuracy(stats: list[ClassStat], weights: Mapping[str, float]) -> f
     if abs(total - 1.0) > 1e-9:
         log.info("renormalizing class weights by 1/%.6g over %d classes", total, len(stats))
     return sum(w * s.value for w, s in zip(restricted, stats)) / total
-
-
-def zero_shot_predict(
-    image_embeddings: EmbeddingMatrix,
-    synset_text_embeddings: EmbeddingMatrix,
-    k: int,
-) -> dict[str, list[str]]:
-    """Rank synsets for each image by image-to-synset-text cosine, best
-    first, exact ties by wnid ascending: image id -> its k ranked wnids,
-    in image order."""
-    if image_embeddings.dim != synset_text_embeddings.dim:
-        raise ValidationError(
-            f"dimension mismatch: images {image_embeddings.dim} vs "
-            f"synset texts {synset_text_embeddings.dim}"
-        )
-    wnids = synset_text_embeddings.ids
-    ranked = top_k(image_embeddings.rows, synset_text_embeddings, k)
-    return {
-        image_id: [wnids[j] for j in order.tolist()]
-        for image_id, (order, _) in zip(image_embeddings.ids, ranked)
-    }
 
 
 def per_class_recall_diff_ci(

@@ -1,4 +1,4 @@
-"""Synset taxonomy: parsing, validation, and per-synset query texts.
+"""Synset taxonomy: parsing, validation, and lemma normalization.
 
 A taxonomy is a JSONL file, one synset per line:
 
@@ -20,9 +20,6 @@ from typing import Iterator
 
 from .corpus import WNID_RE, read_jsonl
 from .errors import ValidationError
-
-# Separator between a synset's name and gloss in its query text.
-SYNSET_TEXT_SEPARATOR = ": "
 
 
 @dataclass(frozen=True)
@@ -115,11 +112,6 @@ def save_taxonomy(taxonomy: Taxonomy, path) -> None:
             row = {"wnid": s.wnid, "lemmas": list(s.lemmas), "name": s.name, "gloss": s.gloss}
             fh.write(json.dumps(row, ensure_ascii=False))
             fh.write("\n")
-
-
-def synset_text(synset: Synset) -> str:
-    """The synset's query text: name and gloss joined by ": "."""
-    return f"{synset.name}{SYNSET_TEXT_SEPARATOR}{synset.gloss}"
 
 
 def fold_text(text: str) -> str:

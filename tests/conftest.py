@@ -142,7 +142,7 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
     basis = rng.standard_normal((n_synsets, dim))
     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
     synset_matrix = EmbeddingMatrix(rows=basis.astype(np.float32), ids=list(wnids))
-    synset_emb_path = root / "synset_text.emb"
+    synset_emb_path = root / "synset_embeddings.emb"
     write_embeddings(synset_matrix, synset_emb_path)
 
     ids, texts, caption_rows, image_rows, nsfw, tii = [], [], [], [], [], []

@@ -432,6 +432,17 @@ MALFORMED = [
     ("compare", "boot", 0, 2),
     ("cross-modal", "boot", -1, 2),
     ("compare", "seed", -1, 2),
+    # number lists that are not strictly increasing, refused before any input is read
+    ("sweep", "thresholds", "0.5,0.1", 2),
+    ("sweep", "thresholds", "0:1e-12:1e-13", 2),  # a range whose rounded values repeat
+    ("intra", "hist-edges", "0.5,0.1", 2),
+    ("false-class", "bin-edges", "1,0", 2),
+    # --min-sim outside [-1, 1], refused before any input is read
+    ("nearest-text", "min-sim", 2, 2),
+    ("nearest-text", "min-sim", "nan", 2),
+    # non-finite CSV cells
+    ("correlate", "table.csv", b"x,y\n1,nan\n2,3\n3,4\n", 3),
+    ("correlate", "table.csv", b"x,y\n1,2\ninf,3\n3,4\n", 3),
 ]
 
 
@@ -507,7 +518,8 @@ def test_drop_nsfw_reads_the_flag_as_a_json_boolean(tmp_path, capsys):
     corpus.write_bytes(first_line("corpus.jsonl", b'{"id": "a", "text": "a cat", "nsfw": false}')
                        .replace(b'"big dog"}', b'"big dog", "nsfw": true}'))
     run_ok(argv)
-    kept = [json.loads(line)["id"] for line in (tmp_path / "out" / "manifest.jsonl").open()]
+    kept = [json.loads(line)["id"]
+            for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
     assert kept == ["a", "b", "c"]
     assert read_json(tmp_path / "out" / "manifest.meta.json")["drop_ledger"]["nsfw"] == 1
 
@@ -534,6 +546,21 @@ def test_int_option_takes_values_that_convert_without_loss(tmp_path, key, value,
         run_ok(command + ["--config", tmp_path / "run.json"])
         trees.append(tree_bytes(out))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("stage", ["match", "sweep", "assemble", "eval"])
+def test_seed_is_refused_by_stages_that_draw_nothing(tmp_path, capsys, stage):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    (tmp_path / "run.json").write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+    argv = command + ["--config", str(tmp_path / "run.json")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 SIM_CONFIG = {

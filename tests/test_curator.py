@@ -16,7 +16,6 @@ from capsieve.curator import (
     load_candidates,
     load_manifest,
     relative_frequencies,
-    sample_by_similarity_bins,
     score_candidates,
     threshold_sweep,
     top_k_per_class,
@@ -319,38 +318,6 @@ def test_relative_frequencies_empty():
         relative_frequencies(manifest)
 
 
-def test_sample_bins_basics():
-    candidates = make_candidates(cand(f"i{j}", "n00000001", 0.05 + j / 10) for j in range(5))
-    # scores: 0.05 0.15 0.25 0.35 0.45
-    out = sample_by_similarity_bins(candidates, [0.0, 0.1, 0.5, 0.6], 10, seed=7)
-    assert out[(0.0, 0.1)] == ["i0"]
-    assert out[(0.1, 0.5)] == ["i1", "i2", "i3", "i4"]
-    assert out[(0.5, 0.6)] == []
-
-
-def test_sample_bins_deterministic_and_without_replacement(rng):
-    candidates = make_candidates(
-        cand(f"i{j}", "n00000001", float(rng.uniform(0, 1))) for j in range(200)
-    )
-    edges = [0.0, 0.25, 0.5, 0.75, 1.0]
-    first = sample_by_similarity_bins(candidates, edges, 8, seed=42)
-    second = sample_by_similarity_bins(candidates, edges, 8, seed=42)
-    assert first == second
-    other_seed = sample_by_similarity_bins(candidates, edges, 8, seed=43)
-    assert other_seed != first
-    for (lo, hi), sample in first.items():
-        assert len(sample) == len(set(sample))
-        by_id = dict(zip(candidates.ids, candidates.scores.tolist()))
-        for rid in sample:
-            assert lo <= by_id[rid] < hi
-
-
-def test_sample_bins_exact_fit():
-    candidates = make_candidates(cand(f"i{j}", "n00000001", 0.5) for j in range(4))
-    out = sample_by_similarity_bins(candidates, [0.0, 1.0], 4, seed=0)
-    assert out[(0.0, 1.0)] == candidates.ids
-
-
 def test_manifest_invariants():
     with pytest.raises(ValidationError, match="more than once"):
         DatasetManifest(
@@ -384,12 +351,16 @@ def test_manifest_file_round_trip(tmp_path):
     rows_path = tmp_path / "manifest.jsonl"
     meta_path = tmp_path / "manifest.meta.json"
     write_manifest(manifest, rows_path, meta_path)
-    loaded = load_manifest(rows_path, meta_path)
+    loaded = load_manifest(rows_path)
     assert loaded.rows == manifest.rows
-    assert loaded.threshold == manifest.threshold
-    assert loaded.provenance == manifest.provenance
-    assert loaded.drop_ledger == manifest.drop_ledger
     assert loaded.class_counts == manifest.class_counts
+    sidecar = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert sidecar == {
+        "threshold": manifest.threshold,
+        "counts": manifest.class_counts,
+        "drop_ledger": manifest.drop_ledger,
+        "config_digest": manifest.provenance,
+    }
 
 
 def test_candidates_columns_must_align_and_be_finite():

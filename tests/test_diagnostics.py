@@ -19,7 +19,6 @@ from capsieve.diagnostics import (
     intra_class_sims,
     nearest_text_dataset,
     per_class_mean_diff_ci,
-    resample_match,
     spearman,
 )
 from capsieve.errors import MissingKeyError, ValidationError
@@ -82,27 +81,6 @@ def test_intra_missing_embedding():
     m = embeddings(["x"], [[1.0, 0.0]])
     with pytest.raises(MissingKeyError, match="ghost"):
         intra_class_sims(manifest, m)
-
-
-# -- resample_match ------------------------------------------------------------
-
-
-def test_resample_target_zero():
-    assert list(resample_match([0.5], 0, seed=1)) == []
-
-
-def test_resample_single_source():
-    assert list(resample_match([0.25], 5, seed=1)) == [0.25] * 5
-
-
-def test_resample_deterministic(rng):
-    sims = rng.uniform(-1, 1, size=50)
-    assert (resample_match(sims, 30, seed=9) == resample_match(sims, 30, seed=9)).all()
-
-
-def test_resample_empty_source():
-    with pytest.raises(ValidationError):
-        resample_match([], 3, seed=1)
 
 
 # -- per_class_mean_diff_ci / compare_datasets ----------------------------------

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from capsieve import vectorops
-from capsieve.corpus import EmbeddingMatrix
 from capsieve.curator import DatasetManifest
 from capsieve.errors import MissingKeyError, ValidationError
 from capsieve.evalmetrics import (
@@ -16,12 +13,9 @@ from capsieve.evalmetrics import (
     wilson_interval,
     weighted_accuracy,
     write_predictions,
-    zero_shot_predict,
 )
-from capsieve.vectorops import cosine
 
-from conftest import make_candidates, random_matrix
-from oracles import argmax_class
+from conftest import make_candidates
 
 
 def manifest_of(pairs):
@@ -164,50 +158,6 @@ def test_weighted_accuracy_monotone_in_recall(rng):
         raised = list(stats)
         raised[idx] = stat(stats[idx].wnid, min(1.0, stats[idx].value + 0.1), 10)
         assert weighted_accuracy(raised, weights) >= base - 1e-15
-
-
-def test_zero_shot_identity_row(rng):
-    synsets = random_matrix(rng, [f"n{j:08d}" for j in range(1, 5)], 6)
-    images = EmbeddingMatrix(rows=synsets.rows[2:3].copy(), ids=["img0"])
-    predictions = zero_shot_predict(images, synsets, k=2)
-    assert predictions["img0"][0] == "n00000003"
-
-
-def test_zero_shot_matches_exhaustive_oracle(rng):
-    synsets = random_matrix(rng, [f"n{j:08d}" for j in range(1, 5)], 8)
-    images = random_matrix(rng, ["a", "b", "c"], 8)
-    predictions = zero_shot_predict(images, synsets, k=4)
-    for i, ranked in enumerate(predictions.values()):
-        scored = [
-            (cosine(images.rows[i], synsets.rows[j]), synsets.ids[j]) for j in range(4)
-        ]
-        scored.sort(key=lambda p: (-p[0], p[1]))
-        assert ranked == [w for _, w in scored]
-        assert sorted(ranked) == sorted(synsets.ids)  # permutation at k = count
-
-
-@pytest.mark.parametrize("k", [1, 3, 12])
-def test_zero_shot_agrees_with_argmax_oracle(rng, monkeypatch, k):
-    rows = rng.standard_normal((12, 16)).astype(np.float32)
-    rows[[4, 9]] = rows[1]  # exact ties, broken by wnid
-    wnids = [f"n{int(j):08d}" for j in rng.permutation(np.arange(1, 13))]
-    synsets = EmbeddingMatrix(rows=rows, ids=wnids)
-    images = np.concatenate([rng.standard_normal((20, 16)), rows[[1, 4]] * 3.0])
-    image_matrix = EmbeddingMatrix(
-        rows=images.astype(np.float32), ids=[f"img{i}" for i in range(22)]
-    )
-    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 5 * synsets.count)  # blocks of 5 images
-    predictions = zero_shot_predict(image_matrix, synsets, k=k)
-    assert list(predictions) == image_matrix.ids
-    for ranked, image in zip(predictions.values(), image_matrix.rows):
-        assert ranked == [w for w, _ in argmax_class(image, synsets, k)]
-
-
-def test_zero_shot_dim_mismatch(rng):
-    synsets = random_matrix(rng, ["n00000001"], 4)
-    images = random_matrix(rng, ["a"], 5)
-    with pytest.raises(ValidationError, match="mismatch"):
-        zero_shot_predict(images, synsets, k=1)
 
 
 def test_diff_ci_identical_stats_straddle_zero(rng):

@@ -12,7 +12,6 @@ from capsieve.taxonomy import (
     load_taxonomy,
     normalize_lemma,
     save_taxonomy,
-    synset_text,
 )
 
 from conftest import make_synset, make_taxonomy
@@ -96,23 +95,6 @@ def test_bad_wnid_rejected():
 def test_duplicate_wnid_rejected_in_memory():
     with pytest.raises(ValidationError, match="duplicate"):
         Taxonomy([make_synset(1, ["a"]), make_synset(1, ["b"])])
-
-
-def test_synset_text_joins_name_and_gloss():
-    synset = make_synset(1, ["cougar", "puma"], gloss="large American feline resembling lion")
-    assert synset_text(synset) == "cougar: large American feline resembling lion"
-
-
-def test_synset_text_empty_gloss():
-    synset = make_synset(2, ["x"], gloss="")
-    assert synset_text(synset) == "x: "
-
-
-def test_synset_text_deterministic_and_length_law():
-    synset = make_synset(3, ["ice bear"], name="ice bear", gloss="a big white bear")
-    first = synset_text(synset)
-    assert first == synset_text(synset)
-    assert len(first) == len(synset.name) + 2 + len(synset.gloss)
 
 
 def test_normalize_lemma_rules():
