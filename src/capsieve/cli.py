@@ -10,7 +10,8 @@ dependent is recorded, so identical runs produce identical bytes.
 Exit codes, by the class of the bad input:
 
     0  ok
-    2  a flag or config value: a missing option, a value of the wrong type
+    2  a flag or config value: a config key that names none of the
+       subcommand's options, a missing option, a value of the wrong type
        or out of range, or a number list that is not strictly increasing
        (checked before any input is read), an input path
        that is not an existing file, or an --out that cannot be made a
@@ -140,6 +141,15 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# Parser attributes that name no option.
+_NOT_CONFIG_KEYS = {"command", "func", "config", "analysis"}
+# simulate's options that only its config sets.
+_SIMULATE_KEYS = {
+    "n_classes", "x_dim", "text_noise_sd", "class_sep", "bin_width", "alpha", "text_rule",
+    "image_rule",
+}
+
+
 class _Stage:
     """One run of a subcommand. Owns the config and `--out`, resolves typed
     options (a flag wins over its config entry), records the inputs and
@@ -148,6 +158,14 @@ class _Stage:
     def __init__(self, args):
         self.args = args
         self.config = _load_config_file(args.config)
+        allowed = {key.replace("_", "-") for key in vars(args)} - _NOT_CONFIG_KEYS
+        if args.command == "simulate":
+            allowed |= _SIMULATE_KEYS
+        unknown = sorted(set(self.config) - allowed)
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}"
+            )
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
         self.out = self.get("out", Path, required=True)
@@ -328,18 +346,22 @@ def _diagnose_intra(stage: _Stage, seed: int, n_boot: int) -> dict:
     manifest_path = stage.input("manifest")
     emb_path = stage.input("image-embeddings")
     edges = stage.get("hist-edges", _parse_thresholds)
-    sets = diagnostics.intra_class_sims(
+    classes = diagnostics.intra_class_sims(
         curator.load_manifest(manifest_path), load_embeddings(emb_path)
     )
-    with stage.output("intra_class_sims.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("wnid,n_images,n_pairs,mean_sim\n")
-        for s in sets:
-            mean = repr(float(s.sims.mean())) if len(s.sims) else ""
-            fh.write(f"{s.wnid},{s.n_images},{len(s.sims)},{mean}\n")
-    if edges is None:
+    lines = ["wnid,n_images,n_pairs,mean_sim\n"]
+    counts = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
+    for c in classes:
+        mean = repr(diagnostics.mean_pair_similarity(c)) if c.n_pairs else ""
+        lines.append(f"{c.wnid},{c.n_images},{c.n_pairs},{mean}\n")
+        if counts is not None:
+            for sims in diagnostics.pair_similarity_blocks(c):
+                counts += np.histogram(sims, bins=edges)[0]
+    # written only once every class is read: a missing embedding leaves no partial CSV
+    csv_path = stage.output("intra_class_sims.csv")
+    csv_path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    if counts is None:
         return {}
-    pooled = np.concatenate([s.sims for s in sets]) if sets else np.empty(0)
-    counts, _ = np.histogram(pooled, bins=np.asarray(edges))
     with stage.output("intra_hist.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("lo,hi,count\n")
         for i, count in enumerate(counts):
@@ -352,9 +374,9 @@ def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
     b_path = stage.input("manifest-b")
     emb_a = stage.input("image-embeddings-a")
     emb_b = stage.input("image-embeddings-b")
-    sets_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
-    sets_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
-    diffs = diagnostics.per_class_mean_diff_ci(sets_a, sets_b, n_boot=n_boot, seed=seed)
+    classes_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
+    classes_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
+    diffs = diagnostics.per_class_mean_diff_ci(classes_a, classes_b, n_boot=n_boot, seed=seed)
     comparison = diagnostics.compare_from_intervals(diffs)
     with stage.output("intra_class_diff.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("wnid,value,ci_low,ci_high\n")
@@ -546,11 +568,9 @@ def _cmd_simulate(stage: _Stage) -> dict:
     _write_json(stage.output("report.json"), report.as_dict())
     with stage.output("variances.csv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("dim,baseline,text_rule,image_rule\n")
-        for d in range(gen.x_dim):
-            fh.write(
-                f"{d},{report.baseline_var[d]!r},"
-                f"{report.per_dim_var_text[d]!r},{report.per_dim_var_image[d]!r}\n"
-            )
+        columns = (report.baseline_var, report.per_dim_var_text, report.per_dim_var_image)
+        for d, row in enumerate(zip(*(c.tolist() for c in columns))):
+            fh.write(f"{d},{row[0]!r},{row[1]!r},{row[2]!r}\n")
     return {
         "command": "simulate",
         "n": n,

@@ -1,14 +1,19 @@
 """Statistical diagnostics for curated datasets.
 
-The central quantity is intra-class similarity: all pairwise cosine
-similarities among the image embeddings sharing a class. Lower values mean
-more diverse images. Datasets are compared per class by the difference of
-mean intra-class similarity, with uncertainty from a bootstrap that
-resamples *images* (B = 1000, percentile interval): pairwise similarities
-within a class share images and are not independent, so a normal interval
-over pairs would be anticonservative. Classes with fewer than two images
-carry no pairwise information; they are skipped and logged, never silently
-dropped.
+The central quantity is intra-class similarity: the cosine similarities of
+all image pairs sharing a class. Lower values mean more diverse images.
+Classes are read one at a time, in wnid order, and only one class's rows
+are held at once. A class's mean pair similarity comes from the sum of its
+unit vectors, (|sum u|^2 - sum |u|^2) / (n(n-1)), with no n x n array; the
+pair scores themselves are enumerated only for a histogram, block by block
+of `cosine_blocks`, so each is bitwise the scalar `cosine` of its pair.
+Datasets are compared per class by the difference of mean intra-class
+similarity, with uncertainty from a bootstrap that resamples *images*
+(B = 1000, percentile interval) through the same estimator: pairwise
+similarities within a class share images and are not independent, so a
+normal interval over pairs would be anticonservative. Classes with fewer
+than two images carry no pairwise information; they are skipped and
+logged, never silently dropped.
 
 Also here: the proportion of wrong classes outscoring the intended one for
 a caption (strict inequality; exact score ties do not count against the
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,30 +42,22 @@ log = logging.getLogger(__name__)
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 
 
-@dataclass
-class ClassSimilaritySet:
-    """All pairwise image-image cosine similarities within one class.
-
-    `vectors` keeps the class's unit-normalized image embeddings so
-    bootstrap procedures can resample images and recompute pair
-    similarities. For n images there are n(n-1)/2 similarities; classes
-    with n < 2 have an empty `sims`.
-    """
+@dataclass(frozen=True)
+class ClassImages:
+    """One class's image embeddings as loaded: one float32 row per image,
+    in manifest order. A class of n images has n(n-1)/2 pairs; classes with
+    n < 2 have none."""
 
     wnid: str
-    sims: np.ndarray
-    vectors: np.ndarray  # (n_images, dim), unit rows, float64
+    rows: np.ndarray  # (n_images, dim), float32
 
     @property
     def n_images(self) -> int:
-        return int(self.vectors.shape[0])
+        return int(self.rows.shape[0])
 
-    def __post_init__(self):
-        n = self.n_images
-        if len(self.sims) != n * (n - 1) // 2:
-            raise ValidationError(
-                f"{self.wnid}: {len(self.sims)} pair similarities for {n} images"
-            )
+    @property
+    def n_pairs(self) -> int:
+        return self.n_images * (self.n_images - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,16 @@ def _ids_by_class(manifest: DatasetManifest) -> list[tuple[str, list[str]]]:
     return sorted(by_class.items())
 
 
+def _class_rows(matrix: EmbeddingMatrix, ids: list[str], kind: str) -> np.ndarray:
+    """The rows of `ids`, in order, taken with one index gather. Raises
+    MissingKeyError naming the first id the matrix lacks and its role."""
+    try:
+        index = [matrix.index[rid] for rid in ids]
+    except KeyError as exc:
+        raise MissingKeyError(f"missing {kind} embedding for id {exc.args[0]!r}") from None
+    return matrix.rows[index]
+
+
 def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) -> ClassStat:
     """`value` with the 95% percentile interval of its bootstrap
     `replicates`, widened if necessary to contain `value` (the percentile
@@ -115,41 +122,31 @@ def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) ->
 
 def intra_class_sims(
     manifest: DatasetManifest, image_embeddings: EmbeddingMatrix
-) -> list[ClassSimilaritySet]:
-    """Pairwise similarities per class, in wnid order.
+) -> Iterator[ClassImages]:
+    """Each class's images, one class at a time, in wnid order.
 
-    Classes with a single instance yield an empty similarity set (logged);
-    downstream comparisons skip them.
+    Classes with a single instance are logged; they have no pairs, and
+    downstream comparisons skip them. Raises MissingKeyError, when the
+    class is reached, for an instance with no image embedding.
     """
-    out = []
     for wnid, ids in _ids_by_class(manifest):
-        vectors = np.stack([require_embedding(image_embeddings, i, "image") for i in ids])
-        units = _unit_rows(vectors)
-        n = len(ids)
-        if n < 2:
-            log.info("class %s has %d image(s); no pairwise similarities", wnid, n)
-            sims = np.empty(0, dtype=np.float64)
-        else:
-            gram = units @ units.T
-            iu, ju = np.triu_indices(n, k=1)
-            sims = gram[iu, ju]
-        out.append(ClassSimilaritySet(wnid=wnid, sims=sims, vectors=units))
-    return out
+        if len(ids) < 2:
+            log.info("class %s has %d image(s); no pairwise similarities", wnid, len(ids))
+        yield ClassImages(wnid=wnid, rows=_class_rows(image_embeddings, ids, "image"))
 
 
-def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
-    """Mean pairwise similarity for `n_boot` image resamples.
+def _pair_means(units: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Mean pairwise similarity of the images units[idx[r]], for each row r
+    of `idx` (n columns, n >= 2).
 
-    Uses sum-of-vectors algebra: for resampled unit vectors u_1..u_n,
-    sum over pairs of u_i . u_j equals (|sum u|^2 - sum |u|^2) / 2.
+    Uses sum-of-vectors algebra: for unit vectors u_1..u_n, the sum over
+    pairs of u_i . u_j equals (|sum u|^2 - sum |u|^2) / 2.
 
-    Each replicate's vector sum starts from its first image and adds the
-    others one by one, in resample order: the order in which
-    `units[idx].sum(axis=1)` adds, so the means are bitwise the same
-    without its n_boot x n x d array.
+    Each row's vector sum starts from its first image and adds the others
+    one by one, in `idx` order: the order in which `units[idx].sum(axis=1)`
+    adds, so the means are bitwise the same without its rows x n x d array.
     """
-    n = units.shape[0]
-    idx = rng.integers(0, n, size=(n_boot, n))
+    n = idx.shape[1]
     sums = units[idx[:, 0]]
     for j in range(1, n):
         sums += units[idx[:, j]]
@@ -159,45 +156,111 @@ def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
     return (total_sq - self_sq) / (n * (n - 1))
 
 
+def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """`_pair_means` of `n_boot` resamples of the images, with replacement."""
+    n = units.shape[0]
+    return _pair_means(units, rng.integers(0, n, size=(n_boot, n)))
+
+
+def mean_pair_similarity(images: ClassImages) -> float:
+    """Mean cosine similarity over the class's n(n-1)/2 image pairs, by the
+    estimator the `per_class_mean_diff_ci` bootstrap resamples. Raises
+    ValidationError for a class of fewer than two images."""
+    n = images.n_images
+    if n < 2:
+        raise ValidationError(f"class {images.wnid} has {n} image(s); no pairs")
+    return float(_pair_means(_unit_rows(images.rows), np.arange(n)[np.newaxis])[0])
+
+
+def pair_similarity_blocks(images: ClassImages) -> Iterator[np.ndarray]:
+    """The class's pair similarities, one 1-D array per query block of
+    `cosine_blocks`: the scores of images i < j, each bitwise equal to
+    cosine(rows[i], rows[j]). The blocks hold n(n-1)/2 values in all."""
+    n = images.n_images
+    matrix = EmbeddingMatrix(rows=images.rows, ids=[str(i) for i in range(n)])
+    cols = np.arange(n)
+    for start, scores in cosine_blocks(images.rows, matrix):
+        query_rows = np.arange(start, start + len(scores))
+        yield scores[cols > query_rows[:, np.newaxis]]
+
+
+def _in_wnid_order(classes: Iterable[ClassImages], side: str) -> Iterator[ClassImages]:
+    """`classes` as given, or ValidationError at the first class whose wnid
+    is not greater than the one before it."""
+    prior = None
+    for images in classes:
+        if prior is not None and not images.wnid > prior:
+            raise ValidationError(
+                f"dataset {side}: class {images.wnid} follows {prior}; "
+                "classes must come in strictly increasing wnid order"
+            )
+        prior = images.wnid
+        yield images
+
+
+def _shared_classes(
+    setsA: Iterable[ClassImages], setsB: Iterable[ClassImages]
+) -> Iterator[tuple[ClassImages, ClassImages]]:
+    """The (A, B) class pairs with the same wnid, in wnid order: a merge of
+    the two sides, each read once through its own iterator and to its end,
+    so a missing embedding or an out-of-order class on either side raises."""
+    a_iter, b_iter = _in_wnid_order(setsA, "A"), _in_wnid_order(setsB, "B")
+    a, b = next(a_iter, None), next(b_iter, None)
+    while a is not None and b is not None:
+        if a.wnid < b.wnid:
+            a = next(a_iter, None)
+        elif b.wnid < a.wnid:
+            b = next(b_iter, None)
+        else:
+            yield a, b
+            a, b = next(a_iter, None), next(b_iter, None)
+    for _ in a_iter:
+        pass
+    for _ in b_iter:
+        pass
+
+
 def per_class_mean_diff_ci(
-    setsA: list[ClassSimilaritySet],
-    setsB: list[ClassSimilaritySet],
+    setsA: Iterable[ClassImages],
+    setsB: Iterable[ClassImages],
     n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> list[ClassStat]:
-    """mean(A sims) - mean(B sims) per shared class, 95% bootstrap interval.
+    """Mean pair similarity of A minus that of B per shared class, with a
+    95% bootstrap interval.
 
-    Each side resamples its own images independently per replicate. The
-    interval is widened, if necessary, to contain the point estimate.
-    Output sorted ascending by the difference.
+    Each side is read once, one class at a time, and must come in strictly
+    increasing wnid order (as `intra_class_sims` yields it). Each side
+    resamples its own images independently per replicate, through the
+    estimator of `mean_pair_similarity`. The interval is widened, if
+    necessary, to contain the point estimate. Output sorted ascending by
+    the difference.
     """
-    a_by = {s.wnid: s for s in setsA}
-    b_by = {s.wnid: s for s in setsB}
-    shared = sorted(set(a_by) & set(b_by))
-    if not shared:
-        raise ValidationError("the two datasets share no classes")
     out = []
-    for class_idx, wnid in enumerate(shared):
-        a, b = a_by[wnid], b_by[wnid]
+    shared = 0
+    for class_idx, (a, b) in enumerate(_shared_classes(setsA, setsB)):
+        shared += 1
         if a.n_images < 2 or b.n_images < 2:
             log.warning(
                 "class %s skipped: needs >= 2 images on both sides (%d vs %d)",
-                wnid,
+                a.wnid,
                 a.n_images,
                 b.n_images,
             )
             continue
-        value = float(a.sims.mean() - b.sims.mean())
-        means_a = _bootstrap_pair_means(a.vectors, n_boot, stream(seed, class_idx, 0))
-        means_b = _bootstrap_pair_means(b.vectors, n_boot, stream(seed, class_idx, 1))
-        out.append(_percentile_stat(wnid, value, means_a - means_b, min(a.n_images, b.n_images)))
+        value = mean_pair_similarity(a) - mean_pair_similarity(b)
+        means_a = _bootstrap_pair_means(_unit_rows(a.rows), n_boot, stream(seed, class_idx, 0))
+        means_b = _bootstrap_pair_means(_unit_rows(b.rows), n_boot, stream(seed, class_idx, 1))
+        out.append(_percentile_stat(a.wnid, value, means_a - means_b, min(a.n_images, b.n_images)))
+    if not shared:
+        raise ValidationError("the two datasets share no classes")
     out.sort(key=lambda s: (s.value, s.wnid))
     return out
 
 
 def compare_datasets(
-    setsA: list[ClassSimilaritySet],
-    setsB: list[ClassSimilaritySet],
+    setsA: Iterable[ClassImages],
+    setsB: Iterable[ClassImages],
     n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> DatasetComparison:
@@ -350,7 +413,7 @@ def cross_modal_class_stats(
     out = []
     for class_idx, (wnid, ids) in enumerate(_ids_by_class(manifest)):
         synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
-        images = np.stack([require_embedding(image_embeddings, i, "image") for i in ids])
+        images = _class_rows(image_embeddings, ids, "image")
         values = batch_cosine(synset_vec, EmbeddingMatrix(rows=images, ids=list(ids)))
         value = float(values.mean())
         rng = stream(seed, class_idx)

@@ -16,9 +16,9 @@ carry the contract:
 
 Both contract with einsum, never with BLAS (`@`, `np.dot`, `matmul`): a
 BLAS kernel may change its summation order with the operand shapes, and
-`Q @ A.T` differs from `cosine` by up to 1e-13. The one documented
-exception is `diagnostics.intra_class_sims`, whose within-class pair
-similarities come from the BLAS Gram matrix `units @ units.T`.
+`Q @ A.T` differs from `cosine` by up to 1e-13. Every cosine score in the
+package, the within-class image pairs of `diagnose intra` included, comes
+from one of these two kernels.
 
 No approximate index is provided by design; exact scans keep every
 downstream statistic reproducible and testable.

@@ -241,7 +241,8 @@ def test_criterion_6_diagnostics_identities():
             s = class_set_from_vectors(
                 "n00000001", rng.standard_normal((n, 5)).astype(np.float32)
             )
-            assert len(s.sims) == n * (n - 1) // 2
+            blocks = diagnostics.pair_similarity_blocks(s)
+            assert sum(len(b) for b in blocks) == n * (n - 1) // 2
 
         sets = [
             class_set_from_vectors(f"n{j:08d}", rng.standard_normal((6, 5)).astype(np.float32))

@@ -563,6 +563,42 @@ def test_seed_is_refused_by_stages_that_draw_nothing(tmp_path, capsys, stage):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_unknown_config_key_is_config_error(tmp_path, capsys, stage):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    config_path, out = tmp_path / "run.json", tmp_path / "out"
+    argv = command + ["--config", str(config_path)]
+    config_path.write_text(json.dumps({**config, "out": str(out / "ok")}), encoding="utf-8")
+    assert run(argv) == 0  # the config is valid before the misspelt key
+    capsys.readouterr()
+
+    misspelt = next(iter(options)) + "z"
+    config_path.write_text(json.dumps({**config, misspelt: 1, "out": str(out / "bad")}))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"capsieve: config error: unknown config key(s) for {command[0]}: {misspelt!r}\n"
+    assert not (out / "bad").exists()  # refused before --out is made
+
+
+@pytest.mark.parametrize("stage", ["intra", "compare"])
+def test_missing_image_embedding_leaves_no_partial_csv(tmp_path, capsys, stage):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    with (tmp_path / "manifest.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "zzz", "wnid": "n00000002", "score": 0.5}\n')  # in the last class
+    command, options = STAGES[stage]
+    argv = command + [f"--{k}={tmp_path / v}" for k, v in options.items() if v in GOOD_INPUTS]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "capsieve: data error: missing image embedding for id 'zzz'\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 SIM_CONFIG = {
     "n_classes": 2,
     "x_dim": 4,
@@ -606,6 +642,22 @@ def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, cod
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def test_variances_csv_holds_the_report_numbers(tmp_path):
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, "n": 2000}), encoding="utf-8")
+    run_ok(["simulate", "--config", config_path, "--out", tmp_path / "sim"])
+    report = read_json(tmp_path / "sim" / "report.json")
+    header, *lines = (tmp_path / "sim" / "variances.csv").read_text().splitlines()
+    columns = list(zip(*([float(cell) for cell in line.split(",")] for line in lines)))
+    assert header == "dim,baseline,text_rule,image_rule"
+    assert columns == [
+        tuple(range(SIM_CONFIG["x_dim"])),
+        tuple(report["baseline_var"]),
+        tuple(report["per_dim_var_text"]),
+        tuple(report["per_dim_var_image"]),
+    ]
 
 
 @pytest.mark.parametrize(

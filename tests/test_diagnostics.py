@@ -10,14 +10,16 @@ from capsieve import diagnostics, vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.curator import DatasetManifest
 from capsieve.diagnostics import (
-    ClassSimilaritySet,
+    ClassImages,
     binned_false_class_means,
     compare_datasets,
     compare_from_intervals,
     cross_modal_class_stats,
     false_class_proportion,
     intra_class_sims,
+    mean_pair_similarity,
     nearest_text_dataset,
+    pair_similarity_blocks,
     per_class_mean_diff_ci,
     spearman,
 )
@@ -40,7 +42,12 @@ def embeddings(ids, rows):
 def class_set_from_vectors(wnid, vectors):
     manifest = manifest_of([(f"{wnid}-img{i}", wnid) for i in range(len(vectors))])
     m = embeddings([f"{wnid}-img{i}" for i in range(len(vectors))], vectors)
-    return intra_class_sims(manifest, m)[0]
+    return next(iter(intra_class_sims(manifest, m)))
+
+
+def pair_sims(images):
+    """All of a class's pair similarities, in (i, j) order for i < j."""
+    return np.concatenate([np.empty(0), *pair_similarity_blocks(images)])
 
 
 # -- intra_class_sims ----------------------------------------------------------
@@ -48,39 +55,63 @@ def class_set_from_vectors(wnid, vectors):
 
 def test_intra_identical_vectors():
     s = class_set_from_vectors("n00000001", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert len(s.sims) == 1
-    assert s.sims[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(pair_sims(s)) == 1
+    assert pair_sims(s)[0] == pytest.approx(1.0, abs=1e-12)
+    assert mean_pair_similarity(s) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_intra_matches_pairwise_oracle(rng):
-    vectors = rng.standard_normal((3, 5)).astype(np.float32)
-    s = class_set_from_vectors("n00000001", vectors)
-    expected = [
-        cosine(vectors[0], vectors[1]),
-        cosine(vectors[0], vectors[2]),
-        cosine(vectors[1], vectors[2]),
-    ]
-    assert s.sims == pytest.approx(expected, abs=1e-12)
+def test_intra_matches_pairwise_oracle(rng, monkeypatch):
+    # d = 9000 is past einsum's 8192-value buffer, where a lone pair of rows
+    # would otherwise be added up in pieces
+    for d in (5, 9000):
+        vectors = rng.standard_normal((7, d)).astype(np.float32)
+        s = class_set_from_vectors("n00000001", vectors)
+        expected = [cosine(vectors[i], vectors[j]) for i in range(7) for j in range(i + 1, 7)]
+        assert pair_sims(s).tolist() == expected
+        with monkeypatch.context() as m:
+            m.setattr(vectorops, "_BLOCK_SCORES", 2 * 7)  # blocks of 2 query rows
+            assert [len(b) for b in pair_similarity_blocks(s)] == [11, 7, 3, 0]
+            assert pair_sims(s).tolist() == expected
+
+
+def test_mean_pair_similarity_matches_exact_pairs(rng):
+    for n, d in [(2, 3), (12, 512), (40, 9000), (300, 16)]:
+        s = class_set_from_vectors("n00000001", rng.standard_normal((n, d)).astype(np.float32))
+        assert abs(mean_pair_similarity(s) - pair_sims(s).mean()) <= 1e-12
 
 
 def test_intra_singleton_class_flagged():
     s = class_set_from_vectors("n00000001", [[1.0, 0.0]])
     assert s.n_images == 1
-    assert len(s.sims) == 0
+    assert s.n_pairs == 0
+    assert len(pair_sims(s)) == 0
+    with pytest.raises(ValidationError, match="no pairs"):
+        mean_pair_similarity(s)
 
 
 def test_intra_pair_count_law(rng):
     for _ in range(20):
         n = int(rng.integers(1, 15))
         s = class_set_from_vectors("n00000001", rng.standard_normal((n, 4)).astype(np.float32))
-        assert len(s.sims) == n * (n - 1) // 2
+        assert len(pair_sims(s)) == s.n_pairs == n * (n - 1) // 2
 
 
 def test_intra_missing_embedding():
     manifest = manifest_of([("ghost", "n00000001")])
     m = embeddings(["x"], [[1.0, 0.0]])
     with pytest.raises(MissingKeyError, match="ghost"):
-        intra_class_sims(manifest, m)
+        list(intra_class_sims(manifest, m))
+
+
+def test_intra_yields_classes_in_wnid_order_with_one_gather(rng):
+    pairs = [("i0", "n00000003"), ("i1", "n00000001"), ("i2", "n00000003"), ("i3", "n00000002")]
+    m = embeddings(["i3", "i2", "i1", "i0"], rng.standard_normal((4, 3)))
+    classes = list(intra_class_sims(manifest_of(pairs), m))
+    assert [(c.wnid, c.n_images) for c in classes] == [
+        ("n00000001", 1), ("n00000002", 1), ("n00000003", 2)
+    ]
+    assert np.array_equal(classes[2].rows, m.rows[[3, 1]])  # i0, i2 in manifest order
+    assert classes[2].rows.dtype == np.float32
 
 
 # -- per_class_mean_diff_ci / compare_datasets ----------------------------------
@@ -135,6 +166,43 @@ def test_mean_diff_skips_small_classes(rng):
     tiny_b = class_set_from_vectors("n00000002", rng.standard_normal((4, 4)).astype(np.float32))
     out = per_class_mean_diff_ci([ok_a, tiny_a], [ok_b, tiny_b], n_boot=100, seed=0)
     assert [d.wnid for d in out] == ["n00000001"]
+
+
+def test_mean_diff_needs_classes_in_wnid_order(rng):
+    def side(*wnids):
+        return [
+            class_set_from_vectors(w, rng.standard_normal((4, 3)).astype(np.float32))
+            for w in wnids
+        ]
+
+    ordered = side("n00000001", "n00000002", "n00000003")
+    for a, b in [
+        (side("n00000002", "n00000001"), ordered),
+        (ordered, side("n00000001", "n00000003", "n00000002")),
+        (ordered, side("n00000002", "n00000002")),  # a repeated wnid
+        (ordered[:1], side("n00000001", "n00000005", "n00000004")),  # past the last shared
+    ]:
+        with pytest.raises(ValidationError, match="strictly increasing wnid order"):
+            per_class_mean_diff_ci(a, b, n_boot=10)
+
+
+def test_mean_diff_stream_keys_count_skipped_shared_classes(rng):
+    # class_idx counts the shared wnids, skipped ones included; a class on
+    # one side only takes no key
+    def images(wnid, n):
+        return class_set_from_vectors(wnid, rng.standard_normal((n, 4)).astype(np.float32))
+
+    a = [images("n00000001", 3), images("n00000002", 1), images("n00000003", 6)]
+    b = [images("n00000002", 4), images("n00000003", 5), images("n00000004", 3)]
+    (d,) = per_class_mean_diff_ci(iter(a), iter(b), n_boot=50, seed=2)
+    units_a, units_b = diagnostics._unit_rows(a[2].rows), diagnostics._unit_rows(b[1].rows)
+    replicates = diagnostics._bootstrap_pair_means(
+        units_a, 50, stream(2, 1, 0)
+    ) - diagnostics._bootstrap_pair_means(units_b, 50, stream(2, 1, 1))
+    lo, hi = np.percentile(replicates, [2.5, 97.5])
+    assert d.wnid == "n00000003"
+    assert d.value == mean_pair_similarity(a[2]) - mean_pair_similarity(b[1])
+    assert (d.ci_low, d.ci_high) == (min(lo, d.value), max(hi, d.value))
 
 
 def test_mean_diff_no_shared_classes(rng):
@@ -194,11 +262,7 @@ def test_mean_diff_ci_memory_is_bounded(rng):
     # the gather form would hold a 1000 x 200 x 512 float64 array: 781 MiB
     n, d = 200, 512
     sets = [
-        ClassSimilaritySet(
-            wnid="n00000001",
-            sims=np.zeros(n * (n - 1) // 2),
-            vectors=unit_rows(rng.standard_normal((n, d))),
-        )
+        ClassImages(wnid="n00000001", rows=rng.standard_normal((n, d)).astype(np.float32))
         for _ in range(2)
     ]
     tracemalloc.start()
@@ -208,6 +272,30 @@ def test_mean_diff_ci_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_mean_diff_ci_memory_does_not_grow_with_classes(rng):
+    # one class of 200 images on each side is held at a time, so the peak is
+    # set by the per-class bootstrap, not by the number of classes
+    n, d, n_boot = 200, 64, 200
+
+    def peak_over(n_classes):
+        ids = [(f"n{c + 1:08d}-{i}", f"n{c + 1:08d}") for c in range(n_classes) for i in range(n)]
+        rows = rng.standard_normal((len(ids), d)).astype(np.float32)
+        sides = [(manifest_of(ids), embeddings([i for i, _ in ids], rows)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            diffs = per_class_mean_diff_ci(
+                intra_class_sims(*sides[0]), intra_class_sims(*sides[1]), n_boot=n_boot, seed=0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(diffs) == n_classes
+        return peak
+
+    few, many = peak_over(5), peak_over(50)
+    assert many <= 1.5 * few, f"peak {few / 2**20:.2f} MiB at 5 classes, {many / 2**20:.2f} at 50"
 
 
 def test_compare_from_intervals_equals_compare_from_sets(rng):
