@@ -25,7 +25,11 @@ strength alone changes variances.
 
 Samples are held as columns (`Samples`): one array each for y, x and t,
 so selection is a boolean mask and every statistic reads the arrays
-directly.
+directly. `bottleneck_gap` builds each rule's mask once, for the selected
+set and the bin test alike. The bin test visits occupied t-bins only: one
+stable sort groups the samples by bin, the two rules share that grouping,
+and a bin's selected and unselected rows are gathered in ascending order,
+so the work is bounded by n however narrow the bins.
 """
 
 from __future__ import annotations
@@ -209,41 +213,51 @@ class BinIndependenceTest:
     n_comparisons: int
 
 
-def cond_indep_bin_test(
-    samples: Samples,
-    rule: SelectionRule,
-    bin_width: float = 0.05,
-    alpha: float = 0.01,
-) -> BinIndependenceTest:
+def _check_bin_params(bin_width: float, alpha: float) -> None:
     if not bin_width > 0:
         raise ValidationError(f"bin_width must be > 0, got {bin_width}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    x, t = samples.x, samples.t
-    mask = _keep_mask(samples, rule)
-    # Anchor bins at the observed minimum rather than a multiple of the
-    # width: a grid-aligned edge can coincide with a threshold rule's
-    # cutoff, leaving no bin populated on both sides and the test vacuous.
-    first_edge = float(t.min())
-    n_bins = int(math.floor((t.max() - first_edge) / bin_width)) + 1
-    bin_of = np.minimum(
-        np.floor((t - first_edge) / bin_width).astype(np.int64), n_bins - 1
-    )
+
+
+def _t_bins(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The samples grouped by t-bin: `order` lists the sample indices by bin,
+    ascending within each bin, and bin k holds order[bounds[k]:bounds[k + 1]].
+    Only occupied bins appear, so the work is bounded by n whatever the width.
+
+    Bins are anchored at the observed minimum rather than a multiple of the
+    width: a grid-aligned edge can coincide with a threshold rule's cutoff,
+    leaving no bin populated on both sides and the test vacuous.
+    """
+    try:
+        with np.errstate(over="raise"):
+            keys = np.floor((t - t.min()) / bin_width)
+    except FloatingPointError:
+        raise ValidationError(f"bin_width {bin_width} is too small for the range of t") from None
+    order = np.argsort(keys, kind="stable")
+    changes = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
+    return order, np.concatenate(([0], changes, [len(t)]))
+
+
+def _bin_test(
+    x: np.ndarray, mask: np.ndarray, bins: tuple[np.ndarray, np.ndarray], alpha: float
+) -> BinIndependenceTest:
+    """The bin test of the rule whose keep mask is `mask`, over the bins
+    of `_t_bins`."""
+    order, bounds = bins
+    selected_before = np.concatenate(([0], np.cumsum(mask[order])))[bounds]
+    n_sel = np.diff(selected_before)
+    n_uns = np.diff(bounds) - n_sel
+    tested = np.flatnonzero((n_sel >= MIN_PER_GROUP) & (n_uns >= MIN_PER_GROUP))
 
     stats: list[float] = []
-    bins_tested = 0
-    for b in range(n_bins):
-        in_bin = bin_of == b
-        sel = in_bin & mask
-        uns = in_bin & ~mask
-        ns, nu = int(sel.sum()), int(uns.sum())
-        if ns < MIN_PER_GROUP or nu < MIN_PER_GROUP:
-            continue
-        bins_tested += 1
-        xs, xu = x[sel, 1:], x[uns, 1:]
-        se = np.sqrt(xs.var(axis=0, ddof=1) / ns + xu.var(axis=0, ddof=1) / nu)
+    for b in tested:
+        rows = order[bounds[b] : bounds[b + 1]]
+        in_mask = mask[rows]
+        xs, xu = x[rows[in_mask], 1:], x[rows[~in_mask], 1:]
+        se = np.sqrt(xs.var(axis=0, ddof=1) / len(xs) + xu.var(axis=0, ddof=1) / len(xu))
         z = np.abs(xs.mean(axis=0) - xu.mean(axis=0)) / se
-        stats.extend(float(v) for v in z)
+        stats.extend(z.tolist())
 
     if not stats:
         return BinIndependenceTest(
@@ -256,9 +270,20 @@ def cond_indep_bin_test(
         max_stat=max_stat,
         critical=critical,
         reject=max_stat > critical,
-        n_bins_tested=bins_tested,
+        n_bins_tested=len(tested),
         n_comparisons=m,
     )
+
+
+def cond_indep_bin_test(
+    samples: Samples,
+    rule: SelectionRule,
+    bin_width: float = 0.05,
+    alpha: float = 0.01,
+) -> BinIndependenceTest:
+    _check_bin_params(bin_width, alpha)
+    mask = _keep_mask(samples, rule)
+    return _bin_test(samples.x, mask, _t_bins(samples.t, bin_width), alpha)
 
 
 def _per_class_dim_variance(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -317,21 +342,22 @@ def bottleneck_gap(
         raise ValidationError(f"text rule must be text_threshold, got {text_rule.kind!r}")
     if not image_rule.reads_image:
         raise ValidationError("image rule must read the image")
-    text_selected = select(samples, text_rule)
-    image_selected = select(samples, image_rule)
-    for name, subset in (("text", text_selected), ("image", image_selected)):
-        if len(subset) < MIN_SURVIVORS:
-            raise ValidationError(
-                f"{name} rule kept {len(subset)} samples; need >= {MIN_SURVIVORS}"
-            )
-    test_text = cond_indep_bin_test(samples, text_rule, bin_width, alpha)
-    test_image = cond_indep_bin_test(samples, image_rule, bin_width, alpha)
+    text_mask = _keep_mask(samples, text_rule)
+    image_mask = _keep_mask(samples, image_rule)
+    for name, mask in (("text", text_mask), ("image", image_mask)):
+        kept = int(mask.sum())
+        if kept < MIN_SURVIVORS:
+            raise ValidationError(f"{name} rule kept {kept} samples; need >= {MIN_SURVIVORS}")
+    _check_bin_params(bin_width, alpha)
+    bins = _t_bins(samples.t, bin_width)
+    test_text = _bin_test(samples.x, text_mask, bins, alpha)
+    test_image = _bin_test(samples.x, image_mask, bins, alpha)
     return BottleneckReport(
         baseline_var=_per_class_dim_variance(samples.y, samples.x),
-        per_dim_var_text=_per_class_dim_variance(text_selected.y, text_selected.x),
-        per_dim_var_image=_per_class_dim_variance(image_selected.y, image_selected.x),
-        acceptance_text=len(text_selected) / len(samples),
-        acceptance_image=len(image_selected) / len(samples),
+        per_dim_var_text=_per_class_dim_variance(samples.y[text_mask], samples.x[text_mask]),
+        per_dim_var_image=_per_class_dim_variance(samples.y[image_mask], samples.x[image_mask]),
+        acceptance_text=int(text_mask.sum()) / len(samples),
+        acceptance_image=int(image_mask.sum()) / len(samples),
         cond_indep_stat=test_text.max_stat,
         bin_test_text=test_text,
         bin_test_image=test_image,

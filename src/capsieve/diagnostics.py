@@ -6,7 +6,7 @@ Classes are read one at a time, in wnid order, and only one class's rows
 are held at once. A class's mean pair similarity comes from the sum of its
 unit vectors, (|sum u|^2 - sum |u|^2) / (n(n-1)), with no n x n array; the
 pair scores themselves are enumerated only for a histogram, block by block
-of `cosine_blocks`, so each is bitwise the scalar `cosine` of its pair.
+of `triangle_blocks`, so each is bitwise the scalar `cosine` of its pair.
 Datasets are compared per class by the difference of mean intra-class
 similarity, with uncertainty from a bootstrap that resamples *images*
 (B = 1000, percentile interval) through the same estimator: pairwise
@@ -35,7 +35,7 @@ from .errors import MissingKeyError, ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import batch_cosine, cosine_blocks, require_embedding, top_k
+from .vectorops import batch_cosine, cosine_blocks, require_embedding, top_k, triangle_blocks
 
 log = logging.getLogger(__name__)
 
@@ -174,14 +174,11 @@ def mean_pair_similarity(images: ClassImages) -> float:
 
 def pair_similarity_blocks(images: ClassImages) -> Iterator[np.ndarray]:
     """The class's pair similarities, one 1-D array per query block of
-    `cosine_blocks`: the scores of images i < j, each bitwise equal to
+    `triangle_blocks`: the scores of images i < j, each bitwise equal to
     cosine(rows[i], rows[j]). The blocks hold n(n-1)/2 values in all."""
-    n = images.n_images
-    matrix = EmbeddingMatrix(rows=images.rows, ids=[str(i) for i in range(n)])
-    cols = np.arange(n)
-    for start, scores in cosine_blocks(images.rows, matrix):
-        query_rows = np.arange(start, start + len(scores))
-        yield scores[cols > query_rows[:, np.newaxis]]
+    for start, scores in triangle_blocks(images.rows):
+        # scores[q, i] pairs image start + q with image start + i
+        yield scores[np.arange(scores.shape[1]) > np.arange(len(scores))[:, np.newaxis]]
 
 
 def _in_wnid_order(classes: Iterable[ClassImages], side: str) -> Iterator[ClassImages]:

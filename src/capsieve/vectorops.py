@@ -10,7 +10,9 @@ carry the contract:
   the matrix to float64 and computes its row norms once per call, then
   scores consecutive query blocks with einsum("ij,kj->ki"); no block holds
   more than max(1, 2**18 // rows) queries. `batch_cosine` is its one-query
-  case and `top_k` ranks its blocks.
+  case and `top_k` ranks its blocks. `triangle_blocks` scores a matrix
+  against itself in the same blocks, each block only against the rows
+  from its own start on, so no pair is scored twice.
 - `pair_cosine`, row i of one array against row i of another, with
   einsum("ij,ij->i") over the gathered pairs. `cosine` is its one-pair case.
 
@@ -85,6 +87,10 @@ def cosine(a, b) -> float:
     return float(pair_cosine(av[np.newaxis], bv[np.newaxis])[0])
 
 
+def _block_step(count: int) -> int:
+    return max(1, _BLOCK_SCORES // max(count, 1))
+
+
 def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, scores) for consecutive blocks of `queries`, one query
     vector per entry: scores[q, i] is the cosine of query start + q with
@@ -95,7 +101,7 @@ def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.nd
     """
     rows = _f64(matrix.rows)
     norms = _row_norms(rows)
-    step = max(1, _BLOCK_SCORES // max(matrix.count, 1))
+    step = _block_step(matrix.count)
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         try:
@@ -108,6 +114,26 @@ def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.nd
         if not qn.all():
             raise ValidationError("cosine undefined for all-zero query")
         yield start, _contract("ij,kj->ki", rows, q) / (norms * qn[:, np.newaxis])
+
+
+def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:
+    """The blocks of `cosine_blocks` with `rows` as both queries and matrix,
+    each scored only against the rows from its own start on: scores[q, i]
+    is the cosine of rows start + q and start + i, bitwise equal to
+    cosine(rows[start + q], rows[start + i]). Every pair above the
+    diagonal is scored once.
+
+    Raises ValidationError when a row is all zero.
+    """
+    rows = _f64(rows)
+    norms = _row_norms(rows)
+    if not norms.all():
+        raise ValidationError("cosine undefined for all-zero row")
+    step = _block_step(len(rows))
+    for start in range(0, len(rows), step):
+        q = rows[start : start + step]
+        scores = _contract("ij,kj->ki", rows[start:], q)
+        yield start, scores / (norms[start:] * _row_norms(q)[:, np.newaxis])
 
 
 def batch_cosine(query, matrix: EmbeddingMatrix) -> np.ndarray:

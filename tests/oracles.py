@@ -4,10 +4,19 @@ package's optimized code to."""
 from __future__ import annotations
 
 import json
+import math
 import reprlib
+from statistics import NormalDist
 
 import numpy as np
 
+from capsieve.causalsim import (
+    MIN_PER_GROUP,
+    BinIndependenceTest,
+    Samples,
+    SelectionRule,
+    _keep_mask,
+)
 from capsieve.corpus import _KINDS, _SURROGATE, Corpus, EmbeddingMatrix
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
@@ -121,3 +130,57 @@ def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[st
             for name in columns:
                 columns[name].append(row.get(name))
     return lines, columns
+
+
+def cond_indep_bin_test_naive(
+    samples: Samples,
+    rule: SelectionRule,
+    bin_width: float = 0.05,
+    alpha: float = 0.01,
+) -> BinIndependenceTest:
+    """Reference bin test: every t-bin from the first to the last, each
+    with its own boolean masks over all n samples."""
+    if not bin_width > 0:
+        raise ValidationError(f"bin_width must be > 0, got {bin_width}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    x, t = samples.x, samples.t
+    mask = _keep_mask(samples, rule)
+    # Anchor bins at the observed minimum rather than a multiple of the
+    # width: a grid-aligned edge can coincide with a threshold rule's
+    # cutoff, leaving no bin populated on both sides and the test vacuous.
+    first_edge = float(t.min())
+    n_bins = int(math.floor((t.max() - first_edge) / bin_width)) + 1
+    bin_of = np.minimum(
+        np.floor((t - first_edge) / bin_width).astype(np.int64), n_bins - 1
+    )
+
+    stats: list[float] = []
+    bins_tested = 0
+    for b in range(n_bins):
+        in_bin = bin_of == b
+        sel = in_bin & mask
+        uns = in_bin & ~mask
+        ns, nu = int(sel.sum()), int(uns.sum())
+        if ns < MIN_PER_GROUP or nu < MIN_PER_GROUP:
+            continue
+        bins_tested += 1
+        xs, xu = x[sel, 1:], x[uns, 1:]
+        se = np.sqrt(xs.var(axis=0, ddof=1) / ns + xu.var(axis=0, ddof=1) / nu)
+        z = np.abs(xs.mean(axis=0) - xu.mean(axis=0)) / se
+        stats.extend(float(v) for v in z)
+
+    if not stats:
+        return BinIndependenceTest(
+            max_stat=0.0, critical=math.inf, reject=False, n_bins_tested=0, n_comparisons=0
+        )
+    m = len(stats)
+    critical = NormalDist().inv_cdf(1.0 - alpha / (2.0 * m))
+    max_stat = max(stats)
+    return BinIndependenceTest(
+        max_stat=max_stat,
+        critical=critical,
+        reject=max_stat > critical,
+        n_bins_tested=bins_tested,
+        n_comparisons=m,
+    )

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsieve.causalsim import (
     GenConfig,
+    VALID_RULE_KINDS,
     SelectionRule,
     bottleneck_gap,
     class_means,
@@ -16,6 +19,8 @@ from capsieve.causalsim import (
     select,
 )
 from capsieve.errors import ValidationError
+
+from oracles import cond_indep_bin_test_naive
 
 
 def config(**kw):
@@ -82,6 +87,8 @@ def test_bin_test_parameter_validation():
     for kwargs in ({"bin_width": 0.0}, {"bin_width": math.nan}, {"alpha": 0.0}, {"alpha": 1.0}):
         with pytest.raises(ValidationError):
             cond_indep_bin_test(samples, rule, **kwargs)
+    with pytest.raises(ValidationError, match="too small"):  # t range / width overflows
+        cond_indep_bin_test(samples, rule, bin_width=5e-324)
 
 
 def test_generation_deterministic_bitwise():
@@ -233,3 +240,64 @@ def test_bottleneck_gap_requires_matching_rule_kinds():
         bottleneck_gap(samples, image_rule, image_rule)
     with pytest.raises(ValidationError):
         bottleneck_gap(samples, text_rule, text_rule)
+
+
+def _rule(kind: str, x_dim: int, with_text: bool) -> SelectionRule:
+    text_also = 0.2 if with_text else None
+    if kind == "text_threshold":
+        return SelectionRule(kind=kind, threshold=0.4)
+    if kind == "image_ball":
+        prototype = (1.0,) + (0.0,) * (x_dim - 1)
+        return SelectionRule(
+            kind=kind, radius=math.sqrt(x_dim), prototype=prototype, text_threshold_also=text_also
+        )
+    return SelectionRule(kind=kind, threshold=0.1, text_threshold_also=text_also)
+
+
+bin_test_cases = dict(
+    x_dim=st.integers(2, 5),
+    text_noise_sd=st.sampled_from([0.0, 0.25, 1.0]),
+    seed=st.integers(0, 2**16),
+    bin_width=st.sampled_from([0.01, 0.05, 0.5, 5.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **bin_test_cases,
+    # n on both sides of one 8192-sample generation block
+    n=st.one_of(st.integers(100, 8192), st.integers(8193, 20_000)),
+    kind=st.sampled_from(VALID_RULE_KINDS),
+    with_text=st.booleans(),
+)
+def test_bin_test_equals_the_per_bin_mask_oracle(
+    n, x_dim, text_noise_sd, seed, bin_width, kind, with_text
+):
+    samples = generate(config(x_dim=x_dim, text_noise_sd=text_noise_sd, seed=seed), n)
+    rule = _rule(kind, x_dim, with_text)
+    result = cond_indep_bin_test(samples, rule, bin_width)
+    expected = cond_indep_bin_test_naive(samples, rule, bin_width)
+    assert vars(result) == vars(expected)
+    assert result.max_stat == expected.max_stat
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    **bin_test_cases,
+    # large enough for both rules to keep MIN_SURVIVORS samples
+    n=st.one_of(st.integers(2000, 8192), st.integers(8193, 20_000)),
+    kind=st.sampled_from(["image_ball", "image_threshold"]),
+)
+def test_bottleneck_gap_bin_tests_equal_the_oracle(
+    n, x_dim, text_noise_sd, seed, bin_width, kind
+):
+    samples = generate(config(x_dim=x_dim, text_noise_sd=text_noise_sd, seed=seed), n)
+    text_rule = _rule("text_threshold", x_dim, False)
+    image_rule = _rule(kind, x_dim, False)
+    report = bottleneck_gap(samples, text_rule, image_rule, bin_width)
+    assert vars(report.bin_test_text) == vars(
+        cond_indep_bin_test_naive(samples, text_rule, bin_width)
+    )
+    assert vars(report.bin_test_image) == vars(
+        cond_indep_bin_test_naive(samples, image_rule, bin_width)
+    )

@@ -623,11 +623,13 @@ BALL = SIM_CONFIG["image_rule"]
         ("image_rule", {**BALL, "prototype": ["a", 0.0, 0.0, 0.0]}, 2),
         ("bin_width", "narrow", 2),
         ("bin_width", float("nan"), 3),
+        ("bin_width", 5e-324, 3),
         ("alpha", 0.0, 3),
         ("seed", -1, 3),
     ],
     ids=["proto-length-match", "n_classes-str", "image-rule-list", "radius-str", "threshold-str",
-         "proto-entry-str", "bin-width-str", "bin-width-nan", "alpha-zero", "seed-negative"],
+         "proto-entry-str", "bin-width-str", "bin-width-nan",
+         "bin-width-overflows", "alpha-zero", "seed-negative"],
 )
 def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, code):
     config_path = tmp_path / "sim.json"
@@ -642,6 +644,20 @@ def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, cod
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("bin_width", [1e-9, 1e-300])
+def test_simulate_with_a_tiny_bin_width_tests_no_bin(tmp_path, capsys, bin_width):
+    # every sample falls in a t-bin of its own: ~1e10 bins at 1e-9, and
+    # bin numbers past the int64 range at 1e-300
+    config_path = tmp_path / "sim.json"
+    config = {**SIM_CONFIG, "n": 2000, "bin_width": bin_width}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    run_ok(["simulate", "--config", config_path, "--out", tmp_path / "sim"])
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "sim" / "report.json")
+    assert report["bin_test_text"]["n_bins_tested"] == 0
+    assert report["bin_test_image"]["n_bins_tested"] == 0
 
 
 def test_variances_csv_holds_the_report_numbers(tmp_path):

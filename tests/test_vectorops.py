@@ -6,7 +6,14 @@ import pytest
 from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.errors import ValidationError
-from capsieve.vectorops import batch_cosine, cosine, cosine_blocks, pair_cosine, top_k
+from capsieve.vectorops import (
+    batch_cosine,
+    cosine,
+    cosine_blocks,
+    pair_cosine,
+    top_k,
+    triangle_blocks,
+)
 
 from oracles import argmax_class, nearest_neighbor
 
@@ -203,6 +210,22 @@ def test_block_kernel_equals_scalar_bitwise(rng, monkeypatch, d, block):
             for i in range(m.count):
                 assert row[i] == cosine(queries[start + q], m.rows[i])
     assert starts == list(range(0, 12, block or 12))
+
+
+@pytest.mark.parametrize("d", [7, 512, 20000])
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_triangle_blocks_are_the_upper_part_of_the_full_blocks(rng, monkeypatch, d, block):
+    rows = scaled_rows(rng, 12, d)
+    if block is not None:
+        monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * 12)
+    full = list(cosine_blocks(rows, matrix(rows, [f"r{i:02d}" for i in range(12)])))
+    triangle = list(triangle_blocks(rows))
+    assert [start for start, _ in triangle] == [start for start, _ in full]
+    for (start, scores), (_, full_scores) in zip(triangle, full):
+        assert scores.shape == (len(full_scores), 12 - start)
+        assert scores.tobytes() == full_scores[:, start:].tobytes()
+    with pytest.raises(ValidationError, match="zero"):
+        list(triangle_blocks(np.vstack([rows[:3], np.zeros((1, d))])))
 
 
 @pytest.mark.parametrize("d", [9, 20000])
