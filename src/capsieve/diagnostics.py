@@ -11,9 +11,12 @@ Datasets are compared per class by the difference of mean intra-class
 similarity, with uncertainty from a bootstrap that resamples *images*
 (B = 1000, percentile interval) through the same estimator: pairwise
 similarities within a class share images and are not independent, so a
-normal interval over pairs would be anticonservative. Classes with fewer
-than two images carry no pairwise information; they are skipped and
-logged, never silently dropped.
+normal interval over pairs would be anticonservative. A replicate is the
+count of draws of each image, and its vector sum one `einsum` over those
+counts, which adds the images in index order like a sequential loop. Each
+class's random stream is keyed by its wnid, so its interval depends only on
+its own images, the seed and B. Classes with fewer than two images carry no
+pairwise information; they are skipped and logged, never silently dropped.
 
 Also here: the proportion of wrong classes outscoring the intended one for
 a caption (strict inequality; exact score ties do not count against the
@@ -29,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix
+from .corpus import WNID_RE, EmbeddingMatrix
 from .curator import Candidates, DatasetManifest
 from .errors import MissingKeyError, ValidationError
 from .evalmetrics import ClassStat
@@ -135,31 +138,44 @@ def intra_class_sims(
         yield ClassImages(wnid=wnid, rows=_class_rows(image_embeddings, ids, "image"))
 
 
-def _pair_means(units: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Mean pairwise similarity of the images units[idx[r]], for each row r
-    of `idx` (n columns, n >= 2).
+def _pair_means(units: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean pairwise similarity of each row r of `counts`: the sample that
+    holds image i counts[r, i] times, n images in all (n >= 2).
 
     Uses sum-of-vectors algebra: for unit vectors u_1..u_n, the sum over
     pairs of u_i . u_j equals (|sum u|^2 - sum |u|^2) / 2.
 
-    Each row's vector sum starts from its first image and adds the others
-    one by one, in `idx` order: the order in which `units[idx].sum(axis=1)`
-    adds, so the means are bitwise the same without its rows x n x d array.
+    Each row's vector sum is one `einsum` over the counts, with no BLAS: it
+    adds counts[r, i] * units[i] for i = 0, 1, ... in turn, so a row's sum
+    is bitwise the same whether it is computed alone or in a batch, and a
+    row of ones gives the sequential sum of the class's vectors.
     """
-    n = idx.shape[1]
-    sums = units[idx[:, 0]]
-    for j in range(1, n):
-        sums += units[idx[:, j]]
+    n = units.shape[0]
+    sums = np.einsum("bi,id->bd", counts, units)
     norm_sq = np.einsum("ij,ij->i", units, units)
     total_sq = np.einsum("ij,ij->i", sums, sums)
-    self_sq = norm_sq[idx].sum(axis=1)
+    self_sq = (counts * norm_sq).sum(axis=1)
     return (total_sq - self_sq) / (n * (n - 1))
 
 
+def _pair_mean(units: np.ndarray) -> float:
+    """`_pair_means` of the class itself: every image drawn once."""
+    return float(_pair_means(units, np.ones((1, units.shape[0]), dtype=units.dtype))[0])
+
+
+def _draw_counts(n_boot: int, n: int, rng) -> np.ndarray:
+    """How often each of `n_boot` resamples of n images, with replacement,
+    drew each image: an (n_boot, n) integer array whose rows sum to n."""
+    idx = rng.integers(0, n, size=(n_boot, n))
+    idx += n * np.arange(n_boot)[:, np.newaxis]  # replicate r tallies into bins r*n .. r*n + n-1
+    return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n)
+
+
 def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
-    """`_pair_means` of `n_boot` resamples of the images, with replacement."""
-    n = units.shape[0]
-    return _pair_means(units, rng.integers(0, n, size=(n_boot, n)))
+    """`_pair_means` of `n_boot` resamples of the images. A count is at
+    most n, so it is exact in the units' float dtype; the draws themselves
+    are freed before the sums are formed."""
+    return _pair_means(units, _draw_counts(n_boot, units.shape[0], rng).astype(units.dtype))
 
 
 def mean_pair_similarity(images: ClassImages) -> float:
@@ -169,7 +185,15 @@ def mean_pair_similarity(images: ClassImages) -> float:
     n = images.n_images
     if n < 2:
         raise ValidationError(f"class {images.wnid} has {n} image(s); no pairs")
-    return float(_pair_means(_unit_rows(images.rows), np.arange(n)[np.newaxis])[0])
+    return _pair_mean(_unit_rows(images.rows))
+
+
+def _stream_key(wnid: str) -> int:
+    """The wnid's 8-digit number, which keys the class's bootstrap stream.
+    Raises ValidationError for a wnid not of the form n + 8 digits."""
+    if not WNID_RE.fullmatch(wnid):
+        raise ValidationError(f"wnid {wnid!r} is not 'n' followed by 8 digits")
+    return int(wnid[1:])
 
 
 def pair_similarity_blocks(images: ClassImages) -> Iterator[np.ndarray]:
@@ -229,14 +253,16 @@ def per_class_mean_diff_ci(
     Each side is read once, one class at a time, and must come in strictly
     increasing wnid order (as `intra_class_sims` yields it). Each side
     resamples its own images independently per replicate, through the
-    estimator of `mean_pair_similarity`. The interval is widened, if
-    necessary, to contain the point estimate. Output sorted ascending by
-    the difference.
+    estimator of `mean_pair_similarity`, from a stream keyed by the seed,
+    the wnid and the side, so a class's row does not depend on which other
+    classes are present. The interval is widened, if necessary, to contain
+    the point estimate. Output sorted ascending by the difference.
     """
     out = []
     shared = 0
-    for class_idx, (a, b) in enumerate(_shared_classes(setsA, setsB)):
+    for a, b in _shared_classes(setsA, setsB):
         shared += 1
+        key = _stream_key(a.wnid)
         if a.n_images < 2 or b.n_images < 2:
             log.warning(
                 "class %s skipped: needs >= 2 images on both sides (%d vs %d)",
@@ -245,9 +271,10 @@ def per_class_mean_diff_ci(
                 b.n_images,
             )
             continue
-        value = mean_pair_similarity(a) - mean_pair_similarity(b)
-        means_a = _bootstrap_pair_means(_unit_rows(a.rows), n_boot, stream(seed, class_idx, 0))
-        means_b = _bootstrap_pair_means(_unit_rows(b.rows), n_boot, stream(seed, class_idx, 1))
+        units_a, units_b = _unit_rows(a.rows), _unit_rows(b.rows)
+        value = _pair_mean(units_a) - _pair_mean(units_b)
+        means_a = _bootstrap_pair_means(units_a, n_boot, stream(seed, key, 0))
+        means_b = _bootstrap_pair_means(units_b, n_boot, stream(seed, key, 1))
         out.append(_percentile_stat(a.wnid, value, means_a - means_b, min(a.n_images, b.n_images)))
     if not shared:
         raise ValidationError("the two datasets share no classes")
@@ -255,20 +282,10 @@ def per_class_mean_diff_ci(
     return out
 
 
-def compare_datasets(
-    setsA: Iterable[ClassImages],
-    setsB: Iterable[ClassImages],
-    n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
-    seed: int = 0,
-) -> DatasetComparison:
-    """Proportion of shared classes where each dataset's intra-class
-    similarity is significantly lower (its diff interval clear of zero)."""
-    return compare_from_intervals(per_class_mean_diff_ci(setsA, setsB, n_boot=n_boot, seed=seed))
-
-
 def compare_from_intervals(diffs: list[ClassStat]) -> DatasetComparison:
-    """`compare_datasets` from the ClassStat list `per_class_mean_diff_ci`
-    returned, for a caller that already holds the intervals."""
+    """Proportion of the classes in `diffs`, the ClassStat list
+    `per_class_mean_diff_ci` returned, where each dataset's intra-class
+    similarity is significantly lower (its diff interval clear of zero)."""
     if not diffs:
         raise ValidationError("no shared classes with enough images to compare")
     a_lower = sum(1 for d in diffs if d.ci_high < 0.0)
@@ -401,19 +418,20 @@ def cross_modal_class_stats(
 ) -> list[ClassStat]:
     """Mean image-to-synset-text similarity per class with a 95% bootstrap
     interval over images. Low means suggest the class's object is absent or
-    hard to recognize in its images."""
+    hard to recognize in its images. Each class resamples from a stream
+    keyed by the seed and its wnid."""
     if image_embeddings.dim != synset_text_embeddings.dim:
         raise ValidationError(
             f"dimension mismatch: images {image_embeddings.dim} vs "
             f"synset texts {synset_text_embeddings.dim}"
         )
     out = []
-    for class_idx, (wnid, ids) in enumerate(_ids_by_class(manifest)):
+    for wnid, ids in _ids_by_class(manifest):
         synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
         images = _class_rows(image_embeddings, ids, "image")
         values = batch_cosine(synset_vec, EmbeddingMatrix(rows=images, ids=list(ids)))
         value = float(values.mean())
-        rng = stream(seed, class_idx)
+        rng = stream(seed, _stream_key(wnid))
         idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))
         out.append(_percentile_stat(wnid, value, values[idx].mean(axis=1), len(ids)))
     return out

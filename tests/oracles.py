@@ -82,6 +82,20 @@ def nearest_neighbor(query, matrix: EmbeddingMatrix) -> tuple[str, float]:
     return argmax_class(query, matrix, 1)[0]
 
 
+def pair_means_sequential(units: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Mean pairwise similarity of the images units[idx[r]], for each row r
+    of `idx`: each row's vector sum starts from its first image and adds
+    the others one by one, in `idx` order."""
+    n = idx.shape[1]
+    sums = units[idx[:, 0]]
+    for j in range(1, n):
+        sums += units[idx[:, j]]
+    norm_sq = np.einsum("ij,ij->i", units, units)
+    total_sq = np.einsum("ij,ij->i", sums, sums)
+    self_sq = norm_sq[idx].sum(axis=1)
+    return (total_sq - self_sq) / (n * (n - 1))
+
+
 def bootstrap_pair_means_gather(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
     """The bootstrap's mean pairwise similarities by gathering every
     resample at once: an n_boot x n x d array summed over its images."""
@@ -91,6 +105,26 @@ def bootstrap_pair_means_gather(units: np.ndarray, n_boot: int, rng) -> np.ndarr
     norm_sq = np.einsum("ij,ij->i", units, units)
     total_sq = np.einsum("ij,ij->i", sums, sums)
     self_sq = norm_sq[idx].sum(axis=1)
+    return (total_sq - self_sq) / (n * (n - 1))
+
+
+def bootstrap_pair_means_counts(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The bootstrap's mean pairwise similarities from per-image draw
+    counts, tallied one draw at a time: each replicate's vector sum adds
+    count_i * u_i for i = 0, 1, ... in turn, and its sum of squared norms
+    is one row sum of count_i * |u_i|^2."""
+    n = units.shape[0]
+    idx = rng.integers(0, n, size=(n_boot, n))
+    counts = np.zeros((n_boot, n), dtype=units.dtype)
+    for r in range(n_boot):
+        for i in idx[r]:
+            counts[r, i] += 1
+    sums = np.zeros((n_boot, units.shape[1]), dtype=units.dtype)
+    for i in range(n):
+        sums += counts[:, i : i + 1] * units[i]
+    norm_sq = np.einsum("ij,ij->i", units, units)
+    total_sq = np.einsum("ij,ij->i", sums, sums)
+    self_sq = np.array([np.sum(row * norm_sq) for row in counts], dtype=units.dtype)
     return (total_sq - self_sq) / (n * (n - 1))
 
 

@@ -248,7 +248,9 @@ def test_criterion_6_diagnostics_identities():
             class_set_from_vectors(f"n{j:08d}", rng.standard_normal((6, 5)).astype(np.float32))
             for j in range(1, 6)
         ]
-        comparison = diagnostics.compare_datasets(sets, sets, n_boot=300, seed=9)
+        comparison = diagnostics.compare_from_intervals(
+            diagnostics.per_class_mean_diff_ci(sets, sets, n_boot=300, seed=9)
+        )
         assert (comparison.prop_A_lower, comparison.prop_B_lower) == (0.0, 0.0)
 
         x = sorted(float(v) for v in rng.uniform(-5, 5, size=30))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capsieve import diagnostics, vectorops
 from capsieve.corpus import EmbeddingMatrix
@@ -12,7 +14,6 @@ from capsieve.curator import DatasetManifest
 from capsieve.diagnostics import (
     ClassImages,
     binned_false_class_means,
-    compare_datasets,
     compare_from_intervals,
     cross_modal_class_stats,
     false_class_proportion,
@@ -28,7 +29,12 @@ from capsieve.seeding import stream
 from capsieve.vectorops import cosine
 
 from conftest import candidate_rows, make_candidates, random_matrix, unit
-from oracles import bootstrap_pair_means_gather, nearest_neighbor
+from oracles import (
+    bootstrap_pair_means_counts,
+    bootstrap_pair_means_gather,
+    nearest_neighbor,
+    pair_means_sequential,
+)
 
 
 def manifest_of(pairs):
@@ -80,6 +86,27 @@ def test_mean_pair_similarity_matches_exact_pairs(rng):
         assert abs(mean_pair_similarity(s) - pair_sims(s).mean()) <= 1e-12
 
 
+# d on both sides of einsum's 8192-value buffer
+dims = st.one_of(st.integers(1, 64), st.integers(8180, 8200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    d=dims,
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, d=8180, dtype=np.float32, seed=1)  # where einsum('bi,i->b') sums differently
+def test_mean_pair_similarity_equals_sequential_sum_bitwise(n, d, dtype, seed):
+    # the counts form with every image drawn once adds the class's vectors
+    # in the same order as a plain loop over them
+    rows = np.random.default_rng(seed).standard_normal((n, d)).astype(dtype)
+    s = ClassImages(wnid="n00000001", rows=rows)
+    units = diagnostics._unit_rows(rows)
+    assert mean_pair_similarity(s) == pair_means_sequential(units, np.arange(n)[np.newaxis])[0]
+
+
 def test_intra_singleton_class_flagged():
     s = class_set_from_vectors("n00000001", [[1.0, 0.0]])
     assert s.n_images == 1
@@ -114,7 +141,7 @@ def test_intra_yields_classes_in_wnid_order_with_one_gather(rng):
     assert classes[2].rows.dtype == np.float32
 
 
-# -- per_class_mean_diff_ci / compare_datasets ----------------------------------
+# -- per_class_mean_diff_ci / compare_from_intervals -------------------------------
 
 
 def tight_cluster(rng, n, d):
@@ -186,9 +213,9 @@ def test_mean_diff_needs_classes_in_wnid_order(rng):
             per_class_mean_diff_ci(a, b, n_boot=10)
 
 
-def test_mean_diff_stream_keys_count_skipped_shared_classes(rng):
-    # class_idx counts the shared wnids, skipped ones included; a class on
-    # one side only takes no key
+def test_mean_diff_streams_keyed_by_wnid(rng):
+    # each side of a shared class draws from stream(seed, wnid number, side),
+    # whatever classes come before it, skipped or on one side only
     def images(wnid, n):
         return class_set_from_vectors(wnid, rng.standard_normal((n, 4)).astype(np.float32))
 
@@ -197,12 +224,69 @@ def test_mean_diff_stream_keys_count_skipped_shared_classes(rng):
     (d,) = per_class_mean_diff_ci(iter(a), iter(b), n_boot=50, seed=2)
     units_a, units_b = diagnostics._unit_rows(a[2].rows), diagnostics._unit_rows(b[1].rows)
     replicates = diagnostics._bootstrap_pair_means(
-        units_a, 50, stream(2, 1, 0)
-    ) - diagnostics._bootstrap_pair_means(units_b, 50, stream(2, 1, 1))
+        units_a, 50, stream(2, 3, 0)
+    ) - diagnostics._bootstrap_pair_means(units_b, 50, stream(2, 3, 1))
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     assert d.wnid == "n00000003"
     assert d.value == mean_pair_similarity(a[2]) - mean_pair_similarity(b[1])
     assert (d.ci_low, d.ci_high) == (min(lo, d.value), max(hi, d.value))
+
+
+def test_mean_diff_refuses_a_malformed_wnid(rng):
+    sets = [ClassImages(wnid="n0000001x", rows=rng.standard_normal((3, 4)).astype(np.float32))]
+    with pytest.raises(ValidationError, match="8 digits"):
+        per_class_mean_diff_ci(sets, sets, n_boot=10)
+
+
+def stat_bits(stat):
+    return (stat.wnid, stat.n, np.array([stat.value, stat.ci_low, stat.ci_high]).tobytes())
+
+
+def without(items, drop):
+    return [x for x in items if x != drop]
+
+
+class_cases = dict(
+    wnids=st.lists(st.integers(0, 99_999_999), min_size=2, max_size=5, unique=True).map(sorted),
+    picks=st.tuples(st.integers(0, 4), st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def pick_classes(wnids, picks):
+    """The wnid kept and the other wnid dropped, from two drawn positions."""
+    keep = picks[0] % len(wnids)
+    others = without(range(len(wnids)), keep)
+    return f"n{wnids[keep]:08d}", f"n{wnids[others[picks[1] % len(others)]]:08d}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(**class_cases)
+def test_mean_diff_row_does_not_depend_on_other_classes(wnids, picks, seed):
+    keep, drop = pick_classes(wnids, picks)
+    data = np.random.default_rng(seed)
+
+    def side():
+        # one image is allowed beside the kept class, so skipped classes occur
+        return {
+            f"n{w:08d}": data.standard_normal((int(data.integers(1, 7)), 3)).astype(np.float32)
+            for w in wnids
+        }
+
+    a, b = side(), side()
+    for rows in (a, b):
+        rows[keep] = data.standard_normal((int(data.integers(2, 7)), 3)).astype(np.float32)
+
+    def row_of(wnids_kept):
+        diffs = per_class_mean_diff_ci(
+            [ClassImages(w, a[w]) for w in wnids_kept],
+            [ClassImages(w, b[w]) for w in wnids_kept],
+            n_boot=30,
+            seed=seed,
+        )
+        return next(stat_bits(s) for s in diffs if s.wnid == keep)
+
+    assert row_of(sorted(a)) == row_of(without(sorted(a), drop))
 
 
 def test_mean_diff_no_shared_classes(rng):
@@ -217,7 +301,7 @@ def test_compare_identical_datasets(rng):
         class_set_from_vectors(f"n{j:08d}", rng.standard_normal((5, 6)).astype(np.float32))
         for j in range(1, 5)
     ]
-    comparison = compare_datasets(sets, sets, n_boot=200, seed=11)
+    comparison = compare_from_intervals(per_class_mean_diff_ci(sets, sets, n_boot=200, seed=11))
     assert comparison.prop_A_lower == 0.0
     assert comparison.prop_B_lower == 0.0
     assert comparison.n_shared == 4
@@ -234,7 +318,9 @@ def test_compare_constructed_proportion(rng):
             shared = rng.standard_normal((6, 8)).astype(np.float32)
             sets_a.append(class_set_from_vectors(wnid, shared))
             sets_b.append(class_set_from_vectors(wnid, shared.copy()))
-    comparison = compare_datasets(sets_a, sets_b, n_boot=400, seed=5)
+    comparison = compare_from_intervals(
+        per_class_mean_diff_ci(sets_a, sets_b, n_boot=400, seed=5)
+    )
     assert comparison.prop_A_lower == pytest.approx(0.7)
     assert comparison.prop_B_lower == 0.0
     assert comparison.prop_A_lower + comparison.prop_B_lower <= 1.0
@@ -250,12 +336,44 @@ def unit_rows(rows, dtype=np.float64):
     "n, d, n_boot", [(2, 3, 300), (5, 1, 300), (24, 512, 300), (13, 700, 300), (4, 40000, 9)]
 )
 def test_streamed_bootstrap_equals_gather_bitwise(rng, n, d, n_boot, dtype):
-    # at d = 40000, 9 replicates keep the gather oracle's array under 30 MiB
+    # bitwise the sequential counts oracle; the gather oracle, which adds the
+    # draws in draw order rather than image order, agrees to rounding
     units = unit_rows(rng.standard_normal((n, d)), dtype)
     for seed in (0, 7):
         streamed = diagnostics._bootstrap_pair_means(units, n_boot, stream(seed))
-        gathered = bootstrap_pair_means_gather(units, n_boot, stream(seed))
-        assert np.array_equal(streamed, gathered)
+        counted = bootstrap_pair_means_counts(units, n_boot, stream(seed))
+        assert np.array_equal(streamed, counted)
+        if dtype == np.float64:
+            gathered = bootstrap_pair_means_gather(units, n_boot, stream(seed))
+            np.testing.assert_allclose(streamed, gathered, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # d either side of einsum's 8192-value buffer, or n either side of it
+    shape=st.one_of(
+        st.tuples(st.integers(2, 40), dims), st.tuples(st.integers(8180, 8200), st.integers(1, 64))
+    ),
+    n_boot=st.integers(1, 12),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_bootstrap_equals_sequential_oracle(shape, n_boot, dtype, seed):
+    n, d = shape
+    units = unit_rows(np.random.default_rng(seed).standard_normal((n, d)), dtype)
+    streamed = diagnostics._bootstrap_pair_means(units, n_boot, stream(seed))
+    assert np.array_equal(streamed, bootstrap_pair_means_counts(units, n_boot, stream(seed)))
+
+
+def test_one_replicate_alone_equals_it_in_the_batch(rng):
+    # up to einsum's 8192-value buffer: past it, a lone row's |sum u|^2 is
+    # added up in buffer pieces, as the point estimate always has been
+    for n, d, n_boot in [(24, 512, 200), (7, 8192, 20), (3000, 3, 10)]:
+        units = unit_rows(rng.standard_normal((n, d)))
+        counts = rng.integers(0, 4, size=(n_boot, n)).astype(np.float64)
+        batch = diagnostics._pair_means(units, counts)
+        alone = [diagnostics._pair_means(units, counts[r : r + 1])[0] for r in range(n_boot)]
+        assert np.array_equal(batch, alone)
 
 
 def test_mean_diff_ci_memory_is_bounded(rng):
@@ -298,13 +416,16 @@ def test_mean_diff_ci_memory_does_not_grow_with_classes(rng):
     assert many <= 1.5 * few, f"peak {few / 2**20:.2f} MiB at 5 classes, {many / 2**20:.2f} at 50"
 
 
-def test_compare_from_intervals_equals_compare_from_sets(rng):
+def test_compare_from_intervals_counts_intervals_clear_of_zero(rng):
     sets_a, sets_b = [], []
     for j in range(1, 7):
         sets_a.append(class_set_from_vectors(f"n{j:08d}", tight_cluster(rng, 5, 6)))
         sets_b.append(class_set_from_vectors(f"n{j:08d}", rng.standard_normal((6, 6))))
     diffs = per_class_mean_diff_ci(sets_a, sets_b, n_boot=200, seed=4)
-    assert compare_from_intervals(diffs) == compare_datasets(sets_a, sets_b, n_boot=200, seed=4)
+    comparison = compare_from_intervals(diffs)
+    assert comparison.n_shared == 6
+    assert comparison.prop_A_lower == sum(d.ci_high < 0.0 for d in diffs) / 6
+    assert comparison.prop_B_lower == sum(d.ci_low > 0.0 for d in diffs) / 6
     with pytest.raises(ValidationError, match="enough images"):
         compare_from_intervals([])
 
@@ -530,6 +651,31 @@ def test_cross_modal_dim_mismatch(rng):
     images = random_matrix(rng, ["i0"], 4)
     with pytest.raises(ValidationError, match="mismatch"):
         cross_modal_class_stats(manifest_of([("i0", "n00000001")]), images, synsets)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**class_cases)
+def test_cross_modal_row_does_not_depend_on_other_classes(wnids, picks, seed):
+    keep, drop = pick_classes(wnids, picks)
+    data = np.random.default_rng(seed)
+    pairs = [(f"{w}-{i}", w) for w in (f"n{v:08d}" for v in wnids)
+             for i in range(int(data.integers(1, 7)))]
+    images = data.standard_normal((len(pairs), 3))
+    synsets = data.standard_normal((len(wnids), 3))
+
+    def row_of(dropped):
+        kept = [j for j, (_, w) in enumerate(pairs) if w != dropped]
+        kept_wnids = without([f"n{v:08d}" for v in wnids], dropped)
+        stats = cross_modal_class_stats(
+            manifest_of([pairs[j] for j in kept]),
+            embeddings([pairs[j][0] for j in kept], images[kept]),
+            embeddings(kept_wnids, synsets[[f"n{v:08d}" in kept_wnids for v in wnids]]),
+            n_boot=30,
+            seed=seed,
+        )
+        return next(stat_bits(s) for s in stats if s.wnid == keep)
+
+    assert row_of(None) == row_of(drop)
 
 
 def test_cross_modal_ci_coverage_monte_carlo():
