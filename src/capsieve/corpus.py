@@ -47,6 +47,8 @@ from .errors import FormatError, ValidationError
 EMBEDDING_MAGIC = b"EMB1"
 _HEADER_SIZE = 4 + 4 + 8  # magic + u32 dim + u64 count
 _F32LE = np.dtype("<f4")
+# Values per block of the finiteness check: its boolean temporary stays 256 KiB.
+_CHECK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -382,9 +384,12 @@ class EmbeddingMatrix:
                 raise ValidationError(f"duplicate embedding id {rid!r}")
             index[rid] = pos
         self.index = index
-        if not np.isfinite(rows).all():
-            bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0][0])
-            raise ValidationError(f"non-finite values in row for id {self.ids[bad]!r}")
+        step = max(1, _CHECK_VALUES // max(rows.shape[1], 1))
+        for start in range(0, rows.shape[0], step):
+            finite = np.isfinite(rows[start : start + step]).all(axis=1)
+            if not finite.all():
+                bad = start + int(np.argmin(finite))
+                raise ValidationError(f"non-finite values in row for id {self.ids[bad]!r}")
         if rows.shape[0]:
             zero = ~rows.any(axis=1)
             if zero.any():
@@ -404,7 +409,11 @@ class EmbeddingMatrix:
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """Load the binary embedding format, validating header arithmetic."""
+    """Load the binary embedding format, validating header arithmetic.
+
+    The payload is read in place into the returned float32 rows, so a
+    loaded file costs one copy of its payload, plus its ids.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER_SIZE)
@@ -417,14 +426,15 @@ def load_embeddings(path) -> EmbeddingMatrix:
         if dim == 0:
             raise FormatError("header declares dim = 0", path=path)
         payload_size = count * dim * 4
+        truncated = f"payload truncated: expected {payload_size} bytes for {count}x{dim} float32"
         available = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
         if payload_size > available:
-            raise FormatError(
-                f"payload truncated: expected {payload_size} bytes for "
-                f"{count}x{dim} float32, got {max(available, 0)}",
-                path=path,
-            )
-        payload = fh.read(payload_size)
+            raise FormatError(f"{truncated}, got {max(available, 0)}", path=path)
+        rows = np.empty((count, dim), dtype=_F32LE)
+        # a flat view: memoryview refuses to cast an array with a 0 in its shape
+        got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
+        if got != payload_size:
+            raise FormatError(f"{truncated}, got {got}", path=path)
         trailer = fh.read()
     ids: list[str] = []
     trailer_lines = trailer.decode("utf-8", "surrogateescape").split("\n")
@@ -436,7 +446,6 @@ def load_embeddings(path) -> EmbeddingMatrix:
         raise FormatError(
             f"id trailer has {len(ids)} entries but header declares {count} rows", path=path
         )
-    rows = np.frombuffer(payload, dtype=_F32LE).astype(np.float32).reshape(count, dim)
     return EmbeddingMatrix(rows=rows, ids=ids)
 
 

@@ -338,7 +338,7 @@ def binned_false_class_means(
     for a, b in zip(bin_edges, bin_edges[1:]):
         if not b > a:
             raise ValidationError(f"bin edges not strictly increasing at {a} -> {b}")
-    texts = np.asarray(texts, dtype=np.float64)
+    texts = np.asarray(texts)
     if texts.ndim != 2 or texts.shape[0] != len(intended):
         raise ValidationError(
             f"{texts.shape[0] if texts.ndim == 2 else '?'} texts for {len(intended)} intended wnids"

@@ -6,13 +6,15 @@ score never depends on which other rows or queries share a call, so
 sharded or blocked scans are bitwise identical to serial ones. Two kernels
 carry the contract:
 
-- `cosine_blocks`, many queries against every row of a matrix. It converts
-  the matrix to float64 and computes its row norms once per call, then
-  scores consecutive query blocks with einsum("ij,kj->ki"); no block holds
-  more than max(1, 2**18 // rows) queries. `batch_cosine` is its one-query
-  case and `top_k` ranks its blocks. `triangle_blocks` scores a matrix
-  against itself in the same blocks, each block only against the rows
-  from its own start on, so no pair is scored twice.
+- `cosine_blocks`, many queries against every row of a matrix. It scores
+  consecutive query blocks with einsum("ij,kj->ki"); no block holds more
+  than max(1, 2**18 // rows) queries. The matrix is read in row chunks of
+  max(1, 2**18 // dim) rows, each converted to float64 as it is used (at
+  most 2 MiB, so it stays in cache across a query block): no float64 copy
+  of the whole matrix is made. `batch_cosine` is its one-query case and
+  `top_k` ranks its blocks. `triangle_blocks` scores a matrix against
+  itself in the same query blocks, each block only against the rows from
+  its own start on, so no pair is scored twice.
 - `pair_cosine`, row i of one array against row i of another, with
   einsum("ij,ij->i") over the gathered pairs. `cosine` is its one-pair case.
 
@@ -35,7 +37,8 @@ import numpy as np
 from .corpus import EmbeddingMatrix
 from .errors import MissingKeyError, ValidationError
 
-# Scores in one query block of `cosine_blocks`: 2 MiB of float64.
+# Scores in one query block of `cosine_blocks`, and values in one of its
+# float64 row chunks: 2 MiB of float64 each.
 _BLOCK_SCORES = 1 << 18
 
 
@@ -95,12 +98,18 @@ def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.nd
     """Yield (start, scores) for consecutive blocks of `queries`, one query
     vector per entry: scores[q, i] is the cosine of query start + q with
     matrix row i, bitwise equal to cosine(queries[start + q], matrix.rows[i]).
+    Each block's scores are filled one float64 row chunk at a time, so the
+    call holds one block, one chunk and the row norms, never a float64
+    copy of the matrix.
 
     Raises ValidationError when a query's dimension differs from the
     matrix's or a query is all zero.
     """
-    rows = _f64(matrix.rows)
-    norms = _row_norms(rows)
+    width = _block_step(matrix.dim)
+    chunks = [slice(lo, lo + width) for lo in range(0, matrix.count, width)]
+    norms = np.empty(matrix.count)
+    for chunk in chunks:
+        norms[chunk] = _row_norms(_f64(matrix.rows[chunk]))
     step = _block_step(matrix.count)
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
@@ -113,7 +122,11 @@ def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.nd
         qn = _row_norms(q)
         if not qn.all():
             raise ValidationError("cosine undefined for all-zero query")
-        yield start, _contract("ij,kj->ki", rows, q) / (norms * qn[:, np.newaxis])
+        scores = np.empty((len(q), matrix.count))
+        for chunk in chunks:
+            scores[:, chunk] = _contract("ij,kj->ki", _f64(matrix.rows[chunk]), q)
+        scores /= norms * qn[:, np.newaxis]
+        yield start, scores
 
 
 def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:

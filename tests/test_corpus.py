@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import json
-
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +174,41 @@ def test_every_id_resolves(rng):
     for i, rid in enumerate(ids):
         row = require_embedding(m, rid, "test")
         assert row is m.rows[i] or (row == m.rows[i]).all()
+
+
+def test_zero_row_file_loads(tmp_path):
+    path = tmp_path / "empty.emb"
+    write_embeddings(EmbeddingMatrix(rows=np.empty((0, 5), dtype=np.float32), ids=[]), path)
+    loaded = load_embeddings(path)
+    assert loaded.rows.shape == (0, 5) and loaded.ids == []
+
+
+def test_non_finite_error_names_first_bad_row_across_blocks():
+    # at d = 1024 the finiteness check reads 256 rows per block
+    rows = np.ones((600, 1024), dtype=np.float32)
+    rows[520, 0] = np.nan
+    rows[300, 7] = np.inf
+    with pytest.raises(ValidationError, match="non-finite values in row for id 'r300'"):
+        matrix(rows, [f"r{i}" for i in range(600)])
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path, rng):
+    # a bytes copy of the payload, or a whole-matrix np.isfinite mask (2 MiB
+    # here), would each push the peak past the bound
+    count, dim = 2000, 1024
+    path = tmp_path / "big.emb"
+    rows = rng.standard_normal((count, dim)).astype(np.float32)
+    write_embeddings(matrix(rows, [f"r{i}" for i in range(count)]), path)
+    del rows
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = count * dim * 4
+    assert loaded.count == count
+    assert peak < payload + 2**20, f"peak {(peak - payload) / 2**20:.2f} MiB above the payload"
 
 
 def test_header_count_beyond_file_is_truncation(tmp_path):

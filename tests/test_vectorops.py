@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
@@ -210,6 +215,47 @@ def test_block_kernel_equals_scalar_bitwise(rng, monkeypatch, d, block):
             for i in range(m.count):
                 assert row[i] == cosine(queries[start + q], m.rows[i])
     assert starts == list(range(0, 12, block or 12))
+
+
+# The matrix is read in row chunks of `width` rows: counts on either side of
+# a chunk boundary, d on either side of einsum's 8192-value buffer.
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    d=st.sampled_from([5, 8191, 8192, 8193]),
+    width=st.integers(1, 4),
+    chunks=st.integers(0, 3),
+    extra=st.integers(-1, 1),
+    n_queries=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=8193, width=3, chunks=2, extra=1, n_queries=1, seed=0)  # last chunk: 1 row, 1 query
+@example(d=8193, width=1, chunks=1, extra=0, n_queries=1, seed=0)  # one row, one query
+def test_row_chunks_equal_scalar_bitwise(d, width, chunks, extra, n_queries, seed):
+    rng = np.random.default_rng(seed)
+    count = max(1, width * chunks + extra)
+    m = matrix(scaled_rows(rng, count, d), [f"r{i}" for i in range(count)])
+    queries = scaled_rows(rng, n_queries, d)
+    with mock.patch.object(vectorops, "_BLOCK_SCORES", width * d):
+        blocks = list(cosine_blocks(queries, m))
+    scores = np.concatenate([block for _, block in blocks])
+    assert scores.shape == (n_queries, count)
+    for q in range(n_queries):
+        for i in range(count):
+            assert scores[q, i] == cosine(queries[q], m.rows[i])
+
+
+def test_scan_holds_no_float64_copy_of_the_matrix(rng):
+    rows = rng.standard_normal((4000, 512)).astype(np.float32)
+    m = matrix(rows, [f"r{i}" for i in range(4000)])
+    queries = rng.standard_normal((4, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        for _ in cosine_blocks(queries, m):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("d", [7, 512, 20000])
