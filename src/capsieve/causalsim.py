@@ -213,13 +213,6 @@ class BinIndependenceTest:
     n_comparisons: int
 
 
-def _check_bin_params(bin_width: float, alpha: float) -> None:
-    if not bin_width > 0:
-        raise ValidationError(f"bin_width must be > 0, got {bin_width}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def _t_bins(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """The samples grouped by t-bin: `order` lists the sample indices by bin,
     ascending within each bin, and bin k holds order[bounds[k]:bounds[k + 1]].
@@ -273,17 +266,6 @@ def _bin_test(
         n_bins_tested=len(tested),
         n_comparisons=m,
     )
-
-
-def cond_indep_bin_test(
-    samples: Samples,
-    rule: SelectionRule,
-    bin_width: float = 0.05,
-    alpha: float = 0.01,
-) -> BinIndependenceTest:
-    _check_bin_params(bin_width, alpha)
-    mask = _keep_mask(samples, rule)
-    return _bin_test(samples.x, mask, _t_bins(samples.t, bin_width), alpha)
 
 
 def _per_class_dim_variance(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -348,7 +330,10 @@ def bottleneck_gap(
         kept = int(mask.sum())
         if kept < MIN_SURVIVORS:
             raise ValidationError(f"{name} rule kept {kept} samples; need >= {MIN_SURVIVORS}")
-    _check_bin_params(bin_width, alpha)
+    if not bin_width > 0:
+        raise ValidationError(f"bin_width must be > 0, got {bin_width}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     bins = _t_bins(samples.t, bin_width)
     test_text = _bin_test(samples.x, text_mask, bins, alpha)
     test_image = _bin_test(samples.x, image_mask, bins, alpha)

@@ -11,7 +11,8 @@ Exit codes, by the class of the bad input:
 
     0  ok
     2  a flag or config value: a config key that names none of the
-       subcommand's options, a missing option, a value of the wrong type
+       subcommand's options, an option of another diagnose analysis (as
+       a flag or a config key), a missing option, a value of the wrong type
        or out of range, or a number list that is not strictly increasing
        (checked before any input is read), an input path
        that is not an existing file, or an --out that cannot be made a
@@ -141,6 +142,22 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):  # numpy float64 too, which is a float
+        return float.__repr__(value)
+    return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """`header`, then one line per row: an empty cell for None, `repr` for
+    a float, `str` for anything else. LF line ends, UTF-8."""
+    lines = [header + "\n"]
+    lines.extend(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    path.write_text("".join(lines), encoding="utf-8", newline="\n")
+
+
 # Parser attributes that name no option.
 _NOT_CONFIG_KEYS = {"command", "func", "config", "analysis"}
 # simulate's options that only its config sets.
@@ -157,14 +174,22 @@ class _Stage:
 
     def __init__(self, args):
         self.args = args
+        analysis = getattr(args, "analysis", None)
+        self.command = " ".join(filter(None, [args.command, analysis]))
         self.config = _load_config_file(args.config)
         allowed = {key.replace("_", "-") for key in vars(args)} - _NOT_CONFIG_KEYS
         if args.command == "simulate":
             allowed |= _SIMULATE_KEYS
+        if analysis is not None:  # the parser holds every analysis's options
+            own = {"out", *_DIAGNOSE[analysis][1]}
+            given = sorted(o for o in allowed - own if vars(args)[o.replace("-", "_")] is not None)
+            if given:
+                raise ConfigError(f"{self.command} takes no {', '.join('--' + o for o in given)}")
+            allowed = own
         unknown = sorted(set(self.config) - allowed)
         if unknown:
             raise ConfigError(
-                f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}"
+                f"unknown config key(s) for {self.command}: {', '.join(map(repr, unknown))}"
             )
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
@@ -203,10 +228,9 @@ class _Stage:
         return path
 
     def write_provenance(self, params: dict) -> None:
-        command = " ".join(filter(None, [self.args.command, getattr(self.args, "analysis", None)]))
         payload = {
             "artifact_version": __version__,
-            "command": command,
+            "command": self.command,
             "config_digest": config_digest(params),
             "inputs": {name: file_digest(p) for name, p in sorted(self.inputs.items())},
             "outputs": {p.name: file_digest(p) for p in sorted(self.outputs)},
@@ -277,7 +301,8 @@ def _cmd_sweep(stage: _Stage) -> dict:
     thresholds = stage.get("thresholds", _parse_thresholds, required=True)
 
     points = curator.threshold_sweep(curator.load_candidates(candidates_path), thresholds)
-    curator.write_sweep_csv(points, stage.output("sweep.csv"))
+    rows = ((p.threshold, p.n_classes, p.n_instances) for p in points)
+    _write_csv(stage.output("sweep.csv"), "threshold,n_classes,n_instances", rows)
     return {"command": "sweep", "thresholds": thresholds}
 
 
@@ -314,6 +339,11 @@ def _cmd_assemble(stage: _Stage) -> dict:
     }
 
 
+def _write_class_stats(path: Path, stats: list[evalmetrics.ClassStat]) -> None:
+    rows = ((s.wnid, s.value, s.ci_low, s.ci_high, s.n) for s in stats)
+    _write_csv(path, "wnid,value,ci_low,ci_high,n", rows)
+
+
 def _cmd_eval(stage: _Stage) -> dict:
     manifest_path = stage.input("manifest")
     predictions_path = stage.input("predictions")
@@ -332,7 +362,7 @@ def _cmd_eval(stage: _Stage) -> dict:
     summary: dict[str, dict] = {}
     for k in ks:
         stats = evalmetrics.per_class_recall(manifest, predictions, k)
-        evalmetrics.write_class_stats_csv(stats, stage.output(f"recall_k{k}.csv"))
+        _write_class_stats(stage.output(f"recall_k{k}.csv"), stats)
         summary[str(k)] = {
             "equally_weighted": evalmetrics.equally_weighted_accuracy(stats),
             "weighted": evalmetrics.weighted_accuracy(stats, weights),
@@ -349,23 +379,19 @@ def _diagnose_intra(stage: _Stage, seed: int, n_boot: int) -> dict:
     classes = diagnostics.intra_class_sims(
         curator.load_manifest(manifest_path), load_embeddings(emb_path)
     )
-    lines = ["wnid,n_images,n_pairs,mean_sim\n"]
+    rows = []
     counts = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
     for c in classes:
-        mean = repr(diagnostics.mean_pair_similarity(c)) if c.n_pairs else ""
-        lines.append(f"{c.wnid},{c.n_images},{c.n_pairs},{mean}\n")
+        mean = diagnostics.mean_pair_similarity(c) if c.n_pairs else None
+        rows.append((c.wnid, c.n_images, c.n_pairs, mean))
         if counts is not None:
             for sims in diagnostics.pair_similarity_blocks(c):
                 counts += np.histogram(sims, bins=edges)[0]
     # written only once every class is read: a missing embedding leaves no partial CSV
-    csv_path = stage.output("intra_class_sims.csv")
-    csv_path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_csv(stage.output("intra_class_sims.csv"), "wnid,n_images,n_pairs,mean_sim", rows)
     if counts is None:
         return {}
-    with stage.output("intra_hist.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lo,hi,count\n")
-        for i, count in enumerate(counts):
-            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(count)}\n")
+    _write_csv(stage.output("intra_hist.csv"), "lo,hi,count", zip(edges, edges[1:], counts))
     return {"hist_edges": edges}
 
 
@@ -378,10 +404,8 @@ def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
     classes_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
     diffs = diagnostics.per_class_mean_diff_ci(classes_a, classes_b, n_boot=n_boot, seed=seed)
     comparison = diagnostics.compare_from_intervals(diffs)
-    with stage.output("intra_class_diff.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("wnid,value,ci_low,ci_high\n")
-        for d in diffs:
-            fh.write(f"{d.wnid},{d.value!r},{d.ci_low!r},{d.ci_high!r}\n")
+    rows = ((d.wnid, d.value, d.ci_low, d.ci_high) for d in diffs)
+    _write_csv(stage.output("intra_class_diff.csv"), "wnid,value,ci_low,ci_high", rows)
     _write_json(
         stage.output("comparison.json"),
         {
@@ -405,11 +429,9 @@ def _diagnose_false_class(stage: _Stage, seed: int, n_boot: int) -> dict:
     vectors = np.stack(rows) if rows else np.empty((0, texts_matrix.dim))
     intended = [wnid for _, wnid in pairs]
     bins = diagnostics.binned_false_class_means(vectors, intended, synsets, edges)
-    with stage.output("false_class_bins.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lo,hi,count,mean_false_class_proportion\n")
-        for b in bins:
-            mean = repr(b.mean) if b.mean is not None else ""
-            fh.write(f"{b.lo!r},{b.hi!r},{b.count},{mean}\n")
+    rows = ((b.lo, b.hi, b.count, b.mean) for b in bins)
+    header = "lo,hi,count,mean_false_class_proportion"
+    _write_csv(stage.output("false_class_bins.csv"), header, rows)
     return {"bin_edges": edges}
 
 
@@ -445,7 +467,7 @@ def _diagnose_cross_modal(stage: _Stage, seed: int, n_boot: int) -> dict:
         n_boot=n_boot,
         seed=seed,
     )
-    evalmetrics.write_class_stats_csv(stats, stage.output("cross_modal.csv"))
+    _write_class_stats(stage.output("cross_modal.csv"), stats)
     return {}
 
 
@@ -484,17 +506,29 @@ def _diagnose_correlate(stage: _Stage, seed: int, n_boot: int) -> dict:
     return {"x_col": x_col, "y_col": y_col}
 
 
+# Each analysis: its function and the options it reads. --seed and --boot
+# belong to the two that draw a bootstrap.
 _DIAGNOSE = {
-    "intra": _diagnose_intra,
-    "compare": _diagnose_compare,
-    "false-class": _diagnose_false_class,
-    "nearest-text": _diagnose_nearest_text,
-    "cross-modal": _diagnose_cross_modal,
-    "correlate": _diagnose_correlate,
+    "intra": (_diagnose_intra, ("manifest", "image-embeddings", "hist-edges")),
+    "compare": (
+        _diagnose_compare,
+        ("seed", "boot", "manifest-a", "manifest-b", "image-embeddings-a", "image-embeddings-b"),
+    ),
+    "false-class": (
+        _diagnose_false_class, ("text-embeddings", "pairs", "synset-embeddings", "bin-edges")
+    ),
+    "nearest-text": (
+        _diagnose_nearest_text, ("query-embeddings", "query-labels", "corpus-embeddings", "min-sim")
+    ),
+    "cross-modal": (
+        _diagnose_cross_modal, ("seed", "boot", "manifest", "image-embeddings", "synset-embeddings")
+    ),
+    "correlate": (_diagnose_correlate, ("csv", "x-col", "y-col")),
 }
 
 
 def _cmd_diagnose(stage: _Stage) -> dict:
+    # an analysis that takes no --seed or --boot digests their defaults
     params = {
         "command": "diagnose",
         "analysis": stage.args.analysis,
@@ -504,7 +538,8 @@ def _cmd_diagnose(stage: _Stage) -> dict:
     if params["boot"] < 1 or params["seed"] < 0:
         raise ConfigError(f"--boot must be >= 1 and --seed >= 0, got {params['boot']} and "
                           f"{params['seed']}")
-    params.update(_DIAGNOSE[stage.args.analysis](stage, params["seed"], params["boot"]))
+    analyse = _DIAGNOSE[stage.args.analysis][0]
+    params.update(analyse(stage, params["seed"], params["boot"]))
     return params
 
 
@@ -566,11 +601,9 @@ def _cmd_simulate(stage: _Stage) -> dict:
     report = causalsim.bottleneck_gap(samples, text_rule, image_rule, bin_width, alpha)
 
     _write_json(stage.output("report.json"), report.as_dict())
-    with stage.output("variances.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dim,baseline,text_rule,image_rule\n")
-        columns = (report.baseline_var, report.per_dim_var_text, report.per_dim_var_image)
-        for d, row in enumerate(zip(*(c.tolist() for c in columns))):
-            fh.write(f"{d},{row[0]!r},{row[1]!r},{row[2]!r}\n")
+    columns = (report.baseline_var, report.per_dim_var_text, report.per_dim_var_image)
+    _write_csv(stage.output("variances.csv"), "dim,baseline,text_rule,image_rule",
+               zip(range(gen.x_dim), *columns))
     return {
         "command": "simulate",
         "n": n,
@@ -602,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--caption-embeddings")
     p.add_argument("--synset-embeddings")
-    p.add_argument("--max-lemmas", type=int)
+    p.add_argument("--max-lemmas")
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("sweep", help="candidate coverage per similarity threshold")
@@ -615,11 +648,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--candidates")
     p.add_argument("--corpus")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold")
     p.add_argument("--drop-multi-label", action="store_const", const=True)
     p.add_argument("--drop-nsfw", action="store_const", const=True)
     p.add_argument("--drop-text-in-image", action="store_const", const=True)
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k")
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("eval", help="score ranked predictions against a manifest")
@@ -631,37 +664,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("diagnose", help="statistical analyses over curated datasets")
-    p.add_argument(
-        "analysis",
-        choices=["intra", "compare", "false-class", "nearest-text", "cross-modal", "correlate"],
-    )
+    p.add_argument("analysis", choices=list(_DIAGNOSE))
     common(p)
-    p.add_argument("--seed", type=int, help="root random seed")
-    p.add_argument("--boot", type=int, help="bootstrap replicates")
-    p.add_argument("--manifest")
-    p.add_argument("--manifest-a")
-    p.add_argument("--manifest-b")
-    p.add_argument("--image-embeddings")
-    p.add_argument("--image-embeddings-a")
-    p.add_argument("--image-embeddings-b")
-    p.add_argument("--synset-embeddings")
-    p.add_argument("--text-embeddings")
-    p.add_argument("--query-embeddings")
-    p.add_argument("--query-labels")
-    p.add_argument("--corpus-embeddings")
-    p.add_argument("--pairs")
-    p.add_argument("--bin-edges")
-    p.add_argument("--hist-edges")
-    p.add_argument("--min-sim", type=float)
-    p.add_argument("--csv")
-    p.add_argument("--x-col")
-    p.add_argument("--y-col")
+    # every analysis's options; _Stage refuses those of another analysis
+    for option in dict.fromkeys(o for _, options in _DIAGNOSE.values() for o in options):
+        p.add_argument(f"--{option}")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="run the selection-bias simulator")
     common(p)
-    p.add_argument("--seed", type=int, help="root random seed")
-    p.add_argument("--n", type=int, help="number of samples")
+    p.add_argument("--seed", help="root random seed")
+    p.add_argument("--n", help="number of samples")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -341,10 +341,3 @@ def load_manifest(rows_path) -> DatasetManifest:
     threshold = float(rows.scores.min()) if len(rows) else -1.0
     return DatasetManifest(rows=rows, threshold=threshold)
 
-
-def write_sweep_csv(points: list[SweepPoint], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,n_classes,n_instances\n")
-        for p in points:
-            fh.write(f"{p.threshold!r},{p.n_classes},{p.n_instances}\n")

@@ -192,10 +192,3 @@ def write_predictions(predictions: Mapping[str, Sequence[str]], path) -> None:
             fh.write(json.dumps({"id": instance_id, "ranked": list(ranked)}))
             fh.write("\n")
 
-
-def write_class_stats_csv(stats: list[ClassStat], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("wnid,value,ci_low,ci_high,n\n")
-        for s in stats:
-            fh.write(f"{s.wnid},{s.value!r},{s.ci_low!r},{s.ci_high!r},{s.n}\n")

@@ -11,9 +11,11 @@ from capsieve.causalsim import (
     GenConfig,
     VALID_RULE_KINDS,
     SelectionRule,
+    _bin_test,
+    _keep_mask,
+    _t_bins,
     bottleneck_gap,
     class_means,
-    cond_indep_bin_test,
     generate,
     matched_ball_radius,
     select,
@@ -81,14 +83,23 @@ def test_prototype_must_match_x_dim():
         matched_ball_radius(samples, short, 0.5)
 
 
+def bin_test(samples, rule, bin_width=0.05, alpha=0.01):
+    """The bin test of `rule` as `bottleneck_gap` runs it."""
+    return _bin_test(samples.x, _keep_mask(samples, rule), _t_bins(samples.t, bin_width), alpha)
+
+
 def test_bin_test_parameter_validation():
     samples = generate(config(), 1000)
-    rule = SelectionRule(kind="text_threshold", threshold=0.0)
-    for kwargs in ({"bin_width": 0.0}, {"bin_width": math.nan}, {"alpha": 0.0}, {"alpha": 1.0}):
-        with pytest.raises(ValidationError):
-            cond_indep_bin_test(samples, rule, **kwargs)
-    with pytest.raises(ValidationError, match="too small"):  # t range / width overflows
-        cond_indep_bin_test(samples, rule, bin_width=5e-324)
+    text_rule = SelectionRule(kind="text_threshold", threshold=0.0)
+    image_rule = SelectionRule(kind="image_threshold", threshold=0.0)
+    # both rules keep MIN_SURVIVORS samples, so the bin parameters are checked
+    bottleneck_gap(samples, text_rule, image_rule)
+    cases = [({"bin_width": 0.0}, "bin_width"), ({"bin_width": math.nan}, "bin_width"),
+             ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
+             ({"bin_width": 5e-324}, "too small")]  # t range / width overflows
+    for kwargs, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            bottleneck_gap(samples, text_rule, image_rule, **kwargs)
 
 
 def test_generation_deterministic_bitwise():
@@ -219,7 +230,7 @@ def test_bin_test_vacuous_when_groups_never_share_a_bin():
     samples = generate(cfg, 5000)
     rule = SelectionRule(kind="text_threshold", threshold=float(samples.t.min()))
     # threshold at the minimum: everything selected, no unselected group
-    result = cond_indep_bin_test(samples, rule)
+    result = bin_test(samples, rule)
     assert result.n_comparisons == 0
     assert result.reject is False
 
@@ -275,7 +286,7 @@ def test_bin_test_equals_the_per_bin_mask_oracle(
 ):
     samples = generate(config(x_dim=x_dim, text_noise_sd=text_noise_sd, seed=seed), n)
     rule = _rule(kind, x_dim, with_text)
-    result = cond_indep_bin_test(samples, rule, bin_width)
+    result = bin_test(samples, rule, bin_width)
     expected = cond_indep_bin_test_naive(samples, rule, bin_width)
     assert vars(result) == vars(expected)
     assert result.max_stat == expected.max_stat

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsieve.cli import run
+from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC
 
 
@@ -111,6 +111,60 @@ def test_pipeline_byte_identical_across_runs_and_workers(pipeline_fixture, tmp_p
     trees_first = {k: tree_bytes(d) for k, d in first.items()}
     trees_second = {k: tree_bytes(d) for k, d in second.items()}
     assert trees_first == trees_second
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c,d,e", [(None, 5, "n00000001", 0.1 + 0.2, np.float64(0.1))])
+    assert path.read_bytes() == b"a,b,c,d,e\n,5,n00000001,0.30000000000000004,0.1\n"
+
+
+# The header of each CSV output, as README's file formats list them.
+CSV_HEADERS = {
+    "sweep.csv": "threshold,n_classes,n_instances",
+    "recall_k1.csv": "wnid,value,ci_low,ci_high,n",
+    "recall_k5.csv": "wnid,value,ci_low,ci_high,n",
+    "cross_modal.csv": "wnid,value,ci_low,ci_high,n",
+    "intra_class_sims.csv": "wnid,n_images,n_pairs,mean_sim",
+    "intra_hist.csv": "lo,hi,count",
+    "intra_class_diff.csv": "wnid,value,ci_low,ci_high",
+    "false_class_bins.csv": "lo,hi,count,mean_false_class_proportion",
+    "variances.csv": "dim,baseline,text_rule,image_rule",
+}
+INT_COLUMNS = {"n_classes", "n_instances", "n", "n_images", "n_pairs", "count", "dim"}
+
+
+def test_csv_outputs_hold_their_documented_headers_and_repr_floats(pipeline_fixture, tmp_path):
+    fx = pipeline_fixture
+    dirs = run_pipeline(fx, tmp_path, boot=10)
+    run_ok(["diagnose", "intra", "--manifest", dirs["assemble"] / "manifest.jsonl",
+            "--image-embeddings", fx["image_embeddings"], "--hist-edges=-1:1:0.25",
+            "--out", tmp_path / "hist"])
+    run_ok(["diagnose", "false-class", "--text-embeddings", fx["caption_embeddings"],
+            "--pairs", dirs["match"] / "candidates.jsonl",
+            "--synset-embeddings", fx["synset_embeddings"], "--bin-edges=-1:1:0.25",
+            "--out", tmp_path / "false_class"])
+    (tmp_path / "sim.json").write_text(json.dumps({**SIM_CONFIG, "n": 2000}), encoding="utf-8")
+    run_ok(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "sim"])
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    written = {p.name: p for p in tmp_path.rglob("*.csv")}
+    assert set(written) == set(CSV_HEADERS)
+    for name, path in written.items():
+        header, *lines = path.read_bytes().decode("utf-8").split("\n")
+        assert header == CSV_HEADERS[name] and f"`{header}`" in readme
+        assert lines and lines.pop() == ""  # every line ends in LF, none in CR
+        columns = header.split(",")
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for column, cell in zip(columns, cells):
+                if column == "wnid":
+                    assert len(cell) == 9 and cell[0] == "n" and cell[1:].isdigit()
+                elif column in INT_COLUMNS:
+                    assert str(int(cell)) == cell
+                elif cell:
+                    assert repr(float(cell)) == cell, (name, line)
 
 
 def test_assemble_threshold_out_of_range(pipeline_fixture, tmp_path):
@@ -548,7 +602,10 @@ def test_int_option_takes_values_that_convert_without_loss(tmp_path, key, value,
     assert trees[0] == trees[1]
 
 
-@pytest.mark.parametrize("stage", ["match", "sweep", "assemble", "eval"])
+@pytest.mark.parametrize(
+    "stage",
+    ["match", "sweep", "assemble", "eval", "intra", "false-class", "nearest-text", "correlate"],
+)
 def test_seed_is_refused_by_stages_that_draw_nothing(tmp_path, capsys, stage):
     for name, good in GOOD_INPUTS.items():
         (tmp_path / name).write_bytes(good)
@@ -560,7 +617,70 @@ def test_seed_is_refused_by_stages_that_draw_nothing(tmp_path, capsys, stage):
     assert run(argv) == 0
     capsys.readouterr()
     assert run(argv + ["--seed", "1"]) == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    if command[0] == "diagnose":
+        message = f"{' '.join(command)} takes no --seed"
+    else:
+        message = "unrecognized arguments: --seed 1"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, flag, value",
+    [("match", "max-lemmas", "two"), ("assemble", "threshold", "high"),
+     ("assemble", "top-k", "2.5"), ("nearest-text", "min-sim", "x"), ("compare", "boot", "1.5"),
+     ("cross-modal", "seed", "one"), ("simulate", "seed", "1.5"), ("simulate", "n", "1e3")],
+)
+def test_flag_of_the_wrong_kind_is_config_error(tmp_path, capsys, stage, flag, value):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    (tmp_path / "run.json").write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+    argv = command + ["--config", str(tmp_path / "run.json")]
+    assert run(argv + [f"--{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"capsieve: config error: bad --{flag}: {value!r}\n"
+
+
+# An option of each analysis that belongs to another one, with a value.
+FOREIGN_OPTIONS = {
+    "intra": ("pairs", "pairs.jsonl"),
+    "compare": ("min-sim", "0.5"),
+    "false-class": ("boot", "10"),
+    "nearest-text": ("boot", "10"),
+    "cross-modal": ("hist-edges", "-1:1:0.5"),
+    "correlate": ("seed", "1"),
+}
+
+
+@pytest.mark.parametrize("stage", list(FOREIGN_OPTIONS))
+def test_diagnose_refuses_the_options_of_another_analysis(tmp_path, capsys, stage):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    option, value = FOREIGN_OPTIONS[stage]
+    value = str(tmp_path / value) if value in GOOD_INPUTS else value
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    config_path, out = tmp_path / "run.json", tmp_path / "out"
+    argv = command + ["--config", str(config_path)]
+    config_path.write_text(json.dumps({**config, "out": str(out / "ok")}), encoding="utf-8")
+    assert run(argv) == 0  # the config is valid before the foreign option
+    capsys.readouterr()
+
+    config_path.write_text(json.dumps({**config, "out": str(out / "flag")}), encoding="utf-8")
+    assert run(argv + [f"--{option}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: {' '.join(command)} takes no --{option}\n"
+    )
+    assert not (out / "flag").exists()  # refused before --out is made
+
+    config_path.write_text(json.dumps({**config, option: value, "out": str(out / "key")}))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: unknown config key(s) for {' '.join(command)}: {option!r}\n"
+    )
+    assert not (out / "key").exists()
 
 
 @pytest.mark.parametrize("stage", list(STAGES))
@@ -580,7 +700,9 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, stage):
     config_path.write_text(json.dumps({**config, misspelt: 1, "out": str(out / "bad")}))
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"capsieve: config error: unknown config key(s) for {command[0]}: {misspelt!r}\n"
+    assert err == (
+        f"capsieve: config error: unknown config key(s) for {' '.join(command)}: {misspelt!r}\n"
+    )
     assert not (out / "bad").exists()  # refused before --out is made
 
 
