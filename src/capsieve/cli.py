@@ -24,9 +24,19 @@ Exit codes, by the class of the bad input:
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
 error: ..." line on stderr; no input ends in a traceback.
+
+The CLI runs on one thread: it sets OPENBLAS_NUM_THREADS to 1 unless the
+user has set it, which changes no output byte.
 """
 
 from __future__ import annotations
+
+import os
+
+# Set before numpy is first imported, which starts OpenBLAS's thread pool.
+# capsieve calls no BLAS (see vectorops), so the pool's threads get no work
+# and only burn CPU busy-waiting for it. A value the user sets still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses

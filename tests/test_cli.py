@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capsieve
 from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC
 
@@ -841,3 +845,71 @@ def test_match_with_one_embedding_file_is_config_error(pipeline_fixture, tmp_pat
     argv = ["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
             f"--{given}", fx[given.replace("-", "_")], "--out", tmp_path / "m"]
     assert run([str(a) for a in argv]) == 2
+
+
+# Every variable OpenBLAS reads its thread count from, highest precedence
+# first; the child's environment holds none unless a test sets one.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child(args, cwd, **env):
+    """Run `python <args>` with the package on its path, as a fresh process.
+    The environment is built here, not inherited as is: importing
+    capsieve.cli in this process has already set OPENBLAS_NUM_THREADS."""
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env["PYTHONPATH"] = str(Path(capsieve.__file__).resolve().parents[1])
+    child_env.update(env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_child_runs_one_thread(tmp_path):
+    proc = child(["-c", "import os, capsieve.cli; print(len(os.listdir('/proc/self/task')))"],
+                 tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+def test_user_blas_thread_count_wins(tmp_path):
+    proc = child(["-c", "import os, capsieve.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                 tmp_path, OPENBLAS_NUM_THREADS="3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3"]
+
+
+def test_cli_child_output_is_independent_of_blas_threads(pipeline_fixture, tmp_path):
+    fx = pipeline_fixture
+    run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+            "--caption-embeddings", fx["caption_embeddings"],
+            "--synset-embeddings", fx["synset_embeddings"], "--out", tmp_path / "match"])
+    for name, threshold in (("a", "0.3"), ("b", "0.55")):
+        run_ok(["assemble", "--candidates", tmp_path / "match" / "candidates.jsonl",
+                "--corpus", fx["corpus"], "--threshold", threshold,
+                "--out", tmp_path / name])
+
+    def compare(out):
+        return ["diagnose", "compare",
+                "--manifest-a", str(tmp_path / "a" / "manifest.jsonl"),
+                "--manifest-b", str(tmp_path / "b" / "manifest.jsonl"),
+                "--image-embeddings-a", str(fx["image_embeddings"]),
+                "--image-embeddings-b", str(fx["image_embeddings"]),
+                "--boot", "50", "--seed", "1", "--out", str(tmp_path / out)]
+
+    run_ok(compare("in_process"))
+    for out, env in (("unset", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        proc = child(["-m", "capsieve.cli", *compare(out)], tmp_path, **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    expected = tree_bytes(tmp_path / "in_process")
+    assert "comparison.json" in expected
+    assert tree_bytes(tmp_path / "unset") == expected
+    assert tree_bytes(tmp_path / "two") == expected
+
+
+def test_cli_child_config_error_is_one_line(tmp_path):
+    proc = child(["-m", "capsieve.cli", "sweep", "--candidates", "nope.jsonl",
+                  "--thresholds", "0:1:0.5", "--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("capsieve: config error: ")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -322,3 +324,71 @@ def test_top_k_matches_oracle_across_blocks_with_ties(rng, monkeypatch):
     for k in (1, 2, 7, 20):
         for q, (order, scores) in zip(queries, top_k(queries, m, k)):
             assert [(m.ids[i], float(s)) for i, s in zip(order, scores)] == argmax_class(q, m, k)
+
+
+# Names of numpy's BLAS routes. No reported number may pass through one:
+# BLAS may change its summation order with the operand shapes (see the
+# vectorops docstring), and calling none is also why the CLI can leave
+# OpenBLAS on one thread.
+BLAS_NAMES = frozenset(
+    {"dot", "matmul", "inner", "vdot", "tensordot", "outer", "kron", "cov", "corrcoef",
+     "lstsq", "linalg"}
+)
+
+
+def blas_routes(source: str) -> list[str]:
+    """Every BLAS route in a module's source, as "line N: what": the `@`
+    operator, an attribute or import named in BLAS_NAMES, and an einsum
+    whose optimize= is not the literal False (an optimized einsum may
+    contract through tensordot)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{where}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"{where}: .{node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            hits = sorted({part for name in names for part in name.split(".")} & BLAS_NAMES)
+            found += [f"{where}: import {hit}" for hit in hits]
+        elif isinstance(node, ast.Call) and "einsum" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            for kw in node.keywords:
+                literal_false = isinstance(kw.value, ast.Constant) and kw.value.value is False
+                if kw.arg is None or (kw.arg == "optimize" and not literal_false):
+                    found.append(f"{where}: einsum {ast.unparse(kw)}")
+    return found
+
+
+def test_the_package_calls_no_blas():
+    sources = sorted(Path(vectorops.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    routes = {p.name: blas_routes(p.read_text(encoding="utf-8")) for p in sources}
+    assert {name: found for name, found in routes.items() if found} == {}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("c = a @ b", ["line 1: @"]),
+        ("c @= b", ["line 1: @"]),
+        ("s = np.dot(a, b)", ["line 1: .dot"]),
+        ("s = a.dot(b)", ["line 1: .dot"]),
+        ("n = np.linalg.norm(a)", ["line 1: .linalg"]),
+        ("x = 1\nfrom numpy.linalg import norm", ["line 2: import linalg"]),
+        ("from numpy import einsum, outer", ["line 1: import outer"]),
+        ("import numpy.linalg as la", ["line 1: import linalg"]),
+        ("np.einsum('ij,jk->ik', a, b, optimize=True)", ["line 1: einsum optimize=True"]),
+        ("einsum('ij,jk->ik', a, b, optimize='greedy')", ["line 1: einsum optimize='greedy'"]),
+        ("np.einsum('ij,jk->ik', a, b, **opts)", ["line 1: einsum **opts"]),
+        ("np.einsum('ij,ij->i', a, b)", []),
+        ("np.einsum('ij,ij->i', a, b, optimize=False)", []),
+        ("@dataclass\nclass A:\n    inner_rows: int = 0", []),
+    ],
+)
+def test_blas_scan_finds_each_route(source, found):
+    assert blas_routes(source) == found
