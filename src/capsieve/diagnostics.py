@@ -38,7 +38,9 @@ from .errors import MissingKeyError, ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import batch_cosine, cosine_blocks, require_embedding, top_k, triangle_blocks
+from .vectorops import (
+    _row_norms, cosine_blocks, nearest_rows, pair_cosine, require_embedding, triangle_blocks
+)
 
 log = logging.getLogger(__name__)
 
@@ -91,8 +93,7 @@ class SimilarityBinMean:
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     out = np.asarray(rows, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-    return out / norms[:, np.newaxis]
+    return out / _row_norms(out)[:, np.newaxis]
 
 
 def _ids_by_class(manifest: DatasetManifest) -> list[tuple[str, list[str]]]:
@@ -297,22 +298,14 @@ def compare_from_intervals(diffs: list[ClassStat]) -> DatasetComparison:
     )
 
 
-def false_class_proportion(
-    caption_embedding, intended_wnid: str, synset_text_embeddings: EmbeddingMatrix
-) -> float:
-    """Fraction of other synsets strictly more similar to the caption than
-    the intended one. 0 means the intended synset is the best explanation
-    of the text; exact ties do not count against it."""
-    texts, intended = [caption_embedding], [intended_wnid]
-    return next(_own_score_and_false_class(texts, intended, synset_text_embeddings))[1]
-
-
 def _own_score_and_false_class(
     texts, intended: list[str], synsets: EmbeddingMatrix
 ) -> Iterator[tuple[float, float]]:
-    """For each text in order, its similarity to its intended synset and the
-    fraction of the other synsets that score strictly higher; the texts are
-    scored in `cosine_blocks`."""
+    """For each text in order, its similarity to its intended synset and its
+    false-class proportion: the fraction of the other synsets that score
+    strictly higher (exact ties do not count against the intended one).
+    The higher scores are counted tile by tile of `cosine_blocks`; a query
+    block's own scores come from `pair_cosine` at its first tile."""
     if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
     cols = []
@@ -320,10 +313,14 @@ def _own_score_and_false_class(
         if wnid not in synsets.index:
             raise MissingKeyError(f"unknown wnid {wnid!r}")
         cols.append(synsets.index[wnid])
-    for start, scores in cosine_blocks(texts, synsets):
-        own = scores[np.arange(len(scores)), cols[start : start + len(scores)]]
-        higher = np.count_nonzero(scores > own[:, np.newaxis], axis=1)
-        yield from zip(own.tolist(), (higher / (synsets.count - 1)).tolist())
+    for start, lo, scores in cosine_blocks(texts, synsets):
+        if lo == 0:
+            block = slice(start, start + len(scores))
+            own = pair_cosine(texts[block], synsets.rows[cols[block]])
+            higher = np.zeros(len(scores), dtype=np.intp)
+        higher += np.count_nonzero(scores > own[:, np.newaxis], axis=1)
+        if lo + scores.shape[1] == synsets.count:  # the block's last tile
+            yield from zip(own.tolist(), (higher / (synsets.count - 1)).tolist())
 
 
 def binned_false_class_means(
@@ -382,9 +379,9 @@ def nearest_text_dataset(
     best: dict[str, tuple[float, str]] = {}  # corpus id -> (score, wnid) of its best hit
     dropped = 0
     collapsed = 0
-    nearest = top_k([embedding for embedding, _ in query_texts], corpus_matrix, 1)
-    for (_, wnid), (row_index, scores) in zip(query_texts, nearest):
-        rid, score = corpus_matrix.ids[row_index[0]], float(scores[0])
+    rows, scores = nearest_rows([embedding for embedding, _ in query_texts], corpus_matrix)
+    for (_, wnid), row, score in zip(query_texts, rows.tolist(), scores.tolist()):
+        rid = corpus_matrix.ids[row]
         if score < min_sim:
             dropped += 1
             continue
@@ -429,7 +426,7 @@ def cross_modal_class_stats(
     for wnid, ids in _ids_by_class(manifest):
         synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
         images = _class_rows(image_embeddings, ids, "image")
-        values = batch_cosine(synset_vec, EmbeddingMatrix(rows=images, ids=list(ids)))
+        values = pair_cosine(images, np.broadcast_to(synset_vec, images.shape))
         value = float(values.mean())
         rng = stream(seed, _stream_key(wnid))
         idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))

@@ -6,15 +6,17 @@ score never depends on which other rows or queries share a call, so
 sharded or blocked scans are bitwise identical to serial ones. Two kernels
 carry the contract:
 
-- `cosine_blocks`, many queries against every row of a matrix. It scores
-  consecutive query blocks with einsum("ij,kj->ki"); no block holds more
-  than max(1, 2**18 // rows) queries. The matrix is read in row chunks of
-  max(1, 2**18 // dim) rows, each converted to float64 as it is used (at
-  most 2 MiB, so it stays in cache across a query block): no float64 copy
-  of the whole matrix is made. `batch_cosine` is its one-query case and
-  `top_k` ranks its blocks. `triangle_blocks` scores a matrix against
-  itself in the same query blocks, each block only against the rows from
-  its own start on, so no pair is scored twice.
+- `cosine_blocks`, many queries against every row of a matrix: the
+  package's one query-vs-matrix scan. It yields tiles, one bounded block
+  of queries against one float64 row chunk, each scored with
+  einsum("ij,kj->ki"). A row chunk, a query block and a tile each hold at
+  most max(2**17, dim) values (1 MiB of float64 at d <= 2**17), sized by
+  the dimension, not by the matrix's row count; each row chunk is
+  converted to float64 once per query block, so no float64 copy of the
+  whole matrix is made. `nearest_rows` keeps a running best over the
+  tiles. `triangle_blocks` scores a matrix against itself, each query
+  block only against the rows from its own start on, so no pair is
+  scored twice.
 - `pair_cosine`, row i of one array against row i of another, with
   einsum("ij,ij->i") over the gathered pairs. `cosine` is its one-pair case.
 
@@ -37,9 +39,9 @@ import numpy as np
 from .corpus import EmbeddingMatrix
 from .errors import MissingKeyError, ValidationError
 
-# Scores in one query block of `cosine_blocks`, and values in one of its
-# float64 row chunks: 2 MiB of float64 each.
-_BLOCK_SCORES = 1 << 18
+# Values in one row chunk, query block or tile of `cosine_blocks`, and
+# scores in one query block of `triangle_blocks`: 1 MiB of float64 each.
+_BLOCK_SCORES = 1 << 17
 
 
 def _f64(a) -> np.ndarray:
@@ -94,23 +96,19 @@ def _block_step(count: int) -> int:
     return max(1, _BLOCK_SCORES // max(count, 1))
 
 
-def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, scores) for consecutive blocks of `queries`, one query
-    vector per entry: scores[q, i] is the cosine of query start + q with
-    matrix row i, bitwise equal to cosine(queries[start + q], matrix.rows[i]).
-    Each block's scores are filled one float64 row chunk at a time, so the
-    call holds one block, one chunk and the row norms, never a float64
-    copy of the matrix.
+def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, lo, scores) tiles, query block by query block and,
+    within a block, row chunk by row chunk: scores[q, i] is the cosine of
+    query start + q with matrix row lo + i, bitwise equal to
+    cosine(queries[start + q], matrix.rows[lo + i]). The call holds one
+    query block, one float64 row chunk and one tile, never a float64 copy
+    of the matrix.
 
     Raises ValidationError when a query's dimension differs from the
     matrix's or a query is all zero.
     """
-    width = _block_step(matrix.dim)
-    chunks = [slice(lo, lo + width) for lo in range(0, matrix.count, width)]
-    norms = np.empty(matrix.count)
-    for chunk in chunks:
-        norms[chunk] = _row_norms(_f64(matrix.rows[chunk]))
-    step = _block_step(matrix.count)
+    width = min(_block_step(matrix.dim), max(matrix.count, 1))
+    step = _block_step(max(width, matrix.dim))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         try:
@@ -122,19 +120,21 @@ def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, np.nd
         qn = _row_norms(q)
         if not qn.all():
             raise ValidationError("cosine undefined for all-zero query")
-        scores = np.empty((len(q), matrix.count))
-        for chunk in chunks:
-            scores[:, chunk] = _contract("ij,kj->ki", _f64(matrix.rows[chunk]), q)
-        scores /= norms * qn[:, np.newaxis]
-        yield start, scores
+        for lo in range(0, matrix.count, width):
+            rows = _f64(matrix.rows[lo : lo + width])
+            scores = _contract("ij,kj->ki", rows, q)
+            scores /= _row_norms(rows) * qn[:, np.newaxis]
+            del rows  # freed before the next chunk is converted
+            yield start, lo, scores
 
 
 def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:
-    """The blocks of `cosine_blocks` with `rows` as both queries and matrix,
-    each scored only against the rows from its own start on: scores[q, i]
-    is the cosine of rows start + q and start + i, bitwise equal to
-    cosine(rows[start + q], rows[start + i]). Every pair above the
-    diagonal is scored once.
+    """Yield (start, scores) for consecutive blocks of `rows`, each scored
+    only against the rows from its own start on: scores[q, i] is the
+    cosine of rows start + q and start + i, bitwise equal to
+    cosine(rows[start + q], rows[start + i]) and so to the matching score
+    of the `cosine_blocks` tiles of `rows` against themselves. Every pair
+    above the diagonal is scored once.
 
     Raises ValidationError when a row is all zero.
     """
@@ -149,32 +149,30 @@ def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:
         yield start, scores / (norms[start:] * _row_norms(q)[:, np.newaxis])
 
 
-def batch_cosine(query, matrix: EmbeddingMatrix) -> np.ndarray:
-    """Cosine of `query` against every row; element i equals
-    cosine(query, matrix.rows[i]) bitwise."""
-    return next(cosine_blocks(_f64(query).ravel()[np.newaxis], matrix))[1][0]
+def nearest_rows(queries, matrix: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """For each query, the index of its nearest matrix row and that row's
+    score: the highest cosine, exact ties to the smallest id (in numpy's
+    string order). A running best per query is kept over the tiles of
+    `cosine_blocks`.
 
-
-def top_k(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each query in order, the row indices of its k best rows and their
-    scores: by cosine descending, exact ties by id ascending (in numpy's
-    string order, stable by row).
-
-    Raises ValidationError for an empty matrix or k outside 1..count.
+    Raises ValidationError for an empty matrix.
     """
     if matrix.count == 0:
         raise ValidationError("empty matrix")
-    if not 1 <= k <= matrix.count:
-        raise ValidationError(f"k={k} out of range 1..{matrix.count}")
-    return _ranked(queries, matrix, k)
-
-
-def _ranked(queries, matrix: EmbeddingMatrix, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    ids = np.asarray(matrix.ids)
-    for _, scores in cosine_blocks(queries, matrix):
-        for row in scores:
-            order = np.lexsort((ids, -row))[:k]
-            yield order, row[order]
+    rank = np.empty(matrix.count, dtype=np.intp)  # each row's place in id order
+    rank[np.argsort(np.asarray(matrix.ids), kind="stable")] = np.arange(matrix.count)
+    best = np.zeros(len(queries), dtype=np.intp)
+    best_score = np.full(len(queries), -np.inf)
+    for start, lo, scores in cosine_blocks(queries, matrix):
+        top = scores.max(axis=1)
+        chunk_rank = rank[lo : lo + scores.shape[1]]
+        pick = lo + np.where(scores == top[:, np.newaxis], chunk_rank, matrix.count).argmin(axis=1)
+        held = slice(start, start + len(scores))
+        prior = best_score[held]
+        wins = (top > prior) | ((top == prior) & (rank[pick] < rank[best[held]]))
+        best[held] = np.where(wins, pick, best[held])
+        best_score[held] = np.where(wins, top, prior)
+    return best, best_score
 
 
 def require_embedding(matrix: EmbeddingMatrix, rid: str, kind: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from capsieve.corpus import _KINDS, _SURROGATE, Corpus, EmbeddingMatrix
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
 from capsieve.taxonomy import Taxonomy, fold_text, normalize_lemma
-from capsieve.vectorops import batch_cosine
+from capsieve.vectorops import cosine
 
 
 def _whole_token(text: str, start: int, end: int) -> bool:
@@ -64,12 +64,12 @@ def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
 
 def argmax_class(query, matrix: EmbeddingMatrix, k: int) -> list[tuple[str, float]]:
     """Top-k (id, score) by cosine against `query`, ties broken by id
-    ascending: one `batch_cosine` call and a full lexsort per query."""
+    ascending: one scalar `cosine` per row and a full lexsort."""
     if matrix.count == 0:
         raise ValidationError("empty matrix")
     if not 1 <= k <= matrix.count:
         raise ValidationError(f"k={k} out of range 1..{matrix.count}")
-    scores = batch_cosine(query, matrix)
+    scores = np.array([cosine(query, row) for row in matrix.rows])
     ids = np.asarray(matrix.ids)
     order = np.lexsort((ids, -scores))
     return [(str(ids[i]), float(scores[i])) for i in order[:k]]
@@ -80,6 +80,18 @@ def nearest_neighbor(query, matrix: EmbeddingMatrix) -> tuple[str, float]:
     if matrix.count == 0:
         raise ValidationError("empty matrix")
     return argmax_class(query, matrix, 1)[0]
+
+
+def false_class_exhaustive(text, intended: str, synsets: EmbeddingMatrix) -> float:
+    """The fraction of the other synsets whose scalar `cosine` with `text`
+    is strictly above the intended synset's, one synset at a time."""
+    own = cosine(text, synsets.rows[synsets.index[intended]])
+    higher = sum(
+        1
+        for j in range(synsets.count)
+        if synsets.ids[j] != intended and cosine(text, synsets.rows[j]) > own
+    )
+    return higher / (synsets.count - 1)
 
 
 def pair_means_sequential(units: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from capsieve.seeding import stream
 from capsieve.taxonomy import load_taxonomy, save_taxonomy
 
 from conftest import build_pipeline_fixture, make_candidates, make_corpus, random_match_case
-from oracles import find_matches_naive
+from oracles import false_class_exhaustive, find_matches_naive
 from test_cli import run_pipeline, tree_bytes
 from test_diagnostics import class_set_from_vectors, rank_formula_oracle
 from test_vectorops import full_sort_oracle
@@ -53,7 +53,7 @@ def test_criterion_1_matcher_oracle_equivalence():
 
 
 def test_criterion_2_vectorops_exactness():
-    with criterion(2, "top-k/nearest agree with full-sort brute force, ties included"):
+    with criterion(2, "nearest row agrees with full-sort brute force, ties included"):
         rng = stream(202)
         for case in range(1000):
             n = int(rng.integers(1, 65))
@@ -64,11 +64,8 @@ def test_criterion_2_vectorops_exactness():
             ids = [f"r{int(i):03d}" for i in rng.permutation(n)]
             m = EmbeddingMatrix(rows=rows, ids=ids)
             q = rng.standard_normal(d).astype(np.float32)
-            k = int(rng.integers(1, n + 1))
-            for kk in (k, 1):  # the top k, and the nearest row alone
-                best, scores = next(vectorops.top_k([q], m, kk))
-                got = [(m.ids[i], float(s)) for i, s in zip(best, scores)]
-                assert got == full_sort_oracle(q, m, kk)
+            (best,), (score,) = vectorops.nearest_rows([q], m)
+            assert [(m.ids[best], float(score))] == full_sort_oracle(q, m, 1)
 
 
 def test_criterion_3_curator_laws():
@@ -157,7 +154,8 @@ def test_criterion_4_metrics_oracles():
                 - evalmetrics.equally_weighted_accuracy(stats)
             ) <= 1e-12
 
-        # false-class proportion against an exhaustive ranking oracle
+        # false-class proportion against an exhaustive ranking oracle: one
+        # text in one bin, whose mean is that text's proportion
         for _ in range(100):
             n_synsets = int(rng.integers(2, 11))
             synsets = EmbeddingMatrix(
@@ -166,14 +164,10 @@ def test_criterion_4_metrics_oracles():
             )
             text = rng.standard_normal(6)
             intended = f"n{int(rng.integers(1, n_synsets + 1)):08d}"
-            got = diagnostics.false_class_proportion(text, intended, synsets)
-            own = vectorops.cosine(text, synsets.rows[synsets.index[intended]])
-            higher = sum(
-                1
-                for j in range(n_synsets)
-                if synsets.ids[j] != intended and vectorops.cosine(text, synsets.rows[j]) > own
-            )
-            assert got == higher / (n_synsets - 1)
+            edges = [-1.01, 1.01]
+            (only,) = diagnostics.binned_false_class_means([text], [intended], synsets, edges)
+            assert only.count == 1
+            assert only.mean == false_class_exhaustive(text, intended, synsets)
 
 
 def test_criterion_5_ci_calibration():

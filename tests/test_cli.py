@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import capsieve
+from capsieve import vectorops
 from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC
 
@@ -115,6 +116,32 @@ def test_pipeline_byte_identical_across_runs_and_workers(pipeline_fixture, tmp_p
     trees_first = {k: tree_bytes(d) for k, d in first.items()}
     trees_second = {k: tree_bytes(d) for k, d in second.items()}
     assert trees_first == trees_second
+
+
+def test_scan_analyses_do_not_depend_on_the_tile_size(pipeline_fixture, tmp_path, monkeypatch):
+    # the default tiles, then tiles of 7 queries by 7 rows at d = 16
+    fx = pipeline_fixture
+    pairs = tmp_path / "pairs.jsonl"  # a manifest, read as pairs by the first two
+    pairs.write_text("".join(json.dumps({"id": f"inst{i:04d}", "wnid": f"n{i % 20 + 1:08d}",
+                                         "score": 1.0}) + "\n" for i in range(0, 1000, 3)),
+                     encoding="utf-8")
+    trees = []
+    for block in (None, 7 * 16):
+        if block is not None:
+            monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block)
+        out = tmp_path / str(block)
+        run_ok(["diagnose", "nearest-text", "--query-embeddings", fx["caption_embeddings"],
+                "--query-labels", pairs, "--corpus-embeddings", fx["image_embeddings"],
+                "--min-sim", "0.5", "--out", out / "nearest"])
+        run_ok(["diagnose", "false-class", "--text-embeddings", fx["caption_embeddings"],
+                "--pairs", pairs, "--synset-embeddings", fx["synset_embeddings"],
+                "--bin-edges=-1:1:0.1", "--out", out / "false_class"])
+        run_ok(["diagnose", "cross-modal", "--manifest", pairs,
+                "--image-embeddings", fx["image_embeddings"],
+                "--synset-embeddings", fx["synset_embeddings"],
+                "--boot", 50, "--seed", 1, "--out", out / "cross_modal"])
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) == 7 and trees[0] == trees[1]
 
 
 def test_write_csv_cells(tmp_path):

@@ -16,7 +16,6 @@ from capsieve.diagnostics import (
     binned_false_class_means,
     compare_from_intervals,
     cross_modal_class_stats,
-    false_class_proportion,
     intra_class_sims,
     mean_pair_similarity,
     nearest_text_dataset,
@@ -32,6 +31,7 @@ from conftest import candidate_rows, make_candidates, random_matrix, unit
 from oracles import (
     bootstrap_pair_means_counts,
     bootstrap_pair_means_gather,
+    false_class_exhaustive,
     nearest_neighbor,
     pair_means_sequential,
 )
@@ -105,6 +105,19 @@ def test_mean_pair_similarity_equals_sequential_sum_bitwise(n, d, dtype, seed):
     s = ClassImages(wnid="n00000001", rows=rows)
     units = diagnostics._unit_rows(rows)
     assert mean_pair_similarity(s) == pair_means_sequential(units, np.arange(n)[np.newaxis])[0]
+
+
+# d on both sides of einsum's 8192-value buffer, and past it
+@pytest.mark.parametrize("d", [8191, 8192, 8193, 20000])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_unit_rows_divide_by_the_cosine_norms_bitwise(rng, d, n):
+    # each row's norm as `cosine` takes it: the row contracted with itself
+    # in a two-row call, so its sum never depends on the other rows
+    rows = (rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))).astype(np.float32)
+    wide = rows.astype(np.float64)
+    norms = [np.sqrt(np.einsum("ij,ij->i", wide[[i, i]], wide[[i, i]])[0]) for i in range(n)]
+    expected = wide / np.array(norms)[:, np.newaxis]
+    assert diagnostics._unit_rows(rows).tobytes() == expected.tobytes()
 
 
 def test_intra_singleton_class_flagged():
@@ -430,7 +443,13 @@ def test_compare_from_intervals_counts_intervals_clear_of_zero(rng):
         compare_from_intervals([])
 
 
-# -- false_class_proportion ------------------------------------------------------
+# -- false-class proportion ------------------------------------------------------
+
+
+def false_class_proportion(text, intended, synsets):
+    """The package's false-class proportion of one text: the fraction of
+    the other synsets strictly more similar to it than the intended one."""
+    return next(diagnostics._own_score_and_false_class(np.asarray([text]), [intended], synsets))[1]
 
 
 def synset_matrix():
@@ -539,11 +558,14 @@ def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
     )
     texts = rng.standard_normal((23, 5))
     intended = [f"n{int(j):08d}" for j in rng.integers(1, 10, size=23)]
-    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * synsets.count)  # blocks of 4 texts
+    # blocks of 4 texts, each scored against chunks of 4, 4 and 1 synsets
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * 5)
+    tiles = [(start, lo) for start, lo, _ in vectorops.cosine_blocks(texts, synsets)]
+    assert tiles == [(start, lo) for start in range(0, 23, 4) for lo in (0, 4, 8)]
     scored = list(diagnostics._own_score_and_false_class(texts, intended, synsets))
     for (own, prop), text, wnid in zip(scored, texts, intended):
         assert own == cosine(text, synsets.rows[synsets.index[wnid]])
-        assert prop == false_class_proportion(text, wnid, synsets)
+        assert prop == false_class_exhaustive(text, wnid, synsets)
     assert len(scored) == 23
 
 
@@ -614,7 +636,9 @@ def test_nearest_text_agrees_with_per_query_oracle(rng, monkeypatch):
     corpus = embeddings(ids, rows)
     queries = [(rng.standard_normal(8), f"n{j:08d}") for j in range(1, 26)]
     queries += [(rows[2] * 2.0, "n00000031"), (rows[7].astype(np.float64), "n00000032")]
-    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 6 * corpus.count)  # blocks of 6 queries
+    # blocks of 6 queries, each scored against chunks of 6 rows: the tied
+    # rows 2, 7, 19 and 30 fall in four different chunks
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 6 * 8)
     for min_sim in (-1.0, 0.3):
         manifest = nearest_text_dataset(queries, corpus, min_sim)
         got = candidate_rows(manifest.rows)

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from capsieve import vectorops
 from capsieve.corpus import EmbeddingMatrix
 from capsieve.errors import ValidationError
-from capsieve.vectorops import (
-    batch_cosine,
-    cosine,
-    cosine_blocks,
-    pair_cosine,
-    top_k,
-    triangle_blocks,
-)
+from capsieve.vectorops import cosine, cosine_blocks, nearest_rows, pair_cosine, triangle_blocks
 
 from oracles import argmax_class, nearest_neighbor
 
@@ -34,6 +27,32 @@ def full_sort_oracle(query, m, k):
     pairs = [(m.ids[i], cosine(query, m.rows[i])) for i in range(m.count)]
     pairs.sort(key=lambda p: (-p[1], p[0]))
     return pairs[:k]
+
+
+def scan(queries, m):
+    """The full score array of `cosine_blocks`, assembled from its tiles,
+    checking that the tiles cover every (query, row) pair exactly once and
+    that no tile, row chunk or query block exceeds its bound."""
+    bound = max(vectorops._BLOCK_SCORES, m.dim)
+    out = np.full((len(queries), m.count), np.nan)
+    seen = np.zeros(out.shape, dtype=int)
+    for start, lo, scores in cosine_blocks(queries, m):
+        assert scores.size <= vectorops._BLOCK_SCORES
+        assert len(scores) * m.dim <= bound and scores.shape[1] * m.dim <= bound
+        out[start : start + len(scores), lo : lo + scores.shape[1]] = scores
+        seen[start : start + len(scores), lo : lo + scores.shape[1]] += 1
+    assert (seen == 1).all()
+    return out
+
+
+def nearest_row(query, m):
+    """`nearest_rows` for one query, as the (id, score) `nearest_neighbor` returns."""
+    (row,), (score,) = nearest_rows([query], m)
+    return m.ids[row], float(score)
+
+
+# each nearest-row contract holds for the package's `nearest_rows` and for its oracle
+NEAREST = (nearest_row, nearest_neighbor)
 
 
 def test_cosine_identity(rng):
@@ -74,7 +93,7 @@ def test_cosine_range(rng):
 def test_batch_matches_scalar_bitwise(rng):
     m = matrix(rng.standard_normal((50, 12)).astype(np.float32), [f"r{i:02d}" for i in range(50)])
     q = rng.standard_normal(12).astype(np.float32)
-    scores = batch_cosine(q, m)
+    scores = scan([q], m)[0]
     for i in range(m.count):
         assert scores[i] == cosine(q, m.rows[i])
 
@@ -83,42 +102,26 @@ def test_shard_invariance_bitwise(rng):
     rows = rng.standard_normal((40, 7)).astype(np.float32)
     m = matrix(rows, [f"r{i:02d}" for i in range(40)])
     q = rng.standard_normal(7).astype(np.float32)
-    full = batch_cosine(q, m)
+    full = scan([q], m)[0]
     for lo, hi in [(0, 13), (13, 29), (29, 40)]:
         shard = matrix(rows[lo:hi], [f"r{i:02d}" for i in range(lo, hi)])
-        assert (batch_cosine(q, shard) == full[lo:hi]).all()
-
-
-def top_k_ranked(query, m, k):
-    """`top_k` for one query, as the (id, score) list `argmax_class` returns."""
-    order, scores = next(top_k([query], m, k))
-    return [(m.ids[i], float(s)) for i, s in zip(order, scores)]
-
-
-def top_k_nearest(query, m):
-    return top_k_ranked(query, m, 1)[0]
-
-
-# each ranking contract holds for the package's `top_k` and for its oracle
-RANKERS = (top_k_ranked, argmax_class)
-NEAREST = (top_k_nearest, nearest_neighbor)
+        assert (scan([q], shard)[0] == full[lo:hi]).all()
 
 
 def test_argmax_rank1_is_query_row(rng):
     rows = rng.standard_normal((6, 5)).astype(np.float32)
     m = matrix(rows, [f"r{i}" for i in range(6)])
-    for rank in RANKERS:
-        top = rank(rows[3], m, 1)
-        assert top[0][0] == "r3"
-        assert top[0][1] == pytest.approx(1.0, abs=1e-9)
+    for nearest in NEAREST:
+        rid, score = nearest(rows[3], m)
+        assert rid == "r3"
+        assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_argmax_tie_broken_by_id():
-    # two identical rows: exactly equal scores, smaller id must come first
+    # two identical rows: exactly equal scores, the smaller id wins
     m = matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["zz", "aa", "mm"])
-    for rank in RANKERS:
-        assert [t[0] for t in rank([2.0, 0.0], m, 2)] == ["aa", "zz"]
-        assert rank([2.0, 0.0], m, 1)[0][0] == "aa"
+    for nearest in NEAREST:
+        assert nearest([2.0, 0.0], m)[0] == "aa"
 
 
 def test_argmax_matches_full_sort_oracle(rng):
@@ -127,38 +130,29 @@ def test_argmax_matches_full_sort_oracle(rng):
         d = int(rng.integers(2, 9))
         m = matrix(rng.standard_normal((n, d)).astype(np.float32), [f"r{i}" for i in range(n)])
         q = rng.standard_normal(d).astype(np.float32)
-        k = int(rng.integers(1, n + 1))
-        for rank in RANKERS:
-            assert rank(q, m, k) == full_sort_oracle(q, m, k)
-
-
-def test_argmax_k_bounds(rng):
-    m = matrix(rng.standard_normal((3, 4)).astype(np.float32), ["a", "b", "c"])
-    q = np.ones(4, dtype=np.float32)
-    for rank in RANKERS:
-        with pytest.raises(ValidationError, match="out of range"):
-            rank(q, m, 0)
-        with pytest.raises(ValidationError, match="out of range"):
-            rank(q, m, 4)
+        for nearest in NEAREST:
+            assert nearest(q, m) == full_sort_oracle(q, m, 1)[0]
 
 
 def test_scale_invariance_exact_for_power_of_two(rng):
     m = matrix(rng.standard_normal((10, 6)).astype(np.float32), [f"r{i}" for i in range(10)])
     q = rng.standard_normal(6).astype(np.float32)
-    for rank in RANKERS:
-        base = rank(q, m, 10)
-        for c in (2.0, 0.5, 4.0):
-            assert rank(q * c, m, 10) == base
+    base = scan([q], m)
+    for c in (2.0, 0.5, 4.0):
+        assert scan([q * c], m).tobytes() == base.tobytes()
+        for nearest in NEAREST:
+            assert nearest(q * c, m) == nearest(q, m)
 
 
 def test_scale_invariance_ranking_for_general_scale(rng):
     m = matrix(rng.standard_normal((10, 6)).astype(np.float32), [f"r{i}" for i in range(10)])
     q = rng.standard_normal(6).astype(np.float32)
-    for rank in RANKERS:
-        base_ids = [t[0] for t in rank(q, m, 10)]
-        for c in (3.7, 0.013, 812.0):
-            scaled = rank((q.astype(np.float64) * c).astype(np.float32), m, 10)
-            assert [t[0] for t in scaled] == base_ids
+    base_order = np.argsort(-scan([q], m)[0]).tolist()
+    for c in (3.7, 0.013, 812.0):
+        scaled = (q.astype(np.float64) * c).astype(np.float32)
+        assert np.argsort(-scan([scaled], m)[0]).tolist() == base_order
+        for nearest in NEAREST:
+            assert nearest(scaled, m)[0] == nearest(q, m)[0]
 
 
 def test_nearest_neighbor_single_row():
@@ -181,7 +175,7 @@ def test_nearest_neighbor_equals_argmax(rng):
         m = matrix(rng.standard_normal((n, 4)).astype(np.float32), [f"r{i}" for i in range(n)])
         q = rng.standard_normal(4).astype(np.float32)
         expected = full_sort_oracle(q, m, 1)[0]
-        assert top_k_nearest(q, m) == nearest_neighbor(q, m) == argmax_class(q, m, 1)[0] == expected
+        assert nearest_row(q, m) == nearest_neighbor(q, m) == argmax_class(q, m, 1)[0] == expected
 
 
 def test_empty_matrix_rejected():
@@ -191,7 +185,7 @@ def test_empty_matrix_rejected():
             nearest([1.0, 0.0, 0.0], m)
 
 
-# -- block and pair kernels ------------------------------------------------------
+# -- tiles and pair kernels --------------------------------------------------------
 
 
 def scaled_rows(rng, n, d):
@@ -207,84 +201,87 @@ def scaled_rows(rng, n, d):
 def test_block_kernel_equals_scalar_bitwise(rng, monkeypatch, d, block):
     m = matrix(scaled_rows(rng, 23, d), [f"r{i:02d}" for i in range(23)])
     queries = scaled_rows(rng, 12, d)
-    if block is not None:  # split the 12 queries into blocks of `block`
-        monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * m.count)
-    starts = []
-    for start, scores in cosine_blocks(queries, m):
-        starts.append(start)
-        assert scores.shape == (min(block or 12, 12 - start), m.count)
-        for q, row in enumerate(scores):
-            for i in range(m.count):
-                assert row[i] == cosine(queries[start + q], m.rows[i])
-    assert starts == list(range(0, 12, block or 12))
+    if block is not None:  # query blocks and row chunks of `block`
+        monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * d)
+        assert [(start, lo) for start, lo, _ in cosine_blocks(queries, m)] == [
+            (start, lo) for start in range(0, 12, block) for lo in range(0, 23, block)
+        ]
+    scores = scan(queries, m)
+    for q in range(len(queries)):
+        for i in range(m.count):
+            assert scores[q, i] == cosine(queries[q], m.rows[i])
 
 
-# The matrix is read in row chunks of `width` rows: counts on either side of
-# a chunk boundary, d on either side of einsum's 8192-value buffer.
+# The tiles of a scan: counts on either side of a chunk boundary, d on
+# either side of einsum's 8192-value buffer, and past it.
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
-    d=st.sampled_from([5, 8191, 8192, 8193]),
+    d=st.sampled_from([5, 8191, 8192, 8193, 20000]),
     width=st.integers(1, 4),
     chunks=st.integers(0, 3),
     extra=st.integers(-1, 1),
-    n_queries=st.integers(1, 3),
+    n_queries=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=8193, width=3, chunks=2, extra=1, n_queries=1, seed=0)  # last chunk: 1 row, 1 query
 @example(d=8193, width=1, chunks=1, extra=0, n_queries=1, seed=0)  # one row, one query
+@example(d=20000, width=2, chunks=2, extra=1, n_queries=3, seed=0)  # 1-row chunk, 1-query block
 def test_row_chunks_equal_scalar_bitwise(d, width, chunks, extra, n_queries, seed):
     rng = np.random.default_rng(seed)
     count = max(1, width * chunks + extra)
     m = matrix(scaled_rows(rng, count, d), [f"r{i}" for i in range(count)])
     queries = scaled_rows(rng, n_queries, d)
     with mock.patch.object(vectorops, "_BLOCK_SCORES", width * d):
-        blocks = list(cosine_blocks(queries, m))
-    scores = np.concatenate([block for _, block in blocks])
-    assert scores.shape == (n_queries, count)
+        scores = scan(queries, m)
     for q in range(n_queries):
         for i in range(count):
             assert scores[q, i] == cosine(queries[q], m.rows[i])
 
 
 def test_scan_holds_no_float64_copy_of_the_matrix(rng):
+    # 600 queries make three query blocks at d = 512: one scan holds a query
+    # block, a row chunk and a tile of at most _BLOCK_SCORES values each
     rows = rng.standard_normal((4000, 512)).astype(np.float32)
     m = matrix(rows, [f"r{i}" for i in range(4000)])
-    queries = rng.standard_normal((4, 512)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        for _ in cosine_blocks(queries, m):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < rows.nbytes, f"peak {peak / 2**20:.1f} MiB"
+    queries = rng.standard_normal((600, 512)).astype(np.float32)
+    bound = 4 * vectorops._BLOCK_SCORES * 8  # 4 MiB: 1 MiB buffers and their temporaries
+    for reduce in (lambda: sum(1 for _ in cosine_blocks(queries, m)),
+                   lambda: nearest_rows(queries, m)):
+        tracemalloc.start()
+        try:
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < rows.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("d", [7, 512, 20000])
 @pytest.mark.parametrize("block", [1, 5, None])
 def test_triangle_blocks_are_the_upper_part_of_the_full_blocks(rng, monkeypatch, d, block):
     rows = scaled_rows(rng, 12, d)
-    if block is not None:
+    if block is not None:  # triangle blocks of `block` rows
         monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * 12)
-    full = list(cosine_blocks(rows, matrix(rows, [f"r{i:02d}" for i in range(12)])))
+    full = scan(rows, matrix(rows, [f"r{i:02d}" for i in range(12)]))
     triangle = list(triangle_blocks(rows))
-    assert [start for start, _ in triangle] == [start for start, _ in full]
-    for (start, scores), (_, full_scores) in zip(triangle, full):
-        assert scores.shape == (len(full_scores), 12 - start)
-        assert scores.tobytes() == full_scores[:, start:].tobytes()
+    assert [start for start, _ in triangle] == list(range(0, 12, block or 12))
+    for start, scores in triangle:
+        held = full[start : start + len(scores), start:]
+        assert scores.shape == held.shape
+        assert scores.tobytes() == held.tobytes()
     with pytest.raises(ValidationError, match="zero"):
         list(triangle_blocks(np.vstack([rows[:3], np.zeros((1, d))])))
 
 
 @pytest.mark.parametrize("d", [9, 20000])
-def test_batch_cosine_is_the_one_query_block(rng, d):
+def test_one_query_tiles_equal_the_block_rows(rng, d):
     m = matrix(scaled_rows(rng, 30, d), [f"r{i:02d}" for i in range(30)])
     queries = scaled_rows(rng, 4, d)
-    (_, scores), = cosine_blocks(queries, m)
+    scores = scan(queries, m)
     for q, row in zip(queries, scores):
-        assert (batch_cosine(q, m) == row).all()
+        assert scan([q], m)[0].tobytes() == row.tobytes()
         lone = matrix(m.rows[:1], ["r00"])  # one query against one row
-        assert batch_cosine(q, lone)[0] == row[0]
+        assert scan([q], lone)[0, 0] == row[0]
 
 
 @pytest.mark.parametrize("d", [7, 64, 512, 768, 20000])
@@ -309,21 +306,50 @@ def test_kernel_errors(rng):
     with pytest.raises(ValidationError, match="zero"):
         pair_cosine(np.ones((2, 4)), np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
     with pytest.raises(ValidationError, match="empty"):
-        top_k([np.ones(3)], EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[]), 1)
-    with pytest.raises(ValidationError, match="out of range"):
-        top_k([np.ones(4)], m, 4)
+        nearest_rows([np.ones(3)], EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[]))
+    with pytest.raises(ValidationError, match="mismatch"):
+        nearest_rows([np.ones(5)], m)
 
 
-def test_top_k_matches_oracle_across_blocks_with_ties(rng, monkeypatch):
+def test_nearest_rows_matches_oracle_across_blocks_with_ties(rng, monkeypatch):
     rows = scaled_rows(rng, 20, 6)
     rows[[3, 11, 17]] = rows[5]  # exact ties among four ids
     rows[8] = rows[5] * 4.0  # a power-of-two multiple ties exactly too
     m = matrix(rows, [f"r{int(i):02d}" for i in rng.permutation(20)])
     queries = np.concatenate([scaled_rows(rng, 9, 6), rows[[5, 3]]])
-    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * m.count)
-    for k in (1, 2, 7, 20):
-        for q, (order, scores) in zip(queries, top_k(queries, m, k)):
-            assert [(m.ids[i], float(s)) for i, s in zip(order, scores)] == argmax_class(q, m, k)
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * 6)  # blocks of 4 queries, chunks of 4 rows
+    got = list(zip(*nearest_rows(queries, m)))
+    assert [(m.ids[row], float(score)) for row, score in got] == [
+        nearest_neighbor(q, m) for q in queries
+    ]
+
+
+# Rows tied exactly with a planted row, in other chunks and query blocks:
+# copies and power-of-two multiples of it, under permuted ids.
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    count=st.integers(1, 40),
+    d=st.integers(1, 9),
+    n_queries=st.integers(1, 12),
+    block=st.integers(1, 6),
+    ties=st.lists(st.tuples(st.integers(0, 39), st.sampled_from([1.0, 2.0, 0.25, 8.0]))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_rows_equals_the_oracle_with_planted_ties(
+    count, d, n_queries, block, ties, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = scaled_rows(rng, count, d)
+    for i, scale in ties:
+        rows[i % count] = rows[0] * np.float32(scale)
+    m = matrix(rows, [f"r{int(i)}" for i in rng.permutation(count)])
+    queries = scaled_rows(rng, n_queries, d)
+    queries[:: 2] = rows[rng.integers(0, count, size=len(queries[::2]))]  # queries on a tied row
+    with mock.patch.object(vectorops, "_BLOCK_SCORES", block * d):
+        got = list(zip(*nearest_rows(queries, m)))
+    assert [(m.ids[row], float(score)) for row, score in got] == [
+        nearest_neighbor(q, m) for q in queries
+    ]
 
 
 # Names of numpy's BLAS routes. No reported number may pass through one:
