@@ -44,6 +44,8 @@ from .errors import ValidationError
 from .seeding import stream
 
 _GENERATION_BLOCK = 8192  # samples per independently-seeded block
+# Values per row block of `_ball_distances`' temporary: 1 MiB of float64.
+_DISTANCE_VALUES = 1 << 17
 
 # A bin is tested only when it holds this many selected and this many
 # unselected samples; bottleneck_gap needs this many survivors per rule.
@@ -162,11 +164,19 @@ def generate(config: GenConfig, n: int) -> Samples:
 
 
 def _ball_distances(x: np.ndarray, prototype) -> np.ndarray:
-    """Euclidean distance of each image to an image_ball prototype."""
+    """Euclidean distance of each image to an image_ball prototype, in row
+    blocks: each row's distance is the one the whole-array expression
+    sqrt(((x - proto) ** 2).sum(axis=1)) gives, with no n x d temporary."""
     proto = np.asarray(prototype, dtype=np.float64)
     if proto.shape != (x.shape[1],):
         raise ValidationError(f"prototype shape {proto.shape} does not match x_dim {x.shape[1]}")
-    return np.sqrt(((x - proto) ** 2).sum(axis=1))
+    out = np.empty(x.shape[0])
+    step = max(1, _DISTANCE_VALUES // x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        d = x[lo : lo + step] - proto
+        d *= d
+        np.sqrt(d.sum(axis=1), out=out[lo : lo + step])
+    return out
 
 
 def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
@@ -185,6 +195,12 @@ def select(samples: Samples, rule: SelectionRule) -> Samples:
     """Samples passing the rule, order preserved. May be empty."""
     mask = _keep_mask(samples, rule)
     return Samples(samples.y[mask], samples.x[mask], samples.t[mask])
+
+
+def acceptance_rate(samples: Samples, rule: SelectionRule) -> float:
+    """The share of the samples the rule keeps: len(select(samples, rule))
+    / len(samples), counted from the keep mask without copying them."""
+    return int(np.count_nonzero(_keep_mask(samples, rule))) / len(samples)
 
 
 def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
@@ -268,12 +284,14 @@ def _bin_test(
     )
 
 
-def _per_class_dim_variance(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _per_class_dim_variance(y: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
     """Per-dimension sample variance within each class, averaged over the
-    classes with at least two members."""
+    classes with at least two members; with a keep `mask`, over the kept
+    samples only. Each class's rows are gathered once, in sample order, so
+    no copy of all the kept images is made."""
     per_class = []
-    for c in np.unique(y):
-        xc = x[y == c]
+    for c in np.unique(y if mask is None else y[mask]):
+        xc = x[y == c if mask is None else mask & (y == c)]
         if xc.shape[0] >= 2:
             per_class.append(xc.var(axis=0, ddof=1))
     if not per_class:
@@ -339,8 +357,8 @@ def bottleneck_gap(
     test_image = _bin_test(samples.x, image_mask, bins, alpha)
     return BottleneckReport(
         baseline_var=_per_class_dim_variance(samples.y, samples.x),
-        per_dim_var_text=_per_class_dim_variance(samples.y[text_mask], samples.x[text_mask]),
-        per_dim_var_image=_per_class_dim_variance(samples.y[image_mask], samples.x[image_mask]),
+        per_dim_var_text=_per_class_dim_variance(samples.y, samples.x, text_mask),
+        per_dim_var_image=_per_class_dim_variance(samples.y, samples.x, image_mask),
         acceptance_text=int(text_mask.sum()) / len(samples),
         acceptance_image=int(image_mask.sum()) / len(samples),
         cond_indep_stat=test_text.max_stat,

@@ -27,6 +27,11 @@ error: ..." line on stderr; no input ends in a traceback.
 
 The CLI runs on one thread: it sets OPENBLAS_NUM_THREADS to 1 unless the
 user has set it, which changes no output byte.
+
+Each subcommand imports its own modules when it runs: `sweep`, `assemble`
+and `eval` load no numpy, `simulate` loads only `causalsim` (and
+`seeding`), and no other stage loads `causalsim`. A fresh child thus pays
+only for the code its stage runs.
 """
 
 from __future__ import annotations
@@ -45,14 +50,14 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, causalsim, curator, diagnostics, evalmetrics, matcher, vectorops
-from .corpus import _is_finite_number, load_corpus, load_embeddings, read_jsonl
+from . import __version__
 from .errors import CapsieveError, FormatError
 from .provenance import config_digest, file_digest
-from .taxonomy import load_taxonomy
+
+if TYPE_CHECKING:
+    from . import causalsim, evalmetrics
 
 
 class ConfigError(CapsieveError):
@@ -250,12 +255,16 @@ class _Stage:
 
 def _load_pairs(path) -> list[tuple[str, str]]:
     """JSONL of {"id": str, "wnid": str} pairs (extra keys ignored)."""
+    from .corpus import read_jsonl
+
     _, columns = read_jsonl(path, {"id": str, "wnid": "wnid"})
     return list(zip(columns["id"], columns["wnid"]))
 
 
 def _load_weights(path) -> dict[str, float]:
     """JSON object mapping wnid to class weight, a finite number >= 0."""
+    from .corpus import _is_finite_number
+
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
@@ -275,7 +284,8 @@ def _load_weights(path) -> dict[str, float]:
 # -- subcommands ---------------------------------------------------------------
 #
 # Each takes the _Stage and returns the parameters whose digest goes into
-# provenance.json.
+# provenance.json. Each imports the modules it runs itself, once its
+# paths are checked, so a child loads only its own stage's code.
 
 
 def _cmd_match(stage: _Stage) -> dict:
@@ -290,6 +300,9 @@ def _cmd_match(stage: _Stage) -> dict:
         raise ConfigError(
             "scoring needs both --caption-embeddings and --synset-embeddings, or neither"
         )
+    from . import curator, matcher
+    from .corpus import load_corpus, load_embeddings
+    from .taxonomy import load_taxonomy
 
     taxonomy = load_taxonomy(taxonomy_path)
     corpus = load_corpus(corpus_path)
@@ -309,6 +322,7 @@ def _cmd_match(stage: _Stage) -> dict:
 def _cmd_sweep(stage: _Stage) -> dict:
     candidates_path = stage.input("candidates")
     thresholds = stage.get("thresholds", _parse_thresholds, required=True)
+    from . import curator
 
     points = curator.threshold_sweep(curator.load_candidates(candidates_path), thresholds)
     rows = ((p.threshold, p.n_classes, p.n_instances) for p in points)
@@ -325,12 +339,13 @@ def _cmd_assemble(stage: _Stage) -> dict:
     top_k = stage.get("top-k", int)
     if top_k is not None and top_k < 1:
         raise ConfigError(f"--top-k must be >= 1, got {top_k}")
-    options = curator.AssembleOptions(
-        drop_multi_label=stage.get("drop-multi-label", bool, default=False),
-        drop_nsfw=stage.get("drop-nsfw", bool, default=False),
-        drop_text_in_image=stage.get("drop-text-in-image", bool, default=False),
-    )
+    drop_multi_label = stage.get("drop-multi-label", bool, default=False)
+    drop_nsfw = stage.get("drop-nsfw", bool, default=False)
+    drop_text_in_image = stage.get("drop-text-in-image", bool, default=False)
+    from . import curator
+    from .corpus import load_corpus
 
+    options = curator.AssembleOptions(drop_multi_label, drop_nsfw, drop_text_in_image)
     manifest = curator.assemble(
         curator.load_candidates(candidates_path), threshold, load_corpus(corpus_path), options
     )
@@ -343,9 +358,9 @@ def _cmd_assemble(stage: _Stage) -> dict:
         "command": "assemble",
         "threshold": threshold,
         "top_k": top_k,
-        "drop_multi_label": options.drop_multi_label,
-        "drop_nsfw": options.drop_nsfw,
-        "drop_text_in_image": options.drop_text_in_image,
+        "drop_multi_label": drop_multi_label,
+        "drop_nsfw": drop_nsfw,
+        "drop_text_in_image": drop_text_in_image,
     }
 
 
@@ -359,6 +374,7 @@ def _cmd_eval(stage: _Stage) -> dict:
     predictions_path = stage.input("predictions")
     weights_mode = stage.get("weights", default="freq")
     ks = stage.get("k", _parse_cutoffs, default="1,5")
+    from . import curator, evalmetrics
 
     manifest = curator.load_manifest(manifest_path)
     predictions = evalmetrics.load_predictions(predictions_path)
@@ -386,6 +402,11 @@ def _diagnose_intra(stage: _Stage, seed: int, n_boot: int) -> dict:
     manifest_path = stage.input("manifest")
     emb_path = stage.input("image-embeddings")
     edges = stage.get("hist-edges", _parse_thresholds)
+    import numpy as np
+
+    from . import curator, diagnostics
+    from .corpus import load_embeddings
+
     classes = diagnostics.intra_class_sims(
         curator.load_manifest(manifest_path), load_embeddings(emb_path)
     )
@@ -410,6 +431,9 @@ def _diagnose_compare(stage: _Stage, seed: int, n_boot: int) -> dict:
     b_path = stage.input("manifest-b")
     emb_a = stage.input("image-embeddings-a")
     emb_b = stage.input("image-embeddings-b")
+    from . import curator, diagnostics
+    from .corpus import load_embeddings
+
     classes_a = diagnostics.intra_class_sims(curator.load_manifest(a_path), load_embeddings(emb_a))
     classes_b = diagnostics.intra_class_sims(curator.load_manifest(b_path), load_embeddings(emb_b))
     diffs = diagnostics.per_class_mean_diff_ci(classes_a, classes_b, n_boot=n_boot, seed=seed)
@@ -432,6 +456,11 @@ def _diagnose_false_class(stage: _Stage, seed: int, n_boot: int) -> dict:
     pairs_path = stage.input("pairs")
     synset_path = stage.input("synset-embeddings")
     edges = stage.get("bin-edges", _parse_thresholds, required=True)
+    import numpy as np
+
+    from . import diagnostics, vectorops
+    from .corpus import load_embeddings
+
     texts_matrix = load_embeddings(texts_path)
     synsets = load_embeddings(synset_path)
     pairs = _load_pairs(pairs_path)
@@ -452,6 +481,9 @@ def _diagnose_nearest_text(stage: _Stage, seed: int, n_boot: int) -> dict:
     min_sim = stage.get("min-sim", float, default=0.7)
     if not -1.0 <= min_sim <= 1.0:
         raise ConfigError(f"--min-sim {min_sim} outside [-1, 1]")
+    from . import curator, diagnostics, vectorops
+    from .corpus import load_embeddings
+
     queries = load_embeddings(queries_path)
     query_texts = [
         (vectorops.require_embedding(queries, i, "query"), wnid)
@@ -470,6 +502,9 @@ def _diagnose_cross_modal(stage: _Stage, seed: int, n_boot: int) -> dict:
     manifest_path = stage.input("manifest")
     image_path = stage.input("image-embeddings")
     synset_path = stage.input("synset-embeddings")
+    from . import curator, diagnostics
+    from .corpus import load_embeddings
+
     stats = diagnostics.cross_modal_class_stats(
         curator.load_manifest(manifest_path),
         load_embeddings(image_path),
@@ -509,7 +544,9 @@ def _diagnose_correlate(stage: _Stage, seed: int, n_boot: int) -> dict:
             raise FormatError(f"non-finite {x_col!r}/{y_col!r} cell", path=csv_path, line=lineno)
         xs.append(x)
         ys.append(y)
-    rho = diagnostics.spearman(xs, ys)
+    from .diagnostics import spearman
+
+    rho = spearman(xs, ys)
     _write_json(
         stage.output("correlation.json"), {"spearman": rho, "n": len(xs), "x": x_col, "y": y_col}
     )
@@ -538,12 +575,14 @@ _DIAGNOSE = {
 
 
 def _cmd_diagnose(stage: _Stage) -> dict:
+    from .diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
+
     # an analysis that takes no --seed or --boot digests their defaults
     params = {
         "command": "diagnose",
         "analysis": stage.args.analysis,
         "seed": stage.get("seed", int, default=0),
-        "boot": stage.get("boot", int, default=diagnostics.DEFAULT_BOOTSTRAP_REPLICATES),
+        "boot": stage.get("boot", int, default=DEFAULT_BOOTSTRAP_REPLICATES),
     }
     if params["boot"] < 1 or params["seed"] < 0:
         raise ConfigError(f"--boot must be >= 1 and --seed >= 0, got {params['boot']} and "
@@ -554,6 +593,8 @@ def _cmd_diagnose(stage: _Stage) -> dict:
 
 
 def _rule_from_config(spec) -> causalsim.SelectionRule:
+    from . import causalsim
+
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"selection rule must be an object with a 'kind', got {spec!r}")
 
@@ -580,6 +621,8 @@ def _cmd_simulate(stage: _Stage) -> dict:
     if not config:
         raise ConfigError("simulate needs --config with the generator and rule parameters")
     stage.inputs["config"] = Path(stage.args.config)
+    from . import causalsim
+
     gen = causalsim.GenConfig(
         n_classes=stage.get("n_classes", int, required=True),
         x_dim=stage.get("x_dim", int, required=True),
@@ -604,7 +647,7 @@ def _cmd_simulate(stage: _Stage) -> dict:
 
     samples = causalsim.generate(gen, n)
     if match_radius:
-        rate = len(causalsim.select(samples, text_rule)) / len(samples)
+        rate = causalsim.acceptance_rate(samples, text_rule)
         radius = causalsim.matched_ball_radius(samples, image_rule.prototype, rate)
         image_rule = dataclasses.replace(image_rule, radius=radius)
         image_spec = {**image_spec, "radius": radius}

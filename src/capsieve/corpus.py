@@ -25,6 +25,10 @@ upstream tooling; this module never recomputes them.
 candidate, prediction and pair loaders all read through it. It returns
 columns, one list per field, and checks each field's kind once per column
 after the whole file has parsed.
+
+Only the embedding code uses numpy: `EmbeddingMatrix`, `load_embeddings`
+and `write_embeddings` import it when they run, so the JSONL readers, and
+the `sweep`, `assemble` and `eval` stages built on them, never load it.
 """
 
 from __future__ import annotations
@@ -35,18 +39,21 @@ import math
 import os
 import re
 import reprlib
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ValidationError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 EMBEDDING_MAGIC = b"EMB1"
-_HEADER_SIZE = 4 + 4 + 8  # magic + u32 dim + u64 count
-_F32LE = np.dtype("<f4")
+_HEADER = struct.Struct("<4sIQ")  # magic, dim as u32, count as u64
+_HEADER_SIZE = _HEADER.size
+_F32LE = "<f4"
 # Values per block of the finiteness check: its boolean temporary stays 256 KiB.
 _CHECK_VALUES = 1 << 18
 
@@ -370,6 +377,8 @@ class EmbeddingMatrix:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         rows = np.ascontiguousarray(self.rows, dtype=np.float32)
         if rows.ndim != 2:
             raise ValidationError(f"rows must be 2-D, got shape {rows.shape}")
@@ -414,6 +423,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
     The payload is read in place into the returned float32 rows, so a
     loaded file costs one copy of its payload, plus its ids.
     """
+    import numpy as np
+
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER_SIZE)
@@ -421,8 +432,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise FormatError(
                 f"bad magic: expected {EMBEDDING_MAGIC!r}, got {header[:4]!r}", path=path
             )
-        dim = int(np.frombuffer(header, dtype="<u4", count=1, offset=4)[0])
-        count = int(np.frombuffer(header, dtype="<u8", count=1, offset=8)[0])
+        _, dim, count = _HEADER.unpack(header)
         if dim == 0:
             raise FormatError("header declares dim = 0", path=path)
         payload_size = count * dim * 4
@@ -451,11 +461,11 @@ def load_embeddings(path) -> EmbeddingMatrix:
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the binary embedding format; load(write(m)) is bit-exact."""
+    import numpy as np
+
     path = Path(path)
     buf = io.BytesIO()
-    buf.write(EMBEDDING_MAGIC)
-    buf.write(np.uint32(matrix.dim).astype("<u4").tobytes())
-    buf.write(np.uint64(matrix.count).astype("<u8").tobytes())
+    buf.write(_HEADER.pack(EMBEDDING_MAGIC, matrix.dim, matrix.count))
     buf.write(np.ascontiguousarray(matrix.rows, dtype=_F32LE).tobytes())
     for rid in matrix.ids:
         buf.write(json.dumps(rid, ensure_ascii=False).encode("utf-8"))

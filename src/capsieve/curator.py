@@ -14,79 +14,77 @@ exists to choose the threshold, which happens before the other rules run.
 
 No automatic threshold selection is offered; the operator reads the sweep
 curve and chooses the largest threshold that keeps class coverage.
+
+Everything here but `score_candidates` runs on the standard library: the
+scores are a tuple of Python floats, the sweep counts with `sorted` and
+`bisect_left`, and assembly keeps rows with lists and a `Counter`. So the
+`sweep`, `assemble` and `eval` stages never load numpy, whose import costs
+a CLI child more than its work on these columns. `score_candidates`,
+which only `match` calls, imports `vectorops` and numpy when it runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .corpus import Corpus, EmbeddingMatrix, first_repeat, read_jsonl
+from .corpus import Corpus, first_repeat, read_jsonl
 from .errors import MissingKeyError, ValidationError
-from .matcher import LemmaMatch
 from .provenance import config_digest
-from .vectorops import pair_cosine, require_embedding
+
+if TYPE_CHECKING:
+    from .corpus import EmbeddingMatrix
+    from .matcher import LemmaMatch
 
 # Pairs scored per `pair_cosine` call; a bounded block keeps the float64
 # copies of the gathered rows small.
 _PAIR_BLOCK = 256
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Candidates:
     """(caption, synset) pairs with their text-to-synset cosine similarity,
     as columns: row i pairs instance `ids[i]` with synset `wnids[i]` at
     `scores[i]`.
 
-    `scores` is stored as a read-only float64 array of finite values. Two
-    Candidates are equal when their columns are.
+    `scores` is stored as a tuple of finite Python floats, so it cannot be
+    changed in place. Two Candidates are equal when their columns are.
     """
 
     ids: list[str]
     wnids: list[str]
-    scores: np.ndarray
+    scores: tuple[float, ...]
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or not len(self.ids) == len(self.wnids) == len(scores):
+        scores = tuple(map(float, self.scores))
+        if not len(self.ids) == len(self.wnids) == len(scores):
             raise ValidationError(
                 f"candidate columns differ: {len(self.ids)} ids, {len(self.wnids)} wnids, "
-                f"scores of shape {scores.shape}"
+                f"{len(scores)} scores"
             )
-        finite = np.isfinite(scores)
-        if not finite.all():
-            row = int(np.argmin(finite))
+        if not all(map(math.isfinite, scores)):
+            row = next(row for row, score in enumerate(scores) if not math.isfinite(score))
             raise ValidationError(
                 f"non-finite score for candidate ({self.ids[row]}, {self.wnids[row]})"
             )
-        scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Candidates)
-            and self.ids == other.ids
-            and self.wnids == other.wnids
-            and np.array_equal(self.scores, other.scores)
-        )
-
     def take(self, rows) -> Candidates:
         """The candidates at the positions `rows`, in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        picks = rows.tolist()
         return Candidates(
-            ids=[self.ids[i] for i in picks],
-            wnids=[self.wnids[i] for i in picks],
-            scores=self.scores[rows],
+            ids=[self.ids[i] for i in rows],
+            wnids=[self.wnids[i] for i in rows],
+            scores=[self.scores[i] for i in rows],
         )
 
 
@@ -122,15 +120,15 @@ class DatasetManifest:
     def __post_init__(self):
         rows = self.rows
         repeat = first_repeat(rows.ids)
-        below = np.flatnonzero(~(rows.scores >= self.threshold))
+        threshold = self.threshold
+        below = next((row for row, score in enumerate(rows.scores) if not score >= threshold), None)
         # The first faulty row is reported; on one row the repeat comes first.
-        if repeat is not None and not (len(below) and below[0] < repeat[1]):
+        if repeat is not None and not (below is not None and below < repeat[1]):
             raise ValidationError(f"instance {rows.ids[repeat[1]]!r} appears more than once")
-        if len(below):
-            row = int(below[0])
+        if below is not None:
             raise ValidationError(
-                f"row ({rows.ids[row]}, {rows.wnids[row]}) score {rows.scores[row].item()} "
-                f"below threshold {self.threshold}"
+                f"row ({rows.ids[below]}, {rows.wnids[below]}) score {rows.scores[below]} "
+                f"below threshold {threshold}"
             )
         self.class_counts = dict(Counter(rows.wnids))
 
@@ -144,8 +142,13 @@ def score_candidates(
     first-occurrence order, scored by `pair_cosine` in blocks of pairs.
 
     Raises MissingKeyError for the first pair with a missing embedding,
-    naming its caption before its synset.
+    naming its caption before its synset. The only function here that
+    scores vectors, so the only one that loads numpy (on its first call).
     """
+    import numpy as np
+
+    from .vectorops import pair_cosine, require_embedding
+
     pairs = dict.fromkeys((m.instance_id, m.wnid) for m in matches)
     ids = [instance_id for instance_id, _ in pairs]
     wnids = [wnid for _, wnid in pairs]
@@ -163,31 +166,34 @@ def score_candidates(
             caption_embeddings.rows[caption_rows[block]],
             synset_text_embeddings.rows[synset_rows[block]],
         )
-    return Candidates(ids=ids, wnids=wnids, scores=scores)
+    return Candidates(ids=ids, wnids=wnids, scores=scores.tolist())
 
 
 def threshold_sweep(candidates: Candidates, thresholds: list[float]) -> list[SweepPoint]:
     """Raw candidate coverage (rows and distinct classes) at each threshold.
 
     `thresholds` must be strictly increasing; both counts are non-increasing
-    along the sweep.
+    along the sweep. Each count is of the scores >= the threshold: the
+    sorted scores past `bisect_left` of it.
     """
     for a, b in zip(thresholds, thresholds[1:]):
         if not b > a:
             raise ValidationError(f"thresholds not strictly increasing at {a} -> {b}")
-    scores = np.sort(candidates.scores)
     class_best: dict[str, float] = {}
-    for wnid, score in zip(candidates.wnids, candidates.scores.tolist()):
+    for wnid, score in zip(candidates.wnids, candidates.scores):
         best = class_best.get(wnid)
         if best is None or score > best:
             class_best[wnid] = score
-    best_scores = np.sort(np.array(list(class_best.values()), dtype=np.float64))
-    points = []
-    for t in thresholds:
-        n_rows = int(len(scores) - np.searchsorted(scores, t, side="left"))
-        n_classes = int(len(best_scores) - np.searchsorted(best_scores, t, side="left"))
-        points.append(SweepPoint(threshold=float(t), n_classes=n_classes, n_instances=n_rows))
-    return points
+    scores = sorted(candidates.scores)
+    best_scores = sorted(class_best.values())
+    return [
+        SweepPoint(
+            threshold=float(t),
+            n_classes=len(best_scores) - bisect_left(best_scores, t),
+            n_instances=len(scores) - bisect_left(scores, t),
+        )
+        for t in thresholds
+    ]
 
 
 def assemble(
@@ -212,39 +218,42 @@ def assemble(
     Kept rows stay in candidate order. Raises MissingKeyError for the first
     candidate whose instance is not in the corpus.
     """
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     try:
-        where = np.array([corpus.index[i] for i in candidates.ids], dtype=np.intp)
+        where = [corpus.index[i] for i in candidates.ids]
     except KeyError as exc:
         raise MissingKeyError(f"candidate instance {exc.args[0]!r} not in corpus") from None
     ledger = {"below_threshold": 0, "multi_label": 0, "nsfw": 0, "text_in_image": 0}
 
-    keep = candidates.scores >= threshold
-    ledger["below_threshold"] = int(len(keep) - np.count_nonzero(keep))
+    keep = [score >= threshold for score in candidates.scores]
+    ledger["below_threshold"] = keep.count(False)
 
-    labels = np.bincount(where[keep], minlength=len(corpus))
-    multi = np.flatnonzero(keep & (labels[where] > 1)).tolist()
-    keep[multi] = False
+    labels = Counter(instance for instance, kept in zip(where, keep) if kept)
+    multi = [row for row, instance in enumerate(where) if keep[row] and labels[instance] > 1]
     best: dict[int, tuple[tuple[float, str], int]] = {}  # instance -> its best label's row
-    if not options.drop_multi_label:
-        for row in multi:
-            rank = (-candidates.scores[row].item(), candidates.wnids[row])
-            prior = best.get(where[row].item())
+    for row in multi:
+        keep[row] = False
+        if not options.drop_multi_label:
+            rank = (-candidates.scores[row], candidates.wnids[row])
+            prior = best.get(where[row])
             if prior is None or rank < prior[0]:  # ties keep the earlier row
-                best[where[row].item()] = (rank, row)
-        keep[[row for _, row in best.values()]] = True
+                best[where[row]] = (rank, row)
+    for _, row in best.values():
+        keep[row] = True
     ledger["multi_label"] = len(multi) - len(best)
 
     if options.drop_nsfw:
-        flagged = keep & np.array(corpus.nsfw, dtype=bool)[where]
-        ledger["nsfw"] = int(np.count_nonzero(flagged))
-        keep &= ~flagged
+        flagged = [row for row, instance in enumerate(where) if keep[row] and corpus.nsfw[instance]]
+        ledger["nsfw"] = len(flagged)
+        for row in flagged:
+            keep[row] = False
     if options.drop_text_in_image:
-        text_in_image = np.array([flag is True for flag in corpus.text_in_image], dtype=bool)
-        flagged = keep & text_in_image[where]
-        ledger["text_in_image"] = int(np.count_nonzero(flagged))
-        keep &= ~flagged
+        flags = corpus.text_in_image
+        flagged = [row for row, instance in enumerate(where) if keep[row] and flags[instance] is True]
+        ledger["text_in_image"] = len(flagged)
+        for row in flagged:
+            keep[row] = False
 
     digest = config_digest(
         {
@@ -255,7 +264,7 @@ def assemble(
         }
     )
     return DatasetManifest(
-        rows=candidates.take(np.flatnonzero(keep)),
+        rows=candidates.take([row for row, kept in enumerate(keep) if kept]),
         threshold=float(threshold),
         provenance=digest,
         drop_ledger=ledger,
@@ -269,12 +278,11 @@ def top_k_per_class(manifest: DatasetManifest, k: int) -> DatasetManifest:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     rows = manifest.rows
-    scores = rows.scores.tolist()
-    order = sorted(range(len(rows)), key=lambda r: (rows.wnids[r], -scores[r], rows.ids[r]))
-    keep = np.zeros(len(rows), dtype=bool)
+    order = sorted(range(len(rows)), key=lambda r: (rows.wnids[r], -rows.scores[r], rows.ids[r]))
+    kept = []
     for _, ranked in groupby(order, key=rows.wnids.__getitem__):
-        keep[list(islice(ranked, k))] = True
-    return replace(manifest, rows=rows.take(np.flatnonzero(keep)))
+        kept.extend(islice(ranked, k))
+    return replace(manifest, rows=rows.take(sorted(kept)))
 
 
 def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
@@ -297,7 +305,7 @@ def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
 def write_candidates(candidates: Candidates, path) -> None:
     """One line per row, the bytes `json.dumps` gives for the row object:
     ASCII-escaped strings and `float.__repr__` of each score."""
-    rows = zip(candidates.ids, candidates.wnids, candidates.scores.tolist())
+    rows = zip(candidates.ids, candidates.wnids, candidates.scores)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(
             f'{{"id": {encode_basestring_ascii(i)}, "wnid": {encode_basestring_ascii(w)}, '
@@ -318,7 +326,7 @@ def load_candidates(path) -> Candidates:
         raise ValidationError(
             f"duplicate candidate {(ids[row], wnids[row])}", path=path, line=lines[row]
         )
-    return Candidates(ids=ids, wnids=wnids, scores=np.array(columns["score"], dtype=np.float64))
+    return Candidates(ids=ids, wnids=wnids, scores=columns["score"])
 
 
 def write_manifest(manifest: DatasetManifest, rows_path, meta_path) -> None:
@@ -338,6 +346,6 @@ def load_manifest(rows_path) -> DatasetManifest:
     """Read manifest rows; the threshold is their lowest score (-1.0 for
     none)."""
     rows = load_candidates(rows_path)
-    threshold = float(rows.scores.min()) if len(rows) else -1.0
+    threshold = min(rows.scores) if len(rows) else -1.0
     return DatasetManifest(rows=rows, threshold=threshold)
 

@@ -396,7 +396,7 @@ def nearest_text_dataset(
     rows = Candidates(
         ids=ids,
         wnids=[best[rid][1] for rid in ids],
-        scores=np.array([best[rid][0] for rid in ids], dtype=np.float64),
+        scores=[best[rid][0] for rid in ids],
     )
     return DatasetManifest(
         rows=rows,
@@ -426,7 +426,7 @@ def cross_modal_class_stats(
     for wnid, ids in _ids_by_class(manifest):
         synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
         images = _class_rows(image_embeddings, ids, "image")
-        values = pair_cosine(images, np.broadcast_to(synset_vec, images.shape))
+        values = pair_cosine(images, synset_vec)
         value = float(values.mean())
         rng = stream(seed, _stream_key(wnid))
         idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))

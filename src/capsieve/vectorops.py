@@ -17,8 +17,10 @@ carry the contract:
   tiles. `triangle_blocks` scores a matrix against itself, each query
   block only against the rows from its own start on, so no pair is
   scored twice.
-- `pair_cosine`, row i of one array against row i of another, with
-  einsum("ij,ij->i") over the gathered pairs. `cosine` is its one-pair case.
+- `pair_cosine`, row i of one array against row i of another, or every
+  row against one vector, with einsum("ij,ij->i") over the gathered pairs;
+  one vector is broadcast, never copied per row. `cosine` is its one-pair
+  case.
 
 Both contract with einsum, never with BLAS (`@`, `np.dot`, `matmul`): a
 BLAS kernel may change its summation order with the operand shapes, and
@@ -68,17 +70,19 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def pair_cosine(a, b) -> np.ndarray:
     """Cosine of row i of `a` with row i of `b`, for every i; element i
-    equals cosine(a[i], b[i]) bitwise.
+    equals cosine(a[i], b[i]) bitwise. A 1-D `b` is one vector scored
+    against every row: element i equals cosine(a[i], b), and `b` and its
+    norm are neither copied nor recomputed per row.
 
     Raises ValidationError when the shapes differ or a row is all zero.
     """
     a, b = _f64(a), _f64(b)
-    if a.ndim != 2 or a.shape != b.shape:
+    if a.ndim != 2 or b.shape not in (a.shape, a.shape[1:]):
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = _row_norms(a), _row_norms(b)
+    na, nb = _row_norms(a), _row_norms(np.atleast_2d(b))
     if not (na.all() and nb.all()):
         raise ValidationError("cosine undefined for all-zero vector")
-    return _contract("ij,ij->i", a, b) / (na * nb)
+    return _contract("ij,ij->i", a, np.broadcast_to(b, a.shape)) / (na * nb)
 
 
 def cosine(a, b) -> float:

@@ -45,7 +45,7 @@ def make_candidates(rows) -> Candidates:
 
 def candidate_rows(candidates: Candidates) -> list[tuple[str, str, float]]:
     """The (instance id, wnid, score) rows of `candidates`, in order."""
-    return list(zip(candidates.ids, candidates.wnids, candidates.scores.tolist()))
+    return list(zip(candidates.ids, candidates.wnids, candidates.scores))
 
 
 def random_matrix(rng, ids, dim) -> EmbeddingMatrix:

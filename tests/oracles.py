@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from dataclasses import replace
+from itertools import groupby, islice
 from statistics import NormalDist
 
 import numpy as np
@@ -18,6 +20,7 @@ from capsieve.causalsim import (
     _keep_mask,
 )
 from capsieve.corpus import _KINDS, _SURROGATE, Corpus, EmbeddingMatrix
+from capsieve.curator import AssembleOptions, Candidates, DatasetManifest, SweepPoint
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
 from capsieve.taxonomy import Taxonomy, fold_text, normalize_lemma
@@ -230,3 +233,87 @@ def cond_indep_bin_test_naive(
         n_bins_tested=bins_tested,
         n_comparisons=m,
     )
+
+
+# -- curator bookkeeping, as numpy computed it before the curator moved to
+# the standard library --------------------------------------------------------
+
+
+def _take(candidates: Candidates, rows: np.ndarray) -> Candidates:
+    picks = rows.tolist()
+    return Candidates(
+        ids=[candidates.ids[i] for i in picks],
+        wnids=[candidates.wnids[i] for i in picks],
+        scores=np.array(candidates.scores, dtype=np.float64)[rows].tolist(),
+    )
+
+
+def threshold_sweep_numpy(candidates: Candidates, thresholds: list[float]) -> list[SweepPoint]:
+    """Rows and distinct classes scoring >= each threshold, counted with
+    np.sort and searchsorted(side="left")."""
+    scores = np.sort(np.array(candidates.scores, dtype=np.float64))
+    class_best: dict[str, float] = {}
+    for wnid, score in zip(candidates.wnids, candidates.scores):
+        best = class_best.get(wnid)
+        if best is None or score > best:
+            class_best[wnid] = score
+    best_scores = np.sort(np.array(list(class_best.values()), dtype=np.float64))
+    points = []
+    for t in thresholds:
+        n_rows = int(len(scores) - np.searchsorted(scores, t, side="left"))
+        n_classes = int(len(best_scores) - np.searchsorted(best_scores, t, side="left"))
+        points.append(SweepPoint(threshold=float(t), n_classes=n_classes, n_instances=n_rows))
+    return points
+
+
+def assemble_numpy(
+    candidates: Candidates, threshold: float, corpus: Corpus, options: AssembleOptions
+) -> DatasetManifest:
+    """`curator.assemble` with boolean masks: the threshold, then the
+    multi-label rule by a bincount of kept labels per instance, then the
+    flags. The manifest's provenance is left empty."""
+    where = np.array([corpus.index[i] for i in candidates.ids], dtype=np.intp)
+    scores = np.array(candidates.scores, dtype=np.float64)
+    ledger = {"below_threshold": 0, "multi_label": 0, "nsfw": 0, "text_in_image": 0}
+
+    keep = scores >= threshold
+    ledger["below_threshold"] = int(len(keep) - np.count_nonzero(keep))
+
+    labels = np.bincount(where[keep], minlength=len(corpus))
+    multi = np.flatnonzero(keep & (labels[where] > 1)).tolist()
+    keep[multi] = False
+    best: dict[int, tuple[tuple[float, str], int]] = {}
+    if not options.drop_multi_label:
+        for row in multi:
+            rank = (-scores[row].item(), candidates.wnids[row])
+            prior = best.get(where[row].item())
+            if prior is None or rank < prior[0]:
+                best[where[row].item()] = (rank, row)
+        keep[[row for _, row in best.values()]] = True
+    ledger["multi_label"] = len(multi) - len(best)
+
+    if options.drop_nsfw:
+        flagged = keep & np.array(corpus.nsfw, dtype=bool)[where]
+        ledger["nsfw"] = int(np.count_nonzero(flagged))
+        keep &= ~flagged
+    if options.drop_text_in_image:
+        text_in_image = np.array([flag is True for flag in corpus.text_in_image], dtype=bool)
+        flagged = keep & text_in_image[where]
+        ledger["text_in_image"] = int(np.count_nonzero(flagged))
+        keep &= ~flagged
+    return DatasetManifest(
+        rows=_take(candidates, np.flatnonzero(keep)), threshold=float(threshold),
+        drop_ledger=ledger,
+    )
+
+
+def top_k_per_class_numpy(manifest: DatasetManifest, k: int) -> DatasetManifest:
+    """Each class's k best rows by (-score, id), marked in a boolean mask
+    and kept in manifest order."""
+    rows = manifest.rows
+    scores = rows.scores
+    order = sorted(range(len(rows)), key=lambda r: (rows.wnids[r], -scores[r], rows.ids[r]))
+    keep = np.zeros(len(rows), dtype=bool)
+    for _, ranked in groupby(order, key=rows.wnids.__getitem__):
+        keep[list(islice(ranked, k))] = True
+    return replace(manifest, rows=_take(rows, np.flatnonzero(keep)))

@@ -11,9 +11,12 @@ from capsieve.causalsim import (
     GenConfig,
     VALID_RULE_KINDS,
     SelectionRule,
+    _ball_distances,
     _bin_test,
     _keep_mask,
+    _per_class_dim_variance,
     _t_bins,
+    acceptance_rate,
     bottleneck_gap,
     class_means,
     generate,
@@ -312,3 +315,31 @@ def test_bottleneck_gap_bin_tests_equal_the_oracle(
     assert vars(report.bin_test_image) == vars(
         cond_indep_bin_test_naive(samples, image_rule, bin_width)
     )
+
+
+# 1, 2 and 3 rows per block at x_dim 2**17, 2**16 and about 2**17 / 3
+@pytest.mark.parametrize("x_dim", [2, 3, 16, 100, 43691, 1 << 16, 1 << 17])
+def test_blocked_ball_distances_equal_the_whole_array_expression(x_dim):
+    rng = np.random.default_rng(x_dim)
+    step = max(1, (1 << 17) // x_dim)
+    n = 3 * step + 5  # three block edges and a partial last block
+    x = rng.standard_normal((n, x_dim)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    proto = rng.standard_normal(x_dim)
+    expected = np.sqrt(((x - proto) ** 2).sum(axis=1))
+    assert _ball_distances(x, tuple(proto)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["text_threshold", "image_ball", "image_threshold"])
+def test_acceptance_rate_is_the_selected_share(kind):
+    samples = generate(config(x_dim=6), 20_000)
+    rule = _rule(kind, 6, kind != "text_threshold")
+    assert acceptance_rate(samples, rule) == len(select(samples, rule)) / len(samples)
+
+
+def test_masked_class_variance_equals_the_variance_of_the_selected_copy():
+    samples = generate(config(n_classes=3, x_dim=5), 30_000)
+    for rule in (_rule("text_threshold", 5, False), _rule("image_ball", 5, True)):
+        mask = _keep_mask(samples, rule)
+        got = _per_class_dim_variance(samples.y, samples.x, mask)
+        expected = _per_class_dim_variance(samples.y[mask], samples.x[mask])
+        assert got.tobytes() == expected.tobytes()

@@ -892,8 +892,9 @@ def child(args, cwd, **env):
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
 def test_cli_child_runs_one_thread(tmp_path):
-    proc = child(["-c", "import os, capsieve.cli; print(len(os.listdir('/proc/self/task')))"],
-                 tmp_path)
+    # numpy loads only in the stages that score vectors, after the CLI, as here
+    script = "import os, capsieve.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    proc = child(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"]
 
@@ -940,3 +941,104 @@ def test_cli_child_config_error_is_one_line(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("capsieve: config error: ")
+
+
+# -- what each CLI child imports ----------------------------------------------
+
+# Runs one CLI stage in a fresh process, then reports its exit code, the
+# capsieve modules it loaded and whether it loaded numpy, as JSON on the
+# last line of stdout.
+IMPORT_REPORT = """\
+import json, sys
+from capsieve.cli import run
+code = run(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "capsieve": sorted(m for m in sys.modules if m.startswith("capsieve."))}))
+"""
+
+SIMULATE_FREE = {"corpus", "curator", "diagnostics", "matcher", "taxonomy", "vectorops",
+                 "evalmetrics"}
+DIAGNOSE_FREE = {"causalsim", "matcher", "taxonomy"}
+TABULAR_FREE = {"causalsim", "diagnostics", "matcher", "taxonomy", "vectorops", "seeding"}
+
+# (stage, argv with {input} placeholders, exit code, loads numpy, modules it must not load)
+STAGE_IMPORTS = [
+    ("match", ["match", "--taxonomy", "{taxonomy}", "--corpus", "{corpus}",
+               "--caption-embeddings", "{caption_embeddings}",
+               "--synset-embeddings", "{synset_embeddings}"],
+     0, True, {"causalsim", "diagnostics", "evalmetrics", "seeding"}),
+    ("sweep", ["sweep", "--candidates", "{candidates}", "--thresholds", "0:0.9:0.1"],
+     0, False, TABULAR_FREE),
+    ("assemble", ["assemble", "--candidates", "{candidates}", "--corpus", "{corpus}",
+                  "--threshold", "0.3", "--drop-multi-label", "--drop-nsfw",
+                  "--drop-text-in-image", "--top-k", "5"],
+     0, False, TABULAR_FREE),
+    ("eval", ["eval", "--manifest", "{manifest}", "--predictions", "{predictions}"],
+     0, False, TABULAR_FREE),
+    ("intra", ["diagnose", "intra", "--manifest", "{manifest}",
+               "--image-embeddings", "{image_embeddings}", "--hist-edges", "0:1:0.5"],
+     0, True, DIAGNOSE_FREE),
+    ("compare", ["diagnose", "compare", "--manifest-a", "{manifest}", "--manifest-b",
+                 "{manifest}", "--image-embeddings-a", "{image_embeddings}",
+                 "--image-embeddings-b", "{image_embeddings}", "--boot", "20"],
+     0, True, DIAGNOSE_FREE),
+    ("false-class", ["diagnose", "false-class", "--text-embeddings", "{caption_embeddings}",
+                     "--pairs", "{manifest}", "--synset-embeddings", "{synset_embeddings}",
+                     "--bin-edges", "0:1:0.5"],
+     0, True, DIAGNOSE_FREE),
+    ("nearest-text", ["diagnose", "nearest-text", "--query-embeddings", "{synset_embeddings}",
+                      "--query-labels", "{query_labels}",
+                      "--corpus-embeddings", "{caption_embeddings}"],
+     0, True, DIAGNOSE_FREE),
+    ("cross-modal", ["diagnose", "cross-modal", "--manifest", "{manifest}",
+                     "--image-embeddings", "{image_embeddings}",
+                     "--synset-embeddings", "{synset_embeddings}", "--boot", "20"],
+     0, True, DIAGNOSE_FREE),
+    ("correlate", ["diagnose", "correlate", "--csv", "{recall_csv}", "--x-col", "value",
+                   "--y-col", "n"],
+     0, True, DIAGNOSE_FREE),
+    ("simulate", ["simulate", "--config", "{sim_config}"], 0, True, SIMULATE_FREE),
+    ("version", ["--version"], 0, False, set()),
+    ("config-error", ["sweep", "--candidates", "{candidates}", "--thresholds", "1,0"],
+     2, False, set()),
+    ("diagnose-config-error", ["diagnose", "intra", "--manifest", "{manifest}",
+                               "--image-embeddings", "{image_embeddings}", "--boot", "5"],
+     2, False, set()),
+]
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(pipeline_fixture, tmp_path_factory):
+    """The pipeline fixture's inputs plus the candidates, manifest, recall
+    CSV and simulate config the later stages read, made in-process."""
+    root = tmp_path_factory.mktemp("stage_inputs")
+    fx = {name: str(path) for name, path in pipeline_fixture.items()}
+    run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+            "--caption-embeddings", fx["caption_embeddings"],
+            "--synset-embeddings", fx["synset_embeddings"], "--out", root / "match"])
+    fx["candidates"] = str(root / "match" / "candidates.jsonl")
+    run_ok(["assemble", "--candidates", fx["candidates"], "--corpus", fx["corpus"],
+            "--threshold", "0.3", "--out", root / "assemble"])
+    fx["manifest"] = str(root / "assemble" / "manifest.jsonl")
+    run_ok(["eval", "--manifest", fx["manifest"], "--predictions", fx["predictions"],
+            "--out", root / "eval"])
+    fx["recall_csv"] = str(root / "eval" / "recall_k1.csv")
+    fx["sim_config"] = str(root / "sim.json")
+    Path(fx["sim_config"]).write_text(json.dumps({**SIM_CONFIG, "n": 2000}), encoding="utf-8")
+    return fx
+
+
+@pytest.mark.parametrize("stage, argv, code, loads_numpy, never", STAGE_IMPORTS,
+                         ids=[case[0] for case in STAGE_IMPORTS])
+def test_cli_child_imports_only_its_own_stage(stage_inputs, tmp_path, stage, argv, code,
+                                              loads_numpy, never):
+    argv = [arg.format(**stage_inputs) for arg in argv]
+    if argv[0] != "--version":
+        argv += ["--out", str(tmp_path / "out")]
+    proc = child(["-c", IMPORT_REPORT, *argv], tmp_path)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == code, proc.stderr
+    assert report["numpy"] is loads_numpy
+    loaded = {name.removeprefix("capsieve.") for name in report["capsieve"]}
+    assert "cli" in loaded
+    assert not loaded & never, f"{stage} loaded {sorted(loaded & never)}"

@@ -27,6 +27,7 @@ from capsieve.matcher import LemmaMatch, write_matches
 from capsieve.vectorops import cosine
 
 from conftest import candidate_rows, make_candidates, make_corpus, random_matrix
+from oracles import assemble_numpy, threshold_sweep_numpy, top_k_per_class_numpy
 
 
 def match(instance_id, wnid):
@@ -369,8 +370,8 @@ def test_candidates_columns_must_align_and_be_finite():
     with pytest.raises(ValidationError, match="non-finite score for candidate \\(i2, n00000002\\)"):
         Candidates(ids=["i1", "i2"], wnids=["n00000001", "n00000002"], scores=[0.5, np.inf])
     candidates = make_candidates([cand("i1", "n00000001", 0.5)])
-    with pytest.raises(ValueError):
-        candidates.scores[0] = 1.0  # the columns are frozen with the object
+    with pytest.raises(TypeError):
+        candidates.scores[0] = 1.0  # the scores are frozen with the object
 
 
 WRITTEN_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é 😀", "\ud800"])
@@ -397,3 +398,84 @@ def test_writers_give_the_bytes_of_json_dumps(tmp_path, rows, spans):
         for m in matches
     )
     assert path.read_bytes() == expected.encode()
+
+
+# -- the standard-library bookkeeping against the numpy oracles ---------------
+#
+# Few ids, wnids and score values, so that scores tie within and across
+# classes, instances carry several labels, and thresholds land on scores.
+# A pair may repeat, so two labels of an instance can tie on score and wnid.
+
+TIE_SCORES = [-1.0, -0.5, -0.0, 0.0, 0.3, 0.5, 1.0]
+SCORES = st.sampled_from(TIE_SCORES) | st.integers(-1, 1) | st.floats(-1, 1)
+INSTANCES = [f"i{j}" for j in range(5)]
+ROWS = st.lists(
+    st.tuples(st.sampled_from(INSTANCES),
+              st.sampled_from(["n00000001", "n00000002", "n00000003"]), SCORES),
+    max_size=30,
+)
+THRESHOLDS = st.lists(SCORES, min_size=1, max_size=6).map(lambda ts: sorted(set(map(float, ts))))
+
+
+def exact_rows(candidates):
+    """The rows with each score as its repr, so -0.0 and 0.0 differ."""
+    return [(i, w, repr(score)) for i, w, score in candidate_rows(candidates)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=ROWS, thresholds=THRESHOLDS)
+def test_sweep_equals_the_numpy_oracle(rows, thresholds):
+    candidates = make_candidates(rows)
+    assert threshold_sweep(candidates, thresholds) == threshold_sweep_numpy(candidates, thresholds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=ROWS, threshold=SCORES, nsfw=st.lists(st.booleans(), min_size=5, max_size=5),
+       text_in_image=st.lists(st.sampled_from([True, False, None]), min_size=5, max_size=5),
+       drops=st.tuples(st.booleans(), st.booleans(), st.booleans()), k=st.integers(1, 4))
+def test_assemble_and_top_k_equal_the_numpy_oracles(rows, threshold, nsfw, text_in_image,
+                                                    drops, k):
+    corpus = make_corpus(["t"] * 5, ids=INSTANCES, nsfw=nsfw, text_in_image=text_in_image)
+    options = AssembleOptions(*drops)
+    candidates = make_candidates(rows)
+    got = assemble(candidates, threshold, corpus, options)
+    expected = assemble_numpy(candidates, threshold, corpus, options)
+    assert exact_rows(got.rows) == exact_rows(expected.rows)
+    assert (got.drop_ledger, got.class_counts) == (expected.drop_ledger, expected.class_counts)
+    assert repr(got.threshold) == repr(expected.threshold)
+    assert exact_rows(top_k_per_class(got, k).rows) == exact_rows(
+        top_k_per_class_numpy(expected, k).rows
+    )
+
+
+# integers, signed zeros, and floats of every size, as a JSONL file may hold them
+JSON_SCORES = (st.integers(-(2**70), 2**70) | st.sampled_from([0, -0.0, 0.0, 1, -1])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.sampled_from(INSTANCES),
+                               st.sampled_from(["n00000001", "n00000002"]), JSON_SCORES),
+                     max_size=10, unique_by=lambda row: row[:2]),
+       thresholds=st.lists(JSON_SCORES, min_size=1, max_size=4).map(
+           lambda ts: sorted(set(map(float, ts)))))
+def test_jsonl_scores_read_as_numpy_read_them(tmp_path, rows, thresholds):
+    def jsonl(rows):
+        return "".join(json.dumps({"id": i, "wnid": w, "score": s}) + "\n" for i, w, s in rows)
+
+    path = tmp_path / "candidates.jsonl"
+    path.write_text(jsonl(rows), encoding="utf-8")
+    loaded = load_candidates(path)
+    as_numpy = np.array([s for _, _, s in rows], dtype=np.float64)
+    assert list(map(repr, loaded.scores)) == list(map(repr, as_numpy.tolist()))
+    assert threshold_sweep(loaded, thresholds) == threshold_sweep_numpy(loaded, thresholds)
+    again = tmp_path / "again.jsonl"
+    write_candidates(loaded, again)
+    expected = jsonl((i, w, s) for (i, w, _), s in zip(rows, as_numpy.tolist()))
+    assert again.read_text(encoding="utf-8") == expected
+    one_per_id = {i: (i, w, s) for i, w, s in rows}.values()  # a manifest row per instance
+    write_candidates(make_candidates(one_per_id), path)
+    if one_per_id:
+        lowest = np.min(np.array([s for _, _, s in one_per_id], dtype=np.float64))
+        assert load_manifest(path).threshold == lowest  # -0.0 and 0.0 may swap

@@ -677,6 +677,25 @@ def test_cross_modal_dim_mismatch(rng):
         cross_modal_class_stats(manifest_of([("i0", "n00000001")]), images, synsets)
 
 
+def test_cross_modal_scores_a_class_without_a_copy_per_image(rng):
+    # a class of 1300 images at d = 512 is 5.1 MiB in float64; scoring it
+    # against a broadcast float64 copy of its synset vector peaked at 17.8 MiB
+    n, d = 1300, 512
+    ids = [f"i{j:04d}" for j in range(n)]
+    images = random_matrix(rng, ids, d)
+    synsets = random_matrix(rng, ["n00000001"], d)
+    manifest = manifest_of([(i, "n00000001") for i in ids])
+    tracemalloc.start()
+    try:
+        stat = cross_modal_class_stats(manifest, images, synsets, n_boot=1, seed=0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    synset = synsets.rows[0]
+    assert stat.value == float(np.mean([cosine(row, synset) for row in images.rows]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(**class_cases)
 def test_cross_modal_row_does_not_depend_on_other_classes(wnids, picks, seed):

@@ -293,6 +293,15 @@ def test_pair_kernel_equals_cosine_bitwise(rng, d):
         assert scores[i] == cosine(a[i], b[i])
 
 
+@pytest.mark.parametrize("d", [7, 64, 512, 20000])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_pair_kernel_scores_one_vector_as_its_broadcast_copy(rng, n, d):
+    a, vec = scaled_rows(rng, n, d), scaled_rows(rng, 1, d)[0]
+    scores = pair_cosine(a, vec)
+    assert scores.tobytes() == pair_cosine(a, np.tile(vec, (n, 1))).tobytes()
+    assert [float(s) for s in scores] == [cosine(row, vec) for row in a]
+
+
 def test_kernel_errors(rng):
     m = matrix(scaled_rows(rng, 3, 4), ["a", "b", "c"])
     with pytest.raises(ValidationError, match="mismatch"):
@@ -305,6 +314,10 @@ def test_kernel_errors(rng):
         pair_cosine(np.ones((2, 4)), np.ones((2, 3)))
     with pytest.raises(ValidationError, match="zero"):
         pair_cosine(np.ones((2, 4)), np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+    with pytest.raises(ValidationError, match="mismatch"):
+        pair_cosine(np.ones((2, 4)), np.ones(3))
+    with pytest.raises(ValidationError, match="zero"):
+        pair_cosine(np.ones((2, 4)), np.zeros(4))
     with pytest.raises(ValidationError, match="empty"):
         nearest_rows([np.ones(3)], EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[]))
     with pytest.raises(ValidationError, match="mismatch"):
