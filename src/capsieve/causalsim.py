@@ -191,15 +191,9 @@ def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
     return mask
 
 
-def select(samples: Samples, rule: SelectionRule) -> Samples:
-    """Samples passing the rule, order preserved. May be empty."""
-    mask = _keep_mask(samples, rule)
-    return Samples(samples.y[mask], samples.x[mask], samples.t[mask])
-
-
 def acceptance_rate(samples: Samples, rule: SelectionRule) -> float:
-    """The share of the samples the rule keeps: len(select(samples, rule))
-    / len(samples), counted from the keep mask without copying them."""
+    """The share of the samples the rule keeps, counted from its keep mask
+    without copying them."""
     return int(np.count_nonzero(_keep_mask(samples, rule))) / len(samples)
 
 
@@ -334,7 +328,6 @@ def bottleneck_gap(
     alpha: float = 0.01,
 ) -> BottleneckReport:
     """Measure how each selection distorts the within-class image
-
     distribution. Variances are per class, then averaged, so class-mean
     spread does not masquerade as within-class diversity.
     """

@@ -181,6 +181,13 @@ def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[st
     return lines, columns
 
 
+def select(samples: Samples, rule: SelectionRule) -> Samples:
+    """The samples the rule keeps, order preserved, as columns copied out
+    of the whole set. May be empty."""
+    mask = _keep_mask(samples, rule)
+    return Samples(samples.y[mask], samples.x[mask], samples.t[mask])
+
+
 def cond_indep_bin_test_naive(
     samples: Samples,
     rule: SelectionRule,

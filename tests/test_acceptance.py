@@ -273,7 +273,7 @@ def test_criterion_7_bottleneck_theorem():
         )
         samples = causalsim.generate(cfg, 100_000)
         text_rule = causalsim.SelectionRule(kind="text_threshold", threshold=1.0)
-        text_rate = len(causalsim.select(samples, text_rule)) / len(samples)
+        text_rate = causalsim.acceptance_rate(samples, text_rule)
 
         prototype = tuple(causalsim.class_means(cfg)[0])
         radius = causalsim.matched_ball_radius(samples, prototype, text_rate)

@@ -21,11 +21,10 @@ from capsieve.causalsim import (
     class_means,
     generate,
     matched_ball_radius,
-    select,
 )
 from capsieve.errors import ValidationError
 
-from oracles import cond_indep_bin_test_naive
+from oracles import cond_indep_bin_test_naive, select
 
 
 def config(**kw):

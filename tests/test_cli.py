@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import capsieve
 from capsieve import vectorops
 from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC
+from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
 
 
 def run_ok(argv):
@@ -541,8 +543,9 @@ def _case_id(case):
     return f"{stage}-{target}-{value!r}"
 
 
-@pytest.mark.parametrize("stage, target, value, code", MALFORMED, ids=map(_case_id, MALFORMED))
-def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value, code):
+def run_corrupted(tmp_path, capsys, stage, target, value, out="out") -> int:
+    """Run `stage` on the good inputs, then with the one corruption of a
+    MALFORMED case and --out at `out`; the second run's exit code."""
     for name, good in GOOD_INPUTS.items():
         (tmp_path / name).write_bytes(good)
     command, options = STAGES[stage]
@@ -555,17 +558,34 @@ def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value
     assert run(argv) == 0  # the inputs are valid before the one corruption
     capsys.readouterr()
 
+    config["out"] = str(tmp_path / out)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     if target in GOOD_INPUTS or target == "run.json":
         (tmp_path / target).write_bytes(value)
     else:
         if value in (FILE, UNDER_FILE):
             value = str(tmp_path / "table.csv") + ("" if value == FILE else "/out")
         config_path.write_text(json.dumps({**config, target: value}), encoding="utf-8")
-    assert run(argv) == code
+    return run(argv)
+
+
+@pytest.mark.parametrize("stage, target, value, code", MALFORMED, ids=map(_case_id, MALFORMED))
+def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value, code):
+    assert run_corrupted(tmp_path, capsys, stage, target, value) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+CONFIG_ERRORS = [case for case in MALFORMED if case[3] == 2 and case[1] != "out"]
+
+
+@pytest.mark.parametrize("stage, target, value, code", CONFIG_ERRORS,
+                         ids=map(_case_id, CONFIG_ERRORS))
+def test_config_error_leaves_no_out(tmp_path, capsys, stage, target, value, code):
+    assert run_corrupted(tmp_path, capsys, stage, target, value, out="fresh") == 2
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_repeated_ranked_wnid_names_path_and_line(tmp_path, capsys):
@@ -631,6 +651,33 @@ def test_int_option_takes_values_that_convert_without_loss(tmp_path, key, value,
         run_ok(command + ["--config", tmp_path / "run.json"])
         trees.append(tree_bytes(out))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("stage, key", [("nearest-text", "min-sim"), ("eval", "k"),
+                                        ("compare", "boot")])
+def test_config_null_is_the_default(tmp_path, stage, key):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES[stage]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items() if k != key}
+    trees = []
+    for given in ({}, {key: None}):
+        out = tmp_path / f"out-{len(trees)}"
+        (tmp_path / "run.json").write_text(json.dumps({**config, **given, "out": str(out)}))
+        run_ok(command + ["--config", tmp_path / "run.json"])
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
+def test_boot_defaults_to_the_library_default(tmp_path):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    command, options = STAGES["cross-modal"]
+    argv = command + [f"--{k}={tmp_path / v}" for k, v in options.items() if v in GOOD_INPUTS]
+    run_ok(argv + ["--out", tmp_path / "default"])
+    run_ok(argv + ["--boot", DEFAULT_BOOTSTRAP_REPLICATES, "--out", tmp_path / "given"])
+    assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "given")
 
 
 @pytest.mark.parametrize(
@@ -737,6 +784,53 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, stage):
     assert not (out / "bad").exists()  # refused before --out is made
 
 
+# The config keys each subcommand or analysis takes: its options, --out
+# included. Each option but simulate's generator and rule keys is a flag too.
+CONFIG_KEYS = {
+    "match": {"out", "taxonomy", "corpus", "caption-embeddings", "synset-embeddings",
+              "max-lemmas"},
+    "sweep": {"out", "candidates", "thresholds"},
+    "assemble": {"out", "candidates", "corpus", "threshold", "drop-multi-label", "drop-nsfw",
+                 "drop-text-in-image", "top-k"},
+    "eval": {"out", "manifest", "predictions", "weights", "k"},
+    "diagnose intra": {"out", "manifest", "image-embeddings", "hist-edges"},
+    "diagnose compare": {"out", "seed", "boot", "manifest-a", "manifest-b",
+                         "image-embeddings-a", "image-embeddings-b"},
+    "diagnose false-class": {"out", "text-embeddings", "pairs", "synset-embeddings",
+                             "bin-edges"},
+    "diagnose nearest-text": {"out", "query-embeddings", "query-labels", "corpus-embeddings",
+                              "min-sim"},
+    "diagnose cross-modal": {"out", "seed", "boot", "manifest", "image-embeddings",
+                             "synset-embeddings"},
+    "diagnose correlate": {"out", "csv", "x-col", "y-col"},
+    "simulate": {"out", "seed", "n", "n_classes", "x_dim", "text_noise_sd", "class_sep",
+                 "bin_width", "alpha", "text_rule", "image_rule"},
+}
+CONFIG_ONLY = {"n_classes", "x_dim", "text_noise_sd", "class_sep", "bin_width", "alpha",
+               "text_rule", "image_rule"}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_each_option_is_a_flag_and_a_config_key(tmp_path, capsys, command):
+    argv = command.split()
+    subcommand = argv[0]
+    assert run([subcommand, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--([a-z][\w-]*)", capsys.readouterr().out))
+    # diagnose's parser lists the flags of every analysis
+    keys = set().union(*(v for k, v in CONFIG_KEYS.items() if k.split()[0] == subcommand))
+    assert listed == {"help", "config"} | (keys - CONFIG_ONLY)
+
+    config_path = tmp_path / "run.json"
+    taken = set()
+    for key in sorted(set().union(*CONFIG_KEYS.values()) |
+                      {"config", "command", "analysis", "func", "help", "max_lemmas"}):
+        config_path.write_text(json.dumps({key: None}), encoding="utf-8")
+        assert run(argv + ["--config", str(config_path)]) == 2  # no --out
+        if "unknown config key(s)" not in capsys.readouterr().err:
+            taken.add(key)
+    assert taken == CONFIG_KEYS[command]
+
+
 @pytest.mark.parametrize("stage", ["intra", "compare"])
 def test_missing_image_embedding_leaves_no_partial_csv(tmp_path, capsys, stage):
     for name, good in GOOD_INPUTS.items():
@@ -750,6 +844,45 @@ def test_missing_image_embedding_leaves_no_partial_csv(tmp_path, capsys, stage):
         "capsieve: data error: missing image embedding for id 'zzz'\n"
     )
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# (stage, input file, its bytes, the error): data that breaks only once the
+# first output could have been written.
+LATE_DATA_ERRORS = [
+    ("match", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + b'{"id": "e", "text": "a cat"}\n',
+     "missing caption embedding for id 'e'"),
+    ("eval-weights", "weights.json", b'{"n00000001": 1.0}', "no weight for class 'n00000002'"),
+]
+
+
+@pytest.mark.parametrize("stage, name, content, error", LATE_DATA_ERRORS,
+                         ids=[case[0] for case in LATE_DATA_ERRORS])
+def test_late_data_error_leaves_out_empty(tmp_path, capsys, stage, name, content, error):
+    for good_name, good in GOOD_INPUTS.items():
+        (tmp_path / good_name).write_bytes(good)
+    (tmp_path / name).write_bytes(content)
+    command, options = STAGES[stage]
+    argv = command + [f"--{k}={tmp_path / v}" if v in GOOD_INPUTS else f"--{k}={v}"
+                      for k, v in options.items()]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"capsieve: data error: {error}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_eval_weights_file_is_recorded_by_content_not_path(tmp_path):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "w.json").write_bytes(GOOD_INPUTS["weights.json"])
+    trees = []
+    for weights in (tmp_path / "weights.json", tmp_path / "sub" / "w.json"):
+        out = tmp_path / "out" / weights.parent.name
+        run_ok(["eval", "--manifest", tmp_path / "manifest.jsonl",
+                "--predictions", tmp_path / "predictions.jsonl", "--weights", weights,
+                "--out", out])
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+    assert read_json(out / "accuracy.json")["weights_mode"] == "file"
 
 
 SIM_CONFIG = {
@@ -797,6 +930,17 @@ def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, cod
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("key, value", [("bin_width", 0.1), ("alpha", 0.05)])
+def test_simulate_config_digest_covers_each_setting(tmp_path, key, value):
+    digests = []
+    for config in (SIM_CONFIG, {**SIM_CONFIG, key: value}):
+        out = tmp_path / str(len(digests))
+        (tmp_path / "sim.json").write_text(json.dumps(config), encoding="utf-8")
+        run_ok(["simulate", "--config", tmp_path / "sim.json", "--out", out])
+        digests.append(read_json(out / "provenance.json")["config_digest"])
+    assert digests[0] != digests[1]
 
 
 @pytest.mark.parametrize("bin_width", [1e-9, 1e-300])
