@@ -461,16 +461,13 @@ def _diagnose_compare(stage, seed, boot, manifest_a, manifest_b, image_embedding
 
 
 def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_edges):
-    import numpy as np
-
-    from . import diagnostics, vectorops
+    from . import diagnostics
     from .corpus import load_embeddings
 
     texts_matrix = load_embeddings(text_embeddings)
     synsets = load_embeddings(synset_embeddings)
     pairs = _load_pairs(pairs)
-    rows = [vectorops.require_embedding(texts_matrix, i, "text") for i, _ in pairs]
-    vectors = np.stack(rows) if rows else np.empty((0, texts_matrix.dim))
+    vectors = texts_matrix.rows[texts_matrix.positions([i for i, _ in pairs], "text")]
     intended = [wnid for _, wnid in pairs]
     bins = diagnostics.binned_false_class_means(vectors, intended, synsets, bin_edges)
     rows = ((b.lo, b.hi, b.count, b.mean) for b in bins)
@@ -479,14 +476,13 @@ def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_
 
 
 def _diagnose_nearest_text(stage, query_embeddings, query_labels, corpus_embeddings, min_sim):
-    from . import curator, diagnostics, vectorops
+    from . import curator, diagnostics
     from .corpus import load_embeddings
 
     queries = load_embeddings(query_embeddings)
-    query_texts = [
-        (vectorops.require_embedding(queries, i, "query"), wnid)
-        for i, wnid in _load_pairs(query_labels)
-    ]
+    labels = _load_pairs(query_labels)
+    vectors = queries.rows[queries.positions([i for i, _ in labels], "query")]
+    query_texts = list(zip(vectors, (wnid for _, wnid in labels)))
     manifest = diagnostics.nearest_text_dataset(
         query_texts, load_embeddings(corpus_embeddings), min_sim
     )

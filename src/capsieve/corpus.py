@@ -3,7 +3,7 @@
 Corpus files are JSONL, one record per line:
 
     {"id": str, "text": str, "nsfw": bool, "text_in_image": bool|null,
-     "meta": {str: str, ...}}
+     "meta": {str: str, ...} | null}
 
 Embedding files are a single binary blob so ids and rows cannot drift
 apart:
@@ -26,6 +26,14 @@ candidate, prediction and pair loaders all read through it. It returns
 columns, one list per field, and checks each field's kind once per column
 after the whole file has parsed.
 
+Ids are joined here too, so each id error is worded once. `index_keys`
+builds every id index in the package and reports the first key seen twice
+("duplicate {what} {key!r}", with both lines for a JSONL file), and
+`EmbeddingMatrix.positions` finds every embedding row by id and reports
+the first id the matrix lacks ("missing {role} embedding for id {id!r}").
+An embedding file's duplicate id, non-finite row or all-zero row is
+reported with the file's path.
+
 Only the embedding code uses numpy: `EmbeddingMatrix`, `load_embeddings`
 and `write_embeddings` import it when they run, so the JSONL readers, and
 the `sweep`, `assemble` and `eval` stages built on them, never load it.
@@ -45,7 +53,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, MissingKeyError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,11 +86,7 @@ class Corpus:
         n = len(self.ids)
         if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == len(self.meta) == n:
             raise ValidationError("corpus columns differ in length")
-        index = dict(zip(self.ids, range(n)))
-        if len(index) != n:
-            _, again = first_repeat(self.ids)
-            raise ValidationError(f"duplicate instance id {self.ids[again]!r}")
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", index_keys(self.ids, "instance id"))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -91,17 +95,28 @@ class Corpus:
         return instance_id in self.index
 
 
-def first_repeat(keys: Sequence) -> tuple[int, int] | None:
-    """Positions (first, again) of the first key equal to an earlier one,
-    or None when the keys are distinct."""
-    if len(set(keys)) == len(keys):
-        return None
-    seen: dict = {}
+def index_keys(keys: Sequence, what: str, *, path=None, lines: Sequence[int] | None = None
+               ) -> dict:
+    """Each key of `keys` mapped to its position.
+
+    Raises ValidationError "duplicate {what} {key!r}" for the first key
+    seen twice. Given `lines`, the line number of each key, the message
+    adds the line the key was first seen on, and the error names `path`
+    and the line of the repeat.
+    """
+    index = {key: pos for pos, key in enumerate(keys)}
+    if len(index) == len(keys):
+        return index
+    first: dict = {}
     for pos, key in enumerate(keys):
-        first = seen.setdefault(key, pos)
-        if first != pos:
-            return first, pos
-    return None
+        if first.setdefault(key, pos) != pos:
+            break
+    message = f"duplicate {what} {key!r}"
+    if lines is None:
+        raise ValidationError(message, path=path)
+    raise ValidationError(
+        f"{message} (first seen on line {lines[first[key]]})", path=path, line=lines[pos]
+    )
 
 
 # Undecodable bytes, read with errors="surrogateescape", and JSON escapes
@@ -323,26 +338,19 @@ def read_jsonl(
 
 
 def load_corpus(path) -> Corpus:
-    """Stream-load a JSONL corpus as columns; duplicate ids are rejected
-    with both line numbers."""
+    """Stream-load a JSONL corpus as columns. A `meta` that is absent or
+    null reads as {}; any other non-object is rejected with its line, and a
+    duplicate id with both its lines."""
     path = Path(path)
     flags = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
     lines, columns = read_jsonl(path, {"id": str, "text": str}, optional=flags)
-    meta = [value or {} for value in columns["meta"]]
+    meta = [{} if value is None else value for value in columns["meta"]]
     for row, value in enumerate(meta):
         if not isinstance(value, dict):
             raise FormatError("field 'meta' must be an object", path=path, line=lines[row])
-    ids = columns["id"]
-    repeat = first_repeat(ids)
-    if repeat is not None:
-        first, again = repeat
-        raise ValidationError(
-            f"duplicate instance id {ids[again]!r} (first seen on line {lines[first]})",
-            path=path,
-            line=lines[again],
-        )
+    index_keys(columns["id"], "instance id", path=path, lines=lines)
     return Corpus(
-        ids=ids,
+        ids=columns["id"],
         texts=columns["text"],
         nsfw=[value is True for value in columns["nsfw"]],
         text_in_image=columns["text_in_image"],
@@ -387,12 +395,7 @@ class EmbeddingMatrix:
             raise ValidationError(
                 f"{len(self.ids)} ids for {rows.shape[0]} rows; they must align 1:1"
             )
-        index: dict[str, int] = {}
-        for pos, rid in enumerate(self.ids):
-            if rid in index:
-                raise ValidationError(f"duplicate embedding id {rid!r}")
-            index[rid] = pos
-        self.index = index
+        self.index = index_keys(self.ids, "embedding id")
         step = max(1, _CHECK_VALUES // max(rows.shape[1], 1))
         for start in range(0, rows.shape[0], step):
             finite = np.isfinite(rows[start : start + step]).all(axis=1)
@@ -415,6 +418,15 @@ class EmbeddingMatrix:
 
     def __contains__(self, rid: str) -> bool:
         return rid in self.index
+
+    def positions(self, ids: Sequence[str], role: str) -> list[int]:
+        """The row of each of `ids`, in order. Raises MissingKeyError for
+        the first id the matrix lacks, naming its `role`."""
+        index = self.index
+        try:
+            return [index[rid] for rid in ids]
+        except KeyError as exc:
+            raise MissingKeyError(f"missing {role} embedding for id {exc.args[0]!r}") from None
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
@@ -456,7 +468,10 @@ def load_embeddings(path) -> EmbeddingMatrix:
         raise FormatError(
             f"id trailer has {len(ids)} entries but header declares {count} rows", path=path
         )
-    return EmbeddingMatrix(rows=rows, ids=ids)
+    try:
+        return EmbeddingMatrix(rows=rows, ids=ids)
+    except ValidationError as exc:  # a duplicate id, a non-finite or an all-zero row
+        raise ValidationError(str(exc), path=path) from exc
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:

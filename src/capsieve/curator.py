@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, first_repeat, read_jsonl
+from .corpus import Corpus, index_keys, read_jsonl
 from .errors import MissingKeyError, ValidationError
 from .provenance import config_digest
 
@@ -119,12 +119,9 @@ class DatasetManifest:
 
     def __post_init__(self):
         rows = self.rows
-        repeat = first_repeat(rows.ids)
+        index_keys(rows.ids, "instance id")
         threshold = self.threshold
         below = next((row for row, score in enumerate(rows.scores) if not score >= threshold), None)
-        # The first faulty row is reported; on one row the repeat comes first.
-        if repeat is not None and not (below is not None and below < repeat[1]):
-            raise ValidationError(f"instance {rows.ids[repeat[1]]!r} appears more than once")
         if below is not None:
             raise ValidationError(
                 f"row ({rows.ids[below]}, {rows.wnids[below]}) score {rows.scores[below]} "
@@ -147,7 +144,7 @@ def score_candidates(
     """
     import numpy as np
 
-    from .vectorops import pair_cosine, require_embedding
+    from .vectorops import pair_cosine
 
     pairs = dict.fromkeys((m.instance_id, m.wnid) for m in matches)
     ids = [instance_id for instance_id, _ in pairs]
@@ -157,8 +154,8 @@ def score_candidates(
     missing = np.flatnonzero((caption_rows < 0) | (synset_rows < 0))
     if len(missing):  # the first pair with a missing row: one of these raises
         row = int(missing[0])
-        require_embedding(caption_embeddings, ids[row], "caption")
-        require_embedding(synset_text_embeddings, wnids[row], "synset text")
+        caption_embeddings.positions([ids[row]], "caption")
+        synset_text_embeddings.positions([wnids[row]], "synset text")
     scores = np.empty(len(ids), dtype=np.float64)
     for lo in range(0, len(ids), _PAIR_BLOCK):
         block = slice(lo, lo + _PAIR_BLOCK)
@@ -314,19 +311,20 @@ def write_candidates(candidates: Candidates, path) -> None:
         )
 
 
+def _read_rows(path) -> tuple[list[int], Candidates]:
+    """The rows of a candidates or manifest JSONL file, with their line
+    numbers."""
+    lines, columns = read_jsonl(path, {"id": str, "wnid": "wnid", "score": float})
+    return lines, Candidates(ids=columns["id"], wnids=columns["wnid"], scores=columns["score"])
+
+
 def load_candidates(path) -> Candidates:
     """Read candidates JSONL; a repeated (id, wnid) pair is rejected with
-    its line."""
-    path = Path(path)
-    lines, columns = read_jsonl(path, {"id": str, "wnid": "wnid", "score": float})
-    ids, wnids = columns["id"], columns["wnid"]
-    repeat = first_repeat(list(zip(ids, wnids)))
-    if repeat is not None:
-        row = repeat[1]
-        raise ValidationError(
-            f"duplicate candidate {(ids[row], wnids[row])}", path=path, line=lines[row]
-        )
-    return Candidates(ids=ids, wnids=wnids, scores=columns["score"])
+    both its lines."""
+    lines, candidates = _read_rows(path)
+    pairs = list(zip(candidates.ids, candidates.wnids))
+    index_keys(pairs, "candidate", path=Path(path), lines=lines)
+    return candidates
 
 
 def write_manifest(manifest: DatasetManifest, rows_path, meta_path) -> None:
@@ -343,9 +341,10 @@ def write_manifest(manifest: DatasetManifest, rows_path, meta_path) -> None:
 
 
 def load_manifest(rows_path) -> DatasetManifest:
-    """Read manifest rows; the threshold is their lowest score (-1.0 for
-    none)."""
-    rows = load_candidates(rows_path)
+    """Read manifest rows, one per instance (a repeated id is rejected with
+    both its lines); the threshold is their lowest score (-1.0 for none)."""
+    lines, rows = _read_rows(rows_path)
+    index_keys(rows.ids, "instance id", path=Path(rows_path), lines=lines)
     threshold = min(rows.scores) if len(rows) else -1.0
     return DatasetManifest(rows=rows, threshold=threshold)
 

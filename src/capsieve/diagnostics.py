@@ -34,13 +34,11 @@ import numpy as np
 
 from .corpus import WNID_RE, EmbeddingMatrix
 from .curator import Candidates, DatasetManifest
-from .errors import MissingKeyError, ValidationError
+from .errors import ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import (
-    _row_norms, cosine_blocks, nearest_rows, pair_cosine, require_embedding, triangle_blocks
-)
+from .vectorops import _row_norms, cosine_blocks, nearest_rows, pair_cosine, triangle_blocks
 
 log = logging.getLogger(__name__)
 
@@ -104,16 +102,6 @@ def _ids_by_class(manifest: DatasetManifest) -> list[tuple[str, list[str]]]:
     return sorted(by_class.items())
 
 
-def _class_rows(matrix: EmbeddingMatrix, ids: list[str], kind: str) -> np.ndarray:
-    """The rows of `ids`, in order, taken with one index gather. Raises
-    MissingKeyError naming the first id the matrix lacks and its role."""
-    try:
-        index = [matrix.index[rid] for rid in ids]
-    except KeyError as exc:
-        raise MissingKeyError(f"missing {kind} embedding for id {exc.args[0]!r}") from None
-    return matrix.rows[index]
-
-
 def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) -> ClassStat:
     """`value` with the 95% percentile interval of its bootstrap
     `replicates`, widened if necessary to contain `value` (the percentile
@@ -136,7 +124,8 @@ def intra_class_sims(
     for wnid, ids in _ids_by_class(manifest):
         if len(ids) < 2:
             log.info("class %s has %d image(s); no pairwise similarities", wnid, len(ids))
-        yield ClassImages(wnid=wnid, rows=_class_rows(image_embeddings, ids, "image"))
+        rows = image_embeddings.rows[image_embeddings.positions(ids, "image")]
+        yield ClassImages(wnid=wnid, rows=rows)
 
 
 def _pair_means(units: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -308,11 +297,7 @@ def _own_score_and_false_class(
     block's own scores come from `pair_cosine` at its first tile."""
     if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
-    cols = []
-    for wnid in intended:
-        if wnid not in synsets.index:
-            raise MissingKeyError(f"unknown wnid {wnid!r}")
-        cols.append(synsets.index[wnid])
+    cols = synsets.positions(intended, "synset text")
     for start, lo, scores in cosine_blocks(texts, synsets):
         if lo == 0:
             block = slice(start, start + len(scores))
@@ -424,9 +409,9 @@ def cross_modal_class_stats(
         )
     out = []
     for wnid, ids in _ids_by_class(manifest):
-        synset_vec = require_embedding(synset_text_embeddings, wnid, "synset text")
-        images = _class_rows(image_embeddings, ids, "image")
-        values = pair_cosine(images, synset_vec)
+        (synset_row,) = synset_text_embeddings.positions([wnid], "synset text")
+        images = image_embeddings.rows[image_embeddings.positions(ids, "image")]
+        values = pair_cosine(images, synset_text_embeddings.rows[synset_row])
         value = float(values.mean())
         rng = stream(seed, _stream_key(wnid))
         idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))

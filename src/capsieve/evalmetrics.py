@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import read_jsonl
+from .corpus import index_keys, read_jsonl
 from .curator import DatasetManifest
 from .errors import MissingKeyError, ValidationError
 
@@ -167,22 +167,18 @@ def per_class_recall_diff_ci(
 
 def load_predictions(path) -> dict[str, list[str]]:
     """Read predictions JSONL, {"id": str, "ranked": [wnid, ...]}, as a
-    mapping from id to ranked wnids. A ranked list that repeats a wnid and
-    an id seen before are rejected with their line."""
+    mapping from id to ranked wnids. An id seen before, and then a ranked
+    list that repeats a wnid, are rejected with their line."""
     path = Path(path)
     lines, columns = read_jsonl(path, {"id": str, "ranked": "wnid list"})
-    predictions: dict[str, list[str]] = {}
-    for lineno, instance_id, ranked in zip(lines, columns["id"], columns["ranked"]):
+    ids, ranked_lists = columns["id"], columns["ranked"]
+    index_keys(ids, "prediction id", path=path, lines=lines)
+    for lineno, instance_id, ranked in zip(lines, ids, ranked_lists):
         if len(set(ranked)) != len(ranked):
             raise ValidationError(
                 f"ranked predictions for {instance_id!r} not distinct", path=path, line=lineno
             )
-        if instance_id in predictions:
-            raise ValidationError(
-                f"duplicate prediction for {instance_id!r}", path=path, line=lineno
-            )
-        predictions[instance_id] = ranked
-    return predictions
+    return dict(zip(ids, ranked_lists))
 
 
 def write_predictions(predictions: Mapping[str, Sequence[str]], path) -> None:

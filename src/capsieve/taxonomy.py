@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .corpus import WNID_RE, read_jsonl
+from .corpus import WNID_RE, index_keys, read_jsonl
 from .errors import ValidationError
 
 
@@ -53,12 +53,7 @@ class Taxonomy:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        index: dict[str, int] = {}
-        for pos, synset in enumerate(self.synsets):
-            if synset.wnid in index:
-                raise ValidationError(f"duplicate wnid {synset.wnid}")
-            index[synset.wnid] = pos
-        self.index = index
+        self.index = index_keys([synset.wnid for synset in self.synsets], "wnid")
 
     def __len__(self) -> int:
         return len(self.synsets)
@@ -80,27 +75,19 @@ def load_taxonomy(path) -> Taxonomy:
     """Load and validate a JSONL taxonomy file.
 
     Raises FormatError (with line number) on unparseable rows and
-    ValidationError on duplicate wnids or malformed synsets.
+    ValidationError on duplicate wnids, then on malformed synsets.
     """
     path = Path(path)
     fields = {"wnid": "wnid", "lemmas": list, "name": str, "gloss": str}
     lines, columns = read_jsonl(path, fields)
+    index_keys(columns["wnid"], "wnid", path=path, lines=lines)
     synsets: list[Synset] = []
-    seen: dict[str, int] = {}
     rows = zip(lines, columns["wnid"], columns["lemmas"], columns["name"], columns["gloss"])
     for lineno, wnid, lemmas, name, gloss in rows:
-        if wnid in seen:
-            raise ValidationError(
-                f"duplicate wnid {wnid} (first seen on line {seen[wnid]})",
-                path=path,
-                line=lineno,
-            )
         try:
-            synset = Synset(wnid=wnid, lemmas=tuple(lemmas), name=name, gloss=gloss)
+            synsets.append(Synset(wnid=wnid, lemmas=tuple(lemmas), name=name, gloss=gloss))
         except ValidationError as exc:
             raise ValidationError(str(exc), path=path, line=lineno) from exc
-        seen[wnid] = lineno
-        synsets.append(synset)
     return Taxonomy(synsets)
 
 

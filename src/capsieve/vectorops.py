@@ -29,7 +29,8 @@ package, the within-class image pairs of `diagnose intra` included, comes
 from one of these two kernels.
 
 No approximate index is provided by design; exact scans keep every
-downstream statistic reproducible and testable.
+downstream statistic reproducible and testable. The module only scores:
+finding an id's row is `EmbeddingMatrix.positions`, in `corpus`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import EmbeddingMatrix
-from .errors import MissingKeyError, ValidationError
+from .errors import ValidationError
 
 # Values in one row chunk, query block or tile of `cosine_blocks`, and
 # scores in one query block of `triangle_blocks`: 1 MiB of float64 each.
@@ -155,16 +156,15 @@ def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:
 
 def nearest_rows(queries, matrix: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:
     """For each query, the index of its nearest matrix row and that row's
-    score: the highest cosine, exact ties to the smallest id (in numpy's
-    string order). A running best per query is kept over the tiles of
-    `cosine_blocks`.
+    score: the highest cosine, exact ties to the smallest id. A running
+    best per query is kept over the tiles of `cosine_blocks`.
 
     Raises ValidationError for an empty matrix.
     """
     if matrix.count == 0:
         raise ValidationError("empty matrix")
     rank = np.empty(matrix.count, dtype=np.intp)  # each row's place in id order
-    rank[np.argsort(np.asarray(matrix.ids), kind="stable")] = np.arange(matrix.count)
+    rank[sorted(range(matrix.count), key=matrix.ids.__getitem__)] = np.arange(matrix.count)
     best = np.zeros(len(queries), dtype=np.intp)
     best_score = np.full(len(queries), -np.inf)
     for start, lo, scores in cosine_blocks(queries, matrix):
@@ -178,10 +178,3 @@ def nearest_rows(queries, matrix: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarr
         best_score[held] = np.where(wins, top, prior)
     return best, best_score
 
-
-def require_embedding(matrix: EmbeddingMatrix, rid: str, kind: str) -> np.ndarray:
-    """Fetch a row or raise MissingKeyError naming the id and its role."""
-    try:
-        return matrix.rows[matrix.index[rid]]
-    except KeyError:
-        raise MissingKeyError(f"missing {kind} embedding for id {rid!r}") from None

@@ -426,7 +426,35 @@ SHORT_WNID = b'{"id": "a", "wnid": "n0000001", "score": 0.9}'
 WIDE_DIGIT_WNID = b'{"id": "a", "wnid": "n0000000\\uff11", "score": 0.9}'  # fullwidth 1
 BAD_RANKED_WNID = b'{"id": "a", "ranked": ["n00000001", "cat"]}'
 BAD_PAIR_WNID = b'{"id": "a", "wnid": "n00000001\\n"}'
+META_ZERO = b'{"id": "a", "text": "a cat", "meta": 0}'  # was read as {}
 FILE, UNDER_FILE = "<a file>", "<a path below a file>"  # values for --out
+
+
+def add_line(name, line):
+    """The good `name` with `line` added at its end."""
+    return GOOD_INPUTS[name] + line + b"\n"
+
+
+REPEATED_WNID = b'{"wnid": "n00000001", "lemmas": ["puma"], "name": "puma", "gloss": "a puma"}'
+REPEATED_INSTANCE = b'{"id": "a", "wnid": "n00000002", "score": 0.9}'  # a new pair, an old id
+# (stage, file, value, the error after the file's path): a key seen twice
+DUPLICATES = [
+    ("match", "corpus.jsonl", add_line("corpus.jsonl", b'{"id": "a", "text": "again"}'),
+     "line 5: duplicate instance id 'a' (first seen on line 1)"),
+    ("match", "taxonomy.jsonl", add_line("taxonomy.jsonl", REPEATED_WNID),
+     "line 3: duplicate wnid 'n00000001' (first seen on line 1)"),
+    ("sweep", "candidates.jsonl",
+     add_line("candidates.jsonl", b'{"id": "a", "wnid": "n00000001", "score": 0.5}'),
+     "line 5: duplicate candidate ('a', 'n00000001') (first seen on line 1)"),
+    ("eval", "manifest.jsonl", add_line("manifest.jsonl", REPEATED_INSTANCE),
+     "line 5: duplicate instance id 'a' (first seen on line 1)"),
+    ("intra", "manifest.jsonl", add_line("manifest.jsonl", REPEATED_INSTANCE),
+     "line 5: duplicate instance id 'a' (first seen on line 1)"),
+    ("eval", "predictions.jsonl", add_line("predictions.jsonl", b'{"id": "a", "ranked": []}'),
+     "line 5: duplicate prediction id 'a' (first seen on line 1)"),
+    ("match", "vectors.emb", GOOD_INPUTS["vectors.emb"].replace(b'"b"', b'"a"'),
+     "duplicate embedding id 'a'"),
+]
 # (stage, target, value, exit code): `target` is an input file whose bytes
 # become `value`, or a config key set to `value`; "run.json" is the config.
 MALFORMED = [
@@ -530,6 +558,9 @@ MALFORMED = [
     # non-finite CSV cells
     ("correlate", "table.csv", b"x,y\n1,nan\n2,3\n3,4\n", 3),
     ("correlate", "table.csv", b"x,y\n1,2\ninf,3\n3,4\n", 3),
+    # a corpus meta that is not an object or null
+    ("assemble", "corpus.jsonl", first_line("corpus.jsonl", META_ZERO), 3),
+    *[(stage, target, value, 3) for stage, target, value, _ in DUPLICATES],
 ]
 
 
@@ -576,6 +607,29 @@ def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+@pytest.mark.parametrize("stage, target, value, message", DUPLICATES,
+                         ids=[_case_id((*case[:3], 3)) for case in DUPLICATES])
+def test_duplicate_key_names_its_file_and_lines(tmp_path, capsys, stage, target, value, message):
+    assert run_corrupted(tmp_path, capsys, stage, target, value) == 3
+    assert capsys.readouterr().err == f"capsieve: data error: {tmp_path / target}: {message}\n"
+
+
+def test_embedding_error_names_the_file_it_is_in(tmp_path, capsys):
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    zero_row = VECTORS.copy()
+    zero_row[2] = 0.0
+    images_b = tmp_path / "b.emb"
+    images_b.write_bytes(GOOD_INPUTS["vectors.emb"].replace(VECTORS.tobytes(), zero_row.tobytes()))
+    argv = ["diagnose", "compare", "--manifest-a", tmp_path / "manifest.jsonl",
+            "--manifest-b", tmp_path / "manifest.jsonl",
+            "--image-embeddings-a", tmp_path / "vectors.emb", "--image-embeddings-b", images_b,
+            "--boot", "20", "--out", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err == f"capsieve: data error: {images_b}: all-zero vector for id 'c'\n"
 
 
 CONFIG_ERRORS = [case for case in MALFORMED if case[3] == 2 and case[1] != "out"]

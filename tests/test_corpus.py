@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import ast
 import json
 import struct
 import tracemalloc
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import capsieve
 from capsieve.cli import _load_pairs
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
     Corpus,
     EmbeddingMatrix,
+    index_keys,
     load_corpus,
     load_embeddings,
     read_jsonl,
@@ -24,7 +29,6 @@ from capsieve.curator import load_candidates
 from capsieve.errors import CapsieveError, FormatError, MissingKeyError, ValidationError
 from capsieve.evalmetrics import load_predictions
 from capsieve.taxonomy import load_taxonomy
-from capsieve.vectorops import require_embedding
 
 from oracles import read_jsonl_per_line
 
@@ -163,17 +167,42 @@ def test_duplicate_embedding_ids_rejected():
 
 def test_get_embedding(tmp_path):
     m = matrix([[1, 2], [3, 4]], ["a", "b"])
-    assert require_embedding(m, "b", "test").tolist() == [3.0, 4.0]
+    assert m.rows[m.positions(["b"], "test")].tolist() == [[3.0, 4.0]]
     with pytest.raises(MissingKeyError, match="zzz"):
-        require_embedding(m, "zzz", "test")
+        m.positions(["zzz"], "test")
 
 
 def test_every_id_resolves(rng):
     ids = [f"k{i}" for i in range(25)]
     m = matrix(rng.standard_normal((25, 3)).astype(np.float32), ids)
-    for i, rid in enumerate(ids):
-        row = require_embedding(m, rid, "test")
-        assert row is m.rows[i] or (row == m.rows[i]).all()
+    assert m.positions(ids, "test") == list(range(25))
+    assert m.positions(ids[::-3], "test") == list(range(25))[::-3]
+    assert m.positions([], "test") == []
+
+
+def test_positions_names_the_first_missing_id_and_its_role():
+    m = matrix([[1, 2], [3, 4]], ["a", "b"])
+    with pytest.raises(MissingKeyError) as info:
+        m.positions(["b", "x", "a", "y"], "caption")
+    assert str(info.value) == "missing caption embedding for id 'x'"
+
+
+def test_index_keys_maps_each_key_to_its_position():
+    assert index_keys(["b", "a", "c"], "id") == {"b": 0, "a": 1, "c": 2}
+    assert index_keys([], "id") == {}
+    assert index_keys([("a", "n1"), ("a", "n2")], "pair") == {("a", "n1"): 0, ("a", "n2"): 1}
+
+
+def test_index_keys_reports_the_first_key_seen_twice():
+    keys = ["a", "b", "c", "b", "a"]
+    with pytest.raises(ValidationError) as info:
+        index_keys(keys, "instance id")
+    assert str(info.value) == "duplicate instance id 'b'"
+    assert info.value.path is None and info.value.line is None
+    with pytest.raises(ValidationError) as info:
+        index_keys(keys, "instance id", path="c.jsonl", lines=[1, 3, 4, 7, 9])
+    assert str(info.value) == "c.jsonl: line 7: duplicate instance id 'b' (first seen on line 3)"
+    assert (info.value.path, info.value.line) == ("c.jsonl", 7)
 
 
 def test_zero_row_file_loads(tmp_path):
@@ -306,6 +335,42 @@ def test_corpus_flags_load_as_written(tmp_path):
                                                            (False, True)]
 
 
+@pytest.mark.parametrize("meta", ["0", "[]", "false", '""', '"x"', "1.5"])
+def test_corpus_meta_must_be_an_object_or_null(tmp_path, meta):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x", "meta": null}\n'
+                    f'{{"id": "b", "text": "y", "meta": {meta}}}\n', encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: line 2: field 'meta' must be an object"
+
+
+def test_corpus_meta_absent_or_null_reads_as_empty(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x", "meta": null}\n{"id": "b", "text": "y"}\n'
+                    '{"id": "c", "text": "z", "meta": {}}\n', encoding="utf-8")
+    assert load_corpus(path).meta == [{}, {}, {}]
+
+
+@pytest.mark.parametrize(
+    "ids, rows, message",
+    [
+        (["a", "a"], [[1.0], [2.0]], "duplicate embedding id 'a'"),
+        (["a", "b"], [[1.0], [np.inf]], "non-finite values in row for id 'b'"),
+        (["a", "b"], [[0.0], [2.0]], "all-zero vector for id 'a'"),
+    ],
+)
+def test_embedding_file_errors_name_the_file(tmp_path, ids, rows, message):
+    path = tmp_path / "bad.emb"
+    path.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", 1, len(ids))
+                     + np.asarray(rows, dtype="<f4").tobytes()
+                     + "".join(json.dumps(i) + "\n" for i in ids).encode())
+    with pytest.raises(ValidationError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert info.value.path == path
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
@@ -398,3 +463,56 @@ def test_read_jsonl_agrees_with_per_line_oracle(tmp_path, lines, newline):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(newline.join(lines))
     assert _outcome(read_jsonl, path) == _outcome(read_jsonl_per_line, path)
+
+
+def _literals(node) -> Iterator[tuple[int, str]]:
+    """(line, text) of each string literal under `node`, an f-string as one
+    literal with "{}" for each value."""
+    if isinstance(node, ast.JoinedStr):
+        yield node.lineno, "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                   for part in node.values)
+    elif isinstance(node, ast.Constant):
+        if isinstance(node.value, str):
+            yield node.lineno, node.value
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _literals(child)
+
+
+def id_lookup_errors(source: str) -> list[str]:
+    """Each `raise` in a module's source whose message is a duplicate-key or
+    missing-embedding error, as "line N: message": a string that starts with
+    "duplicate " or holds " embedding for id"."""
+    return [
+        f"line {line}: {text}"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)
+        for line, text in _literals(node)
+        if text.startswith("duplicate ") or " embedding for id" in text
+    ]
+
+
+def test_only_corpus_reports_duplicate_and_missing_ids():
+    # Every duplicate goes through `index_keys` and every missing embedding
+    # row through `EmbeddingMatrix.positions`, so each is worded in one place.
+    sources = sorted(Path(capsieve.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = {p.name: id_lookup_errors(p.read_text(encoding="utf-8"))
+             for p in sources if p.name != "corpus.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ('raise ValidationError(f"duplicate wnid {w}")', ["line 1: duplicate wnid {}"]),
+        ('raise E("duplicate id " + repr(k))', ["line 1: duplicate id "]),
+        ('raise MissingKeyError(f"missing {kind} embedding for id {rid!r}") from None',
+         ["line 1: missing {} embedding for id {}"]),
+        ('if x:\n    raise E(\n        f"duplicate {what}")', ["line 3: duplicate {}"]),
+        ('raise E(f"no prediction for instance {i!r}")', []),
+        ('log.info("duplicate rows")', []),
+        ('raise E(f"{n} duplicates")', []),
+    ],
+)
+def test_id_lookup_scan_finds_each_message(source, found):
+    assert id_lookup_errors(source) == found

@@ -319,8 +319,15 @@ def test_relative_frequencies_empty():
         relative_frequencies(manifest)
 
 
+def test_manifest_reports_a_repeated_instance_before_a_low_score():
+    rows = make_candidates([cand("i1", "n00000001", 0.4), cand("i1", "n00000002", 0.9)])
+    with pytest.raises(ValidationError) as info:
+        DatasetManifest(rows=rows, threshold=0.5)
+    assert str(info.value) == "duplicate instance id 'i1'"
+
+
 def test_manifest_invariants():
-    with pytest.raises(ValidationError, match="more than once"):
+    with pytest.raises(ValidationError, match="duplicate instance id"):
         DatasetManifest(
             rows=make_candidates([cand("i1", "n00000001", 0.9), cand("i1", "n00000002", 0.8)]),
             threshold=0.0,

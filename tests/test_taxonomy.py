@@ -50,8 +50,17 @@ def test_duplicate_wnid_rejected(tmp_path):
     ]
     path = tmp_path / "tax.jsonl"
     write_jsonl(path, rows)
-    with pytest.raises(ValidationError, match="duplicate wnid n02084071"):
+    with pytest.raises(ValidationError, match="duplicate wnid 'n02084071'"):
         load_taxonomy(path)
+
+
+def test_duplicate_wnid_is_reported_before_a_bad_synset(tmp_path):
+    rows = [synset_row(1, ["  "]), synset_row(2, ["cat"]), synset_row(1, ["dog"])]
+    path = tmp_path / "tax.jsonl"
+    write_jsonl(path, rows)
+    with pytest.raises(ValidationError) as info:
+        load_taxonomy(path)
+    assert str(info.value) == f"{path}: line 3: duplicate wnid 'n00000001' (first seen on line 1)"
 
 
 def test_accepts_multi_lemma_synset(tmp_path):

@@ -324,6 +324,14 @@ def test_kernel_errors(rng):
         nearest_rows([np.ones(5)], m)
 
 
+@pytest.mark.parametrize("ids", [["a\x00", "a"], ["a", "a\x00"]])
+def test_nearest_rows_ties_go_to_the_smallest_id_in_python_order(ids):
+    # numpy's unicode dtype drops trailing NULs, and would read both ids as "a"
+    m = matrix([[1.0, 2.0], [1.0, 2.0], [2.0, -1.0]], ids + ["b"])
+    (row,), _ = nearest_rows([np.array([1.0, 1.0])], m)
+    assert m.ids[row] == "a"
+
+
 def test_nearest_rows_matches_oracle_across_blocks_with_ties(rng, monkeypatch):
     rows = scaled_rows(rng, 20, 6)
     rows[[3, 11, 17]] = rows[5]  # exact ties among four ids
