@@ -115,6 +115,14 @@ def _parse_thresholds(spec: str) -> list[float]:
     return values
 
 
+def _parse_edges(spec) -> list[float]:
+    """A `_parse_thresholds` list of at least two values: bin edges."""
+    edges = _parse_thresholds(spec)
+    if len(edges) < 2:
+        raise ConfigError(f"needs at least two edges, got {spec!r}")
+    return edges
+
+
 def _parse_cutoffs(spec) -> list[int]:
     ks = [int(v) for v in str(spec).split(",") if v.strip()]
     if not ks or any(k < 1 for k in ks):
@@ -302,12 +310,27 @@ class _Stage:
         _write_json(self.out / "provenance.json", payload)
 
 
-def _load_pairs(path) -> list[tuple[str, str]]:
-    """JSONL of {"id": str, "wnid": str} pairs (extra keys ignored)."""
+def _labelled_rows(path, matrix, role: str):
+    """The rows of `matrix` for the ids of a pairs file, JSONL of {"id":
+    str, "wnid": str} (extra keys ignored), in file order, and their wnids.
+    An id `matrix` lacks is a missing `role` embedding."""
     from .corpus import read_jsonl
 
     _, columns = read_jsonl(path, {"id": str, "wnid": "wnid"})
-    return list(zip(columns["id"], columns["wnid"]))
+    return matrix.rows[matrix.positions(columns["id"], role)], columns["wnid"]
+
+
+def _classes(manifest, image_embeddings):
+    """The `intra_class_sims` stream of a manifest file over an image
+    embedding file. `compare` and `cross-modal` import `diagnostics` only
+    after it, so `curator` is imported before numpy: the other order gives
+    the same outputs, but a heap layout that raises `compare`'s peak RSS
+    by 0.2 MiB on the bench's diagnose inputs."""
+    from . import curator, diagnostics
+    from .corpus import load_embeddings
+
+    return diagnostics.intra_class_sims(curator.load_manifest(manifest),
+                                        load_embeddings(image_embeddings))
 
 
 def _load_weights(path) -> dict[str, float]:
@@ -416,15 +439,11 @@ def _cmd_eval(stage, manifest, predictions, weights, k):
 def _diagnose_intra(stage, manifest, image_embeddings, hist_edges):
     import numpy as np
 
-    from . import curator, diagnostics
-    from .corpus import load_embeddings
+    from . import diagnostics
 
-    classes = diagnostics.intra_class_sims(
-        curator.load_manifest(manifest), load_embeddings(image_embeddings)
-    )
     rows = []
     counts = None if hist_edges is None else np.zeros(len(hist_edges) - 1, dtype=np.int64)
-    for c in classes:
+    for c in _classes(manifest, image_embeddings):
         mean = diagnostics.mean_pair_similarity(c) if c.n_pairs else None
         rows.append((c.wnid, c.n_images, c.n_pairs, mean))
         if counts is not None:
@@ -439,25 +458,15 @@ def _diagnose_intra(stage, manifest, image_embeddings, hist_edges):
 
 def _diagnose_compare(stage, seed, boot, manifest_a, manifest_b, image_embeddings_a,
                       image_embeddings_b):
-    from . import curator, diagnostics
-    from .corpus import load_embeddings
+    classes_a = _classes(manifest_a, image_embeddings_a)
+    classes_b = _classes(manifest_b, image_embeddings_b)
+    from . import diagnostics
 
-    classes_a = diagnostics.intra_class_sims(curator.load_manifest(manifest_a),
-                                             load_embeddings(image_embeddings_a))
-    classes_b = diagnostics.intra_class_sims(curator.load_manifest(manifest_b),
-                                             load_embeddings(image_embeddings_b))
     diffs = diagnostics.per_class_mean_diff_ci(classes_a, classes_b, n_boot=boot, seed=seed)
     comparison = diagnostics.compare_from_intervals(diffs)
     rows = ((d.wnid, d.value, d.ci_low, d.ci_high) for d in diffs)
     _write_csv(stage.output("intra_class_diff.csv"), "wnid,value,ci_low,ci_high", rows)
-    _write_json(
-        stage.output("comparison.json"),
-        {
-            "prop_A_lower": comparison.prop_A_lower,
-            "prop_B_lower": comparison.prop_B_lower,
-            "n_shared": comparison.n_shared,
-        },
-    )
+    _write_json(stage.output("comparison.json"), vars(comparison))
 
 
 def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_edges):
@@ -466,10 +475,8 @@ def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_
 
     texts_matrix = load_embeddings(text_embeddings)
     synsets = load_embeddings(synset_embeddings)
-    pairs = _load_pairs(pairs)
-    vectors = texts_matrix.rows[texts_matrix.positions([i for i, _ in pairs], "text")]
-    intended = [wnid for _, wnid in pairs]
-    bins = diagnostics.binned_false_class_means(vectors, intended, synsets, bin_edges)
+    texts, intended = _labelled_rows(pairs, texts_matrix, "text")
+    bins = diagnostics.binned_false_class_means(texts, intended, synsets, bin_edges)
     rows = ((b.lo, b.hi, b.count, b.mean) for b in bins)
     header = "lo,hi,count,mean_false_class_proportion"
     _write_csv(stage.output("false_class_bins.csv"), header, rows)
@@ -479,29 +486,21 @@ def _diagnose_nearest_text(stage, query_embeddings, query_labels, corpus_embeddi
     from . import curator, diagnostics
     from .corpus import load_embeddings
 
-    queries = load_embeddings(query_embeddings)
-    labels = _load_pairs(query_labels)
-    vectors = queries.rows[queries.positions([i for i, _ in labels], "query")]
-    query_texts = list(zip(vectors, (wnid for _, wnid in labels)))
-    manifest = diagnostics.nearest_text_dataset(
-        query_texts, load_embeddings(corpus_embeddings), min_sim
-    )
+    queries, wnids = _labelled_rows(query_labels, load_embeddings(query_embeddings), "query")
+    corpus = load_embeddings(corpus_embeddings)
+    manifest = diagnostics.nearest_text_dataset(queries, wnids, corpus, min_sim)
     curator.write_manifest(
         manifest, stage.output("manifest.jsonl"), stage.output("manifest.meta.json")
     )
 
 
 def _diagnose_cross_modal(stage, seed, boot, manifest, image_embeddings, synset_embeddings):
-    from . import curator, diagnostics
+    classes = _classes(manifest, image_embeddings)
+    from . import diagnostics
     from .corpus import load_embeddings
 
-    stats = diagnostics.cross_modal_class_stats(
-        curator.load_manifest(manifest),
-        load_embeddings(image_embeddings),
-        load_embeddings(synset_embeddings),
-        n_boot=boot,
-        seed=seed,
-    )
+    synsets = load_embeddings(synset_embeddings)
+    stats = diagnostics.cross_modal_class_stats(classes, synsets, n_boot=boot, seed=seed)
     _write_class_stats(stage.output("cross_modal.csv"), stats)
 
 
@@ -611,9 +610,9 @@ _SUBCOMMANDS = {
     "simulate": "run the selection-bias simulator",
 }
 
-# The two analyses that draw a bootstrap take these. 1000 is
-# diagnostics.DEFAULT_BOOTSTRAP_REPLICATES, stated here to load no numpy.
-_SEED = _Option("seed", _within(_int, 0), 0)
+# The two analyses that draw a bootstrap take these, and simulate its seed.
+# 1000 is diagnostics.DEFAULT_BOOTSTRAP_REPLICATES, stated here to load no numpy.
+_SEED = _Option("seed", _within(_int, 0), 0, help="root random seed")
 _BOOT = _Option("boot", _within(_int, 1), 1000)
 
 # Each subcommand, or diagnose analysis, with the function that runs it and
@@ -648,7 +647,7 @@ _COMMANDS = {
     "diagnose intra": (_diagnose_intra, (
         _Option("manifest", Path, _REQUIRED),
         _Option("image-embeddings", Path, _REQUIRED),
-        _Option("hist-edges", _parse_thresholds),
+        _Option("hist-edges", _parse_edges),
     )),
     "diagnose compare": (_diagnose_compare, (
         _SEED,
@@ -662,7 +661,7 @@ _COMMANDS = {
         _Option("text-embeddings", Path, _REQUIRED),
         _Option("pairs", Path, _REQUIRED),
         _Option("synset-embeddings", Path, _REQUIRED),
-        _Option("bin-edges", _parse_thresholds, _REQUIRED),
+        _Option("bin-edges", _parse_edges, _REQUIRED),
     )),
     "diagnose nearest-text": (_diagnose_nearest_text, (
         _Option("query-embeddings", Path, _REQUIRED),
@@ -683,10 +682,10 @@ _COMMANDS = {
         _Option("y-col", str, _REQUIRED),
     )),
     "simulate": (_cmd_simulate, (
-        _Option("seed", _int, 0, help="root random seed"),
-        _Option("n", _int, 100_000, help="number of samples"),
-        _Option("n_classes", _int, _REQUIRED, flag=False),
-        _Option("x_dim", _int, _REQUIRED, flag=False),
+        _SEED,
+        _Option("n", _within(_int, 1), 100_000, help="number of samples"),
+        _Option("n_classes", _within(_int, 1), _REQUIRED, flag=False),
+        _Option("x_dim", _within(_int, 2), _REQUIRED, flag=False),
         _Option("text_noise_sd", float, _REQUIRED, flag=False),
         _Option("class_sep", float, _REQUIRED, flag=False),
         _Option("bin_width", float, 0.05, flag=False),

@@ -216,15 +216,14 @@ def _loads(text: str, path, lineno: int):
         raise FormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
 
 
-def _json_lines(lines, path, before_fault=None) -> Iterator[tuple[int, object]]:
+def _json_lines(lines, path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of `lines`, text
     decoded from UTF-8 with errors="surrogateescape".
 
     Each line is parsed by one `raw_decode` call on the line stripped of
     JSON whitespace. A line it does not parse whole, and that is not blank
     by `str.strip`, goes to `_loads`, whose FormatError names the line with
-    the words `json.loads` gives; `before_fault` runs first, so a caller
-    can report a fault it holds from an earlier line.
+    the words `json.loads` gives.
     """
     for lineno, text in enumerate(lines, start=1):
         body = text.strip(_JSON_SPACE)
@@ -241,8 +240,6 @@ def _json_lines(lines, path, before_fault=None) -> Iterator[tuple[int, object]]:
                     continue
         if not text.strip():  # only whitespace JSON does not allow, such as U+00A0
             continue
-        if before_fault is not None:
-            before_fault()
         yield lineno, _loads(text, path, lineno)
 
 
@@ -310,27 +307,24 @@ def read_jsonl(
     required_appends = [(name, columns[name].append) for name in fields]
     optional_appends = [(name, columns[name].append) for name in optional]
 
-    def raise_earlier_fault():
-        error = _first_fault(columns, checks, lines, path)
-        if error is not None:
-            raise error
-
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, row in _json_lines(fh, path, raise_earlier_fault):
-            if not isinstance(row, dict):
-                raise_earlier_fault()
-                raise FormatError("expected a JSON object", path=path, line=lineno)
-            lines.append(lineno)
-            try:
-                for name, append in required_appends:
-                    append(row[name])
-            except KeyError as exc:  # the fields before it are in the columns
-                raise_earlier_fault()
-                missing = exc.args[0]
-                raise FormatError(f"missing field {missing!r}", path=path, line=lineno) from None
-            for name, append in optional_appends:
-                append(row.get(name, _ABSENT))
-    raise_earlier_fault()
+        try:
+            for lineno, row in _json_lines(fh, path):
+                if not isinstance(row, dict):
+                    raise FormatError("expected a JSON object", path=path, line=lineno)
+                lines.append(lineno)
+                try:
+                    for name, append in required_appends:
+                        append(row[name])
+                except KeyError as exc:  # the fields before it are in the columns
+                    message = f"missing field {exc.args[0]!r}"
+                    raise FormatError(message, path=path, line=lineno) from None
+                for name, append in optional_appends:
+                    append(row.get(name, _ABSENT))
+        except FormatError as fault:  # a kind fault among the rows read so far comes first
+            raise _first_fault(columns, checks, lines, path) or fault from None
+    if fault := _first_fault(columns, checks, lines, path):
+        raise fault
     for name in optional:
         if _ABSENT in columns[name]:
             columns[name] = [None if value is _ABSENT else value for value in columns[name]]

@@ -94,14 +94,6 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return out / _row_norms(out)[:, np.newaxis]
 
 
-def _ids_by_class(manifest: DatasetManifest) -> list[tuple[str, list[str]]]:
-    """Each class's instance ids in manifest order, classes in wnid order."""
-    by_class: dict[str, list[str]] = {}
-    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
-        by_class.setdefault(wnid, []).append(instance_id)
-    return sorted(by_class.items())
-
-
 def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) -> ClassStat:
     """`value` with the 95% percentile interval of its bootstrap
     `replicates`, widened if necessary to contain `value` (the percentile
@@ -121,7 +113,10 @@ def intra_class_sims(
     downstream comparisons skip them. Raises MissingKeyError, when the
     class is reached, for an instance with no image embedding.
     """
-    for wnid, ids in _ids_by_class(manifest):
+    by_class: dict[str, list[str]] = {}  # each class's instance ids, in manifest order
+    for instance_id, wnid in zip(manifest.rows.ids, manifest.rows.wnids):
+        by_class.setdefault(wnid, []).append(instance_id)
+    for wnid, ids in sorted(by_class.items()):
         if len(ids) < 2:
             log.info("class %s has %d image(s); no pairwise similarities", wnid, len(ids))
         rows = image_embeddings.rows[image_embeddings.positions(ids, "image")]
@@ -287,10 +282,18 @@ def compare_from_intervals(diffs: list[ClassStat]) -> DatasetComparison:
     )
 
 
+def _labelled(rows, wnids: list[str], what: str) -> np.ndarray:
+    """`rows` as a 2-D array with one row per wnid of `wnids`, or ValidationError."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] != len(wnids):
+        raise ValidationError(f"{what} of shape {rows.shape} for {len(wnids)} wnids")
+    return rows
+
+
 def _own_score_and_false_class(
-    texts, intended: list[str], synsets: EmbeddingMatrix
-) -> Iterator[tuple[float, float]]:
-    """For each text in order, its similarity to its intended synset and its
+    texts: np.ndarray, intended: list[str], synsets: EmbeddingMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per text, arrays of its similarity to its intended synset and of its
     false-class proportion: the fraction of the other synsets that score
     strictly higher (exact ties do not count against the intended one).
     The higher scores are counted tile by tile of `cosine_blocks`; a query
@@ -298,14 +301,14 @@ def _own_score_and_false_class(
     if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
     cols = synsets.positions(intended, "synset text")
+    own = np.empty(len(intended))
+    higher = np.zeros(len(intended), dtype=np.intp)
     for start, lo, scores in cosine_blocks(texts, synsets):
+        block = slice(start, start + len(scores))
         if lo == 0:
-            block = slice(start, start + len(scores))
-            own = pair_cosine(texts[block], synsets.rows[cols[block]])
-            higher = np.zeros(len(scores), dtype=np.intp)
-        higher += np.count_nonzero(scores > own[:, np.newaxis], axis=1)
-        if lo + scores.shape[1] == synsets.count:  # the block's last tile
-            yield from zip(own.tolist(), (higher / (synsets.count - 1)).tolist())
+            own[block] = pair_cosine(texts[block], synsets.rows[cols[block]])
+        higher[block] += np.count_nonzero(scores > own[block, np.newaxis], axis=1)
+    return own, higher / (synsets.count - 1)
 
 
 def binned_false_class_means(
@@ -315,57 +318,52 @@ def binned_false_class_means(
     bin_edges: list[float],
 ) -> list[SimilarityBinMean]:
     """Average false-class proportion per bin of text-to-intended-synset
-    similarity. Bins are half-open [e_i, e_{i+1}); empty bins are reported
-    with count 0 and no mean."""
+    similarity. Bins are half-open [e_i, e_{i+1}): a text scoring below the
+    first edge, or at or above the last, is in no bin. Empty bins are
+    reported with count 0 and no mean."""
     for a, b in zip(bin_edges, bin_edges[1:]):
         if not b > a:
             raise ValidationError(f"bin edges not strictly increasing at {a} -> {b}")
-    texts = np.asarray(texts)
-    if texts.ndim != 2 or texts.shape[0] != len(intended):
-        raise ValidationError(
-            f"{texts.shape[0] if texts.ndim == 2 else '?'} texts for {len(intended)} intended wnids"
-        )
-    n_bins = len(bin_edges) - 1
-    sums = [0.0] * n_bins
-    counts = [0] * n_bins
-    for own, prop in _own_score_and_false_class(texts, intended, synset_text_embeddings):
-        b = int(np.searchsorted(bin_edges, own, side="right")) - 1
-        if 0 <= b < n_bins and own < bin_edges[b + 1]:
-            sums[b] += prop
-            counts[b] += 1
+    texts = _labelled(texts, intended, "texts")
+    own, prop = _own_score_and_false_class(texts, intended, synset_text_embeddings)
+    # slot i is bin i - 1; the first and last slots are in no bin. bincount adds in text order
+    slot = np.searchsorted(bin_edges, own, side="right")
+    sums = np.bincount(slot, weights=prop, minlength=len(bin_edges) + 1).tolist()
+    counts = np.bincount(slot, minlength=len(bin_edges) + 1).tolist()
     return [
         SimilarityBinMean(
-            lo=float(bin_edges[i]),
-            hi=float(bin_edges[i + 1]),
+            lo=float(bin_edges[i - 1]),
+            hi=float(bin_edges[i]),
             count=counts[i],
             mean=(sums[i] / counts[i]) if counts[i] else None,
         )
-        for i in range(n_bins)
+        for i in range(1, len(bin_edges))
     ]
 
 
 def nearest_text_dataset(
-    query_texts: list[tuple[np.ndarray, str]],
+    queries,
+    wnids: list[str],
     corpus_matrix: EmbeddingMatrix,
     min_sim: float,
 ) -> DatasetManifest:
     """Label corpus items by nearest-text retrieval.
 
-    For each (embedding, wnid) query, the corpus row with the highest
-    cosine similarity is kept iff its score reaches `min_sim`, labeled with
-    the query's wnid. When several queries hit the same corpus item, the
-    highest-scoring hit wins (ties to the smaller wnid), so the manifest
-    keeps its one-row-per-instance guarantee.
+    Row i of `queries` is a query labelled `wnids[i]`. For each query, the
+    corpus row with the highest cosine similarity is kept iff its score
+    reaches `min_sim`, labeled with the query's wnid. When several queries
+    hit the same corpus item, the highest-scoring hit wins (ties to the
+    smaller wnid), so the manifest keeps its one-row-per-instance
+    guarantee. Raises ValidationError for an empty corpus matrix.
     """
     if not -1.0 <= min_sim <= 1.0:
         raise ValidationError(f"min_sim {min_sim} outside [-1, 1]")
-    if corpus_matrix.count == 0:
-        raise ValidationError("empty corpus matrix")
+    queries = _labelled(queries, wnids, "queries")
     best: dict[str, tuple[float, str]] = {}  # corpus id -> (score, wnid) of its best hit
     dropped = 0
     collapsed = 0
-    rows, scores = nearest_rows([embedding for embedding, _ in query_texts], corpus_matrix)
-    for (_, wnid), row, score in zip(query_texts, rows.tolist(), scores.tolist()):
+    rows, scores = nearest_rows(queries, corpus_matrix)
+    for wnid, row, score in zip(wnids, rows.tolist(), scores.tolist()):
         rid = corpus_matrix.ids[row]
         if score < min_sim:
             dropped += 1
@@ -392,30 +390,29 @@ def nearest_text_dataset(
 
 
 def cross_modal_class_stats(
-    manifest: DatasetManifest,
-    image_embeddings: EmbeddingMatrix,
+    classes: Iterable[ClassImages],
     synset_text_embeddings: EmbeddingMatrix,
     n_boot: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> list[ClassStat]:
-    """Mean image-to-synset-text similarity per class with a 95% bootstrap
-    interval over images. Low means suggest the class's object is absent or
-    hard to recognize in its images. Each class resamples from a stream
-    keyed by the seed and its wnid."""
-    if image_embeddings.dim != synset_text_embeddings.dim:
-        raise ValidationError(
-            f"dimension mismatch: images {image_embeddings.dim} vs "
-            f"synset texts {synset_text_embeddings.dim}"
-        )
+    """Mean image-to-synset-text similarity per class, for `classes` as
+    `intra_class_sims` yields them, with a 95% bootstrap interval over
+    images. Low means suggest the class's object is absent or hard to
+    recognize in its images. Each class resamples from a stream keyed by
+    the seed and its wnid."""
     out = []
-    for wnid, ids in _ids_by_class(manifest):
-        (synset_row,) = synset_text_embeddings.positions([wnid], "synset text")
-        images = image_embeddings.rows[image_embeddings.positions(ids, "image")]
-        values = pair_cosine(images, synset_text_embeddings.rows[synset_row])
+    for images in classes:
+        if images.rows.shape[1] != synset_text_embeddings.dim:
+            raise ValidationError(
+                f"dimension mismatch: images {images.rows.shape[1]} vs "
+                f"synset texts {synset_text_embeddings.dim}"
+            )
+        (synset_row,) = synset_text_embeddings.positions([images.wnid], "synset text")
+        values = pair_cosine(images.rows, synset_text_embeddings.rows[synset_row])
         value = float(values.mean())
-        rng = stream(seed, _stream_key(wnid))
-        idx = rng.integers(0, len(ids), size=(n_boot, len(ids)))
-        out.append(_percentile_stat(wnid, value, values[idx].mean(axis=1), len(ids)))
+        n = images.n_images
+        idx = stream(seed, _stream_key(images.wnid)).integers(0, n, size=(n_boot, n))
+        out.append(_percentile_stat(images.wnid, value, values[idx].mean(axis=1), n))
     return out
 
 

@@ -547,11 +547,17 @@ MALFORMED = [
     ("compare", "boot", 0, 2),
     ("cross-modal", "boot", -1, 2),
     ("compare", "seed", -1, 2),
+    ("simulate", "n", 0, 2),
+    ("simulate", "n_classes", 0, 2),
+    ("simulate", "x_dim", 1, 2),
     # number lists that are not strictly increasing, refused before any input is read
     ("sweep", "thresholds", "0.5,0.1", 2),
     ("sweep", "thresholds", "0:1e-12:1e-13", 2),  # a range whose rounded values repeat
     ("intra", "hist-edges", "0.5,0.1", 2),
     ("false-class", "bin-edges", "1,0", 2),
+    # one edge, which bounds no bin
+    ("intra", "hist-edges", "0.5", 2),
+    ("false-class", "bin-edges", "0.5", 2),
     # --min-sim outside [-1, 1], refused before any input is read
     ("nearest-text", "min-sim", 2, 2),
     ("nearest-text", "min-sim", "nan", 2),
@@ -965,7 +971,7 @@ BALL = SIM_CONFIG["image_rule"]
         ("bin_width", float("nan"), 3),
         ("bin_width", 5e-324, 3),
         ("alpha", 0.0, 3),
-        ("seed", -1, 3),
+        ("seed", -1, 2),
     ],
     ids=["proto-length-match", "n_classes-str", "image-rule-list", "radius-str", "threshold-str",
          "proto-entry-str", "bin-width-str", "bin-width-nan",

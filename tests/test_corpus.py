@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import capsieve
-from capsieve.cli import _load_pairs
+from capsieve.cli import _labelled_rows
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
     Corpus,
@@ -389,6 +389,14 @@ LINES = st.one_of(
     JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     st.binary(max_size=40),
 )
+
+
+def _load_pairs(path):
+    """A pairs file read as the CLI reads one, gathering its rows from a
+    matrix that holds the id "a" only."""
+    return _labelled_rows(path, EmbeddingMatrix(rows=np.ones((1, 2)), ids=["a"]), "text")
+
+
 LOADERS = [load_taxonomy, load_corpus, load_candidates, load_predictions, _load_pairs]
 
 

@@ -449,7 +449,7 @@ def test_compare_from_intervals_counts_intervals_clear_of_zero(rng):
 def false_class_proportion(text, intended, synsets):
     """The package's false-class proportion of one text: the fraction of
     the other synsets strictly more similar to it than the intended one."""
-    return next(diagnostics._own_score_and_false_class(np.asarray([text]), [intended], synsets))[1]
+    return diagnostics._own_score_and_false_class(np.asarray([text]), [intended], synsets)[1][0]
 
 
 def synset_matrix():
@@ -528,6 +528,16 @@ def test_binned_low_similarity_ranks_last():
     assert high.count == 1 and high.mean == 0.0
 
 
+def test_binned_bins_are_half_open_at_every_edge():
+    synsets = embeddings(["n00000001", "n00000002"], np.eye(2, dtype=np.float32))
+    # own scores, exactly: 0.0 (orthogonal), 1.0 (parallel), -1.0, 0.8
+    texts = np.array([[0.0, 1.0], [2.0, 0.0], [-1.0, 0.0], [0.8, 0.6]])
+    bins = binned_false_class_means(texts, ["n00000001"] * 4, synsets, [-0.5, 0.0, 1.0])
+    # 0.0, an inner edge, is in the upper bin; 1.0, the last edge, and
+    # -1.0, below the first, are in none
+    assert [(b.count, b.mean) for b in bins] == [(0, None), (2, 0.5)]
+
+
 def test_binned_requires_increasing_edges():
     with pytest.raises(ValidationError):
         binned_false_class_means(np.zeros((0, 2)), [], synset_matrix(), [0.5, 0.5])
@@ -562,7 +572,7 @@ def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
     monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * 5)
     tiles = [(start, lo) for start, lo, _ in vectorops.cosine_blocks(texts, synsets)]
     assert tiles == [(start, lo) for start in range(0, 23, 4) for lo in (0, 4, 8)]
-    scored = list(diagnostics._own_score_and_false_class(texts, intended, synsets))
+    scored = list(zip(*diagnostics._own_score_and_false_class(texts, intended, synsets)))
     for (own, prop), text, wnid in zip(scored, texts, intended):
         assert own == cosine(text, synsets.rows[synsets.index[wnid]])
         assert prop == false_class_exhaustive(text, wnid, synsets)
@@ -575,7 +585,7 @@ def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
 def test_nearest_text_keeps_exact_match(rng):
     corpus = random_matrix(rng, [f"c{i}" for i in range(10)], 6)
     query = corpus.rows[4].copy()
-    manifest = nearest_text_dataset([(query, "n00000001")], corpus, min_sim=0.7)
+    manifest = nearest_text_dataset([query], ["n00000001"], corpus, min_sim=0.7)
     assert len(manifest.rows) == 1
     instance_id, wnid, score = candidate_rows(manifest.rows)[0]
     assert instance_id == "c4"
@@ -585,17 +595,18 @@ def test_nearest_text_keeps_exact_match(rng):
 
 def test_nearest_text_drops_below_threshold():
     corpus = embeddings(["c0", "c1"], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    manifest = nearest_text_dataset([([1.0, 0.0, 0.0], "n00000001")], corpus, min_sim=0.7)
+    manifest = nearest_text_dataset([[1.0, 0.0, 0.0]], ["n00000001"], corpus, min_sim=0.7)
     assert len(manifest.rows) == 0
     assert manifest.drop_ledger["below_min_sim"] == 1
 
 
 def test_nearest_text_monotone_in_min_sim(rng):
     corpus = random_matrix(rng, [f"c{i}" for i in range(30)], 5)
-    queries = [(rng.standard_normal(5), f"n{j:08d}") for j in range(1, 21)]
+    queries = rng.standard_normal((20, 5))
+    wnids = [f"n{j:08d}" for j in range(1, 21)]
     sizes = []
     for min_sim in (0.0, 0.3, 0.6, 0.9):
-        manifest = nearest_text_dataset(queries, corpus, min_sim)
+        manifest = nearest_text_dataset(queries, wnids, corpus, min_sim)
         assert all(score >= min_sim for score in manifest.rows.scores)
         sizes.append(len(manifest.rows))
     assert sizes == sorted(sizes, reverse=True)
@@ -603,11 +614,8 @@ def test_nearest_text_monotone_in_min_sim(rng):
 
 def test_nearest_text_collapses_duplicates():
     corpus = embeddings(["c0"], [[1.0, 0.0]])
-    queries = [
-        ([1.0, 0.0], "n00000002"),
-        ([2.0, 0.0], "n00000001"),  # same direction: same neighbor, same score
-    ]
-    manifest = nearest_text_dataset(queries, corpus, min_sim=0.5)
+    queries = [[1.0, 0.0], [2.0, 0.0]]  # same direction: same neighbor, same score
+    manifest = nearest_text_dataset(queries, ["n00000002", "n00000001"], corpus, min_sim=0.5)
     assert len(manifest.rows) == 1
     assert manifest.rows.wnids == ["n00000001"]  # tie resolved to the smaller wnid
     assert manifest.drop_ledger["duplicate_neighbor"] == 1
@@ -616,7 +624,13 @@ def test_nearest_text_collapses_duplicates():
 def test_nearest_text_empty_corpus():
     corpus = EmbeddingMatrix(rows=np.empty((0, 3), dtype=np.float32), ids=[])
     with pytest.raises(ValidationError, match="empty"):
-        nearest_text_dataset([([1.0, 0.0, 0.0], "n00000001")], corpus, 0.5)
+        nearest_text_dataset([[1.0, 0.0, 0.0]], ["n00000001"], corpus, 0.5)
+
+
+def test_nearest_text_needs_one_wnid_per_query():
+    corpus = embeddings(["c0"], [[1.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"queries of shape \(2, 2\) for 1 wnids"):
+        nearest_text_dataset([[1.0, 0.0], [0.0, 1.0]], ["n00000001"], corpus, 0.5)
 
 
 def nearest_text_oracle(query_texts, corpus, min_sim):
@@ -639,8 +653,9 @@ def test_nearest_text_agrees_with_per_query_oracle(rng, monkeypatch):
     # blocks of 6 queries, each scored against chunks of 6 rows: the tied
     # rows 2, 7, 19 and 30 fall in four different chunks
     monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 6 * 8)
+    vectors, wnids = np.array([q for q, _ in queries]), [w for _, w in queries]
     for min_sim in (-1.0, 0.3):
-        manifest = nearest_text_dataset(queries, corpus, min_sim)
+        manifest = nearest_text_dataset(vectors, wnids, corpus, min_sim)
         got = candidate_rows(manifest.rows)
         assert got == nearest_text_oracle(queries, corpus, min_sim)
     tied = [i for i, w, _ in candidate_rows(manifest.rows) if w in ("n00000031", "n00000032")]
@@ -654,7 +669,8 @@ def test_cross_modal_identity():
     synsets = embeddings(["n00000001"], [[0.6, 0.8]])
     images = embeddings(["i0", "i1"], [[0.6, 0.8], [1.2, 1.6]])
     manifest = manifest_of([("i0", "n00000001"), ("i1", "n00000001")])
-    stats = cross_modal_class_stats(manifest, images, synsets, n_boot=100, seed=0)
+    classes = intra_class_sims(manifest, images)
+    stats = cross_modal_class_stats(classes, synsets, n_boot=100, seed=0)
     assert stats[0].value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -665,7 +681,8 @@ def test_cross_modal_hand_mean():
         [[0.2, math.sqrt(1 - 0.2**2)], [0.4, math.sqrt(1 - 0.4**2)]],
     )
     manifest = manifest_of([("i0", "n00000001"), ("i1", "n00000001")])
-    stats = cross_modal_class_stats(manifest, images, synsets, n_boot=100, seed=0)
+    classes = intra_class_sims(manifest, images)
+    stats = cross_modal_class_stats(classes, synsets, n_boot=100, seed=0)
     assert stats[0].value == pytest.approx(0.3, abs=1e-6)
     assert stats[0].n == 2
 
@@ -673,8 +690,17 @@ def test_cross_modal_hand_mean():
 def test_cross_modal_dim_mismatch(rng):
     synsets = random_matrix(rng, ["n00000001"], 3)
     images = random_matrix(rng, ["i0"], 4)
-    with pytest.raises(ValidationError, match="mismatch"):
-        cross_modal_class_stats(manifest_of([("i0", "n00000001")]), images, synsets)
+    classes = intra_class_sims(manifest_of([("i0", "n00000001")]), images)
+    with pytest.raises(ValidationError, match="^dimension mismatch: images 4 vs synset texts 3$"):
+        cross_modal_class_stats(classes, synsets)
+
+
+def test_cross_modal_reports_a_missing_image_before_a_missing_synset(rng):
+    synsets = random_matrix(rng, ["n00000002"], 3)
+    images = random_matrix(rng, ["i1"], 3)
+    classes = intra_class_sims(manifest_of([("i0", "n00000001")]), images)
+    with pytest.raises(MissingKeyError, match="missing image embedding for id 'i0'"):
+        cross_modal_class_stats(classes, synsets)
 
 
 def test_cross_modal_scores_a_class_without_a_copy_per_image(rng):
@@ -687,7 +713,8 @@ def test_cross_modal_scores_a_class_without_a_copy_per_image(rng):
     manifest = manifest_of([(i, "n00000001") for i in ids])
     tracemalloc.start()
     try:
-        stat = cross_modal_class_stats(manifest, images, synsets, n_boot=1, seed=0)[0]
+        classes = intra_class_sims(manifest, images)
+        stat = cross_modal_class_stats(classes, synsets, n_boot=1, seed=0)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -710,8 +737,8 @@ def test_cross_modal_row_does_not_depend_on_other_classes(wnids, picks, seed):
         kept = [j for j, (_, w) in enumerate(pairs) if w != dropped]
         kept_wnids = without([f"n{v:08d}" for v in wnids], dropped)
         stats = cross_modal_class_stats(
-            manifest_of([pairs[j] for j in kept]),
-            embeddings([pairs[j][0] for j in kept], images[kept]),
+            intra_class_sims(manifest_of([pairs[j] for j in kept]),
+                             embeddings([pairs[j][0] for j in kept], images[kept])),
             embeddings(kept_wnids, synsets[[f"n{v:08d}" in kept_wnids for v in wnids]]),
             n_boot=30,
             seed=seed,
@@ -743,7 +770,8 @@ def test_cross_modal_ci_coverage_monte_carlo():
         ids = [f"i{j}" for j in range(n_img)]
         images = embeddings(ids, x)
         manifest = manifest_of([(i, "n00000001") for i in ids])
-        s = cross_modal_class_stats(manifest, images, synsets, n_boot=800, seed=trial)[0]
+        s = cross_modal_class_stats(intra_class_sims(manifest, images), synsets, n_boot=800,
+                                    seed=trial)[0]
         hits += s.ci_low <= true_mean <= s.ci_high
     assert 0.92 <= hits / trials <= 0.98
 
