@@ -310,27 +310,32 @@ class _Stage:
         _write_json(self.out / "provenance.json", payload)
 
 
-def _labelled_rows(path, matrix, role: str):
-    """The rows of `matrix` for the ids of a pairs file, JSONL of {"id":
-    str, "wnid": str} (extra keys ignored), in file order, and their wnids.
-    An id `matrix` lacks is a missing `role` embedding."""
-    from .corpus import read_jsonl
+def _labelled_rows(path, embeddings, role: str):
+    """The rows of embedding file `embeddings` for the ids of a pairs
+    file, JSONL of {"id": str, "wnid": str} (extra keys ignored), in file
+    order, and their wnids. The pairs file is read first, and only its
+    ids' rows are kept. An id the embedding file lacks is a missing `role`
+    embedding."""
+    from .corpus import load_embeddings, read_jsonl
 
     _, columns = read_jsonl(path, {"id": str, "wnid": "wnid"})
+    matrix = load_embeddings(embeddings, keep=columns["id"])
     return matrix.rows[matrix.positions(columns["id"], role)], columns["wnid"]
 
 
 def _classes(manifest, image_embeddings):
-    """The `intra_class_sims` stream of a manifest file over an image
-    embedding file. `compare` and `cross-modal` import `diagnostics` only
-    after it, so `curator` is imported before numpy: the other order gives
-    the same outputs, but a heap layout that raises `compare`'s peak RSS
-    by 0.2 MiB on the bench's diagnose inputs."""
+    """A manifest file, and the `intra_class_sims` stream of its classes
+    over an image embedding file, of which only the manifest's rows are
+    kept. `compare` and `cross-modal` import `diagnostics` only after it,
+    so `curator` is imported before numpy: the other order gives the same
+    outputs, but a heap layout that raised `compare`'s peak RSS by 0.2 MiB
+    on the bench's diagnose inputs."""
     from . import curator, diagnostics
     from .corpus import load_embeddings
 
-    return diagnostics.intra_class_sims(curator.load_manifest(manifest),
-                                        load_embeddings(image_embeddings))
+    manifest = curator.load_manifest(manifest)
+    images = load_embeddings(image_embeddings, keep=manifest.rows.ids)
+    return manifest, diagnostics.intra_class_sims(manifest, images)
 
 
 def _load_weights(path) -> dict[str, float]:
@@ -369,10 +374,10 @@ def _cmd_match(stage, taxonomy, corpus, caption_embeddings, synset_embeddings, m
     auto = matcher.build_matcher(load_taxonomy(taxonomy), max_lemmas_per_synset=max_lemmas)
     matches = matcher.find_matches(auto, load_corpus(corpus))
     candidates = None
-    if caption_embeddings is not None:
-        candidates = curator.score_candidates(
-            matches, load_embeddings(caption_embeddings), load_embeddings(synset_embeddings)
-        )
+    if caption_embeddings is not None:  # only the matched captions' and synsets' rows are kept
+        captions = load_embeddings(caption_embeddings, keep={m.instance_id for m in matches})
+        synsets = load_embeddings(synset_embeddings, keep={m.wnid for m in matches})
+        candidates = curator.score_candidates(matches, captions, synsets)
     # written only once every match is scored: a caption with no embedding leaves no file
     matcher.write_matches(matches, stage.output("matches.jsonl"))
     if candidates is not None:
@@ -443,7 +448,8 @@ def _diagnose_intra(stage, manifest, image_embeddings, hist_edges):
 
     rows = []
     counts = None if hist_edges is None else np.zeros(len(hist_edges) - 1, dtype=np.int64)
-    for c in _classes(manifest, image_embeddings):
+    _, classes = _classes(manifest, image_embeddings)
+    for c in classes:
         mean = diagnostics.mean_pair_similarity(c) if c.n_pairs else None
         rows.append((c.wnid, c.n_images, c.n_pairs, mean))
         if counts is not None:
@@ -458,8 +464,8 @@ def _diagnose_intra(stage, manifest, image_embeddings, hist_edges):
 
 def _diagnose_compare(stage, seed, boot, manifest_a, manifest_b, image_embeddings_a,
                       image_embeddings_b):
-    classes_a = _classes(manifest_a, image_embeddings_a)
-    classes_b = _classes(manifest_b, image_embeddings_b)
+    _, classes_a = _classes(manifest_a, image_embeddings_a)
+    _, classes_b = _classes(manifest_b, image_embeddings_b)
     from . import diagnostics
 
     diffs = diagnostics.per_class_mean_diff_ci(classes_a, classes_b, n_boot=boot, seed=seed)
@@ -473,9 +479,8 @@ def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_
     from . import diagnostics
     from .corpus import load_embeddings
 
-    texts_matrix = load_embeddings(text_embeddings)
-    synsets = load_embeddings(synset_embeddings)
-    texts, intended = _labelled_rows(pairs, texts_matrix, "text")
+    texts, intended = _labelled_rows(pairs, text_embeddings, "text")
+    synsets = load_embeddings(synset_embeddings)  # every synset is ranked, so all are kept
     bins = diagnostics.binned_false_class_means(texts, intended, synsets, bin_edges)
     rows = ((b.lo, b.hi, b.count, b.mean) for b in bins)
     header = "lo,hi,count,mean_false_class_proportion"
@@ -484,10 +489,10 @@ def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_
 
 def _diagnose_nearest_text(stage, query_embeddings, query_labels, corpus_embeddings, min_sim):
     from . import curator, diagnostics
-    from .corpus import load_embeddings
+    from .corpus import EmbeddingFile
 
-    queries, wnids = _labelled_rows(query_labels, load_embeddings(query_embeddings), "query")
-    corpus = load_embeddings(corpus_embeddings)
+    queries, wnids = _labelled_rows(query_labels, query_embeddings, "query")
+    corpus = EmbeddingFile(corpus_embeddings)  # scanned from disk, never held whole
     manifest = diagnostics.nearest_text_dataset(queries, wnids, corpus, min_sim)
     curator.write_manifest(
         manifest, stage.output("manifest.jsonl"), stage.output("manifest.meta.json")
@@ -495,11 +500,11 @@ def _diagnose_nearest_text(stage, query_embeddings, query_labels, corpus_embeddi
 
 
 def _diagnose_cross_modal(stage, seed, boot, manifest, image_embeddings, synset_embeddings):
-    classes = _classes(manifest, image_embeddings)
+    manifest, classes = _classes(manifest, image_embeddings)
     from . import diagnostics
     from .corpus import load_embeddings
 
-    synsets = load_embeddings(synset_embeddings)
+    synsets = load_embeddings(synset_embeddings, keep=manifest.class_counts)
     stats = diagnostics.cross_modal_class_stats(classes, synsets, n_boot=boot, seed=seed)
     _write_class_stats(stage.output("cross_modal.csv"), stats)
 
@@ -510,10 +515,11 @@ def _diagnose_correlate(stage, csv, x_col, y_col):
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 ({exc.reason})", path=csv) from None
     header = header.strip().split(",")
-    try:
-        xi, yi = header.index(x_col), header.index(y_col)
-    except ValueError as exc:
-        raise ConfigError(f"column not found in {csv}: {exc}") from None
+    for column in (x_col, y_col):
+        if column not in header:
+            raise ConfigError(f"column {column!r} not found in {csv}; "
+                              f"its columns are {', '.join(map(repr, header))}")
+    xi, yi = header.index(x_col), header.index(y_col)
     xs, ys = [], []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():

@@ -34,9 +34,18 @@ the first id the matrix lacks ("missing {role} embedding for id {id!r}").
 An embedding file's duplicate id, non-finite row or all-zero row is
 reported with the file's path.
 
-Only the embedding code uses numpy: `EmbeddingMatrix`, `load_embeddings`
-and `write_embeddings` import it when they run, so the JSONL readers, and
-the `sweep`, `assemble` and `eval` stages built on them, never load it.
+An embedding file is read one way: its header is checked and its id
+trailer read whole (every duplicate id must be found), then its payload
+is read in bounded row chunks, each checked as it arrives. `EmbeddingFile`
+scans a file so, holding one chunk at a time; `load_embeddings(path,
+keep)` keeps only the rows of the ids a stage uses. A non-finite row
+anywhere in the file is reported before an all-zero row, whichever rows
+are kept.
+
+Only the embedding code uses numpy: `EmbeddingMatrix`, `EmbeddingFile`,
+`load_embeddings` and `write_embeddings` import it when they run, so the
+JSONL readers, and the `sweep`, `assemble` and `eval` stages built on
+them, never load it.
 """
 
 from __future__ import annotations
@@ -62,7 +71,8 @@ EMBEDDING_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sIQ")  # magic, dim as u32, count as u64
 _HEADER_SIZE = _HEADER.size
 _F32LE = "<f4"
-# Values per block of the finiteness check: its boolean temporary stays 256 KiB.
+# Values per chunk of the value check and of a chunked payload read: the
+# reused float32 buffer stays 1 MiB and the check's boolean temporary 256 KiB.
 _CHECK_VALUES = 1 << 18
 
 
@@ -370,12 +380,49 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write("\n")
 
 
+def _check_step(dim: int) -> int:
+    """Rows per chunk of the value check and of a chunked read: about
+    _CHECK_VALUES values."""
+    return max(1, _CHECK_VALUES // max(dim, 1))
+
+
+def _checked(chunks, ids: Sequence[str], path=None) -> Iterator[tuple[int, np.ndarray]]:
+    """Each (lo, rows) of `chunks`, rows lo, lo + 1, ... of a matrix whose
+    row ids are `ids`, once its values are checked.
+
+    Raises ValidationError, naming `path`, at the first row with a
+    non-finite value, and, once every chunk is checked and all are finite,
+    for the first all-zero row: a non-finite row anywhere is reported
+    before an all-zero one. From the chunk that holds an all-zero row on,
+    chunks are checked but not passed on.
+    """
+    import numpy as np
+
+    zero = None
+    for lo, rows in chunks:
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = lo + int(np.argmin(finite))
+            raise ValidationError(f"non-finite values in row for id {ids[bad]!r}", path=path)
+        if zero is None:
+            empty = ~rows.any(axis=1)
+            if empty.any():
+                zero = lo + int(np.argmax(empty))
+            else:
+                yield lo, rows
+    if zero is not None:
+        raise ValidationError(f"all-zero vector for id {ids[zero]!r}", path=path)
+
+
 @dataclass
 class EmbeddingMatrix:
-    """Dense float32 vectors keyed by id; rows align 1:1 with ids."""
+    """Dense float32 vectors keyed by id; rows align 1:1 with ids. `path`,
+    the file the rows were read from, if any, is named in errors about
+    them."""
 
     rows: np.ndarray  # (count, dim) float32
     ids: list[str]
+    path: Path | None = field(default=None, repr=False, compare=False)
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -383,24 +430,16 @@ class EmbeddingMatrix:
 
         rows = np.ascontiguousarray(self.rows, dtype=np.float32)
         if rows.ndim != 2:
-            raise ValidationError(f"rows must be 2-D, got shape {rows.shape}")
+            raise ValidationError(f"rows must be 2-D, got shape {rows.shape}", path=self.path)
         self.rows = rows
         if len(self.ids) != rows.shape[0]:
             raise ValidationError(
-                f"{len(self.ids)} ids for {rows.shape[0]} rows; they must align 1:1"
+                f"{len(self.ids)} ids for {rows.shape[0]} rows; they must align 1:1",
+                path=self.path,
             )
-        self.index = index_keys(self.ids, "embedding id")
-        step = max(1, _CHECK_VALUES // max(rows.shape[1], 1))
-        for start in range(0, rows.shape[0], step):
-            finite = np.isfinite(rows[start : start + step]).all(axis=1)
-            if not finite.all():
-                bad = start + int(np.argmin(finite))
-                raise ValidationError(f"non-finite values in row for id {self.ids[bad]!r}")
-        if rows.shape[0]:
-            zero = ~rows.any(axis=1)
-            if zero.any():
-                bad = int(np.argmax(zero))
-                raise ValidationError(f"all-zero vector for id {self.ids[bad]!r}")
+        self.index = index_keys(self.ids, "embedding id", path=self.path)
+        for _ in _checked(self.chunks(_check_step(self.dim)), self.ids, self.path):
+            pass
 
     @property
     def dim(self) -> int:
@@ -413,6 +452,12 @@ class EmbeddingMatrix:
     def __contains__(self, rid: str) -> bool:
         return rid in self.index
 
+    def chunks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, rows lo .. lo + `rows` - 1) for consecutive chunks of the
+        matrix, as views."""
+        for lo in range(0, self.count, rows):
+            yield lo, self.rows[lo : lo + rows]
+
     def positions(self, ids: Sequence[str], role: str) -> list[int]:
         """The row of each of `ids`, in order. Raises MissingKeyError for
         the first id the matrix lacks, naming its `role`."""
@@ -423,35 +468,31 @@ class EmbeddingMatrix:
             raise MissingKeyError(f"missing {role} embedding for id {exc.args[0]!r}") from None
 
 
-def load_embeddings(path) -> EmbeddingMatrix:
-    """Load the binary embedding format, validating header arithmetic.
+def _truncated(count: int, dim: int, got: int, path) -> FormatError:
+    return FormatError(
+        f"payload truncated: expected {count * dim * 4} bytes for {count}x{dim} float32, "
+        f"got {got}",
+        path=path,
+    )
 
-    The payload is read in place into the returned float32 rows, so a
-    loaded file costs one copy of its payload, plus its ids.
-    """
-    import numpy as np
 
-    path = Path(path)
-    with path.open("rb") as fh:
-        header = fh.read(_HEADER_SIZE)
-        if len(header) < _HEADER_SIZE or header[:4] != EMBEDDING_MAGIC:
-            raise FormatError(
-                f"bad magic: expected {EMBEDDING_MAGIC!r}, got {header[:4]!r}", path=path
-            )
-        _, dim, count = _HEADER.unpack(header)
-        if dim == 0:
-            raise FormatError("header declares dim = 0", path=path)
-        payload_size = count * dim * 4
-        truncated = f"payload truncated: expected {payload_size} bytes for {count}x{dim} float32"
-        available = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
-        if payload_size > available:
-            raise FormatError(f"{truncated}, got {max(available, 0)}", path=path)
-        rows = np.empty((count, dim), dtype=_F32LE)
-        # a flat view: memoryview refuses to cast an array with a 0 in its shape
-        got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
-        if got != payload_size:
-            raise FormatError(f"{truncated}, got {got}", path=path)
-        trailer = fh.read()
+def _read_layout(fh, path) -> tuple[int, list[str]]:
+    """The dim and the row ids of the open embedding file `fh`: checks the
+    header, the payload's size against the file's, and the id trailer,
+    which it reads whole. Leaves `fh` at the payload's first byte."""
+    header = fh.read(_HEADER_SIZE)
+    if len(header) < _HEADER_SIZE or header[:4] != EMBEDDING_MAGIC:
+        raise FormatError(f"bad magic: expected {EMBEDDING_MAGIC!r}, got {header[:4]!r}", path=path)
+    _, dim, count = _HEADER.unpack(header)
+    if dim == 0:
+        raise FormatError("header declares dim = 0", path=path)
+    payload_size = count * dim * 4
+    available = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+    if payload_size > available:
+        raise _truncated(count, dim, max(available, 0), path)
+    fh.seek(_HEADER_SIZE + payload_size)
+    trailer = fh.read()
+    fh.seek(_HEADER_SIZE)
     ids: list[str] = []
     trailer_lines = trailer.decode("utf-8", "surrogateescape").split("\n")
     for lineno, rid in _json_lines(trailer_lines, path):  # numbered from the trailer's start
@@ -462,10 +503,92 @@ def load_embeddings(path) -> EmbeddingMatrix:
         raise FormatError(
             f"id trailer has {len(ids)} entries but header declares {count} rows", path=path
         )
-    try:
-        return EmbeddingMatrix(rows=rows, ids=ids)
-    except ValidationError as exc:  # a duplicate id, a non-finite or an all-zero row
-        raise ValidationError(str(exc), path=path) from exc
+    return dim, ids
+
+
+def _read_rows(fh, path, count: int, dim: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, rows lo .. lo + `step` - 1) of the payload at `fh`'s position,
+    unchecked, each read with `readinto` into one reused buffer that holds
+    it until the next chunk is read."""
+    import numpy as np
+
+    buffer = np.empty((min(step, count), dim), dtype=_F32LE)
+    got = 0
+    for lo in range(0, count, step):
+        chunk = buffer[: count - lo]
+        got += fh.readinto(memoryview(chunk.reshape(-1)).cast("B"))
+        if got != (lo + len(chunk)) * dim * 4:
+            raise _truncated(count, dim, got, path)
+        yield lo, chunk
+
+
+class EmbeddingFile:
+    """An embedding file read one bounded chunk of rows at a time.
+
+    On construction its header and id trailer are read and checked, and its
+    ids indexed, so a header or trailer fault or a duplicate id is raised
+    then, naming the file. `chunks` reads the rows; nothing else holds
+    them. It has the `path`, `dim`, `count`, `ids` and `chunks` of an
+    `EmbeddingMatrix`, which is all `vectorops.cosine_blocks` and
+    `nearest_rows` read, so it can be scanned in a matrix's place.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        with self.path.open("rb") as fh:
+            self.dim, self.ids = _read_layout(fh, self.path)
+        index_keys(self.ids, "embedding id", path=self.path)
+
+    @property
+    def count(self) -> int:
+        return len(self.ids)
+
+    def chunks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, rows lo .. lo + `rows` - 1) for consecutive chunks of the
+        file's rows, each checked as `EmbeddingMatrix` checks its rows, so
+        a fault raises once the chunk that shows it is read (an all-zero
+        row only once every row is read). A chunk is a reused buffer, valid
+        until the next is read. The file is open only while the chunks are
+        read, and is closed when they end, raise or are abandoned."""
+        with self.path.open("rb") as fh:
+            fh.seek(_HEADER_SIZE)
+            yield from _checked(_read_rows(fh, self.path, self.count, self.dim, rows),
+                                self.ids, self.path)
+
+
+def load_embeddings(path, keep=None) -> EmbeddingMatrix:
+    """The rows of an embedding file, with its header arithmetic, its id
+    trailer (read whole, so that every duplicate id is found) and every
+    value checked; faults raise naming the file.
+
+    With `keep`, a collection of ids, only the rows whose id is in `keep`
+    are kept, in file order; an id the file lacks is passed over. The
+    payload is read through `EmbeddingFile.chunks`, about _CHECK_VALUES
+    values at a time, and every row is still checked, kept or not. Without
+    `keep` the payload is read straight into the returned rows, so a
+    loaded file costs one copy of its payload, plus its ids.
+    """
+    import numpy as np
+
+    path = Path(path)
+    if keep is not None:
+        source = EmbeddingFile(path)
+        keep = set(keep)
+        wanted = np.fromiter((row for row, rid in enumerate(source.ids) if rid in keep), np.intp)
+        rows = np.empty((len(wanted), source.dim), dtype=_F32LE)
+        for lo, chunk in source.chunks(_check_step(source.dim)):
+            first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
+            rows[first:end] = chunk[wanted[first:end] - lo]
+        return EmbeddingMatrix(rows=rows, ids=[source.ids[row] for row in wanted.tolist()],
+                               path=path)
+    with path.open("rb") as fh:
+        dim, ids = _read_layout(fh, path)
+        rows = np.empty((len(ids), dim), dtype=_F32LE)
+        # a flat view: memoryview refuses to cast an array with a 0 in its shape
+        got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
+        if got != rows.nbytes:
+            raise _truncated(len(ids), dim, got, path)
+    return EmbeddingMatrix(rows=rows, ids=ids, path=path)
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:

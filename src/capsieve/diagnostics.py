@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import WNID_RE, EmbeddingMatrix
+from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix
 from .curator import Candidates, DatasetManifest
 from .errors import ValidationError
 from .evalmetrics import ClassStat
@@ -344,7 +344,7 @@ def binned_false_class_means(
 def nearest_text_dataset(
     queries,
     wnids: list[str],
-    corpus_matrix: EmbeddingMatrix,
+    corpus_matrix: EmbeddingMatrix | EmbeddingFile,
     min_sim: float,
 ) -> DatasetManifest:
     """Label corpus items by nearest-text retrieval.
@@ -354,7 +354,9 @@ def nearest_text_dataset(
     reaches `min_sim`, labeled with the query's wnid. When several queries
     hit the same corpus item, the highest-scoring hit wins (ties to the
     smaller wnid), so the manifest keeps its one-row-per-instance
-    guarantee. Raises ValidationError for an empty corpus matrix.
+    guarantee. An `EmbeddingFile` corpus is scanned from disk, one checked
+    row chunk at a time, after every query is checked. Raises
+    ValidationError for an empty corpus, naming its file.
     """
     if not -1.0 <= min_sim <= 1.0:
         raise ValidationError(f"min_sim {min_sim} outside [-1, 1]")

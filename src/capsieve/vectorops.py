@@ -11,12 +11,13 @@ carry the contract:
   of queries against one float64 row chunk, each scored with
   einsum("ij,kj->ki"). A row chunk, a query block and a tile each hold at
   most max(2**17, dim) values (1 MiB of float64 at d <= 2**17), sized by
-  the dimension, not by the matrix's row count; each row chunk is
-  converted to float64 once per query block, so no float64 copy of the
-  whole matrix is made. `nearest_rows` keeps a running best over the
-  tiles. `triangle_blocks` scores a matrix against itself, each query
-  block only against the rows from its own start on, so no pair is
-  scored twice.
+  the dimension, not by the matrix's row count. The row-chunk loop is the
+  outer one: each row chunk is read and converted to float64 once, so no
+  float64 copy of the whole matrix is made, and the matrix may be an
+  `EmbeddingFile` that is read from disk chunk by chunk, once.
+  `nearest_rows` keeps a running best over the tiles. `triangle_blocks`
+  scores a matrix against itself, each query block only against the rows
+  from its own start on, so no pair is scored twice.
 - `pair_cosine`, row i of one array against row i of another, or every
   row against one vector, with einsum("ij,ij->i") over the gathered pairs;
   one vector is broadcast, never copied per row. `cosine` is its one-pair
@@ -39,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix
+from .corpus import EmbeddingFile, EmbeddingMatrix
 from .errors import ValidationError
 
 # Values in one row chunk, query block or tile of `cosine_blocks`, and
@@ -101,35 +102,46 @@ def _block_step(count: int) -> int:
     return max(1, _BLOCK_SCORES // max(count, 1))
 
 
-def cosine_blocks(queries, matrix: EmbeddingMatrix) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, lo, scores) tiles, query block by query block and,
-    within a block, row chunk by row chunk: scores[q, i] is the cosine of
+def _query_block(queries, start: int, step: int, dim: int) -> np.ndarray:
+    """Queries start .. start + step - 1 as a 2-D float64 array, or
+    ValidationError when their dimensions differ from each other or from
+    `dim`."""
+    block = queries[start : start + step]
+    try:
+        q = _f64(block).reshape(len(block), -1)
+    except ValueError:  # vectors of different lengths
+        raise ValidationError("dimension mismatch among the queries") from None
+    if q.shape[1] != dim:
+        raise ValidationError(f"dimension mismatch: query {q.shape[1]} vs matrix {dim}")
+    return q
+
+
+def cosine_blocks(queries, matrix: EmbeddingMatrix | EmbeddingFile
+                  ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, lo, scores) tiles, row chunk by row chunk and, within
+    a chunk, query block by query block: scores[q, i] is the cosine of
     query start + q with matrix row lo + i, bitwise equal to
-    cosine(queries[start + q], matrix.rows[lo + i]). The call holds one
-    query block, one float64 row chunk and one tile, never a float64 copy
-    of the matrix.
+    cosine(queries[start + q], matrix.rows[lo + i]). Every query is checked
+    before the first row chunk is read, and each row chunk is read once,
+    from `matrix.chunks`, so an `EmbeddingFile` is read from disk once
+    whatever the number of queries. The call holds one float64 row chunk,
+    one query block and one tile, never a float64 copy of the matrix.
 
     Raises ValidationError when a query's dimension differs from the
     matrix's or a query is all zero.
     """
     width = min(_block_step(matrix.dim), max(matrix.count, 1))
     step = _block_step(max(width, matrix.dim))
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        try:
-            q = _f64(block).reshape(len(block), -1)
-        except ValueError:  # vectors of different lengths
-            raise ValidationError("dimension mismatch among the queries") from None
-        if q.shape[1] != matrix.dim:
-            raise ValidationError(f"dimension mismatch: query {q.shape[1]} vs matrix {matrix.dim}")
-        qn = _row_norms(q)
-        if not qn.all():
-            raise ValidationError("cosine undefined for all-zero query")
-        for lo in range(0, matrix.count, width):
-            rows = _f64(matrix.rows[lo : lo + width])
-            scores = _contract("ij,kj->ki", rows, q)
-            scores /= _row_norms(rows) * qn[:, np.newaxis]
-            del rows  # freed before the next chunk is converted
+    starts = range(0, len(queries), step)
+    query_norms = [_row_norms(_query_block(queries, start, step, matrix.dim)) for start in starts]
+    if not all(qn.all() for qn in query_norms):
+        raise ValidationError("cosine undefined for all-zero query")
+    for lo, rows in matrix.chunks(width):
+        rows = _f64(rows)  # freed when the loop takes the next chunk, before that is converted
+        norms = _row_norms(rows)
+        for start, qn in zip(starts, query_norms):
+            scores = _contract("ij,kj->ki", rows, _query_block(queries, start, step, matrix.dim))
+            scores /= norms * qn[:, np.newaxis]
             yield start, lo, scores
 
 
@@ -154,15 +166,17 @@ def triangle_blocks(rows) -> Iterator[tuple[int, np.ndarray]]:
         yield start, scores / (norms[start:] * _row_norms(q)[:, np.newaxis])
 
 
-def nearest_rows(queries, matrix: EmbeddingMatrix) -> tuple[np.ndarray, np.ndarray]:
+def nearest_rows(queries, matrix: EmbeddingMatrix | EmbeddingFile
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """For each query, the index of its nearest matrix row and that row's
     score: the highest cosine, exact ties to the smallest id. A running
     best per query is kept over the tiles of `cosine_blocks`.
 
-    Raises ValidationError for an empty matrix.
+    Raises ValidationError, naming the matrix's file if it has one, for
+    an empty matrix.
     """
     if matrix.count == 0:
-        raise ValidationError("empty matrix")
+        raise ValidationError("empty matrix", path=matrix.path)
     rank = np.empty(matrix.count, dtype=np.intp)  # each row's place in id order
     rank[sorted(range(matrix.count), key=matrix.ids.__getitem__)] = np.arange(matrix.count)
     best = np.zeros(len(queries), dtype=np.intp)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import capsieve
 from capsieve import vectorops
 from capsieve.cli import _write_csv, run
-from capsieve.corpus import EMBEDDING_MAGIC
+from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
 
 
@@ -1246,3 +1249,181 @@ def test_cli_child_imports_only_its_own_stage(stage_inputs, tmp_path, stage, arg
     loaded = {name.removeprefix("capsieve.") for name in report["capsieve"]}
     assert "cli" in loaded
     assert not loaded & never, f"{stage} loaded {sorted(loaded & never)}"
+
+
+# -- embedding files read in row chunks ---------------------------------------
+
+
+def write_good_inputs(root: Path) -> None:
+    for name, good in GOOD_INPUTS.items():
+        (root / name).write_bytes(good)
+
+
+def files_under(root: Path) -> list[Path]:
+    return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
+
+
+def test_nearest_text_on_an_empty_corpus_names_the_file(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    empty = tmp_path / "empty.emb"
+    empty.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", 2, 0))
+    argv = ["diagnose", "nearest-text", "--query-embeddings", tmp_path / "vectors.emb",
+            "--query-labels", tmp_path / "pairs.jsonl", "--corpus-embeddings", empty,
+            "--out", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err == f"capsieve: data error: {empty}: empty matrix\n"
+    assert files_under(tmp_path / "out") == []
+
+
+def test_correlate_names_a_missing_column_and_the_header(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    table = tmp_path / "table.csv"
+    argv = ["diagnose", "correlate", "--csv", str(table), "--x-col", "x", "--y-col", "z",
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: column 'z' not found in {table}; its columns are 'x', 'y'\n"
+    )
+
+
+def test_false_class_reads_the_pairs_before_the_text_embeddings(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    (tmp_path / "pairs.jsonl").write_bytes(b"{not json\n")
+    (tmp_path / "texts.emb").write_bytes(b"NOPE" + GOOD_INPUTS["vectors.emb"][4:])
+    argv = ["diagnose", "false-class", "--text-embeddings", tmp_path / "texts.emb",
+            "--pairs", tmp_path / "pairs.jsonl", "--synset-embeddings", tmp_path / "vectors.emb",
+            "--bin-edges=-1,0,1", "--out", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"capsieve: data error: {tmp_path / 'pairs.jsonl'}: line 1: invalid JSON")
+
+
+def test_nearest_text_checks_the_queries_before_the_corpus_rows(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    corpus = tmp_path / "corpus.emb"
+    argv = ["diagnose", "nearest-text", "--query-embeddings", tmp_path / "vectors.emb",
+            "--query-labels", tmp_path / "pairs.jsonl", "--corpus-embeddings", corpus,
+            "--out", tmp_path / "out"]
+    for dim, error in [(3, "dimension mismatch: query 2 vs matrix 3"),  # the queries have d = 2
+                       (2, f"{corpus}: non-finite values in row for id 'z'")]:
+        rows = np.ones((4, dim), dtype="<f4")
+        rows[3, 0] = np.nan
+        corpus.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", dim, 4) + rows.tobytes()
+                           + b'"w"\n"x"\n"y"\n"z"\n')
+        assert run([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == f"capsieve: data error: {error}\n"
+
+
+# The embedding inputs of each stage that reads one; each option gets its own
+# copy of vectors.emb, so that one of them can be corrupted.
+EMBEDDING_INPUTS = {
+    "intra": ["image-embeddings"],
+    "compare": ["image-embeddings-a", "image-embeddings-b"],
+    "false-class": ["text-embeddings", "synset-embeddings"],
+    "nearest-text": ["query-embeddings", "corpus-embeddings"],
+    "cross-modal": ["image-embeddings", "synset-embeddings"],
+}
+_HEADER_BYTES = 16
+_PAYLOAD_END = _HEADER_BYTES + VECTORS.nbytes
+_REGIONS = {"header": (0, _HEADER_BYTES), "payload": (_HEADER_BYTES, _PAYLOAD_END),
+            "trailer": (_PAYLOAD_END, len(GOOD_INPUTS["vectors.emb"]))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    stage=st.sampled_from(sorted(EMBEDDING_INPUTS)),
+    which=st.integers(0, 1),
+    region=st.sampled_from(sorted(_REGIONS)),
+    at=st.floats(0, 1, exclude_max=True),
+    edit=st.sampled_from(["set", "insert", "delete", "truncate"]),
+    byte=st.integers(0, 255),
+)
+def test_corrupt_embedding_files_exit_cleanly(tmp_path, capsys, stage, which, region, at, edit,
+                                              byte):
+    write_good_inputs(tmp_path)
+    command, options = STAGES[stage]
+    names = EMBEDDING_INPUTS[stage]
+    target = names[which % len(names)]
+    lo, hi = _REGIONS[region]
+    pos = lo + int(at * (hi - lo))
+    good = GOOD_INPUTS["vectors.emb"]
+    bad = {"set": good[:pos] + bytes([byte]) + good[pos + 1:],
+           "insert": good[:pos] + bytes([byte]) + good[pos:],
+           "delete": good[:pos] + good[pos + 1:],
+           "truncate": good[:pos]}[edit]
+    argv = list(command)
+    for key, value in options.items():
+        if key in names:
+            path = tmp_path / f"{key}.emb"
+            path.write_bytes(bad if key == target else good)
+            value = path
+        elif value in GOOD_INPUTS:
+            value = tmp_path / value
+        argv.append(f"--{key}={value}")
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = run(argv + [f"--out={out}"])  # any other exception fails the test with its traceback
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert len(err.splitlines()) == 1, err
+    if code == 3:
+        assert files_under(out) == []
+
+
+_PEAK_REPORT = """\
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdin=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def child_peak_mib(args, cwd) -> float:
+    """Run `python <args>` in a fresh process and return its peak RSS in
+    MiB, read from its own rusage with os.wait4, as bench/run.py reads a
+    stage's. The process is started by a small `python` in between, which
+    reports the number: a child's ru_maxrss starts from the RSS of the
+    process that spawned it, and this test process is large."""
+    proc = child(["-c", _PEAK_REPORT, *args], cwd)
+    code, kib = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(kib) / 1024.0  # Linux reports KiB
+
+
+def test_stages_hold_only_the_embedding_rows_they_use(tmp_path):
+    # a 40 000 x 256 image and text file, of which the manifests and pairs use 80 rows
+    count, dim = 40_000, 256
+    rng = np.random.default_rng(5)
+    big = tmp_path / "big.emb"
+    with big.open("wb") as fh:
+        fh.write(EMBEDDING_MAGIC + struct.pack("<IQ", dim, count))
+        for _ in range(0, count, 5000):
+            fh.write(rng.standard_normal((5000, dim)).astype("<f4").tobytes())
+        fh.write("".join(f'"r{i:05d}"\n' for i in range(count)).encode())
+    payload_mib = count * dim * 4 / 2**20
+    used = [(f"r{i:05d}", f"n{i % 4 + 1:08d}") for i in range(0, count, count // 80)]
+    for name, rows in (("a.jsonl", used), ("b.jsonl", used[::2])):
+        (tmp_path / name).write_text("".join(
+            json.dumps({"id": rid, "wnid": wnid, "score": 0.5}) + "\n" for rid, wnid in rows))
+    synsets = tmp_path / "synsets.emb"
+    write_embeddings(EmbeddingMatrix(rows=rng.standard_normal((4, dim)),
+                                     ids=[f"n{j:08d}" for j in range(1, 5)]), synsets)
+    stages = {
+        "intra": ["intra", "--manifest", "a.jsonl", "--image-embeddings", big],
+        "compare": ["compare", "--manifest-a", "a.jsonl", "--manifest-b", "b.jsonl",
+                    "--image-embeddings-a", big, "--image-embeddings-b", big, "--boot", "20"],
+        "false-class": ["false-class", "--text-embeddings", big, "--pairs", "a.jsonl",
+                        "--synset-embeddings", synsets, "--bin-edges=-1,0,1"],
+    }
+    floor = child_peak_mib(["-c", "import capsieve.cli, capsieve.diagnostics"], tmp_path)
+    for stage, argv in stages.items():
+        argv = ["-m", "capsieve.cli", "diagnose", *map(str, argv), "--out", f"out_{stage}"]
+        peak = child_peak_mib(argv, tmp_path)
+        assert peak < floor + payload_mib / 2, (
+            f"{stage}: {peak:.1f} MiB against a {floor:.1f} MiB floor and a "
+            f"{payload_mib:.1f} MiB payload"
+        )

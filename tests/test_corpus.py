@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import struct
 import tracemalloc
 from pathlib import Path
 from typing import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import capsieve
+from capsieve import corpus
 from capsieve.cli import _labelled_rows
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
     Corpus,
+    EmbeddingFile,
     EmbeddingMatrix,
     index_keys,
     load_corpus,
@@ -371,6 +375,93 @@ def test_embedding_file_errors_name_the_file(tmp_path, ids, rows, message):
     assert info.value.path == path
 
 
+def write_rows(path, rows, ids):
+    """An embedding file of float32 `rows` and `ids`, written by hand, so
+    that it may hold rows `EmbeddingMatrix` refuses."""
+    rows = np.asarray(rows, dtype="<f4")
+    path.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", rows.shape[1], len(ids)) + rows.tobytes()
+                     + "".join(json.dumps(i) + "\n" for i in ids).encode())
+
+
+# Files of 0 to 13 rows at d = 3, read in chunks of 4 rows: counts on either
+# side of one, two and three chunks.
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(count=st.integers(0, 13), data=st.data())
+def test_keeping_some_ids_equals_the_whole_load_restricted(tmp_path, count, data):
+    rng = np.random.default_rng(count)
+    ids = [f"r{i}" for i in rng.permutation(count)]  # file order is not id order
+    path = tmp_path / "some.emb"
+    write_rows(path, rng.standard_normal((count, 3)), ids)
+    keep = data.draw(st.sets(st.sampled_from(ids + ["absent"])))
+    with mock.patch.object(corpus, "_CHECK_VALUES", 4 * 3):
+        whole = load_embeddings(path)
+        kept = load_embeddings(path, keep=keep)
+    order = [row for row, rid in enumerate(ids) if rid in keep]
+    assert kept.ids == [ids[row] for row in order]
+    assert kept.rows.shape == (len(order), 3)
+    assert kept.rows.tobytes() == whole.rows[order].tobytes()
+    assert kept.path == whole.path == path
+
+
+@pytest.mark.parametrize("keep", [None, {"r0"}, set()], ids=["all", "one", "none"])
+@pytest.mark.parametrize("nan, zero, message", [
+    (7, None, "non-finite values in row for id 'r7'"),
+    (None, 7, "all-zero vector for id 'r7'"),
+    (9, 2, "non-finite values in row for id 'r9'"),  # a later chunk: still reported first
+    (2, 9, "non-finite values in row for id 'r2'"),
+])
+def test_a_bad_row_outside_the_kept_rows_still_raises(tmp_path, keep, nan, zero, message):
+    rows = np.ones((10, 3))
+    if nan is not None:
+        rows[nan, 1] = np.nan
+    if zero is not None:
+        rows[zero] = 0.0
+    path = tmp_path / "bad.emb"
+    write_rows(path, rows, [f"r{i}" for i in range(10)])
+    with mock.patch.object(corpus, "_CHECK_VALUES", 4 * 3), pytest.raises(ValidationError) as info:
+        load_embeddings(path, keep=keep)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_embedding_file_chunks_are_the_checked_rows(tmp_path, rng):
+    rows = rng.standard_normal((11, 3)).astype(np.float32)
+    path = tmp_path / "e.emb"
+    write_rows(path, rows, [f"r{i}" for i in range(11)])
+    source = EmbeddingFile(path)
+    assert (source.path, source.dim, source.count) == (path, 3, 11)
+    got = [(lo, chunk.copy()) for lo, chunk in source.chunks(4)]
+    assert [lo for lo, _ in got] == [0, 4, 8]
+    assert np.concatenate([chunk for _, chunk in got]).tobytes() == rows.tobytes()
+
+
+def test_embedding_file_reads_its_header_and_trailer_on_construction(tmp_path):
+    path = tmp_path / "dup.emb"
+    write_rows(path, [[1.0], [np.nan]], ["a", "a"])  # the duplicate is found before any row
+    with pytest.raises(ValidationError, match="duplicate embedding id 'a'"):
+        EmbeddingFile(path)
+    write_rows(path, [[1.0], [2.0]], ["a", "b"])
+    path.write_bytes(path.read_bytes().removesuffix(b'"b"\n'))
+    with pytest.raises(FormatError, match="trailer has 1 entries"):
+        EmbeddingFile(path)
+
+
+def test_a_scan_that_stops_or_raises_mid_file_closes_it(tmp_path):
+    # a file left open would raise ResourceWarning, which fails the test
+    rows = np.ones((10, 3))
+    rows[9, 0] = np.inf
+    path = tmp_path / "late.emb"
+    write_rows(path, rows, [f"r{i}" for i in range(10)])
+    source = EmbeddingFile(path)
+    chunks = source.chunks(2)
+    assert next(chunks)[0] == 0
+    del chunks  # abandoned after one chunk
+    with pytest.raises(ValidationError, match="non-finite values in row for id 'r9'"):
+        for _ in source.chunks(2):
+            pass
+    gc.collect()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
@@ -392,9 +483,11 @@ LINES = st.one_of(
 
 
 def _load_pairs(path):
-    """A pairs file read as the CLI reads one, gathering its rows from a
-    matrix that holds the id "a" only."""
-    return _labelled_rows(path, EmbeddingMatrix(rows=np.ones((1, 2)), ids=["a"]), "text")
+    """A pairs file read as the CLI reads one, gathering its rows from an
+    embedding file that holds the id "a" only."""
+    embeddings = Path(path).with_suffix(".emb")
+    write_embeddings(EmbeddingMatrix(rows=np.ones((1, 2)), ids=["a"]), embeddings)
+    return _labelled_rows(path, embeddings, "text")
 
 
 LOADERS = [load_taxonomy, load_corpus, load_candidates, load_predictions, _load_pairs]

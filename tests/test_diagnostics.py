@@ -568,10 +568,10 @@ def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
     )
     texts = rng.standard_normal((23, 5))
     intended = [f"n{int(j):08d}" for j in rng.integers(1, 10, size=23)]
-    # blocks of 4 texts, each scored against chunks of 4, 4 and 1 synsets
+    # chunks of 4, 4 and 1 synsets, each scored against blocks of 4 texts
     monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * 5)
     tiles = [(start, lo) for start, lo, _ in vectorops.cosine_blocks(texts, synsets)]
-    assert tiles == [(start, lo) for start in range(0, 23, 4) for lo in (0, 4, 8)]
+    assert tiles == [(start, lo) for lo in (0, 4, 8) for start in range(0, 23, 4)]
     scored = list(zip(*diagnostics._own_score_and_false_class(texts, intended, synsets)))
     for (own, prop), text, wnid in zip(scored, texts, intended):
         assert own == cosine(text, synsets.rows[synsets.index[wnid]])

@@ -7,11 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from capsieve import vectorops
-from capsieve.corpus import EmbeddingMatrix
+from capsieve.corpus import EmbeddingFile, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.errors import ValidationError
 from capsieve.vectorops import cosine, cosine_blocks, nearest_rows, pair_cosine, triangle_blocks
 
@@ -204,7 +204,7 @@ def test_block_kernel_equals_scalar_bitwise(rng, monkeypatch, d, block):
     if block is not None:  # query blocks and row chunks of `block`
         monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block * d)
         assert [(start, lo) for start, lo, _ in cosine_blocks(queries, m)] == [
-            (start, lo) for start in range(0, 12, block) for lo in range(0, 23, block)
+            (start, lo) for lo in range(0, 23, block) for start in range(0, 12, block)
         ]
     scores = scan(queries, m)
     for q in range(len(queries)):
@@ -371,6 +371,70 @@ def test_nearest_rows_equals_the_oracle_with_planted_ties(
     assert [(m.ids[row], float(score)) for row, score in got] == [
         nearest_neighbor(q, m) for q in queries
     ]
+
+
+def test_a_streamed_file_scans_bitwise_as_the_loaded_matrix(tmp_path, rng):
+    # 600 rows at d = 512 are read in row chunks of 256, 256 and 88; 300
+    # queries make query blocks of 256 and 44
+    rows = scaled_rows(rng, 600, 512)
+    rows[[255, 256, 511, 512, 599]] = rows[100]  # exact ties on either side of each chunk edge
+    ids = [f"r{int(i):03d}" for i in rng.permutation(600)]
+    path = tmp_path / "corpus.emb"
+    write_embeddings(matrix(rows, ids), path)
+    queries = scaled_rows(rng, 300, 512)
+    queries[::50] = rows[100]
+    loaded, streamed = load_embeddings(path), EmbeddingFile(path)
+    tiles = [(start, lo, scores.tobytes()) for start, lo, scores in cosine_blocks(queries, loaded)]
+    assert [(start, lo) for start, lo, _ in tiles] == [
+        (start, lo) for lo in (0, 256, 512) for start in (0, 256)
+    ]
+    assert [(start, lo, s.tobytes()) for start, lo, s in cosine_blocks(queries, streamed)] == tiles
+    best, score = nearest_rows(queries, streamed)
+    whole_best, whole_score = nearest_rows(queries, loaded)
+    assert best.tobytes() == whole_best.tobytes() and score.tobytes() == whole_score.tobytes()
+    assert [(ids[row], float(s)) for row, s in zip(best[::50], score[::50])] == [
+        nearest_neighbor(q, loaded) for q in queries[::50]
+    ]
+
+
+# Files of 1 to 20 rows at d = 3, scanned in row chunks of 1 to 5 rows.
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    count=st.integers(1, 20),
+    n_queries=st.integers(1, 9),
+    block=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_nearest_rows_equal_the_loaded_matrix_across_chunk_edges(
+    tmp_path, count, n_queries, block, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = scaled_rows(rng, count, 3)
+    rows[rng.integers(0, count, size=count // 3)] = rows[0]  # ties in other chunks
+    path = tmp_path / "corpus.emb"
+    write_embeddings(matrix(rows, [f"r{int(i)}" for i in rng.permutation(count)]), path)
+    queries = scaled_rows(rng, n_queries, 3)
+    queries[::2] = rows[0]
+    with mock.patch.object(vectorops, "_BLOCK_SCORES", block * 3):
+        got = nearest_rows(queries, EmbeddingFile(path))
+        want = nearest_rows(queries, load_embeddings(path))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_streamed_scan_holds_no_copy_of_the_file(tmp_path, rng):
+    path = tmp_path / "corpus.emb"
+    write_embeddings(matrix(rng.standard_normal((4000, 512)), [f"r{i}" for i in range(4000)]), path)
+    streamed = EmbeddingFile(path)
+    queries = rng.standard_normal((600, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        nearest_rows(queries, streamed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scan's float64 buffers and the file's float32 chunk; the payload is 7.8 MiB
+    assert peak < 5 * vectorops._BLOCK_SCORES * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 # Names of numpy's BLAS routes. No reported number may pass through one:
