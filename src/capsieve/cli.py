@@ -368,14 +368,14 @@ def _load_weights(path) -> dict[str, float]:
 
 def _cmd_match(stage, taxonomy, corpus, caption_embeddings, synset_embeddings, max_lemmas):
     from . import curator, matcher
-    from .corpus import load_corpus, load_embeddings
+    from .corpus import EmbeddingFile, load_corpus, load_embeddings
     from .taxonomy import load_taxonomy
 
     auto = matcher.build_matcher(load_taxonomy(taxonomy), max_lemmas_per_synset=max_lemmas)
     matches = matcher.find_matches(auto, load_corpus(corpus))
     candidates = None
-    if caption_embeddings is not None:  # only the matched captions' and synsets' rows are kept
-        captions = load_embeddings(caption_embeddings, keep={m.instance_id for m in matches})
+    if caption_embeddings is not None:  # captions scanned from disk; matched synsets' rows kept
+        captions = EmbeddingFile(caption_embeddings)
         synsets = load_embeddings(synset_embeddings, keep={m.wnid for m in matches})
         candidates = curator.score_candidates(matches, captions, synsets)
     # written only once every match is scored: a caption with no embedding leaves no file

@@ -27,20 +27,23 @@ columns, one list per field, and checks each field's kind once per column
 after the whole file has parsed.
 
 Ids are joined here too, so each id error is worded once. `index_keys`
-builds every id index in the package and reports the first key seen twice
-("duplicate {what} {key!r}", with both lines for a JSONL file), and
-`EmbeddingMatrix.positions` finds every embedding row by id and reports
-the first id the matrix lacks ("missing {role} embedding for id {id!r}").
-An embedding file's duplicate id, non-finite row or all-zero row is
-reported with the file's path.
+builds the id indexes and reports the first key seen twice ("duplicate
+{what} {key!r}", with both lines for a JSONL file); each file's ids are
+indexed once, by its loader or by the object it builds. `positions`, which
+`EmbeddingMatrix` and `EmbeddingFile` share, finds every embedding row by
+id and reports the first id that has none ("missing {role} embedding for
+id {id!r}"). An embedding file's duplicate id, non-finite row or all-zero
+row is reported with the file's path.
 
 An embedding file is read one way: its header is checked and its id
-trailer read whole (every duplicate id must be found), then its payload
-is read in bounded row chunks, each checked as it arrives. `EmbeddingFile`
-scans a file so, holding one chunk at a time; `load_embeddings(path,
-keep)` keeps only the rows of the ids a stage uses. A non-finite row
-anywhere in the file is reported before an all-zero row, whichever rows
-are kept.
+trailer read whole and indexed (every duplicate id must be found), then
+its payload is read in bounded row chunks, each checked as it arrives.
+`EmbeddingFile` scans a file so, holding one chunk at a time, as
+`diagnose nearest-text` scans its corpus and `match` its captions;
+`load_embeddings(path, keep)` keeps only the rows of the ids a stage
+uses, found through the file's index. Each row is checked once and each
+id indexed once. A non-finite row anywhere in the file is reported before
+an all-zero row, whichever rows are kept.
 
 Only the embedding code uses numpy: `EmbeddingMatrix`, `EmbeddingFile`,
 `load_embeddings` and `write_embeddings` import it when they run, so the
@@ -57,7 +60,7 @@ import os
 import re
 import reprlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -82,7 +85,9 @@ class Corpus:
 
     Row i is the caption `texts[i]` of instance `ids[i]`, with its NSFW
     flag, its text-in-image flag (None when unset) and its `meta` object.
-    `index` maps each id to its row.
+    `index` maps each id to its row. `path` and `lines`, the file and the
+    line of each row when the columns were read from one, are named in a
+    duplicate id's error.
     """
 
     ids: list[str]
@@ -91,12 +96,15 @@ class Corpus:
     text_in_image: list[bool | None]
     meta: list[dict]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
+    path: InitVar[Path | None] = None
+    lines: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, path, lines):
         n = len(self.ids)
         if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == len(self.meta) == n:
             raise ValidationError("corpus columns differ in length")
-        object.__setattr__(self, "index", index_keys(self.ids, "instance id"))
+        index = index_keys(self.ids, "instance id", path=path, lines=lines)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -352,13 +360,14 @@ def load_corpus(path) -> Corpus:
     for row, value in enumerate(meta):
         if not isinstance(value, dict):
             raise FormatError("field 'meta' must be an object", path=path, line=lines[row])
-    index_keys(columns["id"], "instance id", path=path, lines=lines)
     return Corpus(
         ids=columns["id"],
         texts=columns["text"],
         nsfw=[value is True for value in columns["nsfw"]],
         text_in_image=columns["text_in_image"],
         meta=meta,
+        path=path,
+        lines=lines,
     )
 
 
@@ -414,8 +423,27 @@ def _checked(chunks, ids: Sequence[str], path=None) -> Iterator[tuple[int, np.nd
         raise ValidationError(f"all-zero vector for id {ids[zero]!r}", path=path)
 
 
+class _IdRows:
+    """Rows found by id: `index` maps each of `ids` to its row."""
+
+    ids: list[str]
+    index: dict[str, int]
+
+    def __contains__(self, rid: str) -> bool:
+        return rid in self.index
+
+    def positions(self, ids: Sequence[str], role: str) -> list[int]:
+        """The row of each of `ids`, in order. Raises MissingKeyError for
+        the first id that has no row, naming its `role`."""
+        index = self.index
+        try:
+            return [index[rid] for rid in ids]
+        except KeyError as exc:
+            raise MissingKeyError(f"missing {role} embedding for id {exc.args[0]!r}") from None
+
+
 @dataclass
-class EmbeddingMatrix:
+class EmbeddingMatrix(_IdRows):
     """Dense float32 vectors keyed by id; rows align 1:1 with ids. `path`,
     the file the rows were read from, if any, is named in errors about
     them."""
@@ -438,8 +466,7 @@ class EmbeddingMatrix:
                 path=self.path,
             )
         self.index = index_keys(self.ids, "embedding id", path=self.path)
-        for _ in _checked(self.chunks(_check_step(self.dim)), self.ids, self.path):
-            pass
+        self._check_values()
 
     @property
     def dim(self) -> int:
@@ -449,23 +476,25 @@ class EmbeddingMatrix:
     def count(self) -> int:
         return int(self.rows.shape[0])
 
-    def __contains__(self, rid: str) -> bool:
-        return rid in self.index
+    @classmethod
+    def _prechecked(cls, rows: np.ndarray, ids: list[str], index: dict[str, int], path
+                    ) -> EmbeddingMatrix:
+        """A matrix of float32 `rows` and of `ids`, indexed as `index`,
+        made without the checks of `__post_init__`: the caller makes them,
+        so that each row is checked and each id indexed once."""
+        matrix = object.__new__(cls)
+        matrix.rows, matrix.ids, matrix.index, matrix.path = rows, ids, index, path
+        return matrix
+
+    def _check_values(self) -> None:
+        for _ in _checked(self.chunks(_check_step(self.dim)), self.ids, self.path):
+            pass
 
     def chunks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, rows lo .. lo + `rows` - 1) for consecutive chunks of the
         matrix, as views."""
         for lo in range(0, self.count, rows):
             yield lo, self.rows[lo : lo + rows]
-
-    def positions(self, ids: Sequence[str], role: str) -> list[int]:
-        """The row of each of `ids`, in order. Raises MissingKeyError for
-        the first id the matrix lacks, naming its `role`."""
-        index = self.index
-        try:
-            return [index[rid] for rid in ids]
-        except KeyError as exc:
-            raise MissingKeyError(f"missing {role} embedding for id {exc.args[0]!r}") from None
 
 
 def _truncated(count: int, dim: int, got: int, path) -> FormatError:
@@ -522,22 +551,24 @@ def _read_rows(fh, path, count: int, dim: int, step: int) -> Iterator[tuple[int,
         yield lo, chunk
 
 
-class EmbeddingFile:
+class EmbeddingFile(_IdRows):
     """An embedding file read one bounded chunk of rows at a time.
 
     On construction its header and id trailer are read and checked, and its
     ids indexed, so a header or trailer fault or a duplicate id is raised
     then, naming the file. `chunks` reads the rows; nothing else holds
-    them. It has the `path`, `dim`, `count`, `ids` and `chunks` of an
-    `EmbeddingMatrix`, which is all `vectorops.cosine_blocks` and
-    `nearest_rows` read, so it can be scanned in a matrix's place.
+    them. It has the `path`, `dim`, `count`, `ids`, `index`, `positions`
+    and `chunks` of an `EmbeddingMatrix`, which is all
+    `vectorops.cosine_blocks`, `nearest_rows` and
+    `curator.score_candidates` read, so it can be scanned in a matrix's
+    place.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         with self.path.open("rb") as fh:
             self.dim, self.ids = _read_layout(fh, self.path)
-        index_keys(self.ids, "embedding id", path=self.path)
+        self.index = index_keys(self.ids, "embedding id", path=self.path)
 
     @property
     def count(self) -> int:
@@ -562,33 +593,41 @@ def load_embeddings(path, keep=None) -> EmbeddingMatrix:
     value checked; faults raise naming the file.
 
     With `keep`, a collection of ids, only the rows whose id is in `keep`
-    are kept, in file order; an id the file lacks is passed over. The
-    payload is read through `EmbeddingFile.chunks`, about _CHECK_VALUES
-    values at a time, and every row is still checked, kept or not. Without
-    `keep` the payload is read straight into the returned rows, so a
-    loaded file costs one copy of its payload, plus its ids.
+    are kept, in file order; an id the file lacks is passed over. The kept
+    rows are found through the `EmbeddingFile` index and read through its
+    `chunks`, about _CHECK_VALUES values at a time, which check every row,
+    kept or not. Without `keep`, or when it holds every id, the payload is
+    read straight into the returned rows and then checked, so a loaded file
+    costs one copy of its payload, plus its ids and their index. Either
+    way, each row is checked once and each id indexed once.
     """
     import numpy as np
 
-    path = Path(path)
+    source = EmbeddingFile(path)
+    path, index = source.path, source.index
+    wanted = None  # the rows to keep, in file order; None for every row
     if keep is not None:
-        source = EmbeddingFile(path)
-        keep = set(keep)
-        wanted = np.fromiter((row for row, rid in enumerate(source.ids) if rid in keep), np.intp)
-        rows = np.empty((len(wanted), source.dim), dtype=_F32LE)
-        for lo, chunk in source.chunks(_check_step(source.dim)):
-            first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
-            rows[first:end] = chunk[wanted[first:end] - lo]
-        return EmbeddingMatrix(rows=rows, ids=[source.ids[row] for row in wanted.tolist()],
-                               path=path)
-    with path.open("rb") as fh:
-        dim, ids = _read_layout(fh, path)
-        rows = np.empty((len(ids), dim), dtype=_F32LE)
-        # a flat view: memoryview refuses to cast an array with a 0 in its shape
-        got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
+        kept = np.zeros(source.count + 1, dtype=bool)  # kept[-1]: ids the file lacks
+        kept[np.fromiter((index.get(rid, -1) for rid in keep), np.intp, len(keep))] = True
+        if not kept[:-1].all():
+            wanted = np.flatnonzero(kept[:-1])
+    if wanted is None:
+        rows = np.empty((source.count, source.dim), dtype=_F32LE)
+        with path.open("rb") as fh:
+            fh.seek(_HEADER_SIZE)
+            # a flat view: memoryview refuses to cast an array with a 0 in its shape
+            got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
         if got != rows.nbytes:
-            raise _truncated(len(ids), dim, got, path)
-    return EmbeddingMatrix(rows=rows, ids=ids, path=path)
+            raise _truncated(source.count, source.dim, got, path)
+        matrix = EmbeddingMatrix._prechecked(rows, source.ids, index, path)
+        matrix._check_values()
+        return matrix
+    rows = np.empty((len(wanted), source.dim), dtype=_F32LE)
+    for lo, chunk in source.chunks(_check_step(source.dim)):
+        first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
+        np.take(chunk, wanted[first:end] - lo, axis=0, out=rows[first:end])
+    ids = [source.ids[row] for row in wanted.tolist()]
+    return EmbeddingMatrix._prechecked(rows, ids, dict(zip(ids, range(len(ids)))), path)
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:

@@ -15,6 +15,10 @@ exists to choose the threshold, which happens before the other rules run.
 No automatic threshold selection is offered; the operator reads the sweep
 curve and chooses the largest threshold that keeps class coverage.
 
+`score_candidates` reads the caption embeddings chunk by chunk, so
+`match` scans its caption file from disk and holds none of its rows, only
+the pair columns and the rows of its matched synsets.
+
 Everything here but `score_candidates` runs on the standard library: the
 scores are a tuple of Python floats, the sweep counts with `sorted` and
 `bisect_left`, and assembly keeps rows with lists and a `Counter`. So the
@@ -29,7 +33,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -40,12 +44,12 @@ from .errors import MissingKeyError, ValidationError
 from .provenance import config_digest
 
 if TYPE_CHECKING:
-    from .corpus import EmbeddingMatrix
+    from .corpus import EmbeddingFile, EmbeddingMatrix
     from .matcher import LemmaMatch
 
-# Pairs scored per `pair_cosine` call; a bounded block keeps the float64
-# copies of the gathered rows small.
-_PAIR_BLOCK = 256
+# Values in each gathered operand of one `pair_cosine` call, whose float64
+# copy so stays 128 KiB: 64 pairs at d = 256.
+_PAIR_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,9 @@ class DatasetManifest:
 
     `class_counts` is derived from the rows; `drop_ledger` records how many
     candidate rows each assembly stage removed; `provenance` is the digest
-    of the configuration that produced the manifest.
+    of the configuration that produced the manifest. `path` and `lines`,
+    the file and the line of each row when the rows were read from one, are
+    named in a repeated instance's error.
     """
 
     rows: Candidates
@@ -116,10 +122,12 @@ class DatasetManifest:
     provenance: str = ""
     drop_ledger: dict[str, int] = field(default_factory=dict)
     class_counts: dict[str, int] = field(init=False)
+    path: InitVar[Path | None] = None
+    lines: InitVar[list[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, path, lines):
         rows = self.rows
-        index_keys(rows.ids, "instance id")
+        index_keys(rows.ids, "instance id", path=path, lines=lines)
         threshold = self.threshold
         below = next((row for row, score in enumerate(rows.scores) if not score >= threshold), None)
         if below is not None:
@@ -132,37 +140,56 @@ class DatasetManifest:
 
 def score_candidates(
     matches: list[LemmaMatch],
-    caption_embeddings: EmbeddingMatrix,
+    caption_embeddings: EmbeddingMatrix | EmbeddingFile,
     synset_text_embeddings: EmbeddingMatrix,
 ) -> Candidates:
     """One candidate per distinct (instance, wnid) pair in `matches`, in
-    first-occurrence order, scored by `pair_cosine` in blocks of pairs.
+    first-occurrence order, scored by `pair_cosine`.
+
+    The captions are read once, chunk by chunk, so an `EmbeddingFile` is
+    scanned from disk and never held: the pairs are ordered by caption
+    row, and each chunk's pairs are scored in blocks of about _PAIR_VALUES
+    values. A `pair_cosine` score does not depend on which pairs share its
+    call, so no score depends on the chunk size or the file's row order.
 
     Raises MissingKeyError for the first pair with a missing embedding,
-    naming its caption before its synset. The only function here that
-    scores vectors, so the only one that loads numpy (on its first call).
+    naming its caption before its synset, then ValidationError when the
+    caption and synset dimensions differ, both before any caption row is
+    read; the scan then raises at an `EmbeddingFile`'s non-finite or
+    all-zero row. The only function here that scores vectors, so the only
+    one that loads numpy (on its first call).
     """
     import numpy as np
 
+    from .corpus import _check_step
     from .vectorops import pair_cosine
 
     pairs = dict.fromkeys((m.instance_id, m.wnid) for m in matches)
     ids = [instance_id for instance_id, _ in pairs]
     wnids = [wnid for _, wnid in pairs]
-    caption_rows = np.array([caption_embeddings.index.get(i, -1) for i in ids], dtype=np.intp)
-    synset_rows = np.array([synset_text_embeddings.index.get(w, -1) for w in wnids], dtype=np.intp)
+    del pairs  # the columns hold the pairs from here on
+    caption_index, synset_index = caption_embeddings.index, synset_text_embeddings.index
+    caption_rows = np.fromiter((caption_index.get(i, -1) for i in ids), np.intp, len(ids))
+    synset_rows = np.fromiter((synset_index.get(w, -1) for w in wnids), np.intp, len(ids))
     missing = np.flatnonzero((caption_rows < 0) | (synset_rows < 0))
     if len(missing):  # the first pair with a missing row: one of these raises
         row = int(missing[0])
         caption_embeddings.positions([ids[row]], "caption")
         synset_text_embeddings.positions([wnids[row]], "synset text")
+    if ids and caption_embeddings.dim != synset_text_embeddings.dim:
+        raise ValidationError(f"dimension mismatch: captions {caption_embeddings.dim} vs "
+                              f"synset texts {synset_text_embeddings.dim}")
+    order = np.argsort(caption_rows, kind="stable")  # pair slots by caption row
+    caption_rows, synset_rows = caption_rows[order], synset_rows[order]
     scores = np.empty(len(ids), dtype=np.float64)
-    for lo in range(0, len(ids), _PAIR_BLOCK):
-        block = slice(lo, lo + _PAIR_BLOCK)
-        scores[block] = pair_cosine(
-            caption_embeddings.rows[caption_rows[block]],
-            synset_text_embeddings.rows[synset_rows[block]],
-        )
+    step = max(1, _PAIR_VALUES // caption_embeddings.dim)
+    for lo, chunk in caption_embeddings.chunks(_check_step(caption_embeddings.dim)):
+        first, end = np.searchsorted(caption_rows, (lo, lo + len(chunk)))
+        for start in range(first, end, step):
+            block = slice(start, min(start + step, end))
+            scores[order[block]] = pair_cosine(
+                chunk[caption_rows[block] - lo], synset_text_embeddings.rows[synset_rows[block]]
+            )
     return Candidates(ids=ids, wnids=wnids, scores=scores.tolist())
 
 
@@ -320,10 +347,12 @@ def _read_rows(path) -> tuple[list[int], Candidates]:
 
 def load_candidates(path) -> Candidates:
     """Read candidates JSONL; a repeated (id, wnid) pair is rejected with
-    both its lines."""
+    both its lines. A set of the pairs finds a repeat; only then are they
+    indexed, to name its lines."""
     lines, candidates = _read_rows(path)
-    pairs = list(zip(candidates.ids, candidates.wnids))
-    index_keys(pairs, "candidate", path=Path(path), lines=lines)
+    if len(set(zip(candidates.ids, candidates.wnids))) < len(candidates):
+        pairs = list(zip(candidates.ids, candidates.wnids))
+        index_keys(pairs, "candidate", path=Path(path), lines=lines)
     return candidates
 
 
@@ -344,7 +373,6 @@ def load_manifest(rows_path) -> DatasetManifest:
     """Read manifest rows, one per instance (a repeated id is rejected with
     both its lines); the threshold is their lowest score (-1.0 for none)."""
     lines, rows = _read_rows(rows_path)
-    index_keys(rows.ids, "instance id", path=Path(rows_path), lines=lines)
     threshold = min(rows.scores) if len(rows) else -1.0
-    return DatasetManifest(rows=rows, threshold=threshold)
+    return DatasetManifest(rows=rows, threshold=threshold, path=Path(rows_path), lines=lines)
 

@@ -172,13 +172,15 @@ def load_predictions(path) -> dict[str, list[str]]:
     path = Path(path)
     lines, columns = read_jsonl(path, {"id": str, "ranked": "wnid list"})
     ids, ranked_lists = columns["id"], columns["ranked"]
-    index_keys(ids, "prediction id", path=path, lines=lines)
+    predictions = dict(zip(ids, ranked_lists))
+    if len(predictions) < len(ids):  # an id repeats: name it and its lines
+        index_keys(ids, "prediction id", path=path, lines=lines)
     for lineno, instance_id, ranked in zip(lines, ids, ranked_lists):
         if len(set(ranked)) != len(ranked):
             raise ValidationError(
                 f"ranked predictions for {instance_id!r} not distinct", path=path, line=lineno
             )
-    return dict(zip(ids, ranked_lists))
+    return predictions
 
 
 def write_predictions(predictions: Mapping[str, Sequence[str]], path) -> None:

@@ -14,7 +14,7 @@ data and spaces after normalization).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -46,14 +46,17 @@ class Taxonomy:
     """Ordered, uniquely-keyed collection of synsets.
 
     Immutable after construction; safe for concurrent readers. Iteration
-    order is the input order.
+    order is the input order. `index` maps each wnid to its synset's
+    position; it is built from the synsets unless given, as `load_taxonomy`
+    gives the one it built while checking the file.
     """
 
     synsets: list[Synset]
-    index: dict[str, int] = field(init=False)
+    index: dict[str, int] | None = None
 
     def __post_init__(self):
-        self.index = index_keys([synset.wnid for synset in self.synsets], "wnid")
+        if self.index is None:
+            self.index = index_keys([synset.wnid for synset in self.synsets], "wnid")
 
     def __len__(self) -> int:
         return len(self.synsets)
@@ -80,7 +83,7 @@ def load_taxonomy(path) -> Taxonomy:
     path = Path(path)
     fields = {"wnid": "wnid", "lemmas": list, "name": str, "gloss": str}
     lines, columns = read_jsonl(path, fields)
-    index_keys(columns["wnid"], "wnid", path=path, lines=lines)
+    index = index_keys(columns["wnid"], "wnid", path=path, lines=lines)
     synsets: list[Synset] = []
     rows = zip(lines, columns["wnid"], columns["lemmas"], columns["name"], columns["gloss"])
     for lineno, wnid, lemmas, name, gloss in rows:
@@ -88,7 +91,7 @@ def load_taxonomy(path) -> Taxonomy:
             synsets.append(Synset(wnid=wnid, lemmas=tuple(lemmas), name=name, gloss=gloss))
         except ValidationError as exc:
             raise ValidationError(str(exc), path=path, line=lineno) from exc
-    return Taxonomy(synsets)
+    return Taxonomy(synsets, index=index)
 
 
 def save_taxonomy(taxonomy: Taxonomy, path) -> None:

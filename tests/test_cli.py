@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capsieve
-from capsieve import vectorops
+from capsieve import corpus, vectorops
 from capsieve.cli import _write_csv, run
-from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, write_embeddings
+from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
 
 
@@ -1312,6 +1312,133 @@ def test_nearest_text_checks_the_queries_before_the_corpus_rows(tmp_path, capsys
                            + b'"w"\n"x"\n"y"\n"z"\n')
         assert run([str(a) for a in argv]) == 3
         assert capsys.readouterr().err == f"capsieve: data error: {error}\n"
+
+
+def test_match_does_not_depend_on_the_caption_row_order(pipeline_fixture, tmp_path,
+                                                       monkeypatch):
+    # the fixture's caption file, its rows permuted, and both read in chunks
+    # of 64 rows (16 chunks) as well as in one
+    fx = pipeline_fixture
+    captions = load_embeddings(fx["caption_embeddings"])
+    order = np.random.default_rng(3).permutation(captions.count)
+    permuted = tmp_path / "permuted.emb"
+    write_embeddings(EmbeddingMatrix(rows=captions.rows[order],
+                                     ids=[captions.ids[row] for row in order]), permuted)
+    assert permuted.read_bytes() != Path(fx["caption_embeddings"]).read_bytes()
+    trees = []
+    for step in (None, 64):
+        if step is not None:
+            monkeypatch.setattr(corpus, "_CHECK_VALUES", step * captions.dim)
+        for source in (fx["caption_embeddings"], permuted):
+            out = tmp_path / f"{step}_{Path(source).stem}"
+            run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+                    "--caption-embeddings", source,
+                    "--synset-embeddings", fx["synset_embeddings"], "--out", out])
+            trees.append({name: (out / name).read_bytes()
+                          for name in ("matches.jsonl", "candidates.jsonl")})
+    assert trees[0]["candidates.jsonl"].count(b"\n") > 500
+    assert all(tree == trees[0] for tree in trees)
+
+
+def embedding_bytes(rows, ids, magic=EMBEDDING_MAGIC) -> bytes:
+    """An embedding file of float32 `rows` and `ids`, written by hand, so
+    that it may hold rows `EmbeddingMatrix` refuses."""
+    rows = np.asarray(rows, dtype="<f4")
+    return (magic + struct.pack("<IQ", rows.shape[1], len(ids)) + rows.tobytes()
+            + "".join(f'"{rid}"\n' for rid in ids).encode())
+
+
+# The faults `match` may meet in its embedding files, by name: (which file,
+# the edit of its good magic, rows and ids, the error after that file's
+# path or, for a missing row, the whole error). The good caption file holds
+# a, b, c and d, the ids of corpus.jsonl (a and b match n00000001, c and d
+# n00000002), and the good synset file those two wnids; all rows are ones.
+MATCH_FAULTS = {
+    "caption magic": ("captions", {"magic": b"NOPE"}, "bad magic: expected b'EMB1', got b'NOPE'"),
+    "caption duplicate": ("captions", {"ids": {1: "a"}}, "duplicate embedding id 'a'"),
+    "caption nan": ("captions", {"rows": {(2, 1): np.nan}}, "non-finite values in row for id 'c'"),
+    "caption zero": ("captions", {"rows": {1: 0.0}}, "all-zero vector for id 'b'"),
+    "missing caption": ("captions", {"drop": True}, "missing caption embedding for id 'd'"),
+    "synset magic": ("synsets", {"magic": b"NOPE"}, "bad magic: expected b'EMB1', got b'NOPE'"),
+    "synset duplicate": ("synsets", {"ids": {1: "n00000001"}},
+                         "duplicate embedding id 'n00000001'"),
+    "synset nan": ("synsets", {"rows": {(1, 0): np.inf}},
+                   "non-finite values in row for id 'n00000002'"),
+    "synset zero": ("synsets", {"rows": {0: 0.0}}, "all-zero vector for id 'n00000001'"),
+    "missing synset": ("synsets", {"drop": True},
+                       "missing synset text embedding for id 'n00000002'"),
+}
+
+
+def match_error(tmp_path, capsys, faults, synset_dim=2) -> str:
+    """The error line of `match` on the good inputs, with each of `faults`
+    (names of MATCH_FAULTS) made in its file."""
+    write_good_inputs(tmp_path)
+    files = {"captions": {"magic": EMBEDDING_MAGIC, "rows": np.ones((4, 2)),
+                          "ids": ["a", "b", "c", "d"]},
+             "synsets": {"magic": EMBEDDING_MAGIC, "rows": np.ones((2, synset_dim)),
+                         "ids": ["n00000001", "n00000002"]}}
+    for name in faults:
+        which, edit, _ = MATCH_FAULTS[name]
+        file = files[which]
+        file["magic"] = edit.get("magic", file["magic"])
+        for key in ("rows", "ids"):
+            for at, value in edit.get(key, {}).items():
+                file[key][at] = value
+        if edit.get("drop"):
+            file["rows"], file["ids"] = file["rows"][:-1], file["ids"][:-1]
+    for which, file in files.items():
+        (tmp_path / f"{which}.emb").write_bytes(
+            embedding_bytes(file["rows"], file["ids"], file["magic"]))
+    argv = ["match", "--taxonomy", tmp_path / "taxonomy.jsonl",
+            "--corpus", tmp_path / "corpus.jsonl",
+            "--caption-embeddings", tmp_path / "captions.emb",
+            "--synset-embeddings", tmp_path / "synsets.emb", "--out", tmp_path / "out"]
+    code = run([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert files_under(tmp_path / "out") == []
+    return err
+
+
+def match_message(tmp_path, name) -> str:
+    which, _, message = MATCH_FAULTS[name]
+    if name.startswith("missing"):
+        return f"capsieve: data error: {message}\n"
+    return f"capsieve: data error: {tmp_path / f'{which}.emb'}: {message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_FAULTS))
+def test_match_reports_a_single_embedding_fault(tmp_path, capsys, name):
+    assert match_error(tmp_path, capsys, [name]) == match_message(tmp_path, name)
+
+
+# Each pair is (the fault reported, a fault reported after it). The caption
+# file's header, trailer and duplicate ids come first; then the synset file;
+# then the first pair with a missing row; then, found while the caption rows
+# are scanned, a non-finite or all-zero caption row.
+MATCH_FAULT_ORDER = [
+    *[(first, value) for first in ["synset magic", "synset duplicate", "synset nan",
+                                   "synset zero", "missing synset"]
+      for value in ["caption nan", "caption zero"]],
+    ("missing caption", "caption nan"),
+    ("missing caption", "caption zero"),
+    ("synset nan", "missing caption"),
+    ("caption magic", "synset duplicate"),
+    ("caption duplicate", "synset nan"),
+    ("caption duplicate", "missing synset"),
+]
+
+
+@pytest.mark.parametrize("first, later", MATCH_FAULT_ORDER)
+def test_match_reports_its_embedding_faults_in_order(tmp_path, capsys, first, later):
+    assert match_error(tmp_path, capsys, [first, later]) == match_message(tmp_path, first)
+
+
+def test_match_checks_the_dimensions_before_the_caption_rows(tmp_path, capsys):
+    assert match_error(tmp_path, capsys, ["caption nan"], synset_dim=3) == (
+        "capsieve: data error: dimension mismatch: captions 2 vs synset texts 3\n"
+    )
 
 
 # The embedding inputs of each stage that reads one; each option gets its own

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import capsieve
-from capsieve import corpus
+from capsieve import corpus, curator, evalmetrics, taxonomy
 from capsieve.cli import _labelled_rows
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
@@ -422,6 +422,39 @@ def test_a_bad_row_outside_the_kept_rows_still_raises(tmp_path, keep, nan, zero,
     with mock.patch.object(corpus, "_CHECK_VALUES", 4 * 3), pytest.raises(ValidationError) as info:
         load_embeddings(path, keep=keep)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("keep", [None, ["r3", "r1", "r4"], ["r3", "r1", "r0", "r2", "r4", "r1"],
+                                  ["absent"]], ids=["whole", "some", "all", "none"])
+def test_a_load_checks_each_row_and_indexes_each_id_once(tmp_path, rng, keep):
+    ids = ["r3", "r1", "r0", "r2", "r4"]
+    path = tmp_path / "e.emb"
+    write_rows(path, rng.standard_normal((5, 3)), ids)
+    with mock.patch.object(corpus, "_checked", wraps=corpus._checked) as checked, \
+            mock.patch.object(corpus, "index_keys", wraps=corpus.index_keys) as indexed:
+        loaded = load_embeddings(path, keep=keep)
+    assert (checked.call_count, indexed.call_count) == (1, 1)
+    kept = [rid for rid in ids if keep is None or rid in keep]
+    assert loaded.ids == kept
+    assert loaded.index == {rid: row for row, rid in enumerate(kept)}
+
+
+def test_each_jsonl_loader_indexes_its_ids_once(tmp_path):
+    (tmp_path / "c.jsonl").write_text(corpus_line("a", "x") + "\n" + corpus_line("b", "y") + "\n")
+    (tmp_path / "t.jsonl").write_text(json.dumps(
+        {"wnid": "n00000001", "lemmas": ["cat"], "name": "cat", "gloss": "a cat"}) + "\n")
+    (tmp_path / "m.jsonl").write_text("".join(
+        json.dumps({"id": rid, "wnid": "n00000001", "score": 0.5}) + "\n" for rid in "ab"))
+    (tmp_path / "p.jsonl").write_text(json.dumps({"id": "a", "ranked": ["n00000001"]}) + "\n")
+    loaders = [(corpus, load_corpus, "c.jsonl", 1), (taxonomy, load_taxonomy, "t.jsonl", 1),
+               (curator, curator.load_manifest, "m.jsonl", 1),
+               # only a repeated candidate or prediction id needs an index, for its lines
+               (curator, load_candidates, "m.jsonl", 0),
+               (evalmetrics, load_predictions, "p.jsonl", 0)]
+    for module, loader, name, calls in loaders:
+        with mock.patch.object(module, "index_keys", wraps=index_keys) as indexed:
+            loader(tmp_path / name)
+        assert indexed.call_count == calls, loader.__name__
 
 
 def test_embedding_file_chunks_are_the_checked_rows(tmp_path, rng):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capsieve.corpus import EmbeddingMatrix
+from capsieve.corpus import EmbeddingFile, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.curator import (
     AssembleOptions,
     Candidates,
@@ -68,7 +70,7 @@ def test_score_candidates_matches_cosine_oracle(rng):
 
 
 def test_score_candidates_across_pair_blocks(rng):
-    # 700 distinct pairs span three blocks of 256; repeats keep first order
+    # 700 distinct pairs span 22 blocks of 32 at d = 512; repeats keep first order
     ids = [f"i{j}" for j in range(70)]
     wnids = [f"n{j:08d}" for j in range(1, 11)]
     captions = random_matrix(rng, ids, 512)
@@ -95,6 +97,78 @@ def test_score_candidates_missing_embedding():
     # the first pair with a missing row is named, its caption before its synset
     with pytest.raises(MissingKeyError, match="synset text embedding for id 'n00000009'"):
         score_candidates([match("i1", "n00000009"), match("i9", "n00000001")], captions, synsets)
+
+
+# At d = 2**16 + 1 an embedding file is read in chunks of 3 rows, each pair
+# is a block of its own, and a contraction is long enough for einsum to add
+# it up in pieces. At d = 8, read in chunks of 3 rows too, a chunk's pairs
+# share one block.
+WIDE = 2**16 + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.sampled_from([WIDE, 8]), count=st.integers(7, 12), data=st.data())
+def test_scoring_from_the_file_equals_scoring_the_loaded_rows(tmp_path, dim, count, data):
+    # file rows shuffled against match order, pairs over at least 3 chunks,
+    # several wnids per caption and one chunk that holds exactly one pair
+    rng = np.random.default_rng(count)
+    ids = [f"i{row}" for row in rng.permutation(count)]
+    wnids = [f"n{j:08d}" for j in range(1, 5)]
+    path = tmp_path / "captions.emb"
+    write_embeddings(random_matrix(rng, ids, dim), path)
+    synsets = random_matrix(rng, wnids, dim)
+    labels = data.draw(st.lists(st.lists(st.sampled_from(wnids), min_size=1, max_size=3),
+                                min_size=count, max_size=count))
+    lone = 3 * data.draw(st.integers(0, count // 3 - 1))  # the first row of a one-pair chunk
+    labels[lone : lone + 3] = [[wnids[0]], [], []]
+    pairs = [(ids[row], wnid) for row, row_wnids in enumerate(labels) for wnid in row_wnids]
+    order = data.draw(st.permutations(range(len(pairs))))
+    matches = [match(*pairs[k]) for k in order + order[: len(order) // 2]]
+    with mock.patch("capsieve.corpus._CHECK_VALUES", 3 * dim):  # the default at WIDE
+        streamed = score_candidates(matches, EmbeddingFile(path), synsets)
+        loaded = load_embeddings(path)
+        in_memory = score_candidates(matches, loaded, synsets)
+    assert (streamed.ids, streamed.wnids) == (in_memory.ids, in_memory.wnids)
+    assert np.array(streamed.scores).tobytes() == np.array(in_memory.scores).tobytes()
+    assert list(zip(streamed.ids, streamed.wnids)) == list(dict.fromkeys(pairs[k] for k in order))
+    for instance_id, wnid, score in candidate_rows(streamed):
+        caption, synset = loaded.rows[loaded.index[instance_id]], synsets.rows[synsets.index[wnid]]
+        assert score == cosine(caption, synset)
+
+
+def test_scoring_from_a_file_holds_one_chunk_and_the_pairs(tmp_path, rng):
+    # 20 000 x 256 rows (19.5 MiB), read in chunks of 1024 rows (1 MiB)
+    count, dim = 20_000, 256
+    ids = [f"i{row}" for row in range(count)]
+    path = tmp_path / "captions.emb"
+    write_embeddings(random_matrix(rng, ids, dim), path)
+    wnids = [f"n{j:08d}" for j in range(1, 11)]
+    synsets = random_matrix(rng, wnids, dim)
+    matches = [match(ids[int(row)], wnids[int(row) % 10]) for row in rng.permutation(count)[:2000]]
+    source = EmbeddingFile(path)
+    tracemalloc.start()
+    try:
+        out = score_candidates(matches, source, synsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 2000
+    chunk = 2**20
+    assert peak < chunk + 2**20, f"peak {peak / 2**20:.2f} MiB for a 19.5 MiB file"
+
+
+def test_score_candidates_checks_the_dimensions_before_the_caption_rows(tmp_path):
+    path = tmp_path / "captions.emb"
+    write_embeddings(embeddings(["i1"], [[1.0, 2.0]]), path)
+    path.write_bytes(path.read_bytes().replace(np.float32(2.0).tobytes(),
+                                               np.float32(np.nan).tobytes()))
+    synsets = embeddings(["n00000001"], [[1.0, 0.0, 0.0]])
+    message = "^dimension mismatch: captions 2 vs synset texts 3$"
+    with pytest.raises(ValidationError, match=message):
+        score_candidates([match("i1", "n00000001")], EmbeddingFile(path), synsets)
+    with pytest.raises(ValidationError, match="non-finite values in row for id 'i1'"):
+        score_candidates([], EmbeddingFile(path), synsets)  # no pair: every row is still checked
 
 
 def test_sweep_trivial_points():
