@@ -3,7 +3,10 @@
 Corpus files are JSONL, one record per line:
 
     {"id": str, "text": str, "nsfw": bool, "text_in_image": bool|null,
-     "meta": {str: str, ...} | null}
+     "meta": {...} | null}
+
+Only the id, the text and the two flags are kept: `meta`, which no stage
+reads, is optional, and is checked to be an object or null, then dropped.
 
 Embedding files are a single binary blob so ids and rows cannot drift
 apart:
@@ -84,33 +87,29 @@ class Corpus:
     """Captions and their flags as columns, in file order; ids are unique.
 
     Row i is the caption `texts[i]` of instance `ids[i]`, with its NSFW
-    flag, its text-in-image flag (None when unset) and its `meta` object.
-    `index` maps each id to its row. `path` and `lines`, the file and the
-    line of each row when the columns were read from one, are named in a
-    duplicate id's error.
+    flag and its text-in-image flag (None when unset). `index` maps each
+    id to its row. `path` and `lines`, the file and the line of each row
+    when the columns were read from one, are named in a duplicate id's
+    error.
     """
 
     ids: list[str]
     texts: list[str]
     nsfw: list[bool]
     text_in_image: list[bool | None]
-    meta: list[dict]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     path: InitVar[Path | None] = None
     lines: InitVar[Sequence[int] | None] = None
 
     def __post_init__(self, path, lines):
         n = len(self.ids)
-        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == len(self.meta) == n:
+        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == n:
             raise ValidationError("corpus columns differ in length")
         index = index_keys(self.ids, "instance id", path=path, lines=lines)
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, instance_id: str) -> bool:
-        return instance_id in self.index
 
 
 def index_keys(keys: Sequence, what: str, *, path=None, lines: Sequence[int] | None = None
@@ -350,43 +349,23 @@ def read_jsonl(
 
 
 def load_corpus(path) -> Corpus:
-    """Stream-load a JSONL corpus as columns. A `meta` that is absent or
-    null reads as {}; any other non-object is rejected with its line, and a
-    duplicate id with both its lines."""
+    """Stream-load a JSONL corpus as columns. A `meta` that is neither an
+    object nor null is rejected with its line, before a duplicate id is
+    reported with both its lines; `meta` is not kept."""
     path = Path(path)
     flags = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
     lines, columns = read_jsonl(path, {"id": str, "text": str}, optional=flags)
-    meta = [{} if value is None else value for value in columns["meta"]]
-    for row, value in enumerate(meta):
-        if not isinstance(value, dict):
+    for row, value in enumerate(columns.pop("meta")):
+        if value is not None and not isinstance(value, dict):
             raise FormatError("field 'meta' must be an object", path=path, line=lines[row])
     return Corpus(
         ids=columns["id"],
         texts=columns["text"],
         nsfw=[value is True for value in columns["nsfw"]],
         text_in_image=columns["text_in_image"],
-        meta=meta,
         path=path,
         lines=lines,
     )
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus to JSONL with a fixed key order (byte-reproducible)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rid, text, nsfw, text_in_image, meta in zip(
-            corpus.ids, corpus.texts, corpus.nsfw, corpus.text_in_image, corpus.meta
-        ):
-            row = {
-                "id": rid,
-                "text": text,
-                "nsfw": nsfw,
-                "text_in_image": text_in_image,
-                "meta": dict(meta),
-            }
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
 
 
 def _check_step(dim: int) -> int:
@@ -428,9 +407,6 @@ class _IdRows:
 
     ids: list[str]
     index: dict[str, int]
-
-    def __contains__(self, rid: str) -> bool:
-        return rid in self.index
 
     def positions(self, ids: Sequence[str], role: str) -> list[int]:
         """The row of each of `ids`, in order. Raises MissingKeyError for

@@ -16,7 +16,6 @@ interval rather than a spuriously tight one.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -181,12 +180,3 @@ def load_predictions(path) -> dict[str, list[str]]:
                 f"ranked predictions for {instance_id!r} not distinct", path=path, line=lineno
             )
     return predictions
-
-
-def write_predictions(predictions: Mapping[str, Sequence[str]], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for instance_id, ranked in predictions.items():
-            fh.write(json.dumps({"id": instance_id, "ranked": list(ranked)}))
-            fh.write("\n")
-

@@ -69,10 +69,6 @@ class Matcher:
         self._root = root
         self.wnids_for = wnids_for
 
-    @property
-    def pattern_count(self) -> int:
-        return len(self.wnids_for)
-
     def scan(self, text: str) -> list[tuple[int, int, str]]:
         """All occurrences of any pattern in `text` as (start, end, pattern),
         without boundary filtering."""

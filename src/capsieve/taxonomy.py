@@ -8,12 +8,13 @@ A taxonomy is a JSONL file, one synset per line:
 Synsets are the classes of the curation pipeline. Each synset's query text
 is its name and gloss joined by ": ", and its lemmas are the surface terms
 searched for in captions (multiword lemmas use underscores in the source
-data and spaces after normalization).
+data and spaces after normalization). A lemma that `fold_text` reduces to
+nothing, such as "_", is refused when its synset is made, so the loader
+names its line whichever lemmas the matcher would use.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -37,7 +38,7 @@ class Synset:
         if not self.lemmas:
             raise ValidationError(f"synset {self.wnid}: lemmas list is empty")
         for lemma in self.lemmas:
-            if not lemma.strip():
+            if not fold_text(lemma):  # only whitespace and underscores
                 raise ValidationError(f"synset {self.wnid}: empty lemma")
 
 
@@ -64,15 +65,6 @@ class Taxonomy:
     def __iter__(self) -> Iterator[Synset]:
         return iter(self.synsets)
 
-    def __contains__(self, wnid: str) -> bool:
-        return wnid in self.index
-
-    def get(self, wnid: str) -> Synset:
-        return self.synsets[self.index[wnid]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Taxonomy) and self.synsets == other.synsets
-
 
 def load_taxonomy(path) -> Taxonomy:
     """Load and validate a JSONL taxonomy file.
@@ -94,16 +86,6 @@ def load_taxonomy(path) -> Taxonomy:
     return Taxonomy(synsets, index=index)
 
 
-def save_taxonomy(taxonomy: Taxonomy, path) -> None:
-    """Write a taxonomy back to JSONL (UTF-8, LF, fixed key order)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for s in taxonomy:
-            row = {"wnid": s.wnid, "lemmas": list(s.lemmas), "name": s.name, "gloss": s.gloss}
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-
-
 def fold_text(text: str) -> str:
     """Shared normalization: lowercase, underscores to spaces, collapse runs
     of whitespace to single spaces, strip the ends.
@@ -118,11 +100,9 @@ def fold_text(text: str) -> str:
 def normalize_lemma(lemma: str) -> str:
     """Normalize a lemma into the pattern form used for caption matching.
 
-    Idempotent. Raises ValidationError if the lemma is empty or reduces to
-    the empty string.
+    Idempotent. Raises ValidationError if the lemma reduces to the empty
+    string.
     """
-    if not lemma or not lemma.strip():
-        raise ValidationError("empty lemma")
     normalized = fold_text(lemma)
     if not normalized:
         raise ValidationError(f"lemma {lemma!r} is empty after normalization")

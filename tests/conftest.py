@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,28 @@ def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Corpus:
         texts=list(texts),
         nsfw=[bool(flag) for flag in nsfw] if nsfw else [False] * n,
         text_in_image=list(text_in_image) if text_in_image else [None] * n,
-        meta=[{} for _ in range(n)],
     )
+
+
+def write_jsonl(path, rows) -> None:
+    """Write `rows` as JSONL: each row's `json.dumps` with non-ASCII kept
+    as is, one per LF-ended UTF-8 line."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def taxonomy_rows(taxonomy: Taxonomy) -> list[dict]:
+    """The rows of a taxonomy file that holds `taxonomy`."""
+    return [{"wnid": s.wnid, "lemmas": list(s.lemmas), "name": s.name, "gloss": s.gloss}
+            for s in taxonomy]
+
+
+def corpus_rows(corpus: Corpus) -> list[dict]:
+    """The rows of a corpus file that holds `corpus`, each with an empty
+    `meta`, so that every load of it checks that field."""
+    return [{"id": rid, "text": text, "nsfw": nsfw, "text_in_image": flag, "meta": {}}
+            for rid, text, nsfw, flag in zip(corpus.ids, corpus.texts, corpus.nsfw,
+                                             corpus.text_in_image)]
 
 
 def make_candidates(rows) -> Candidates:
@@ -116,11 +139,7 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
     image embeddings cluster per class; predictions are a noisy classifier.
     Returns the path map. Deterministic in `seed`.
     """
-    import json
-
     from capsieve.corpus import EmbeddingMatrix, write_embeddings
-    from capsieve.evalmetrics import write_predictions
-    from capsieve.taxonomy import Taxonomy, save_taxonomy
 
     root.mkdir(parents=True, exist_ok=True)
     rng = stream(seed)
@@ -134,9 +153,8 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
             Synset(wnid=wnid, lemmas=tuple(dict.fromkeys(lemmas)), name=lemmas[0].replace("_", " "),
                    gloss=f"a kind of thing number {j}")
         )
-    taxonomy = Taxonomy(synsets)
     taxonomy_path = root / "taxonomy.jsonl"
-    save_taxonomy(taxonomy, taxonomy_path)
+    write_jsonl(taxonomy_path, taxonomy_rows(Taxonomy(synsets)))
 
     # orthogonal-ish synset text directions
     basis = rng.standard_normal((n_synsets, dim))
@@ -170,9 +188,7 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
 
     corpus = make_corpus(texts, ids=ids, nsfw=nsfw, text_in_image=tii)
     corpus_path = root / "corpus.jsonl"
-    from capsieve.corpus import save_corpus
-
-    save_corpus(corpus, corpus_path)
+    write_jsonl(corpus_path, corpus_rows(corpus))
 
     caption_emb_path = root / "captions.emb"
     write_embeddings(
@@ -193,12 +209,11 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
             scores[j] += 4.0  # classifier usually right
         predictions[rid] = [wnids[int(k)] for k in np.argsort(-scores)][:5]
     predictions_path = root / "predictions.jsonl"
-    write_predictions(predictions, predictions_path)
+    write_jsonl(predictions_path, ({"id": rid, "ranked": ranked}
+                                   for rid, ranked in predictions.items()))
 
     labels_path = root / "query_labels.jsonl"
-    with labels_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for wnid in wnids:
-            fh.write(json.dumps({"id": wnid, "wnid": wnid}) + "\n")
+    write_jsonl(labels_path, ({"id": wnid, "wnid": wnid} for wnid in wnids))
 
     return {
         "taxonomy": taxonomy_path,

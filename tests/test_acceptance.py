@@ -16,14 +16,21 @@ from capsieve.corpus import (
     EmbeddingMatrix,
     load_corpus,
     load_embeddings,
-    save_corpus,
     write_embeddings,
 )
 from capsieve.errors import FormatError, ValidationError
 from capsieve.seeding import stream
-from capsieve.taxonomy import load_taxonomy, save_taxonomy
+from capsieve.taxonomy import load_taxonomy
 
-from conftest import build_pipeline_fixture, make_candidates, make_corpus, random_match_case
+from conftest import (
+    build_pipeline_fixture,
+    corpus_rows,
+    make_candidates,
+    make_corpus,
+    random_match_case,
+    taxonomy_rows,
+    write_jsonl,
+)
 from oracles import false_class_exhaustive, find_matches_naive
 from test_cli import run_pipeline, tree_bytes
 from test_diagnostics import class_set_from_vectors, rank_formula_oracle
@@ -343,12 +350,12 @@ def test_criterion_9_format_round_trips(tmp_path, rng):
 
         taxonomy = load_taxonomy(fixture["taxonomy"])
         tax_rewrite = tmp_path / "taxonomy_rewrite.jsonl"
-        save_taxonomy(taxonomy, tax_rewrite)
+        write_jsonl(tax_rewrite, taxonomy_rows(taxonomy))
         assert tax_rewrite.read_bytes() == fixture["taxonomy"].read_bytes()
 
         corpus = load_corpus(fixture["corpus"])
         corpus_rewrite = tmp_path / "corpus_rewrite.jsonl"
-        save_corpus(corpus, corpus_rewrite)
+        write_jsonl(corpus_rewrite, corpus_rows(corpus))
         assert corpus_rewrite.read_bytes() == fixture["corpus"].read_bytes()
 
         raw = emb_path.read_bytes()

@@ -20,6 +20,8 @@ from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
 
+from conftest import write_jsonl
+
 
 def run_ok(argv):
     code = run([str(a) for a in argv])
@@ -623,6 +625,23 @@ def test_malformed_input_never_tracebacks(tmp_path, capsys, stage, target, value
 def test_duplicate_key_names_its_file_and_lines(tmp_path, capsys, stage, target, value, message):
     assert run_corrupted(tmp_path, capsys, stage, target, value) == 3
     assert capsys.readouterr().err == f"capsieve: data error: {tmp_path / target}: {message}\n"
+
+
+@pytest.mark.parametrize("max_lemmas", [None, 1])
+def test_a_lemma_that_folds_to_nothing_is_refused_with_its_line(tmp_path, capsys, max_lemmas):
+    # with --max-lemmas 1 the matcher never reads the bad lemma, which is not a headword
+    taxonomy = tmp_path / "taxonomy.jsonl"
+    write_jsonl(taxonomy, [{"wnid": "n00000001", "lemmas": ["cat"], "name": "cat", "gloss": "x"},
+                           {"wnid": "n00000002", "lemmas": ["dog", "_"], "name": "dog",
+                            "gloss": "y"}])
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": "a", "text": "a cat and a dog"}])
+    argv = ["match", "--taxonomy", taxonomy, "--corpus", corpus, "--out", tmp_path / "out"]
+    if max_lemmas is not None:
+        argv += ["--max-lemmas", max_lemmas]
+    assert run([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err == f"capsieve: data error: {taxonomy}: line 2: synset n00000002: empty lemma\n"
 
 
 def test_embedding_error_names_the_file_it_is_in(tmp_path, capsys):

@@ -26,7 +26,6 @@ from capsieve.corpus import (
     load_corpus,
     load_embeddings,
     read_jsonl,
-    save_corpus,
     write_embeddings,
 )
 from capsieve.curator import load_candidates
@@ -34,6 +33,7 @@ from capsieve.errors import CapsieveError, FormatError, MissingKeyError, Validat
 from capsieve.evalmetrics import load_predictions
 from capsieve.taxonomy import load_taxonomy
 
+from conftest import corpus_rows, write_jsonl
 from oracles import read_jsonl_per_line
 
 
@@ -76,7 +76,6 @@ def test_flag_passthrough(tmp_path):
     corpus = load_corpus(path)
     assert corpus.nsfw == [True]
     assert corpus.text_in_image == [True]
-    assert corpus.meta[0]["sel_freq"] == "0.7"
 
 
 def test_corpus_jsonl_round_trips_bytes(tmp_path):
@@ -85,12 +84,11 @@ def test_corpus_jsonl_round_trips_bytes(tmp_path):
         texts=["a puma in the snow", "unicode café"],
         nsfw=[True, False],
         text_in_image=[None, False],
-        meta=[{}, {"k": "v"}],
     )
     first = tmp_path / "one.jsonl"
-    save_corpus(corpus, first)
+    write_jsonl(first, corpus_rows(corpus))
     second = tmp_path / "two.jsonl"
-    save_corpus(load_corpus(first), second)
+    write_jsonl(second, corpus_rows(load_corpus(first)))
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -349,11 +347,25 @@ def test_corpus_meta_must_be_an_object_or_null(tmp_path, meta):
     assert str(info.value) == f"{path}: line 2: field 'meta' must be an object"
 
 
-def test_corpus_meta_absent_or_null_reads_as_empty(tmp_path):
+def test_corpus_meta_fault_comes_before_a_duplicate_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n'
+                    '{"id": "b", "text": "z", "meta": []}\n', encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: line 3: field 'meta' must be an object"
+
+
+def test_corpus_meta_is_accepted_and_dropped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "meta": null}\n{"id": "b", "text": "y"}\n'
-                    '{"id": "c", "text": "z", "meta": {}}\n', encoding="utf-8")
-    assert load_corpus(path).meta == [{}, {}, {}]
+                    '{"id": "c", "text": "z", "meta": {}}\n'
+                    '{"id": "d", "text": "w", "meta": {"k": {"n": [1, {"m": null}]}}}\n',
+                    encoding="utf-8")
+    corpus = load_corpus(path)
+    assert corpus == Corpus(ids=["a", "b", "c", "d"], texts=["x", "y", "z", "w"],
+                            nsfw=[False] * 4, text_in_image=[None] * 4)
+    assert not hasattr(corpus, "meta")
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,9 @@ from capsieve.evalmetrics import (
     per_class_recall_diff_ci,
     wilson_interval,
     weighted_accuracy,
-    write_predictions,
 )
 
-from conftest import make_candidates
+from conftest import make_candidates, write_jsonl
 
 
 def manifest_of(pairs):
@@ -201,10 +200,10 @@ def test_diff_ci_requires_shared_classes():
 def test_predictions_round_trip(tmp_path):
     predictions = {"a": ["n00000001", "n00000002"], "b": ["n00000002"]}
     path = tmp_path / "preds.jsonl"
-    write_predictions(predictions, path)
+    write_jsonl(path, ({"id": i, "ranked": r} for i, r in predictions.items()))
     assert load_predictions(path) == predictions
     again = tmp_path / "preds2.jsonl"
-    write_predictions(load_predictions(path), again)
+    write_jsonl(again, ({"id": i, "ranked": r} for i, r in load_predictions(path).items()))
     assert again.read_bytes() == path.read_bytes()
 
 

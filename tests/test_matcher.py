@@ -38,7 +38,7 @@ def test_shared_lemma_reports_both_synsets():
 
 def test_empty_taxonomy_matches_nothing():
     matcher = build_matcher(Taxonomy([]))
-    assert matcher.pattern_count == 0
+    assert len(matcher.wnids_for) == 0
     assert find_matches(matcher, make_corpus(["anything at all"])) == []
 
 
@@ -46,7 +46,7 @@ def test_pattern_count_is_distinct_normalized_lemmas():
     # "Ice_Bear" and "ice  bear" collapse to one pattern; "puma" repeats
     taxonomy = make_taxonomy([["Ice_Bear", "puma"], ["ice  bear"], ["puma", "cougar"]])
     matcher = build_matcher(taxonomy)
-    assert matcher.pattern_count == len({"ice bear", "puma", "cougar"})
+    assert len(matcher.wnids_for) == len({"ice bear", "puma", "cougar"})
 
 
 def test_single_word_match():
@@ -135,13 +135,13 @@ def test_large_taxonomy_pattern_count(rng):
     taxonomy = make_taxonomy(lemma_lists)
     matcher = build_matcher(taxonomy)
     distinct = {normalize_lemma(l) for lemmas in lemma_lists for l in lemmas}
-    assert matcher.pattern_count == len(distinct)
+    assert len(matcher.wnids_for) == len(distinct)
 
 
 def test_max_lemmas_per_synset():
     taxonomy = make_taxonomy([["cougar", "puma"]])
     headword_only = build_matcher(taxonomy, max_lemmas_per_synset=1)
-    assert headword_only.pattern_count == 1
+    assert len(headword_only.wnids_for) == 1
     assert find_matches(headword_only, make_corpus(["a puma resting"])) == []
     full = build_matcher(taxonomy)
     assert len(find_matches(full, make_corpus(["a puma resting"]))) == 1

@@ -11,16 +11,9 @@ from capsieve.taxonomy import (
     fold_text,
     load_taxonomy,
     normalize_lemma,
-    save_taxonomy,
 )
 
-from conftest import make_synset, make_taxonomy
-
-
-def write_jsonl(path, rows):
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+from conftest import make_synset, make_taxonomy, taxonomy_rows, write_jsonl
 
 
 def synset_row(num, lemmas, name=None, gloss="a thing"):
@@ -73,7 +66,7 @@ def test_accepts_multi_lemma_synset(tmp_path):
     path = tmp_path / "tax.jsonl"
     write_jsonl(path, [row])
     taxonomy = load_taxonomy(path)
-    synset = taxonomy.get("n02125494")
+    synset = taxonomy.synsets[taxonomy.index["n02125494"]]
     assert synset.lemmas == ("cougar", "puma")
     assert synset.gloss == "large American feline resembling lion"
 
@@ -89,9 +82,11 @@ def test_parse_error_carries_line_number(tmp_path):
 
 def test_empty_lemma_rejected(tmp_path):
     path = tmp_path / "tax.jsonl"
-    write_jsonl(path, [synset_row(1, ["dog", "  "])])
-    with pytest.raises(ValidationError, match="empty lemma"):
-        load_taxonomy(path)
+    for lemma in ("  ", "_", " _\t__ "):  # each folds to nothing
+        write_jsonl(path, [synset_row(1, ["cat"]), synset_row(2, ["dog", lemma])])
+        with pytest.raises(ValidationError) as info:
+            load_taxonomy(path)
+        assert str(info.value) == f"{path}: line 2: synset n00000002: empty lemma"
 
 
 def test_bad_wnid_rejected():
@@ -150,16 +145,6 @@ def test_round_trip_load_save_load(tmp_path):
     write_jsonl(first, rows)
     taxonomy = load_taxonomy(first)
     second = tmp_path / "b.jsonl"
-    save_taxonomy(taxonomy, second)
+    write_jsonl(second, taxonomy_rows(taxonomy))
     assert load_taxonomy(second) == taxonomy
-    # canonical writer round-trips bytes too
-    third = tmp_path / "c.jsonl"
-    save_taxonomy(load_taxonomy(second), third)
-    assert third.read_bytes() == second.read_bytes()
-
-
-def test_taxonomy_lookup():
-    taxonomy = make_taxonomy([["a"], ["b"]])
-    assert "n00000001" in taxonomy
-    assert "n00000099" not in taxonomy
-    assert taxonomy.get("n00000002").lemmas == ("b",)
+    assert second.read_bytes() == first.read_bytes()
