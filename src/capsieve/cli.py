@@ -366,17 +366,31 @@ def _load_weights(path) -> dict[str, float]:
 # loads only its own stage's code.
 
 
-def _cmd_match(stage, taxonomy, corpus, caption_embeddings, synset_embeddings, max_lemmas):
-    from . import curator, matcher
-    from .corpus import EmbeddingFile, load_corpus, load_embeddings
+def _scan_captions(taxonomy, corpus, max_lemmas):
+    """The lemma matches of a corpus file, found one chunk of captions at a
+    time: only the file's ids are held beside the matches, and neither they
+    nor the automaton outlive the scan."""
+    from . import matcher
+    from .corpus import CaptionFile
     from .taxonomy import load_taxonomy
 
     auto = matcher.build_matcher(load_taxonomy(taxonomy), max_lemmas_per_synset=max_lemmas)
-    matches = matcher.find_matches(auto, load_corpus(corpus))
+    matches = matcher.Matches()
+    for captions in CaptionFile(corpus).chunks():
+        matches += matcher.find_matches(auto, captions)
+        del captions  # freed before the next chunk is parsed
+    return matches
+
+
+def _cmd_match(stage, taxonomy, corpus, caption_embeddings, synset_embeddings, max_lemmas):
+    from . import curator, matcher
+    from .corpus import EmbeddingFile, load_embeddings
+
+    matches = _scan_captions(taxonomy, corpus, max_lemmas)
     candidates = None
     if caption_embeddings is not None:  # captions scanned from disk; matched synsets' rows kept
         captions = EmbeddingFile(caption_embeddings)
-        synsets = load_embeddings(synset_embeddings, keep={m.wnid for m in matches})
+        synsets = load_embeddings(synset_embeddings, keep=set(matches.wnids))
         candidates = curator.score_candidates(matches, captions, synsets)
     # written only once every match is scored: a caption with no embedding leaves no file
     matcher.write_matches(matches, stage.output("matches.jsonl"))

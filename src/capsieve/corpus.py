@@ -26,8 +26,16 @@ upstream tooling; this module never recomputes them.
 
 `read_jsonl` is the one JSONL row reader: the taxonomy, corpus,
 candidate, prediction and pair loaders all read through it. It returns
-columns, one list per field, and checks each field's kind once per column
-after the whole file has parsed.
+columns, one list per field. The file is parsed in chunks of _JSONL_ROWS
+rows, and kinds are checked once per chunk, as soon as it has parsed;
+the earlier chunks are clean by then, so the fault reported is the first
+by line, as a check of the whole file would find it.
+
+A corpus file is read through `CaptionFile`, which yields its rows one
+chunk at a time, as `Captions` columns, and holds only their ids: `match`
+scans its captions so, and `load_corpus` joins the chunks into a
+`Corpus`. Once the last chunk is read it reports a bad `meta`, then a
+duplicate id, so these come after every kind fault in the file.
 
 Ids are joined here too, so each id error is worded once. `index_keys`
 builds the id indexes and reports the first key seen twice ("duplicate
@@ -63,8 +71,8 @@ import os
 import re
 import reprlib
 import struct
-from dataclasses import InitVar, dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -80,36 +88,49 @@ _F32LE = "<f4"
 # Values per chunk of the value check and of a chunked payload read: the
 # reused float32 buffer stays 1 MiB and the check's boolean temporary 256 KiB.
 _CHECK_VALUES = 1 << 18
+# Rows per chunk of a JSONL read: a chunk's kinds are checked as soon as it
+# has parsed, and a `CaptionFile` holds one chunk's texts at a time.
+_JSONL_ROWS = 4096
 
 
 @dataclass(frozen=True)
-class Corpus:
-    """Captions and their flags as columns, in file order; ids are unique.
+class Captions:
+    """Captions and their flags as columns, in file order.
 
     Row i is the caption `texts[i]` of instance `ids[i]`, with its NSFW
-    flag and its text-in-image flag (None when unset). `index` maps each
-    id to its row. `path` and `lines`, the file and the line of each row
-    when the columns were read from one, are named in a duplicate id's
-    error.
+    flag and its text-in-image flag (None when unset). A `CaptionFile`
+    yields its rows as one `Captions` per chunk.
     """
 
     ids: list[str]
     texts: list[str]
     nsfw: list[bool]
     text_in_image: list[bool | None]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    path: InitVar[Path | None] = None
-    lines: InitVar[Sequence[int] | None] = None
-
-    def __post_init__(self, path, lines):
-        n = len(self.ids)
-        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == n:
-            raise ValidationError("corpus columns differ in length")
-        index = index_keys(self.ids, "instance id", path=path, lines=lines)
-        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+@dataclass(frozen=True)
+class Corpus(Captions):
+    """Captions whose ids are unique: `index` maps each id to its row."""
+
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.ids)
+        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == n:
+            raise ValidationError("corpus columns differ in length")
+        object.__setattr__(self, "index", index_keys(self.ids, "instance id"))
+
+    @classmethod
+    def _prechecked(cls, columns: Captions, index: dict[str, int]) -> Corpus:
+        """A corpus of the columns of `columns`, indexed as `index`, made
+        without the checks of `__post_init__`: `CaptionFile` makes them,
+        so that each id is indexed once."""
+        corpus = object.__new__(cls)
+        corpus.__dict__.update(vars(columns), index=index)
+        return corpus
 
 
 def index_keys(keys: Sequence, what: str, *, path=None, lines: Sequence[int] | None = None
@@ -297,6 +318,48 @@ def _first_fault(columns, checks, lines, path) -> FormatError | None:
     )
 
 
+def _jsonl_chunks(path: Path, fields: Mapping[str, object], optional: Mapping[str, object]
+                  ) -> Iterator[tuple[list[int], dict[str, list]]]:
+    """(line numbers, columns) of consecutive chunks of up to _JSONL_ROWS
+    rows of a JSONL file, read and checked as `read_jsonl` describes. Each
+    chunk's kinds are checked as soon as it has parsed, and a parse fault
+    reports a kind fault on an earlier row of its chunk first; the earlier
+    chunks are clean, so the fault raised is the first by line."""
+    checks = [(name, kind, True) for name, kind in fields.items()]
+    checks += [(name, kind, False) for name, kind in optional.items()]
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = _json_lines(fh, path)
+        while True:
+            lines: list[int] = []
+            columns: dict[str, list] = {name: [] for name, _, _ in checks}
+            required_appends = [(name, columns[name].append) for name in fields]
+            optional_appends = [(name, columns[name].append) for name in optional]
+            try:
+                for lineno, row in islice(rows, _JSONL_ROWS):
+                    if not isinstance(row, dict):
+                        raise FormatError("expected a JSON object", path=path, line=lineno)
+                    lines.append(lineno)
+                    try:
+                        for name, append in required_appends:
+                            append(row[name])
+                    except KeyError as exc:  # the fields before it are in the columns
+                        message = f"missing field {exc.args[0]!r}"
+                        raise FormatError(message, path=path, line=lineno) from None
+                    for name, append in optional_appends:
+                        append(row.get(name, _ABSENT))
+            except FormatError as fault:  # a kind fault among the rows read so far comes first
+                raise _first_fault(columns, checks, lines, path) or fault from None
+            if fault := _first_fault(columns, checks, lines, path):
+                raise fault
+            for name in optional:
+                if _ABSENT in columns[name]:
+                    columns[name] = [None if value is _ABSENT else value for value in columns[name]]
+            if lines:
+                yield lines, columns
+            if len(lines) < _JSONL_ROWS:
+                return
+
+
 def read_jsonl(
     path, fields: Mapping[str, object], optional: Mapping[str, object] | None = None
 ) -> tuple[list[int], dict[str, list]]:
@@ -313,59 +376,80 @@ def read_jsonl(
     of the first faulty line, for bad UTF-8, bad JSON, a row that is not an
     object, a missing required field and a field of the wrong kind; faults
     on one line are reported in that order, and fields in the order given.
-    The file is streamed line by line; kinds are checked once per column.
+    The file is streamed in chunks of _JSONL_ROWS rows; kinds are checked
+    once per chunk, as soon as it has parsed.
     """
-    path = Path(path)
     optional = optional or {}
-    checks = [(name, kind, True) for name, kind in fields.items()]
-    checks += [(name, kind, False) for name, kind in optional.items()]
     lines: list[int] = []
-    columns: dict[str, list] = {name: [] for name, _, _ in checks}
-    required_appends = [(name, columns[name].append) for name in fields]
-    optional_appends = [(name, columns[name].append) for name in optional]
-
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            for lineno, row in _json_lines(fh, path):
-                if not isinstance(row, dict):
-                    raise FormatError("expected a JSON object", path=path, line=lineno)
-                lines.append(lineno)
-                try:
-                    for name, append in required_appends:
-                        append(row[name])
-                except KeyError as exc:  # the fields before it are in the columns
-                    message = f"missing field {exc.args[0]!r}"
-                    raise FormatError(message, path=path, line=lineno) from None
-                for name, append in optional_appends:
-                    append(row.get(name, _ABSENT))
-        except FormatError as fault:  # a kind fault among the rows read so far comes first
-            raise _first_fault(columns, checks, lines, path) or fault from None
-    if fault := _first_fault(columns, checks, lines, path):
-        raise fault
-    for name in optional:
-        if _ABSENT in columns[name]:
-            columns[name] = [None if value is _ABSENT else value for value in columns[name]]
+    columns: dict[str, list] = {name: [] for name in chain(fields, optional)}
+    for chunk_lines, chunk in _jsonl_chunks(Path(path), fields, optional):
+        lines += chunk_lines
+        for name, column in chunk.items():
+            columns[name] += column
     return lines, columns
 
 
+# A corpus row's fields beside its id and text, and the types its `meta` may have.
+_CAPTION_FLAGS = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
+_META_TYPES = {dict, type(None)}
+
+
+class CaptionFile:
+    """A JSONL corpus file read one bounded chunk of rows at a time.
+
+    `chunks` yields the rows as `Captions`, one per chunk of _JSONL_ROWS
+    rows, each checked once it has parsed; it holds only the ids, and the
+    line numbers, of the chunks it has passed on. Once the last chunk is
+    read, a `meta` that is neither an object nor null is reported with its
+    line, then a duplicate id with both its lines; `meta` itself is never
+    kept. Then `ids` holds every id, in file order, and `index` maps each
+    to its row.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.ids: list[str] = []
+        self.index: dict[str, int] = {}
+
+    def chunks(self) -> Iterator[Captions]:
+        # imported here: loading its extension module raised the peak RSS
+        # of each `diagnose` stage, which reads no corpus, by 0.1 MiB
+        from array import array
+
+        ids: list[str] = []
+        lines = array("l")  # each id's line, for a duplicate's error: 8 bytes a row
+        bad_meta = None  # the line of the first `meta` that is neither an object nor null
+        for chunk_lines, columns in _jsonl_chunks(self.path, {"id": str, "text": str},
+                                                  _CAPTION_FLAGS):
+            metas = columns.pop("meta")
+            if bad_meta is None and not set(map(type, metas)) <= _META_TYPES:
+                bad_meta = next(line for line, meta in zip(chunk_lines, metas)
+                                if type(meta) not in _META_TYPES)
+            ids += columns["id"]
+            lines.extend(chunk_lines)
+            captions = Captions(columns["id"], columns["text"],
+                                [value is True for value in columns["nsfw"]],
+                                columns["text_in_image"])
+            del chunk_lines, columns, metas  # the chunk is held by `captions` alone,
+            yield captions
+            del captions  # and freed before the next is parsed
+        if bad_meta is not None:
+            raise FormatError("field 'meta' must be an object", path=self.path, line=bad_meta)
+        self.index = index_keys(ids, "instance id", path=self.path, lines=lines)
+        self.ids = ids
+
+
 def load_corpus(path) -> Corpus:
-    """Stream-load a JSONL corpus as columns. A `meta` that is neither an
-    object nor null is rejected with its line, before a duplicate id is
-    reported with both its lines; `meta` is not kept."""
-    path = Path(path)
-    flags = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
-    lines, columns = read_jsonl(path, {"id": str, "text": str}, optional=flags)
-    for row, value in enumerate(columns.pop("meta")):
-        if value is not None and not isinstance(value, dict):
-            raise FormatError("field 'meta' must be an object", path=path, line=lines[row])
-    return Corpus(
-        ids=columns["id"],
-        texts=columns["text"],
-        nsfw=[value is True for value in columns["nsfw"]],
-        text_in_image=columns["text_in_image"],
-        path=path,
-        lines=lines,
-    )
+    """A JSONL corpus read through a `CaptionFile`, as columns."""
+    source = CaptionFile(path)
+    texts: list[str] = []
+    nsfw: list[bool] = []
+    text_in_image: list[bool | None] = []
+    for captions in source.chunks():
+        texts += captions.texts
+        nsfw += captions.nsfw
+        text_in_image += captions.text_in_image
+    return Corpus._prechecked(Captions(source.ids, texts, nsfw, text_in_image), source.index)
 
 
 def _check_step(dim: int) -> int:

@@ -45,7 +45,7 @@ from .provenance import config_digest
 
 if TYPE_CHECKING:
     from .corpus import EmbeddingFile, EmbeddingMatrix
-    from .matcher import LemmaMatch
+    from .matcher import Matches
 
 # Values in each gathered operand of one `pair_cosine` call, whose float64
 # copy so stays 128 KiB: 64 pairs at d = 256.
@@ -139,7 +139,7 @@ class DatasetManifest:
 
 
 def score_candidates(
-    matches: list[LemmaMatch],
+    matches: Matches,
     caption_embeddings: EmbeddingMatrix | EmbeddingFile,
     synset_text_embeddings: EmbeddingMatrix,
 ) -> Candidates:
@@ -164,7 +164,7 @@ def score_candidates(
     from .corpus import _check_step
     from .vectorops import pair_cosine
 
-    pairs = dict.fromkeys((m.instance_id, m.wnid) for m in matches)
+    pairs = dict.fromkeys(zip(matches.ids, matches.wnids))
     ids = [instance_id for instance_id, _ in pairs]
     wnids = [wnid for _, wnid in pairs]
     del pairs  # the columns hold the pairs from here on

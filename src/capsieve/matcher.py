@@ -20,17 +20,24 @@ of other patterns, is reported in a single left-to-right pass. Matching
 is O(caption length + hits) per caption independent of the pattern count,
 which is what makes scanning millions of captions against thousands of
 lemmas tractable. The scan is serial: it is pure Python and holds the
-interpreter lock, so threads would not speed it up.
+interpreter lock, so threads would not speed it up. Each node's outputs
+are a tuple, and the nodes without any share the empty tuple.
+
+`find_matches` returns `Matches`, the occurrences as five columns, with
+no object per occurrence. `match` calls it once per chunk of a
+`corpus.CaptionFile`, so the stage holds the file's ids and the matches,
+never the caption texts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
-from .corpus import Corpus
+from .corpus import Captions
 from .errors import ValidationError
 from .taxonomy import Taxonomy, fold_text, normalize_lemma
 
@@ -49,13 +56,45 @@ class LemmaMatch:
     span: tuple[int, int]
 
 
+@dataclass
+class Matches:
+    """Lemma occurrences as columns: row i is the lemma `lemmas[i]` of
+    synset `wnids[i]` at the span (`starts[i]`, `ends[i]`) of instance
+    `ids[i]`'s folded caption.
+
+    Its length is the number of rows. Iterating it yields each row as a
+    `LemmaMatch`, made on demand; `+=` appends another `Matches`' rows.
+    """
+
+    ids: list[str] = field(default_factory=list)
+    wnids: list[str] = field(default_factory=list)
+    lemmas: list[str] = field(default_factory=list)
+    starts: list[int] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[LemmaMatch]:
+        for row in zip(self.ids, self.wnids, self.lemmas, zip(self.starts, self.ends)):
+            yield LemmaMatch(*row)
+
+    def __iadd__(self, other: Matches) -> Matches:
+        self.ids += other.ids
+        self.wnids += other.wnids
+        self.lemmas += other.lemmas
+        self.starts += other.starts
+        self.ends += other.ends
+        return self
+
+
 class _Node:
     __slots__ = ("children", "fail", "out")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.fail: _Node | None = None
-        self.out: list[str] = []
+        self.out: tuple[str, ...] = ()
 
 
 class Matcher:
@@ -107,10 +146,11 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
         node = root
         for ch in pattern:
             node = node.children.setdefault(ch, _Node())
-        node.out.append(pattern)
+        node.out = (pattern,)
 
     # Failure links, breadth-first; outputs propagate down failure chains so
-    # patterns that are suffixes of longer ones are still reported.
+    # patterns that are suffixes of longer ones are still reported. A node
+    # without outputs shares the empty tuple of its class.
     root.fail = root
     queue: deque[_Node] = deque()
     for child in root.children.values():
@@ -125,7 +165,8 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
             child.fail = fallback.children.get(ch, root)
             if child.fail is child:
                 child.fail = root
-            child.out = child.out + child.fail.out
+            if child.fail.out:
+                child.out += child.fail.out
             queue.append(child)
     return Matcher(root, wnids_for)
 
@@ -138,41 +179,44 @@ def _boundary_ok(text: str, start: int, end: int) -> bool:
     return True
 
 
-def _match_record(matcher: Matcher, instance_id: str, text: str) -> list[LemmaMatch]:
-    folded = fold_text(text)
-    matches = []
-    for start, end, pattern in matcher.scan(folded):
-        if not _boundary_ok(folded, start, end):
+def find_matches(matcher: Matcher, corpus: Captions) -> Matches:
+    """All word-boundary lemma occurrences in the captions of `corpus`, as
+    columns, made with no object per occurrence beyond its sort key.
+
+    Output order is deterministic: corpus order, then span start, then
+    wnid (then span end and lemma).
+    """
+    matches = Matches()
+    by_key = (matches.starts, matches.wnids, matches.ends, matches.lemmas)  # a hit's sort key
+    wnids_for = matcher.wnids_for
+    for instance_id, text in zip(corpus.ids, corpus.texts):
+        folded = fold_text(text)
+        hits = [
+            (start, wnid, end, pattern)
+            for start, end, pattern in matcher.scan(folded)
+            if _boundary_ok(folded, start, end)
+            for wnid in wnids_for[pattern]
+        ]
+        if not hits:
             continue
-        for wnid in matcher.wnids_for[pattern]:
-            matches.append(
-                LemmaMatch(instance_id=instance_id, wnid=wnid, lemma=pattern, span=(start, end))
-            )
-    matches.sort(key=lambda m: (m.span[0], m.wnid, m.span[1], m.lemma))
+        hits.sort()
+        matches.ids.extend([instance_id] * len(hits))
+        for column, values in zip(by_key, zip(*hits)):
+            column += values
     return matches
 
 
-def find_matches(matcher: Matcher, corpus: Corpus) -> list[LemmaMatch]:
-    """All word-boundary lemma occurrences over the corpus.
-
-    Output order is deterministic: corpus order, then span start, then
-    wnid.
-    """
-    results: list[LemmaMatch] = []
-    for instance_id, text in zip(corpus.ids, corpus.texts):
-        results.extend(_match_record(matcher, instance_id, text))
-    return results
-
-
-def write_matches(matches: list[LemmaMatch], path) -> None:
+def write_matches(matches: Matches, path) -> None:
     """Write matches JSONL, one {"id", "wnid", "lemma", "start", "end"}
     object per line: the bytes `json.dumps` gives for it, with ASCII-escaped
     strings."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(
-            f'{{"id": {encode_basestring_ascii(m.instance_id)}, '
-            f'"wnid": {encode_basestring_ascii(m.wnid)}, '
-            f'"lemma": {encode_basestring_ascii(m.lemma)}, '
-            f'"start": {m.span[0]}, "end": {m.span[1]}}}\n'
-            for m in matches
+            f'{{"id": {encode_basestring_ascii(instance_id)}, '
+            f'"wnid": {encode_basestring_ascii(wnid)}, '
+            f'"lemma": {encode_basestring_ascii(lemma)}, '
+            f'"start": {start}, "end": {end}}}\n'
+            for instance_id, wnid, lemma, start, end in zip(
+                matches.ids, matches.wnids, matches.lemmas, matches.starts, matches.ends
+            )
         )

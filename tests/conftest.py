@@ -10,6 +10,7 @@ import pytest
 
 from capsieve.corpus import Corpus, EmbeddingMatrix
 from capsieve.curator import Candidates
+from capsieve.matcher import Matches
 from capsieve.seeding import stream
 from capsieve.taxonomy import Synset, Taxonomy
 
@@ -34,6 +35,18 @@ def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Corpus:
         texts=list(texts),
         nsfw=[bool(flag) for flag in nsfw] if nsfw else [False] * n,
         text_in_image=list(text_in_image) if text_in_image else [None] * n,
+    )
+
+
+def make_matches(records) -> Matches:
+    """Matches whose rows are the `LemmaMatch` records of `records`, in order."""
+    records = list(records)
+    return Matches(
+        ids=[m.instance_id for m in records],
+        wnids=[m.wnid for m in records],
+        lemmas=[m.lemma for m in records],
+        starts=[m.span[0] for m in records],
+        ends=[m.span[1] for m in records],
     )
 
 

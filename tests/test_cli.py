@@ -151,6 +151,21 @@ def test_scan_analyses_do_not_depend_on_the_tile_size(pipeline_fixture, tmp_path
     assert len(trees[0]) == 7 and trees[0] == trees[1]
 
 
+def test_match_does_not_depend_on_the_chunk_size(pipeline_fixture, tmp_path, monkeypatch):
+    # the default chunks (one for the fixture's 1000 captions), then one row per chunk
+    fx = pipeline_fixture
+    trees = []
+    for rows in (None, 1):
+        if rows is not None:
+            monkeypatch.setattr(corpus, "_JSONL_ROWS", rows)
+        out = tmp_path / str(rows)
+        run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+                "--caption-embeddings", fx["caption_embeddings"],
+                "--synset-embeddings", fx["synset_embeddings"], "--out", out])
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) == 3 and trees[0] == trees[1]
+
+
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
     _write_csv(path, "a,b,c,d,e", [(None, 5, "n00000001", 0.1 + 0.2, np.float64(0.1))])

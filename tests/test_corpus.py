@@ -19,6 +19,7 @@ from capsieve import corpus, curator, evalmetrics, taxonomy
 from capsieve.cli import _labelled_rows
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
+    CaptionFile,
     Corpus,
     EmbeddingFile,
     EmbeddingMatrix,
@@ -356,6 +357,15 @@ def test_corpus_meta_fault_comes_before_a_duplicate_id(tmp_path):
     assert str(info.value) == f"{path}: line 3: field 'meta' must be an object"
 
 
+def test_corpus_kind_fault_on_a_later_line_comes_before_a_meta_fault(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "x", "meta": []}\n{"id": "a", "text": "y"}\n'
+                    '{"id": "c", "text": 7}\n', encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: line 3: field 'text' must be a Unicode string, got 7"
+
+
 def test_corpus_meta_is_accepted_and_dropped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "meta": null}\n{"id": "b", "text": "y"}\n'
@@ -600,15 +610,77 @@ def _outcome(reader, path):
 
 @settings(derandomize=True, deadline=None, max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.lists(ORACLE_LINES, max_size=8), newline=st.sampled_from([b"\n", b"\r\n"]))
-@example(lines=[b"1,2", b"[3", b"4]"], newline=b"\n")
+@given(lines=st.lists(ORACLE_LINES, max_size=8), newline=st.sampled_from([b"\n", b"\r\n"]),
+       rows=st.sampled_from([corpus._JSONL_ROWS, 1, 2, 3]))
+@example(lines=[b"1,2", b"[3", b"4]"], newline=b"\n", rows=corpus._JSONL_ROWS)
 @example(lines=[b'{"id": "a", "wnid": "n00000001", "score": 1, "tags": [1]}',
-                b'{"id": "b", "wnid": "n00000001"}'], newline=b"\n")
-@example(lines=[b'{"id": "a", "wnid": "n1", "score": 1}', b"[" * 100_000], newline=b"\n")
-def test_read_jsonl_agrees_with_per_line_oracle(tmp_path, lines, newline):
+                b'{"id": "b", "wnid": "n00000001"}'], newline=b"\n", rows=corpus._JSONL_ROWS)
+@example(lines=[b'{"id": "a", "wnid": "n00000001", "score": 1, "tags": [1]}',
+                b'{"id": "b", "wnid": "n00000001"}'], newline=b"\n", rows=1)
+@example(lines=[b'{"id": "a", "wnid": "n1", "score": 1}', b"[" * 100_000], newline=b"\n",
+         rows=corpus._JSONL_ROWS)
+@example(lines=[b'{"id": "a", "wnid": "n1", "score": 1}', b"[" * 100_000], newline=b"\n",
+         rows=1)
+def test_read_jsonl_agrees_with_per_line_oracle(tmp_path, lines, newline, rows):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(newline.join(lines))
-    assert _outcome(read_jsonl, path) == _outcome(read_jsonl_per_line, path)
+    with mock.patch.object(corpus, "_JSONL_ROWS", rows):  # rows per chunk of the parse
+        assert _outcome(read_jsonl, path) == _outcome(read_jsonl_per_line, path)
+
+
+# One fault for a corpus line, made from the row it replaces.
+CORPUS_FAULTS = {
+    "bad JSON": lambda row: "{not json",
+    "not an object": lambda row: json.dumps([row["id"]]),
+    "missing field": lambda row: json.dumps({"id": row["id"]}),
+    "wrong kind": lambda row: json.dumps({**row, "nsfw": "no"}),
+    "bad meta": lambda row: json.dumps({**row, "meta": [1]}),
+}
+
+
+@st.composite
+def corpus_files(draw) -> str:
+    """A corpus file of 1-10 rows with blank lines among them, and up to
+    two faults, each at any row: one of CORPUS_FAULTS, or a duplicate id."""
+    count = draw(st.integers(1, 10))
+    rows = [{"id": f"i{k}", "text": draw(st.text(max_size=4)), "nsfw": draw(st.booleans()),
+             "text_in_image": draw(st.none() | st.booleans()),
+             "meta": draw(st.none() | st.just({"k": [1]}))} for k in range(count)]
+    lines = [json.dumps(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, count - 1))
+        fault = draw(st.sampled_from([*CORPUS_FAULTS, "duplicate id"]))
+        if fault == "duplicate id":
+            lines[at] = json.dumps({**rows[at], "id": rows[draw(st.integers(0, count - 1))]["id"]})
+        else:
+            lines[at] = CORPUS_FAULTS[fault](rows[at])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def _corpus_outcome(path):
+    try:
+        loaded = load_corpus(path)
+    except CapsieveError as exc:
+        return type(exc).__name__, str(exc)
+    return loaded.ids, loaded.texts, loaded.nsfw, loaded.text_in_image, loaded.index
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=corpus_files())
+def test_a_corpus_reads_the_same_in_chunks_of_any_size(tmp_path, content):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(content, encoding="utf-8")
+    with mock.patch.object(corpus, "_JSONL_ROWS", 10**6):  # the whole file in one chunk
+        whole = _corpus_outcome(path)
+    for rows in (1, 2, 3, corpus._JSONL_ROWS):
+        with mock.patch.object(corpus, "_JSONL_ROWS", rows):
+            assert _corpus_outcome(path) == whole, rows
+            if not isinstance(whole[0], str):  # no fault: each chunk holds at most `rows` rows
+                sizes = [len(chunk) for chunk in CaptionFile(path).chunks()]
+                assert sum(sizes) == len(whole[0]) and max(sizes) <= rows
 
 
 def _literals(node) -> Iterator[tuple[int, str]]:

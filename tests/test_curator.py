@@ -28,7 +28,13 @@ from capsieve.errors import MissingKeyError, ValidationError
 from capsieve.matcher import LemmaMatch, write_matches
 from capsieve.vectorops import cosine
 
-from conftest import candidate_rows, make_candidates, make_corpus, random_matrix
+from conftest import (
+    candidate_rows,
+    make_candidates,
+    make_corpus,
+    make_matches,
+    random_matrix,
+)
 from oracles import assemble_numpy, threshold_sweep_numpy, top_k_per_class_numpy
 
 
@@ -48,7 +54,7 @@ def test_score_candidates_one_per_pair():
     caption = embeddings(["i1"], [[1.0, 0.0]])
     synsets = embeddings(["n00000001", "n00000002"], [[1.0, 0.0], [0.0, 1.0]])
     matches = [match("i1", "n00000001"), match("i1", "n00000002"), match("i1", "n00000001")]
-    out = score_candidates(matches, caption, synsets)
+    out = score_candidates(make_matches(matches), caption, synsets)
     assert list(zip(out.ids, out.wnids)) == [("i1", "n00000001"), ("i1", "n00000002")]
     assert out.scores[0] == pytest.approx(1.0, abs=1e-12)
     assert out.scores[1] == 0.0
@@ -59,9 +65,9 @@ def test_score_candidates_matches_cosine_oracle(rng):
     wnids = [f"n{j:08d}" for j in range(1, 5)]
     captions = random_matrix(rng, ids, 6)
     synsets = random_matrix(rng, wnids, 6)
-    matches = [
+    matches = make_matches(
         match(ids[int(rng.integers(0, 8))], wnids[int(rng.integers(0, 4))]) for _ in range(30)
-    ]
+    )
     for instance_id, wnid, score in candidate_rows(score_candidates(matches, captions, synsets)):
         expected = cosine(
             captions.rows[captions.index[instance_id]], synsets.rows[synsets.index[wnid]]
@@ -78,7 +84,7 @@ def test_score_candidates_across_pair_blocks(rng):
     pairs = [(i, w) for i in ids for w in wnids]
     order = [pairs[int(j)] for j in rng.permutation(len(pairs))]
     matches = [match(i, w) for i, w in order + order[::3]]
-    out = score_candidates(matches, captions, synsets)
+    out = score_candidates(make_matches(matches), captions, synsets)
     assert list(zip(out.ids, out.wnids)) == order
     for instance_id, wnid, score in candidate_rows(out):
         expected = cosine(
@@ -91,12 +97,13 @@ def test_score_candidates_missing_embedding():
     captions = embeddings(["i1"], [[1.0, 0.0]])
     synsets = embeddings(["n00000001"], [[1.0, 0.0]])
     with pytest.raises(MissingKeyError, match="i9"):
-        score_candidates([match("i9", "n00000001")], captions, synsets)
+        score_candidates(make_matches([match("i9", "n00000001")]), captions, synsets)
     with pytest.raises(MissingKeyError, match="n00000009"):
-        score_candidates([match("i1", "n00000009")], captions, synsets)
+        score_candidates(make_matches([match("i1", "n00000009")]), captions, synsets)
     # the first pair with a missing row is named, its caption before its synset
     with pytest.raises(MissingKeyError, match="synset text embedding for id 'n00000009'"):
-        score_candidates([match("i1", "n00000009"), match("i9", "n00000001")], captions, synsets)
+        both = make_matches([match("i1", "n00000009"), match("i9", "n00000001")])
+        score_candidates(both, captions, synsets)
 
 
 # At d = 2**16 + 1 an embedding file is read in chunks of 3 rows, each pair
@@ -126,9 +133,9 @@ def test_scoring_from_the_file_equals_scoring_the_loaded_rows(tmp_path, dim, cou
     order = data.draw(st.permutations(range(len(pairs))))
     matches = [match(*pairs[k]) for k in order + order[: len(order) // 2]]
     with mock.patch("capsieve.corpus._CHECK_VALUES", 3 * dim):  # the default at WIDE
-        streamed = score_candidates(matches, EmbeddingFile(path), synsets)
+        streamed = score_candidates(make_matches(matches), EmbeddingFile(path), synsets)
         loaded = load_embeddings(path)
-        in_memory = score_candidates(matches, loaded, synsets)
+        in_memory = score_candidates(make_matches(matches), loaded, synsets)
     assert (streamed.ids, streamed.wnids) == (in_memory.ids, in_memory.wnids)
     assert np.array(streamed.scores).tobytes() == np.array(in_memory.scores).tobytes()
     assert list(zip(streamed.ids, streamed.wnids)) == list(dict.fromkeys(pairs[k] for k in order))
@@ -149,7 +156,7 @@ def test_scoring_from_a_file_holds_one_chunk_and_the_pairs(tmp_path, rng):
     source = EmbeddingFile(path)
     tracemalloc.start()
     try:
-        out = score_candidates(matches, source, synsets)
+        out = score_candidates(make_matches(matches), source, synsets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,9 +173,10 @@ def test_score_candidates_checks_the_dimensions_before_the_caption_rows(tmp_path
     synsets = embeddings(["n00000001"], [[1.0, 0.0, 0.0]])
     message = "^dimension mismatch: captions 2 vs synset texts 3$"
     with pytest.raises(ValidationError, match=message):
-        score_candidates([match("i1", "n00000001")], EmbeddingFile(path), synsets)
+        score_candidates(make_matches([match("i1", "n00000001")]), EmbeddingFile(path), synsets)
     with pytest.raises(ValidationError, match="non-finite values in row for id 'i1'"):
-        score_candidates([], EmbeddingFile(path), synsets)  # no pair: every row is still checked
+        # no pair: every row is still checked
+        score_candidates(make_matches([]), EmbeddingFile(path), synsets)
 
 
 def test_sweep_trivial_points():
@@ -472,7 +480,7 @@ def test_writers_give_the_bytes_of_json_dumps(tmp_path, rows, spans):
 
     matches = [LemmaMatch(instance_id=i, wnid=w, lemma=w + i, span=(spans[j], spans[j + 6]))
                for j, (i, w, _) in enumerate(rows)]
-    write_matches(matches, path)
+    write_matches(make_matches(matches), path)
     expected = "".join(
         json.dumps({"id": m.instance_id, "wnid": m.wnid, "lemma": m.lemma, "start": m.span[0],
                     "end": m.span[1]}) + "\n"

@@ -209,8 +209,9 @@ def test_predictions_round_trip(tmp_path):
 
 def test_duplicate_ranked_entries_rejected(tmp_path):
     path = tmp_path / "preds.jsonl"
-    path.write_text('{"id": "a", "ranked": ["n00000001"]}\n'
-                    '{"id": "b", "ranked": ["n00000001", "n00000001"]}\n')
-    with pytest.raises(ValidationError, match="distinct") as info:
+    path.write_text('{"id": "a", "ranked": ["n00000001"]}\n\n'
+                    '{"id": "b", "ranked": ["n00000001", "n00000002", "n00000001"]}\n'
+                    '{"id": "c", "ranked": ["n00000003", "n00000003"]}\n')
+    with pytest.raises(ValidationError) as info:
         load_predictions(path)
-    assert str(info.value).startswith(f"{path}: line 2: ")
+    assert str(info.value) == f"{path}: line 3: ranked predictions for 'b' not distinct"

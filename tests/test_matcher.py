@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from capsieve.cli import _scan_captions
 from capsieve.errors import ValidationError
-from capsieve.matcher import LemmaMatch, build_matcher, find_matches
+from capsieve.matcher import LemmaMatch, Matches, build_matcher, find_matches
 from capsieve.taxonomy import Taxonomy, fold_text
 
-from conftest import make_corpus, make_taxonomy, random_match_case
+from conftest import make_corpus, make_taxonomy, random_match_case, taxonomy_rows, write_jsonl
 from oracles import find_matches_naive
 
 
@@ -39,7 +43,7 @@ def test_shared_lemma_reports_both_synsets():
 def test_empty_taxonomy_matches_nothing():
     matcher = build_matcher(Taxonomy([]))
     assert len(matcher.wnids_for) == 0
-    assert find_matches(matcher, make_corpus(["anything at all"])) == []
+    assert list(find_matches(matcher, make_corpus(["anything at all"]))) == []
 
 
 def test_pattern_count_is_distinct_normalized_lemmas():
@@ -51,7 +55,7 @@ def test_pattern_count_is_distinct_normalized_lemmas():
 
 def test_single_word_match():
     matcher = build_matcher(make_taxonomy([["puma"]]))
-    matches = find_matches(matcher, make_corpus(["a puma in the snow"]))
+    matches = list(find_matches(matcher, make_corpus(["a puma in the snow"])))
     assert len(matches) == 1
     match = matches[0]
     assert match.wnid == "n00000001"
@@ -60,12 +64,12 @@ def test_single_word_match():
 
 def test_plural_is_a_distinct_token():
     matcher = build_matcher(make_taxonomy([["puma"]]))
-    assert find_matches(matcher, make_corpus(["pumas are fast"])) == []
+    assert list(find_matches(matcher, make_corpus(["pumas are fast"]))) == []
 
 
 def test_multiword_lemma_match():
     matcher = build_matcher(make_taxonomy([["Egyptian_cat"]]))
-    matches = find_matches(matcher, make_corpus(["egyptian cat statue"]))
+    matches = list(find_matches(matcher, make_corpus(["egyptian cat statue"])))
     assert len(matches) == 1
     assert matches[0].lemma == "egyptian cat"
     assert matches[0].span == (0, 12)
@@ -119,7 +123,7 @@ def test_oracle_equivalence_small(rng):
     for _ in range(30):
         taxonomy, corpus = random_match_case(rng, max_captions=60, max_lemmas=25)
         matcher = build_matcher(taxonomy)
-        assert find_matches(matcher, corpus) == find_matches_naive(taxonomy, corpus)
+        assert list(find_matches(matcher, corpus)) == find_matches_naive(taxonomy, corpus)
 
 
 def test_large_taxonomy_pattern_count(rng):
@@ -142,9 +146,43 @@ def test_max_lemmas_per_synset():
     taxonomy = make_taxonomy([["cougar", "puma"]])
     headword_only = build_matcher(taxonomy, max_lemmas_per_synset=1)
     assert len(headword_only.wnids_for) == 1
-    assert find_matches(headword_only, make_corpus(["a puma resting"])) == []
+    assert list(find_matches(headword_only, make_corpus(["a puma resting"]))) == []
     full = build_matcher(taxonomy)
     assert len(find_matches(full, make_corpus(["a puma resting"]))) == 1
+
+
+def test_matches_are_columns_that_iterate_as_records():
+    matcher = build_matcher(make_taxonomy([["puma"], ["snow"]]))
+    matches = find_matches(matcher, make_corpus(["snow puma", "x", "puma"], ids=["a", "b", "c"]))
+    assert matches == Matches(ids=["a", "a", "c"], wnids=["n00000002", "n00000001", "n00000001"],
+                              lemmas=["snow", "puma", "puma"], starts=[0, 5, 0], ends=[4, 9, 4])
+    assert len(matches) == 3
+    assert list(matches)[1] == LemmaMatch("a", "n00000001", "puma", (5, 9))
+    matches += find_matches(matcher, make_corpus(["puma"], ids=["d"]))
+    assert (len(matches), matches.ids[-1], matches.starts[-1]) == (4, "d", 0)
+
+
+def test_the_match_scan_holds_the_ids_and_the_matches_not_the_texts(tmp_path):
+    # 40 960 captions, 565 bytes each as str: 22 MiB of texts. Each is padded
+    # with spaces, which folding collapses, so the scan itself is short.
+    count = 40_960
+    texts = ["a puma" if row % 16 == 0 else "snow" for row in range(count)]
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, ({"id": f"i{row:05d}", "text": text + " " * 512}
+                         for row, text in enumerate(texts)))
+    assert count * sys.getsizeof("snow" + " " * 512) > 20 * 2**20
+    taxonomy = tmp_path / "taxonomy.jsonl"
+    write_jsonl(taxonomy, taxonomy_rows(make_taxonomy([["puma"]])))
+    tracemalloc.start()
+    try:
+        matches = _scan_captions(taxonomy, corpus, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matches) == count // 16
+    # the ids, their index and line numbers (about 3.8 MiB) and one chunk of
+    # 4096 captions (2.2 MiB), parsed before the next is read
+    assert peak < 9 * 2**20, f"peak {peak / 2**20:.2f} MiB for 22 MiB of captions"
 
 
 def test_match_is_frozen_record():
@@ -188,7 +226,8 @@ def test_caption_equal_to_lemma_matches_whole_caption(lemma):
 def test_oracle_equivalence_unicode(lemma_lists, texts):
     taxonomy = make_taxonomy(lemma_lists)
     corpus = make_corpus(texts)
-    assert find_matches(build_matcher(taxonomy), corpus) == find_matches_naive(taxonomy, corpus)
+    matches = find_matches(build_matcher(taxonomy), corpus)
+    assert list(matches) == find_matches_naive(taxonomy, corpus)
 
 
 @pytest.mark.parametrize("limit", [0, -1])
