@@ -371,12 +371,12 @@ def _scan_captions(taxonomy, corpus, max_lemmas):
     time: only the file's ids are held beside the matches, and neither they
     nor the automaton outlive the scan."""
     from . import matcher
-    from .corpus import CaptionFile
+    from .corpus import caption_chunks
     from .taxonomy import load_taxonomy
 
     auto = matcher.build_matcher(load_taxonomy(taxonomy), max_lemmas_per_synset=max_lemmas)
     matches = matcher.Matches()
-    for captions in CaptionFile(corpus).chunks():
+    for captions in caption_chunks(corpus):
         matches += matcher.find_matches(auto, captions)
         del captions  # freed before the next chunk is parsed
     return matches
@@ -412,9 +412,9 @@ def _cmd_assemble(stage, candidates, corpus, threshold, drop_multi_label, drop_n
     from .corpus import load_corpus
 
     options = curator.AssembleOptions(drop_multi_label, drop_nsfw, drop_text_in_image)
-    manifest = curator.assemble(
-        curator.load_candidates(candidates), threshold, load_corpus(corpus), options
-    )
+    scored = curator.load_candidates(candidates)
+    flags = load_corpus(corpus, keep=set(scored.ids))  # only the candidates' flags are held
+    manifest = curator.assemble(scored, threshold, flags, options)
     if top_k is not None:
         manifest = curator.top_k_per_class(manifest, top_k)
     curator.write_manifest(

@@ -31,11 +31,13 @@ rows, and kinds are checked once per chunk, as soon as it has parsed;
 the earlier chunks are clean by then, so the fault reported is the first
 by line, as a check of the whole file would find it.
 
-A corpus file is read through `CaptionFile`, which yields its rows one
-chunk at a time, as `Captions` columns, and holds only their ids: `match`
-scans its captions so, and `load_corpus` joins the chunks into a
-`Corpus`. Once the last chunk is read it reports a bad `meta`, then a
-duplicate id, so these come after every kind fault in the file.
+A corpus file is read one way, through `caption_chunks`, which yields
+its rows one chunk at a time, as `Captions` columns, and holds only their
+ids: `match` scans its captions so, and `load_corpus(path, keep)` keeps
+only the NSFW and text-in-image flags of the ids a stage uses, never a
+text. Once the last chunk is read it reports a bad `meta`, then a
+duplicate id, so these come after every kind fault in the file, whichever
+rows are kept.
 
 Ids are joined here too, so each id error is worded once. `index_keys`
 builds the id indexes and reports the first key seen twice ("duplicate
@@ -89,7 +91,7 @@ _F32LE = "<f4"
 # reused float32 buffer stays 1 MiB and the check's boolean temporary 256 KiB.
 _CHECK_VALUES = 1 << 18
 # Rows per chunk of a JSONL read: a chunk's kinds are checked as soon as it
-# has parsed, and a `CaptionFile` holds one chunk's texts at a time.
+# has parsed, and `caption_chunks` holds one chunk's texts at a time.
 _JSONL_ROWS = 4096
 
 
@@ -98,8 +100,8 @@ class Captions:
     """Captions and their flags as columns, in file order.
 
     Row i is the caption `texts[i]` of instance `ids[i]`, with its NSFW
-    flag and its text-in-image flag (None when unset). A `CaptionFile`
-    yields its rows as one `Captions` per chunk.
+    flag and its text-in-image flag (None when unset). `caption_chunks`
+    yields a corpus file's rows as one `Captions` per chunk.
     """
 
     ids: list[str]
@@ -109,28 +111,6 @@ class Captions:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class Corpus(Captions):
-    """Captions whose ids are unique: `index` maps each id to its row."""
-
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.ids)
-        if not len(self.texts) == len(self.nsfw) == len(self.text_in_image) == n:
-            raise ValidationError("corpus columns differ in length")
-        object.__setattr__(self, "index", index_keys(self.ids, "instance id"))
-
-    @classmethod
-    def _prechecked(cls, columns: Captions, index: dict[str, int]) -> Corpus:
-        """A corpus of the columns of `columns`, indexed as `index`, made
-        without the checks of `__post_init__`: `CaptionFile` makes them,
-        so that each id is indexed once."""
-        corpus = object.__new__(cls)
-        corpus.__dict__.update(vars(columns), index=index)
-        return corpus
 
 
 def index_keys(keys: Sequence, what: str, *, path=None, lines: Sequence[int] | None = None
@@ -394,62 +374,55 @@ _CAPTION_FLAGS = {"nsfw": bool, "text_in_image": "bool or null", "meta": "any"}
 _META_TYPES = {dict, type(None)}
 
 
-class CaptionFile:
-    """A JSONL corpus file read one bounded chunk of rows at a time.
+def caption_chunks(path) -> Iterator[Captions]:
+    """The rows of a JSONL corpus file as `Captions`, one per chunk of
+    _JSONL_ROWS rows, each checked once it has parsed.
 
-    `chunks` yields the rows as `Captions`, one per chunk of _JSONL_ROWS
-    rows, each checked once it has parsed; it holds only the ids, and the
-    line numbers, of the chunks it has passed on. Once the last chunk is
-    read, a `meta` that is neither an object nor null is reported with its
-    line, then a duplicate id with both its lines; `meta` itself is never
-    kept. Then `ids` holds every id, in file order, and `index` maps each
-    to its row.
+    Only the ids, and the line numbers, of the chunks passed on are held.
+    Once the last chunk is read, a `meta` that is neither an object nor
+    null is reported with its line, then a duplicate id with both its
+    lines; `meta` itself is never kept.
     """
+    # imported here: loading its extension module raised the peak RSS
+    # of each `diagnose` stage, which reads no corpus, by 0.1 MiB
+    from array import array
 
-    def __init__(self, path):
-        self.path = Path(path)
-        self.ids: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def chunks(self) -> Iterator[Captions]:
-        # imported here: loading its extension module raised the peak RSS
-        # of each `diagnose` stage, which reads no corpus, by 0.1 MiB
-        from array import array
-
-        ids: list[str] = []
-        lines = array("l")  # each id's line, for a duplicate's error: 8 bytes a row
-        bad_meta = None  # the line of the first `meta` that is neither an object nor null
-        for chunk_lines, columns in _jsonl_chunks(self.path, {"id": str, "text": str},
-                                                  _CAPTION_FLAGS):
-            metas = columns.pop("meta")
-            if bad_meta is None and not set(map(type, metas)) <= _META_TYPES:
-                bad_meta = next(line for line, meta in zip(chunk_lines, metas)
-                                if type(meta) not in _META_TYPES)
-            ids += columns["id"]
-            lines.extend(chunk_lines)
-            captions = Captions(columns["id"], columns["text"],
-                                [value is True for value in columns["nsfw"]],
-                                columns["text_in_image"])
-            del chunk_lines, columns, metas  # the chunk is held by `captions` alone,
-            yield captions
-            del captions  # and freed before the next is parsed
-        if bad_meta is not None:
-            raise FormatError("field 'meta' must be an object", path=self.path, line=bad_meta)
-        self.index = index_keys(ids, "instance id", path=self.path, lines=lines)
-        self.ids = ids
+    path = Path(path)
+    ids: list[str] = []
+    lines = array("l")  # each id's line, for a duplicate's error: 8 bytes a row
+    bad_meta = None  # the line of the first `meta` that is neither an object nor null
+    for chunk_lines, columns in _jsonl_chunks(path, {"id": str, "text": str}, _CAPTION_FLAGS):
+        metas = columns.pop("meta")
+        if bad_meta is None and not set(map(type, metas)) <= _META_TYPES:
+            bad_meta = next(line for line, meta in zip(chunk_lines, metas)
+                            if type(meta) not in _META_TYPES)
+        ids += columns["id"]
+        lines.extend(chunk_lines)
+        captions = Captions(columns["id"], columns["text"],
+                            [value is True for value in columns["nsfw"]],
+                            columns["text_in_image"])
+        del chunk_lines, columns, metas  # the chunk is held by `captions` alone,
+        yield captions
+        del captions  # and freed before the next is parsed
+    if bad_meta is not None:
+        raise FormatError("field 'meta' must be an object", path=path, line=bad_meta)
+    index_keys(ids, "instance id", path=path, lines=lines)
 
 
-def load_corpus(path) -> Corpus:
-    """A JSONL corpus read through a `CaptionFile`, as columns."""
-    source = CaptionFile(path)
-    texts: list[str] = []
-    nsfw: list[bool] = []
-    text_in_image: list[bool | None] = []
-    for captions in source.chunks():
-        texts += captions.texts
-        nsfw += captions.nsfw
-        text_in_image += captions.text_in_image
-    return Corpus._prechecked(Captions(source.ids, texts, nsfw, text_in_image), source.index)
+def load_corpus(path, keep=None) -> dict[str, tuple[bool, bool | None]]:
+    """Each id of a JSONL corpus file mapped to its (NSFW, text-in-image)
+    flags, in file order, read through `caption_chunks`; no text is held.
+
+    With `keep`, a collection of ids, only the ids in `keep` are kept; an
+    id the file lacks is passed over. Every row is checked, kept or not, so
+    a fault raises as it would without `keep`.
+    """
+    flags: dict[str, tuple[bool, bool | None]] = {}
+    for captions in caption_chunks(path):
+        rows = zip(captions.ids, zip(captions.nsfw, captions.text_in_image))
+        del captions  # its texts are freed before the next chunk is parsed
+        flags.update(rows if keep is None else (row for row in rows if row[0] in keep))
+    return flags
 
 
 def _check_step(dim: int) -> int:

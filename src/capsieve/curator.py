@@ -37,9 +37,9 @@ from dataclasses import InitVar, dataclass, field, replace
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
-from .corpus import Corpus, index_keys, read_jsonl
+from .corpus import index_keys, read_jsonl
 from .errors import MissingKeyError, ValidationError
 from .provenance import config_digest
 
@@ -223,12 +223,14 @@ def threshold_sweep(candidates: Candidates, thresholds: list[float]) -> list[Swe
 def assemble(
     candidates: Candidates,
     threshold: float,
-    corpus: Corpus,
+    flags: Mapping[str, tuple[bool, bool | None]],
     options: AssembleOptions = AssembleOptions(),
 ) -> DatasetManifest:
     """Apply the exclusion pipeline and build the manifest.
 
-    Stages, in order, each accounting the rows it removes:
+    `flags` maps each instance id to its (NSFW, text-in-image) flags, as
+    `corpus.load_corpus` reads them; no caption text is needed. Stages, in
+    order, each accounting the rows it removes:
 
     1. "below_threshold": score < threshold.
     2. "multi_label": instances left with two or more distinct labels are
@@ -240,12 +242,13 @@ def assemble(
        when enabled. Unset flags (None) are never treated as True.
 
     Kept rows stay in candidate order. Raises MissingKeyError for the first
-    candidate whose instance is not in the corpus.
+    candidate whose instance is not in `flags`.
     """
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
+    ids = candidates.ids
     try:
-        where = [corpus.index[i] for i in candidates.ids]
+        row_flags = [flags[i] for i in ids]
     except KeyError as exc:
         raise MissingKeyError(f"candidate instance {exc.args[0]!r} not in corpus") from None
     ledger = {"below_threshold": 0, "multi_label": 0, "nsfw": 0, "text_in_image": 0}
@@ -253,28 +256,27 @@ def assemble(
     keep = [score >= threshold for score in candidates.scores]
     ledger["below_threshold"] = keep.count(False)
 
-    labels = Counter(instance for instance, kept in zip(where, keep) if kept)
-    multi = [row for row, instance in enumerate(where) if keep[row] and labels[instance] > 1]
-    best: dict[int, tuple[tuple[float, str], int]] = {}  # instance -> its best label's row
+    labels = Counter(instance for instance, kept in zip(ids, keep) if kept)
+    multi = [row for row, instance in enumerate(ids) if keep[row] and labels[instance] > 1]
+    best: dict[str, tuple[tuple[float, str], int]] = {}  # instance -> its best label's row
     for row in multi:
         keep[row] = False
         if not options.drop_multi_label:
             rank = (-candidates.scores[row], candidates.wnids[row])
-            prior = best.get(where[row])
+            prior = best.get(ids[row])
             if prior is None or rank < prior[0]:  # ties keep the earlier row
-                best[where[row]] = (rank, row)
+                best[ids[row]] = (rank, row)
     for _, row in best.values():
         keep[row] = True
     ledger["multi_label"] = len(multi) - len(best)
 
     if options.drop_nsfw:
-        flagged = [row for row, instance in enumerate(where) if keep[row] and corpus.nsfw[instance]]
+        flagged = [row for row, (nsfw, _) in enumerate(row_flags) if keep[row] and nsfw]
         ledger["nsfw"] = len(flagged)
         for row in flagged:
             keep[row] = False
     if options.drop_text_in_image:
-        flags = corpus.text_in_image
-        flagged = [row for row, instance in enumerate(where) if keep[row] and flags[instance] is True]
+        flagged = [row for row, (_, flag) in enumerate(row_flags) if keep[row] and flag is True]
         ledger["text_in_image"] = len(flagged)
         for row in flagged:
             keep[row] = False

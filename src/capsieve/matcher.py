@@ -24,9 +24,9 @@ interpreter lock, so threads would not speed it up. Each node's outputs
 are a tuple, and the nodes without any share the empty tuple.
 
 `find_matches` returns `Matches`, the occurrences as five columns, with
-no object per occurrence. `match` calls it once per chunk of a
-`corpus.CaptionFile`, so the stage holds the file's ids and the matches,
-never the caption texts.
+no object per occurrence. `match` calls it once per chunk of
+`corpus.caption_chunks`, so the stage holds the file's ids and the
+matches, never the caption texts.
 """
 
 from __future__ import annotations
@@ -145,7 +145,9 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
     for pattern in wnids_for:
         node = root
         for ch in pattern:
-            node = node.children.setdefault(ch, _Node())
+            if ch not in node.children:  # not setdefault, which makes a node every time
+                node.children[ch] = _Node()
+            node = node.children[ch]
         node.out = (pattern,)
 
     # Failure links, breadth-first; outputs propagate down failure chains so

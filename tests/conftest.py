@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsieve.corpus import Corpus, EmbeddingMatrix
+from capsieve.corpus import Captions, EmbeddingMatrix, caption_chunks
 from capsieve.curator import Candidates
 from capsieve.matcher import Matches
 from capsieve.seeding import stream
@@ -28,9 +28,9 @@ def make_taxonomy(lemma_lists) -> Taxonomy:
     return Taxonomy([make_synset(i + 1, lemmas) for i, lemmas in enumerate(lemma_lists)])
 
 
-def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Corpus:
+def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Captions:
     n = len(texts)
-    return Corpus(
+    return Captions(
         ids=list(ids) if ids else [f"inst{i:04d}" for i in range(n)],
         texts=list(texts),
         nsfw=[bool(flag) for flag in nsfw] if nsfw else [False] * n,
@@ -63,7 +63,26 @@ def taxonomy_rows(taxonomy: Taxonomy) -> list[dict]:
             for s in taxonomy]
 
 
-def corpus_rows(corpus: Corpus) -> list[dict]:
+def caption_flags(captions: Captions) -> dict[str, tuple[bool, bool | None]]:
+    """The flags `load_corpus` reads from a corpus file that holds `captions`."""
+    return dict(zip(captions.ids, zip(captions.nsfw, captions.text_in_image)))
+
+
+def make_flags(ids, nsfw=None, text_in_image=None) -> dict[str, tuple[bool, bool | None]]:
+    """The `caption_flags` of `make_corpus` captions with these ids and flags."""
+    return caption_flags(make_corpus([""] * len(ids), ids, nsfw, text_in_image))
+
+
+def read_captions(path) -> Captions:
+    """Every row of a corpus file: its `caption_chunks` joined."""
+    whole = Captions([], [], [], [])
+    for chunk in caption_chunks(path):
+        for name, column in vars(chunk).items():
+            getattr(whole, name).extend(column)
+    return whole
+
+
+def corpus_rows(corpus: Captions) -> list[dict]:
     """The rows of a corpus file that holds `corpus`, each with an empty
     `meta`, so that every load of it checks that field."""
     return [{"id": rid, "text": text, "nsfw": nsfw, "text_in_image": flag, "meta": {}}

@@ -19,7 +19,7 @@ from capsieve.causalsim import (
     SelectionRule,
     _keep_mask,
 )
-from capsieve.corpus import _KINDS, _SURROGATE, Corpus, EmbeddingMatrix
+from capsieve.corpus import _KINDS, _SURROGATE, Captions, EmbeddingMatrix
 from capsieve.curator import AssembleOptions, Candidates, DatasetManifest, SweepPoint
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
@@ -33,7 +33,7 @@ def _whole_token(text: str, start: int, end: int) -> bool:
     return not text[start - 1 : start].isalnum() and not text[end : end + 1].isalnum()
 
 
-def find_matches_naive(taxonomy: Taxonomy, corpus: Corpus) -> list[LemmaMatch]:
+def find_matches_naive(taxonomy: Taxonomy, corpus: Captions) -> list[LemmaMatch]:
     """Reference scan: try every normalized lemma against every folded caption
     with str.find and keep whole-token hits. Quadratic; for testing."""
     wnid_sets: dict[str, set[str]] = {}
@@ -274,19 +274,21 @@ def threshold_sweep_numpy(candidates: Candidates, thresholds: list[float]) -> li
 
 
 def assemble_numpy(
-    candidates: Candidates, threshold: float, corpus: Corpus, options: AssembleOptions
+    candidates: Candidates, threshold: float, flags: dict, options: AssembleOptions
 ) -> DatasetManifest:
     """`curator.assemble` with boolean masks: the threshold, then the
     multi-label rule by a bincount of kept labels per instance, then the
-    flags. The manifest's provenance is left empty."""
-    where = np.array([corpus.index[i] for i in candidates.ids], dtype=np.intp)
+    flags, which `flags` maps each instance id to. The manifest's
+    provenance is left empty."""
+    position = {rid: pos for pos, rid in enumerate(flags)}
+    where = np.array([position[i] for i in candidates.ids], dtype=np.intp)
     scores = np.array(candidates.scores, dtype=np.float64)
     ledger = {"below_threshold": 0, "multi_label": 0, "nsfw": 0, "text_in_image": 0}
 
     keep = scores >= threshold
     ledger["below_threshold"] = int(len(keep) - np.count_nonzero(keep))
 
-    labels = np.bincount(where[keep], minlength=len(corpus))
+    labels = np.bincount(where[keep], minlength=len(flags))
     multi = np.flatnonzero(keep & (labels[where] > 1)).tolist()
     keep[multi] = False
     best: dict[int, tuple[tuple[float, str], int]] = {}
@@ -300,11 +302,11 @@ def assemble_numpy(
     ledger["multi_label"] = len(multi) - len(best)
 
     if options.drop_nsfw:
-        flagged = keep & np.array(corpus.nsfw, dtype=bool)[where]
+        flagged = keep & np.array([nsfw for nsfw, _ in flags.values()], dtype=bool)[where]
         ledger["nsfw"] = int(np.count_nonzero(flagged))
         keep &= ~flagged
     if options.drop_text_in_image:
-        text_in_image = np.array([flag is True for flag in corpus.text_in_image], dtype=bool)
+        text_in_image = np.array([flag is True for _, flag in flags.values()], dtype=bool)
         flagged = keep & text_in_image[where]
         ledger["text_in_image"] = int(np.count_nonzero(flagged))
         keep &= ~flagged

@@ -24,10 +24,12 @@ from capsieve.taxonomy import load_taxonomy
 
 from conftest import (
     build_pipeline_fixture,
+    caption_flags,
     corpus_rows,
     make_candidates,
-    make_corpus,
+    make_flags,
     random_match_case,
+    read_captions,
     taxonomy_rows,
     write_jsonl,
 )
@@ -92,9 +94,8 @@ def test_criterion_3_curator_laws():
 
         for _ in range(60):
             ids = [f"i{j}" for j in range(30)]
-            corpus = make_corpus(
-                ["t"] * 30,
-                ids=ids,
+            flags = make_flags(
+                ids,
                 nsfw=[bool(rng.integers(0, 2)) for _ in range(30)],
                 text_in_image=[[True, False, None][int(rng.integers(0, 3))] for _ in range(30)],
             )
@@ -111,7 +112,7 @@ def test_criterion_3_curator_laws():
                 drop_text_in_image=bool(rng.integers(0, 2)),
             )
             manifest = curator.assemble(
-                make_candidates(candidates), float(rng.uniform(-1, 1)), corpus, options
+                make_candidates(candidates), float(rng.uniform(-1, 1)), flags, options
             )
             assert sum(manifest.drop_ledger.values()) == len(candidates) - len(manifest.rows)
 
@@ -353,10 +354,11 @@ def test_criterion_9_format_round_trips(tmp_path, rng):
         write_jsonl(tax_rewrite, taxonomy_rows(taxonomy))
         assert tax_rewrite.read_bytes() == fixture["taxonomy"].read_bytes()
 
-        corpus = load_corpus(fixture["corpus"])
+        captions = read_captions(fixture["corpus"])
         corpus_rewrite = tmp_path / "corpus_rewrite.jsonl"
-        write_jsonl(corpus_rewrite, corpus_rows(corpus))
+        write_jsonl(corpus_rewrite, corpus_rows(captions))
         assert corpus_rewrite.read_bytes() == fixture["corpus"].read_bytes()
+        assert load_corpus(fixture["corpus"]) == caption_flags(captions)
 
         raw = emb_path.read_bytes()
         bad_magic = tmp_path / "bad_magic.emb"

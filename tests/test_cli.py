@@ -700,6 +700,36 @@ def test_repeated_ranked_wnid_names_path_and_line(tmp_path, capsys):
                    "ranked predictions for 'c' not distinct\n")
 
 
+# Corpus rows after the good corpus's first three, which leave out "d", a
+# candidate; no candidate names a row of these.
+LATE_CORPUS_FAULTS = [
+    ([b'{"id": "e", "text": "x"}', b'{"id": "f", "text": 7}'],
+     "line 5: field 'text' must be a Unicode string, got 7"),
+    ([b'{"id": "e", "text": "x"}', b'{"id": "e", "text": "y"}'],
+     "line 5: duplicate instance id 'e' (first seen on line 4)"),
+    ([b'{"id": "e", "text": "x", "meta": 0}'], "line 4: field 'meta' must be an object"),
+]
+
+
+@pytest.mark.parametrize("late, message", LATE_CORPUS_FAULTS, ids=["kind", "duplicate", "meta"])
+def test_assemble_reports_a_corpus_fault_before_a_missing_candidate(tmp_path, capsys,
+                                                                   monkeypatch, late, message):
+    # `assemble` keeps only its candidates' flags, yet checks every corpus row first
+    monkeypatch.setattr(corpus, "_JSONL_ROWS", 2)  # the fault is after the first chunk
+    for name, good in GOOD_INPUTS.items():
+        (tmp_path / name).write_bytes(good)
+    path = tmp_path / "corpus.jsonl"
+    argv = ["assemble", "--candidates", tmp_path / "candidates.jsonl", "--corpus", path,
+            "--threshold", "0.3", "--out", tmp_path / "out"]
+    head = GOOD_INPUTS["corpus.jsonl"].split(b"\n")[:3]
+    path.write_bytes(b"\n".join(head) + b"\n")
+    assert run([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err == "capsieve: data error: candidate instance 'd' not in corpus\n"
+    path.write_bytes(b"\n".join(head + late) + b"\n")
+    assert run([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err == f"capsieve: data error: {path}: {message}\n"
+
+
 def test_false_class_with_no_pairs_reports_empty_bins(tmp_path):
     for name, good in GOOD_INPUTS.items():
         (tmp_path / name).write_bytes(good)

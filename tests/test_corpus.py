@@ -19,10 +19,10 @@ from capsieve import corpus, curator, evalmetrics, taxonomy
 from capsieve.cli import _labelled_rows
 from capsieve.corpus import (
     EMBEDDING_MAGIC,
-    CaptionFile,
-    Corpus,
+    Captions,
     EmbeddingFile,
     EmbeddingMatrix,
+    caption_chunks,
     index_keys,
     load_corpus,
     load_embeddings,
@@ -34,7 +34,7 @@ from capsieve.errors import CapsieveError, FormatError, MissingKeyError, Validat
 from capsieve.evalmetrics import load_predictions
 from capsieve.taxonomy import load_taxonomy
 
-from conftest import corpus_rows, write_jsonl
+from conftest import caption_flags, corpus_rows, read_captions, write_jsonl
 from oracles import read_jsonl_per_line
 
 
@@ -53,9 +53,8 @@ def test_load_three_records(tmp_path):
         + "\n",
         encoding="utf-8",
     )
-    corpus = load_corpus(path)
-    assert len(corpus) == 3
-    assert corpus.texts[corpus.index["c"]] == ""  # empty caption is still a valid record
+    assert list(load_corpus(path)) == ["a", "b", "c"]
+    assert read_captions(path).texts == ["a puma", "snow", ""]  # an empty caption is valid
 
 
 def test_duplicate_id_names_line(tmp_path):
@@ -74,13 +73,11 @@ def test_flag_passthrough(tmp_path):
         corpus_line("a", "x", nsfw=True, text_in_image=True, meta={"sel_freq": "0.7"}) + "\n",
         encoding="utf-8",
     )
-    corpus = load_corpus(path)
-    assert corpus.nsfw == [True]
-    assert corpus.text_in_image == [True]
+    assert load_corpus(path) == {"a": (True, True)}
 
 
 def test_corpus_jsonl_round_trips_bytes(tmp_path):
-    corpus = Corpus(
+    corpus = Captions(
         ids=["a", "b"],
         texts=["a puma in the snow", "unicode café"],
         nsfw=[True, False],
@@ -89,7 +86,7 @@ def test_corpus_jsonl_round_trips_bytes(tmp_path):
     first = tmp_path / "one.jsonl"
     write_jsonl(first, corpus_rows(corpus))
     second = tmp_path / "two.jsonl"
-    write_jsonl(second, corpus_rows(load_corpus(first)))
+    write_jsonl(second, corpus_rows(read_captions(first)))
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -243,6 +240,25 @@ def test_load_holds_one_copy_of_the_payload(tmp_path, rng):
     assert peak < payload + 2**20, f"peak {(peak - payload) / 2**20:.2f} MiB above the payload"
 
 
+def test_a_corpus_load_holds_no_texts(tmp_path):
+    # 20 MiB of captions, of which 100 ids' flags are kept: only a chunk's
+    # texts, and their joined copy for the kind check, are held at once
+    text = "x" * 1024
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, ({"id": f"i{k:05d}", "text": text, "nsfw": k % 3 == 0,
+                        "text_in_image": None} for k in range(20 * 1024)))
+    keep = {f"i{k:05d}" for k in range(0, 20 * 1024, 205)}
+    tracemalloc.start()
+    try:
+        flags = load_corpus(path, keep)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flags == {rid: (int(rid[1:]) % 3 == 0, None) for rid in sorted(keep)}
+    chunk = corpus._JSONL_ROWS * len(text)
+    assert held < 2**20 and peak < 3 * chunk + 2**21, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_header_count_beyond_file_is_truncation(tmp_path):
     # checked against the file size before anything is allocated for it
     path = tmp_path / "huge.emb"
@@ -333,9 +349,7 @@ def test_corpus_flags_load_as_written(tmp_path):
     path.write_bytes(b'{"id": "a", "text": "x", "nsfw": false, "text_in_image": null}\n'
                      b'{"id": "b", "text": "y", "nsfw": true, "text_in_image": false}\n'
                      b'{"id": "c", "text": "z", "text_in_image": true}\n')
-    corpus = load_corpus(path)
-    assert list(zip(corpus.nsfw, corpus.text_in_image)) == [(False, None), (True, False),
-                                                           (False, True)]
+    assert load_corpus(path) == {"a": (False, None), "b": (True, False), "c": (False, True)}
 
 
 @pytest.mark.parametrize("meta", ["0", "[]", "false", '""', '"x"', "1.5"])
@@ -372,10 +386,10 @@ def test_corpus_meta_is_accepted_and_dropped(tmp_path):
                     '{"id": "c", "text": "z", "meta": {}}\n'
                     '{"id": "d", "text": "w", "meta": {"k": {"n": [1, {"m": null}]}}}\n',
                     encoding="utf-8")
-    corpus = load_corpus(path)
-    assert corpus == Corpus(ids=["a", "b", "c", "d"], texts=["x", "y", "z", "w"],
-                            nsfw=[False] * 4, text_in_image=[None] * 4)
-    assert not hasattr(corpus, "meta")
+    captions = read_captions(path)
+    assert captions == Captions(ids=["a", "b", "c", "d"], texts=["x", "y", "z", "w"],
+                                nsfw=[False] * 4, text_in_image=[None] * 4)
+    assert not hasattr(captions, "meta")
 
 
 @pytest.mark.parametrize(
@@ -660,11 +674,21 @@ def corpus_files(draw) -> str:
 
 
 def _corpus_outcome(path):
+    """Every id, text and flag of a corpus file, or its fault. `load_corpus`
+    reads the same flags, and the same fault whichever ids it keeps."""
     try:
-        loaded = load_corpus(path)
+        loaded = read_captions(path)
     except CapsieveError as exc:
-        return type(exc).__name__, str(exc)
-    return loaded.ids, loaded.texts, loaded.nsfw, loaded.text_in_image, loaded.index
+        fault = type(exc).__name__, str(exc)
+        for keep in (None, {"i0"}, set()):
+            with pytest.raises(CapsieveError) as info:
+                load_corpus(path, keep)
+            assert (type(info.value).__name__, str(info.value)) == fault
+        return fault
+    flags = caption_flags(loaded)
+    assert load_corpus(path) == flags
+    assert load_corpus(path, {"i0", "absent"}) == {k: v for k, v in flags.items() if k == "i0"}
+    return loaded.ids, loaded.texts, loaded.nsfw, loaded.text_in_image
 
 
 @settings(derandomize=True, deadline=None, max_examples=200,
@@ -679,7 +703,7 @@ def test_a_corpus_reads_the_same_in_chunks_of_any_size(tmp_path, content):
         with mock.patch.object(corpus, "_JSONL_ROWS", rows):
             assert _corpus_outcome(path) == whole, rows
             if not isinstance(whole[0], str):  # no fault: each chunk holds at most `rows` rows
-                sizes = [len(chunk) for chunk in CaptionFile(path).chunks()]
+                sizes = [len(chunk) for chunk in caption_chunks(path)]
                 assert sum(sizes) == len(whole[0]) and max(sizes) <= rows
 
 

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capsieve.corpus import EmbeddingFile, EmbeddingMatrix, load_embeddings, write_embeddings
+from capsieve.corpus import (
+    EmbeddingFile,
+    EmbeddingMatrix,
+    load_corpus,
+    load_embeddings,
+    write_embeddings,
+)
 from capsieve.curator import (
     AssembleOptions,
     Candidates,
@@ -30,10 +36,13 @@ from capsieve.vectorops import cosine
 
 from conftest import (
     candidate_rows,
+    corpus_rows,
     make_candidates,
     make_corpus,
+    make_flags,
     make_matches,
     random_matrix,
+    write_jsonl,
 )
 from oracles import assemble_numpy, threshold_sweep_numpy, top_k_per_class_numpy
 
@@ -221,30 +230,30 @@ def test_sweep_requires_increasing_thresholds():
 
 
 def test_assemble_multi_label_drop():
-    corpus = make_corpus(["a", "b"], ids=["i1", "i2"])
+    flags = make_flags(["i1", "i2"])
     candidates = make_candidates([
         cand("i1", "n00000001", 0.9),
         cand("i1", "n00000002", 0.8),
         cand("i2", "n00000001", 0.7),
     ])
-    manifest = assemble(candidates, 0.5, corpus, AssembleOptions(drop_multi_label=True))
+    manifest = assemble(candidates, 0.5, flags, AssembleOptions(drop_multi_label=True))
     assert list(zip(manifest.rows.ids, manifest.rows.wnids)) == [("i2", "n00000001")]
     assert manifest.drop_ledger["multi_label"] == 2
 
 
 def test_assemble_multi_label_keep_best():
-    corpus = make_corpus(["a"], ids=["i1"])
+    flags = make_flags(["i1"])
     candidates = make_candidates([cand("i1", "n00000002", 0.8), cand("i1", "n00000001", 0.8)])
-    manifest = assemble(candidates, 0.5, corpus, AssembleOptions(drop_multi_label=False))
+    manifest = assemble(candidates, 0.5, flags, AssembleOptions(drop_multi_label=False))
     # equal scores: the smaller wnid wins; manifest stays single-label
     assert list(zip(manifest.rows.ids, manifest.rows.wnids)) == [("i1", "n00000001")]
     assert manifest.drop_ledger["multi_label"] == 1
 
 
 def test_assemble_threshold_precedes_multi_label():
-    corpus = make_corpus(["a"], ids=["i1"])
+    flags = make_flags(["i1"])
     candidates = make_candidates([cand("i1", "n00000001", 0.9), cand("i1", "n00000002", 0.2)])
-    manifest = assemble(candidates, 0.5, corpus, AssembleOptions(drop_multi_label=True))
+    manifest = assemble(candidates, 0.5, flags, AssembleOptions(drop_multi_label=True))
     # the second label fell below the threshold first, so i1 is single-label
     assert len(manifest.rows) == 1
     assert manifest.drop_ledger == {
@@ -256,20 +265,18 @@ def test_assemble_threshold_precedes_multi_label():
 
 
 def test_assemble_nsfw_gate():
-    corpus = make_corpus(["a", "b"], ids=["i1", "i2"], nsfw=[True, False])
+    flags = make_flags(["i1", "i2"], nsfw=[True, False])
     candidates = make_candidates([cand("i1", "n00000001", 0.9), cand("i2", "n00000001", 0.9)])
-    dropped = assemble(candidates, 0.5, corpus, AssembleOptions(drop_nsfw=True))
+    dropped = assemble(candidates, 0.5, flags, AssembleOptions(drop_nsfw=True))
     assert dropped.rows.ids == ["i2"]
-    kept = assemble(candidates, 0.5, corpus, AssembleOptions(drop_nsfw=False))
+    kept = assemble(candidates, 0.5, flags, AssembleOptions(drop_nsfw=False))
     assert kept.rows.ids == ["i1", "i2"]
 
 
 def test_assemble_text_in_image_gate():
-    corpus = make_corpus(
-        ["a", "b", "c"], ids=["i1", "i2", "i3"], text_in_image=[True, False, None]
-    )
+    flags = make_flags(["i1", "i2", "i3"], text_in_image=[True, False, None])
     candidates = make_candidates(cand(i, "n00000001", 0.9) for i in ["i1", "i2", "i3"])
-    manifest = assemble(candidates, 0.5, corpus, AssembleOptions(drop_text_in_image=True))
+    manifest = assemble(candidates, 0.5, flags, AssembleOptions(drop_text_in_image=True))
     # only an explicit True drops; unset flags pass through
     assert manifest.rows.ids == ["i2", "i3"]
     assert manifest.drop_ledger["text_in_image"] == 1
@@ -279,9 +286,8 @@ def test_assemble_ledger_sums(rng):
     for trial in range(25):
         n = int(rng.integers(1, 120))
         ids = [f"i{j}" for j in range(40)]
-        corpus = make_corpus(
-            ["t"] * 40,
-            ids=ids,
+        flags = make_flags(
+            ids,
             nsfw=[bool(rng.integers(0, 2)) for _ in range(40)],
             text_in_image=[
                 [True, False, None][int(rng.integers(0, 3))] for _ in range(40)
@@ -301,7 +307,7 @@ def test_assemble_ledger_sums(rng):
             drop_text_in_image=bool(rng.integers(0, 2)),
         )
         threshold = float(rng.uniform(-1, 1))
-        manifest = assemble(make_candidates(candidates), threshold, corpus, options)
+        manifest = assemble(make_candidates(candidates), threshold, flags, options)
         assert sum(manifest.drop_ledger.values()) == len(candidates) - len(manifest.rows)
         assert all(score >= threshold for score in manifest.rows.scores)
         kept = set(zip(manifest.rows.ids, manifest.rows.wnids))
@@ -313,15 +319,13 @@ def test_assemble_ledger_sums(rng):
 
 
 def test_assemble_missing_instance():
-    corpus = make_corpus(["a"], ids=["i1"])
     with pytest.raises(MissingKeyError, match="ghost"):
-        assemble(make_candidates([cand("ghost", "n00000001", 0.9)]), 0.5, corpus)
+        assemble(make_candidates([cand("ghost", "n00000001", 0.9)]), 0.5, make_flags(["i1"]))
 
 
 def test_assemble_rejects_non_finite_threshold():
-    corpus = make_corpus(["a"], ids=["i1"])
     with pytest.raises(ValidationError):
-        assemble(make_candidates([]), float("nan"), corpus)
+        assemble(make_candidates([]), float("nan"), make_flags(["i1"]))
 
 
 def test_top_k_keeps_small_classes():
@@ -518,17 +522,23 @@ def test_sweep_equals_the_numpy_oracle(rows, thresholds):
     assert threshold_sweep(candidates, thresholds) == threshold_sweep_numpy(candidates, thresholds)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=ROWS, threshold=SCORES, nsfw=st.lists(st.booleans(), min_size=5, max_size=5),
        text_in_image=st.lists(st.sampled_from([True, False, None]), min_size=5, max_size=5),
        drops=st.tuples(st.booleans(), st.booleans(), st.booleans()), k=st.integers(1, 4))
-def test_assemble_and_top_k_equal_the_numpy_oracles(rows, threshold, nsfw, text_in_image,
-                                                    drops, k):
+def test_assemble_and_top_k_equal_the_numpy_oracles(tmp_path, rows, threshold, nsfw,
+                                                    text_in_image, drops, k):
+    path = tmp_path / "corpus.jsonl"
     corpus = make_corpus(["t"] * 5, ids=INSTANCES, nsfw=nsfw, text_in_image=text_in_image)
+    write_jsonl(path, corpus_rows(corpus))
+    flags = load_corpus(path)
     options = AssembleOptions(*drops)
     candidates = make_candidates(rows)
-    got = assemble(candidates, threshold, corpus, options)
-    expected = assemble_numpy(candidates, threshold, corpus, options)
+    got = assemble(candidates, threshold, flags, options)
+    # the flags of the candidates alone, as the `assemble` stage loads them, give the same manifest
+    assert assemble(candidates, threshold, load_corpus(path, set(candidates.ids)), options) == got
+    expected = assemble_numpy(candidates, threshold, flags, options)
     assert exact_rows(got.rows) == exact_rows(expected.rows)
     assert (got.drop_ledger, got.class_counts) == (expected.drop_ledger, expected.class_counts)
     assert repr(got.threshold) == repr(expected.threshold)
