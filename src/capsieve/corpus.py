@@ -660,7 +660,8 @@ def load_embeddings(path, keep=None) -> EmbeddingMatrix:
         first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
         np.take(chunk, wanted[first:end] - lo, axis=0, out=rows[first:end])
     ids = [source.ids[row] for row in wanted.tolist()]
-    return EmbeddingMatrix._prechecked(rows, ids, dict(zip(ids, range(len(ids)))), path)
+    index = {rid: pos for pos, rid in enumerate(ids)}  # distinct: a subset of the file's ids
+    return EmbeddingMatrix._prechecked(rows, ids, index, path)
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:

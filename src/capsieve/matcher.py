@@ -11,7 +11,7 @@ token-boundary semantics avoid that while keeping lemmas exact (no
 stemming, no pluralization). Multiword lemmas match across single spaces
 only, which normalization guarantees.
 
-The scan uses the Aho-Corasick algorithm (1975): insert every normalized
+The scan uses the Aho-Corasick algorithm (1975): insert every folded
 lemma into a trie, compute failure links breadth-first (each node's
 failure link points to the node for the longest proper suffix of its path
 that is also a prefix of some pattern), and propagate pattern outputs down
@@ -39,7 +39,7 @@ from typing import Iterator
 
 from .corpus import Captions
 from .errors import ValidationError
-from .taxonomy import Taxonomy, fold_text, normalize_lemma
+from .taxonomy import Taxonomy, fold_text
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class _Node:
 
 
 class Matcher:
-    """Immutable Aho-Corasick automaton over a taxonomy's normalized lemmas.
+    """Immutable Aho-Corasick automaton over a taxonomy's folded lemmas.
 
     A lemma may belong to several synsets; `wnids_for` keeps the full
     multimap so one textual hit can report every owning synset.
@@ -123,22 +123,23 @@ class Matcher:
 
 
 def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) -> Matcher:
-    """Build the automaton over all normalized lemmas of `taxonomy`.
+    """Build the automaton over all folded lemmas of `taxonomy`.
 
     `max_lemmas_per_synset` optionally restricts matching to each synset's
     first N lemmas (N=1 means the headword only); the default uses all.
-    Raises ValidationError for N < 1.
+    Raises ValidationError for N < 1, and for a lemma that folds to
+    nothing, which `load_taxonomy` refuses but a `Taxonomy` made in memory
+    may hold.
     """
     if max_lemmas_per_synset is not None and max_lemmas_per_synset < 1:
         raise ValidationError(f"max_lemmas_per_synset must be >= 1, got {max_lemmas_per_synset}")
     wnid_sets: dict[str, set[str]] = {}
-    for synset in taxonomy:
-        lemmas = synset.lemmas
-        if max_lemmas_per_synset is not None:
-            lemmas = lemmas[:max_lemmas_per_synset]
-        for lemma in lemmas:
-            pattern = normalize_lemma(lemma)
-            wnid_sets.setdefault(pattern, set()).add(synset.wnid)
+    for wnid, lemmas in zip(taxonomy.wnids, taxonomy.lemmas):
+        for lemma in lemmas[:max_lemmas_per_synset]:
+            pattern = fold_text(lemma)
+            if not pattern:
+                raise ValidationError(f"synset {wnid}: empty lemma")
+            wnid_sets.setdefault(pattern, set()).add(wnid)
     wnids_for = {p: tuple(sorted(s)) for p, s in wnid_sets.items()}
 
     root = _Node()
@@ -164,9 +165,7 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
             fallback = current.fail
             while fallback is not root and ch not in fallback.children:
                 fallback = fallback.fail
-            child.fail = fallback.children.get(ch, root)
-            if child.fail is child:
-                child.fail = root
+            child.fail = fallback.children.get(ch, root)  # shallower, never child itself
             if child.fail.out:
                 child.out += child.fail.out
             queue.append(child)

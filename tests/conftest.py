@@ -12,20 +12,19 @@ from capsieve.corpus import Captions, EmbeddingMatrix, caption_chunks
 from capsieve.curator import Candidates
 from capsieve.matcher import Matches
 from capsieve.seeding import stream
-from capsieve.taxonomy import Synset, Taxonomy
-
-
-def make_synset(num: int, lemmas, name=None, gloss="a thing"):
-    return Synset(
-        wnid=f"n{num:08d}",
-        lemmas=tuple(lemmas),
-        name=name if name is not None else lemmas[0],
-        gloss=gloss,
-    )
+from capsieve.taxonomy import Taxonomy
 
 
 def make_taxonomy(lemma_lists) -> Taxonomy:
-    return Taxonomy([make_synset(i + 1, lemmas) for i, lemmas in enumerate(lemma_lists)])
+    """Synsets n00000001, n00000002, ... with these lemmas, each named by its
+    first lemma and glossed "a thing"."""
+    lemma_lists = [list(lemmas) for lemmas in lemma_lists]
+    return Taxonomy(
+        wnids=[f"n{num:08d}" for num in range(1, len(lemma_lists) + 1)],
+        lemmas=lemma_lists,
+        names=[lemmas[0] for lemmas in lemma_lists],
+        glosses=["a thing"] * len(lemma_lists),
+    )
 
 
 def make_corpus(texts, ids=None, nsfw=None, text_in_image=None) -> Captions:
@@ -59,8 +58,9 @@ def write_jsonl(path, rows) -> None:
 
 def taxonomy_rows(taxonomy: Taxonomy) -> list[dict]:
     """The rows of a taxonomy file that holds `taxonomy`."""
-    return [{"wnid": s.wnid, "lemmas": list(s.lemmas), "name": s.name, "gloss": s.gloss}
-            for s in taxonomy]
+    return [{"wnid": wnid, "lemmas": list(lemmas), "name": name, "gloss": gloss}
+            for wnid, lemmas, name, gloss in zip(
+                taxonomy.wnids, taxonomy.lemmas, taxonomy.names, taxonomy.glosses)]
 
 
 def caption_flags(captions: Captions) -> dict[str, tuple[bool, bool | None]]:
@@ -181,12 +181,10 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
         lemmas = [WORDS[j % len(WORDS)]]
         if j % 3 == 0:
             lemmas.append(WORDS[(j + 7) % len(WORDS)])
-        synsets.append(
-            Synset(wnid=wnid, lemmas=tuple(dict.fromkeys(lemmas)), name=lemmas[0].replace("_", " "),
-                   gloss=f"a kind of thing number {j}")
-        )
+        synsets.append({"wnid": wnid, "lemmas": list(dict.fromkeys(lemmas)),
+                        "name": lemmas[0].replace("_", " "), "gloss": f"a kind of thing number {j}"})
     taxonomy_path = root / "taxonomy.jsonl"
-    write_jsonl(taxonomy_path, taxonomy_rows(Taxonomy(synsets)))
+    write_jsonl(taxonomy_path, synsets)
 
     # orthogonal-ish synset text directions
     basis = rng.standard_normal((n_synsets, dim))
@@ -201,7 +199,8 @@ def build_pipeline_fixture(root, seed=777, n_instances=1000, n_synsets=20, dim=1
         rid = f"inst{i:04d}"
         ids.append(rid)
         j = int(rng.integers(0, n_synsets))
-        lemma = synsets[j].lemmas[int(rng.integers(0, len(synsets[j].lemmas)))]
+        lemmas = synsets[j]["lemmas"]
+        lemma = lemmas[int(rng.integers(0, len(lemmas)))]
         filler = [WORDS[int(w)].replace("_", " ") for w in rng.integers(20, len(WORDS), size=3)]
         if rng.random() < 0.75:
             words = [filler[0], lemma.replace("_", " "), filler[1]]

@@ -23,7 +23,7 @@ from capsieve.corpus import _KINDS, _SURROGATE, Captions, EmbeddingMatrix
 from capsieve.curator import AssembleOptions, Candidates, DatasetManifest, SweepPoint
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
-from capsieve.taxonomy import Taxonomy, fold_text, normalize_lemma
+from capsieve.taxonomy import Taxonomy, fold_text
 from capsieve.vectorops import cosine
 
 
@@ -34,12 +34,12 @@ def _whole_token(text: str, start: int, end: int) -> bool:
 
 
 def find_matches_naive(taxonomy: Taxonomy, corpus: Captions) -> list[LemmaMatch]:
-    """Reference scan: try every normalized lemma against every folded caption
+    """Reference scan: try every folded lemma against every folded caption
     with str.find and keep whole-token hits. Quadratic; for testing."""
     wnid_sets: dict[str, set[str]] = {}
-    for synset in taxonomy:
-        for lemma in synset.lemmas:
-            wnid_sets.setdefault(normalize_lemma(lemma), set()).add(synset.wnid)
+    for wnid, lemmas in zip(taxonomy.wnids, taxonomy.lemmas):
+        for lemma in lemmas:
+            wnid_sets.setdefault(fold_text(lemma), set()).add(wnid)
 
     results: list[LemmaMatch] = []
     for instance_id, text in zip(corpus.ids, corpus.texts):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from capsieve.cli import _scan_captions
 from capsieve.errors import ValidationError
 from capsieve.matcher import LemmaMatch, Matches, build_matcher, find_matches
-from capsieve.taxonomy import Taxonomy, fold_text
+from capsieve.taxonomy import fold_text
 
 from conftest import make_corpus, make_taxonomy, random_match_case, taxonomy_rows, write_jsonl
 from oracles import find_matches_naive
@@ -41,7 +41,7 @@ def test_shared_lemma_reports_both_synsets():
 
 
 def test_empty_taxonomy_matches_nothing():
-    matcher = build_matcher(Taxonomy([]))
+    matcher = build_matcher(make_taxonomy([]))
     assert len(matcher.wnids_for) == 0
     assert list(find_matches(matcher, make_corpus(["anything at all"]))) == []
 
@@ -51,6 +51,14 @@ def test_pattern_count_is_distinct_normalized_lemmas():
     taxonomy = make_taxonomy([["Ice_Bear", "puma"], ["ice  bear"], ["puma", "cougar"]])
     matcher = build_matcher(taxonomy)
     assert len(matcher.wnids_for) == len({"ice bear", "puma", "cougar"})
+
+
+def test_a_lemma_that_folds_to_nothing_cannot_be_matched():
+    # the loader refuses such a lemma; a taxonomy made in memory reaches here
+    with pytest.raises(ValidationError) as info:
+        build_matcher(make_taxonomy([["cat"], ["dog", " _ "]]))
+    assert str(info.value) == "synset n00000002: empty lemma"
+    assert len(build_matcher(make_taxonomy([["cat"], ["dog", " _ "]]), 1).wnids_for) == 2
 
 
 def test_single_word_match():
@@ -127,8 +135,6 @@ def test_oracle_equivalence_small(rng):
 
 
 def test_large_taxonomy_pattern_count(rng):
-    from capsieve.taxonomy import normalize_lemma
-
     lemma_lists = []
     for _ in range(1000):
         lemma_lists.append(
@@ -138,7 +144,7 @@ def test_large_taxonomy_pattern_count(rng):
         )
     taxonomy = make_taxonomy(lemma_lists)
     matcher = build_matcher(taxonomy)
-    distinct = {normalize_lemma(l) for lemmas in lemma_lists for l in lemmas}
+    distinct = {fold_text(l) for lemmas in lemma_lists for l in lemmas}
     assert len(matcher.wnids_for) == len(distinct)
 
 

@@ -3,17 +3,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsieve.errors import FormatError, ValidationError
-from capsieve.taxonomy import (
-    Synset,
-    Taxonomy,
-    fold_text,
-    load_taxonomy,
-    normalize_lemma,
-)
+from capsieve.matcher import build_matcher, find_matches
+from capsieve.taxonomy import Taxonomy, fold_text, load_taxonomy
 
-from conftest import make_synset, make_taxonomy, taxonomy_rows, write_jsonl
+from conftest import make_corpus, taxonomy_rows, write_jsonl
+from oracles import find_matches_naive
 
 
 def synset_row(num, lemmas, name=None, gloss="a thing"):
@@ -31,8 +29,8 @@ def test_load_preserves_count_and_order(tmp_path):
     write_jsonl(path, rows)
     taxonomy = load_taxonomy(path)
     assert len(taxonomy) == 1000
-    assert [s.wnid for s in taxonomy] == [r["wnid"] for r in rows]
-    assert taxonomy.index["n00000500"] == 499
+    assert taxonomy.wnids == [r["wnid"] for r in rows]
+    assert taxonomy.lemmas[499] == ["term499"]
 
 
 def test_duplicate_wnid_rejected(tmp_path):
@@ -65,10 +63,10 @@ def test_accepts_multi_lemma_synset(tmp_path):
     }
     path = tmp_path / "tax.jsonl"
     write_jsonl(path, [row])
-    taxonomy = load_taxonomy(path)
-    synset = taxonomy.synsets[taxonomy.index["n02125494"]]
-    assert synset.lemmas == ("cougar", "puma")
-    assert synset.gloss == "large American feline resembling lion"
+    assert load_taxonomy(path) == Taxonomy(
+        wnids=["n02125494"], lemmas=[["cougar", "puma"]], names=["cougar"],
+        glosses=["large American feline resembling lion"],
+    )
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -89,45 +87,46 @@ def test_empty_lemma_rejected(tmp_path):
         assert str(info.value) == f"{path}: line 2: synset n00000002: empty lemma"
 
 
-def test_bad_wnid_rejected():
-    with pytest.raises(ValidationError, match="bad wnid"):
-        Synset(wnid="x123", lemmas=("a",), name="a", gloss="")
-    with pytest.raises(ValidationError, match="bad wnid"):
-        Synset(wnid="n123", lemmas=("a",), name="a", gloss="")
+def test_empty_lemmas_list_rejected(tmp_path):
+    # reported before the empty lemma on a later line
+    path = tmp_path / "tax.jsonl"
+    rows = [synset_row(1, ["cat"]), {**synset_row(2, ["dog"]), "lemmas": []}, synset_row(3, ["_"])]
+    write_jsonl(path, rows)
+    with pytest.raises(ValidationError) as info:
+        load_taxonomy(path)
+    assert str(info.value) == f"{path}: line 2: synset n00000002: lemmas list is empty"
 
 
-def test_duplicate_wnid_rejected_in_memory():
-    with pytest.raises(ValidationError, match="duplicate"):
-        Taxonomy([make_synset(1, ["a"]), make_synset(1, ["b"])])
+@pytest.mark.parametrize("wnid", ["x123", "n123"])
+def test_bad_wnid_rejected(tmp_path, wnid):
+    path = tmp_path / "tax.jsonl"
+    write_jsonl(path, [synset_row(1, ["cat"]), {**synset_row(2, ["dog"]), "wnid": wnid}])
+    with pytest.raises(FormatError) as info:
+        load_taxonomy(path)
+    assert str(info.value) == (
+        f"{path}: line 2: field 'wnid' must be a wnid ('n' and 8 digits), got {wnid!r}"
+    )
 
 
-def test_normalize_lemma_rules():
+def test_fold_text_lemma_rules():
     # character-level oracle: lowercase each char, then '_' -> ' '
-    assert normalize_lemma("Egyptian_cat") == "".join(c.lower() for c in "Egyptian_cat").replace("_", " ")
-    assert normalize_lemma("Egyptian_cat") == "egyptian cat"
-    assert normalize_lemma("puma") == "puma"
-    assert normalize_lemma("  ice   bear ") == "ice bear"
+    assert fold_text("Egyptian_cat") == "".join(c.lower() for c in "Egyptian_cat").replace("_", " ")
+    assert fold_text("Egyptian_cat") == "egyptian cat"
+    assert fold_text("puma") == "puma"
+    assert fold_text("  ice   bear ") == "ice bear"
 
 
-def test_normalize_lemma_idempotent(rng):
+def test_fold_text_idempotent_on_lemma_characters(rng):
     alphabet = list("abcDEF_  ")
     for _ in range(200):
         chars = rng.choice(len(alphabet), size=rng.integers(1, 12))
-        lemma = "".join(alphabet[int(c)] for c in chars)
-        try:
-            once = normalize_lemma(lemma)
-        except ValidationError:
-            continue
-        assert normalize_lemma(once) == once
+        once = fold_text("".join(alphabet[int(c)] for c in chars))
+        assert fold_text(once) == once
 
 
-def test_normalize_lemma_rejects_empty():
-    with pytest.raises(ValidationError):
-        normalize_lemma("")
-    with pytest.raises(ValidationError):
-        normalize_lemma("   ")
-    with pytest.raises(ValidationError):
-        normalize_lemma("_")
+def test_fold_text_reduces_blank_lemmas_to_nothing():
+    for lemma in ("", "   ", "_", " _\t__ "):
+        assert fold_text(lemma) == ""
 
 
 def test_fold_text_handles_unicode_case():
@@ -148,3 +147,31 @@ def test_round_trip_load_save_load(tmp_path):
     write_jsonl(second, taxonomy_rows(taxonomy))
     assert load_taxonomy(second) == taxonomy
     assert second.read_bytes() == first.read_bytes()
+
+
+# Any Unicode the JSONL reader accepts: no lone surrogates, which no UTF-8
+# file can hold. Lemmas must fold to something, or the loader refuses them.
+unicode_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+synset_rows = st.lists(
+    st.tuples(
+        st.lists(unicode_text.filter(fold_text), min_size=1, max_size=3),
+        unicode_text,
+        unicode_text,
+    ),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(synset_rows, st.lists(unicode_text, min_size=1, max_size=4))
+def test_unicode_taxonomy_round_trips_and_matches_like_the_oracle(tmp_path_factory, rows, texts):
+    first = tmp_path_factory.mktemp("tax") / "a.jsonl"
+    write_jsonl(first, [{"wnid": f"n{num:08d}", "lemmas": lemmas, "name": name, "gloss": gloss}
+                        for num, (lemmas, name, gloss) in enumerate(rows, 1)])
+    taxonomy = load_taxonomy(first)
+    second = first.with_name("b.jsonl")
+    write_jsonl(second, taxonomy_rows(taxonomy))
+    assert second.read_bytes() == first.read_bytes()
+    # one caption holds every lemma, so each synset has something to match
+    corpus = make_corpus([" ".join(sum(taxonomy.lemmas, [])), *texts])
+    assert list(find_matches(build_matcher(taxonomy), corpus)) == find_matches_naive(taxonomy, corpus)
