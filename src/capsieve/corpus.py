@@ -196,9 +196,12 @@ def _all_finite(values: list) -> bool:
 # of the whole column once its types are right, the check of one value,
 # how an error names the kind). The column check holds iff every value
 # passes the one-value check; the latter only runs to find the first bad
-# row. "any" takes every value and leaves the check to the caller.
+# row. "any" takes every value and leaves the check to the caller. A str
+# column is checked value by value, all-ASCII first, and never joined:
+# joining would hold a chunk's texts twice.
 _KINDS = {
-    str: ({str}, lambda col: _is_text("".join(col)), _is_text, "a Unicode string"),
+    str: ({str}, lambda col: all(map(str.isascii, col)) or all(map(_is_text, col)), _is_text,
+          "a Unicode string"),
     list: ({list}, lambda col: _is_text_list(list(chain.from_iterable(col))), _is_text_list,
            "a list of Unicode strings"),
     float: ({int, float}, _all_finite, _is_finite_number, "a finite number"),

@@ -13,16 +13,20 @@ from statistics import NormalDist
 import numpy as np
 
 from capsieve.causalsim import (
+    _GENERATION_BLOCK,
     MIN_PER_GROUP,
     BinIndependenceTest,
+    GenConfig,
     Samples,
     SelectionRule,
     _keep_mask,
+    class_means,
 )
 from capsieve.corpus import _KINDS, _SURROGATE, Captions, EmbeddingMatrix
 from capsieve.curator import AssembleOptions, Candidates, DatasetManifest, SweepPoint
 from capsieve.errors import FormatError, ValidationError
 from capsieve.matcher import LemmaMatch
+from capsieve.seeding import stream
 from capsieve.taxonomy import Taxonomy, fold_text
 from capsieve.vectorops import cosine
 
@@ -179,6 +183,37 @@ def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[st
             for name in columns:
                 columns[name].append(row.get(name))
     return lines, columns
+
+
+def generate_naive(config: GenConfig, n: int) -> Samples:
+    """Reference generator: each block's images made as a new array, the
+    class means plus a fresh (m, x_dim) draw, then copied into x."""
+    means = class_means(config)
+    y = np.empty(n, dtype=np.int64)
+    x = np.empty((n, config.x_dim))
+    t = np.empty(n)
+    for block_idx, start in enumerate(range(0, n, _GENERATION_BLOCK)):
+        rows = slice(start, min(start + _GENERATION_BLOCK, n))
+        m = rows.stop - start
+        rng = stream(config.seed, block_idx)
+        y[rows] = rng.integers(0, config.n_classes, size=m)
+        x[rows] = means[y[rows]] + rng.standard_normal((m, config.x_dim))
+        t[rows] = x[rows, 0] + config.text_noise_sd * rng.standard_normal(m)
+    return Samples(y, x, t)
+
+
+def class_dim_variance_gather(y: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
+    """Reference per-class variance: each class's images gathered whole
+    with a boolean mask, then numpy's `var(axis=0, ddof=1)`, averaged over
+    the classes with at least two members."""
+    per_class = []
+    for c in np.unique(y if mask is None else y[mask]):
+        xc = x[y == c if mask is None else mask & (y == c)]
+        if xc.shape[0] >= 2:
+            per_class.append(xc.var(axis=0, ddof=1))
+    if not per_class:
+        raise ValidationError("no class has enough members for a variance estimate")
+    return np.mean(per_class, axis=0)
 
 
 def select(samples: Samples, rule: SelectionRule) -> Samples:

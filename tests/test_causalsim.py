@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsieve.causalsim import (
+    _BLOCK_VALUES,
     GenConfig,
     VALID_RULE_KINDS,
     SelectionRule,
@@ -15,6 +17,7 @@ from capsieve.causalsim import (
     _bin_test,
     _keep_mask,
     _per_class_dim_variance,
+    _rows_mean_var,
     _t_bins,
     acceptance_rate,
     bottleneck_gap,
@@ -24,7 +27,12 @@ from capsieve.causalsim import (
 )
 from capsieve.errors import ValidationError
 
-from oracles import cond_indep_bin_test_naive, select
+from oracles import (
+    class_dim_variance_gather,
+    cond_indep_bin_test_naive,
+    generate_naive,
+    select,
+)
 
 
 def config(**kw):
@@ -113,6 +121,23 @@ def test_generation_deterministic_bitwise():
     assert a.t.tobytes() == b.t.tobytes()
     different = generate(config(seed=12), 20000)
     assert different.x.tobytes() != a.x.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    # n on both sides of one 8192-sample generation block
+    n=st.one_of(st.integers(1, 8192), st.integers(8193, 20_000)),
+    x_dim=st.integers(2, 64),
+    n_classes=st.integers(1, 2),
+    text_noise_sd=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**16),
+)
+def test_generation_in_place_equals_the_per_block_copy(n, x_dim, n_classes, text_noise_sd, seed):
+    cfg = config(n_classes=n_classes, x_dim=x_dim, text_noise_sd=text_noise_sd, seed=seed)
+    got, expected = generate(cfg, n), generate_naive(cfg, n)
+    assert got.y.tobytes() == expected.y.tobytes()
+    assert got.x.tobytes() == expected.x.tobytes()
+    assert got.t.tobytes() == expected.t.tobytes()
 
 
 def test_zero_separation_classes_indistinguishable():
@@ -342,3 +367,68 @@ def test_masked_class_variance_equals_the_variance_of_the_selected_copy():
         got = _per_class_dim_variance(samples.y, samples.x, mask)
         expected = _per_class_dim_variance(samples.y[mask], samples.x[mask])
         assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # one x_dim above the block's value count: one row per block
+    x_dim=st.sampled_from([2, 8, 64, _BLOCK_VALUES + 1]),
+    cols=st.sampled_from([slice(None), slice(1, None)]),
+    # 2 rows, one block, one block -1 and +1, and several blocks
+    rows_case=st.sampled_from(["two", "block", "block-1", "block+1", "several"]),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_mean_and_variance_equal_numpy_on_the_gathered_rows(x_dim, cols, rows_case, seed):
+    # rows in one row block; a single column, read whole, counts
+    # _BLOCK_VALUES rows, so "several" holds more than one block would
+    step = max(1, _BLOCK_VALUES // len(range(x_dim)[cols]))
+    n_rows = {"two": 2, "block": step, "block-1": step - 1, "block+1": step + 1,
+              "several": 3 * step + 5}[rows_case]
+    n_rows = max(2, n_rows)
+    rng = np.random.default_rng(seed)
+    n = n_rows + rng.integers(1, 8)
+    # rows of very different scales, so a changed summation order shows
+    x = rng.standard_normal((n, x_dim)) * rng.uniform(0.01, 100.0, size=(n, 1))
+    rows = np.sort(rng.choice(n, n_rows, replace=False))
+    mean, var = _rows_mean_var(x, rows, cols)
+    gathered = x[rows, cols]
+    assert mean.tobytes() == gathered.mean(axis=0).tobytes()
+    assert var.tobytes() == gathered.var(axis=0, ddof=1).tobytes()
+
+    # class 0 has one member, too few to count; class 1 at least two kept
+    y = rng.integers(1, 4, size=n)
+    y[:3] = (0, 1, 1)
+    mask = rng.random(n) < 0.7
+    mask[1:3] = True
+    got = _per_class_dim_variance(y, x)
+    assert got.tobytes() == class_dim_variance_gather(y, x).tobytes()
+    got = _per_class_dim_variance(y, x, mask)
+    assert got.tobytes() == class_dim_variance_gather(y, x, mask).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["text_threshold", "image_ball", "image_threshold"])
+def test_bin_test_of_one_bin_across_row_blocks_equals_the_oracle(kind):
+    # one bin holds every sample, and each side of it more rows than one
+    # row block of the four non-text dimensions
+    samples = generate(config(x_dim=5, seed=4), 100_000)
+    rule = _rule(kind, 5, False)
+    mask = _keep_mask(samples, rule)
+    assert min(mask.sum(), (~mask).sum()) > _BLOCK_VALUES // 4
+    result = bin_test(samples, rule, bin_width=1e6)
+    assert result.n_bins_tested == 1
+    assert vars(result) == vars(cond_indep_bin_test_naive(samples, rule, 1e6))
+
+
+def test_bottleneck_gap_holds_no_copy_of_the_images():
+    # x is 20 MiB; one class, so a whole-class copy would be all of x
+    cfg = GenConfig(n_classes=1, x_dim=64, text_noise_sd=0.25, class_sep=0.0, seed=31)
+    samples = generate(cfg, 40_000)
+    text_rule, image_rule = _rule("text_threshold", 64, False), _rule("image_ball", 64, False)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        bottleneck_gap(samples, text_rule, image_rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 8 * 2**20

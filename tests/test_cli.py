@@ -310,6 +310,7 @@ def test_simulate_subcommand(tmp_path):
     assert abs(report["acceptance_text"] - report["acceptance_image"]) < 0.02
     assert report["bin_test_image"]["reject"] is True
     assert report["bin_test_text"]["reject"] is False
+    assert report["bin_test_text"]["critical"] > 0
     csv_lines = (tmp_path / "sim" / "variances.csv").read_text().splitlines()
     assert csv_lines[0] == "dim,baseline,text_rule,image_rule"
     assert len(csv_lines) == 1 + 4
@@ -1080,8 +1081,9 @@ def test_simulate_with_a_tiny_bin_width_tests_no_bin(tmp_path, capsys, bin_width
     run_ok(["simulate", "--config", config_path, "--out", tmp_path / "sim"])
     assert capsys.readouterr().err == ""
     report = read_json(tmp_path / "sim" / "report.json")
-    assert report["bin_test_text"]["n_bins_tested"] == 0
-    assert report["bin_test_image"]["n_bins_tested"] == 0
+    for test in (report["bin_test_text"], report["bin_test_image"]):
+        assert test["n_bins_tested"] == 0
+        assert test["critical"] is None
 
 
 def test_variances_csv_holds_the_report_numbers(tmp_path):

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from test_cli import read_json, run_ok, run_pipeline
 
@@ -77,9 +78,16 @@ def moved(expected: dict, got: dict) -> list[str]:
     return found
 
 
-def test_stage_provenance_matches_the_golden_table(pipeline_fixture, tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(pipeline_fixture, tmp_path_factory) -> tuple[Path, dict[str, dict]]:
+    """The output root of one run of the golden stages, and their provenance."""
+    out_root = tmp_path_factory.mktemp("golden")
+    return out_root, stage_provenance(pipeline_fixture, out_root)
+
+
+def test_stage_provenance_matches_the_golden_table(golden_run):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
-    got = stage_provenance(pipeline_fixture, tmp_path)
+    got = golden_run[1]
     expected = table["stages"]
     faults = [f"{name}: {', '.join(moved(expected.get(name, {}), got.get(name, {})))}"
               for name in sorted(set(expected) | set(got))
@@ -87,6 +95,19 @@ def test_stage_provenance_matches_the_golden_table(pipeline_fixture, tmp_path):
     if faults and table["numpy"] != np.__version__:
         faults.append(f"(table made with numpy {table['numpy']}, run with {np.__version__})")
     assert not faults, "provenance moved:\n" + "\n".join(faults)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_output_is_strict_json(golden_run):
+    # json.loads takes NaN, Infinity and -Infinity by default; no other
+    # parser has to
+    paths = sorted(golden_run[0].rglob("*.json"))
+    assert any(path.parent.name == "simulate" for path in paths)
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
 def main() -> int:
