@@ -316,6 +316,11 @@ def _bin_test(
             max_stat=0.0, critical=math.inf, reject=False, n_bins_tested=0, n_comparisons=0
         )
     m = len(stats)
+    if 1.0 - alpha / (2.0 * m) == 1.0:  # inv_cdf is undefined at 1
+        raise ValidationError(
+            f"alpha {alpha} is too small for {m} comparisons: 1 - alpha / (2 * {m}) "
+            "rounds to 1, so the test has no critical value"
+        )
     critical = NormalDist().inv_cdf(1.0 - alpha / (2.0 * m))
     max_stat = max(stats)
     return BinIndependenceTest(

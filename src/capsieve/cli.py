@@ -491,10 +491,10 @@ def _diagnose_compare(stage, seed, boot, manifest_a, manifest_b, image_embedding
 
 def _diagnose_false_class(stage, text_embeddings, pairs, synset_embeddings, bin_edges):
     from . import diagnostics
-    from .corpus import load_embeddings
+    from .corpus import EmbeddingFile
 
     texts, intended = _labelled_rows(pairs, text_embeddings, "text")
-    synsets = load_embeddings(synset_embeddings)  # every synset is ranked, so all are kept
+    synsets = EmbeddingFile(synset_embeddings)  # scanned from disk; only intended rows are kept
     bins = diagnostics.binned_false_class_means(texts, intended, synsets, bin_edges)
     rows = ((b.lo, b.hi, b.count, b.mean) for b in bins)
     header = "lo,hi,count,mean_false_class_proportion"

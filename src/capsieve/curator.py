@@ -144,7 +144,9 @@ def score_candidates(
     synset_text_embeddings: EmbeddingMatrix,
 ) -> Candidates:
     """One candidate per distinct (instance, wnid) pair in `matches`, in
-    first-occurrence order, scored by `pair_cosine`.
+    first-occurrence order, scored by `pair_cosine`. Each instance's
+    matches must be one run, as `find_matches` gives them: a pair is new
+    unless its wnid came earlier in its run, so no object is made per match.
 
     The captions are read once, chunk by chunk, so an `EmbeddingFile` is
     scanned from disk and never held: the pairs are ordered by caption
@@ -164,10 +166,18 @@ def score_candidates(
     from .corpus import _check_step
     from .vectorops import pair_cosine
 
-    pairs = dict.fromkeys(zip(matches.ids, matches.wnids))
-    ids = [instance_id for instance_id, _ in pairs]
-    wnids = [wnid for _, wnid in pairs]
-    del pairs  # the columns hold the pairs from here on
+    ids: list[str] = []
+    wnids: list[str] = []
+    run_id, run_wnids = None, []  # the current caption run, and its wnids so far
+    for instance_id, wnid in zip(matches.ids, matches.wnids):
+        if instance_id != run_id:
+            run_id, run_wnids = instance_id, [wnid]
+        elif wnid in run_wnids:
+            continue
+        else:
+            run_wnids.append(wnid)
+        ids.append(instance_id)
+        wnids.append(wnid)
     caption_index, synset_index = caption_embeddings.index, synset_text_embeddings.index
     caption_rows = np.fromiter((caption_index.get(i, -1) for i in ids), np.intp, len(ids))
     synset_rows = np.fromiter((synset_index.get(w, -1) for w in wnids), np.intp, len(ids))

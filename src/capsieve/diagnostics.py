@@ -13,15 +13,21 @@ similarity, with uncertainty from a bootstrap that resamples *images*
 similarities within a class share images and are not independent, so a
 normal interval over pairs would be anticonservative. A replicate is the
 count of draws of each image, and its vector sum one `einsum` over those
-counts, which adds the images in index order like a sequential loop. Each
-class's random stream is keyed by its wnid, so its interval depends only on
-its own images, the seed and B. Classes with fewer than two images carry no
-pairwise information; they are skipped and logged, never silently dropped.
+counts, which adds the images in index order like a sequential loop. The
+replicates are drawn and scored a block at a time, each block's draws
+taken in turn from the class's stream, so no array grows with B: a block
+holds about 2**17 values (`vectorops._BLOCK_SCORES`), and its bits are
+those of one (B, n) draw. Each class's random stream is keyed by its wnid,
+so its interval depends only on its own images, the seed and B. Classes
+with fewer than two images carry no pairwise information; they are skipped
+and logged, never silently dropped.
 
 Also here: the proportion of wrong classes outscoring the intended one for
 a caption (strict inequality; exact score ties do not count against the
-intended class), nearest-text dataset mining, per-class cross-modal
-similarity, and Spearman rank correlation with average-rank ties.
+intended class), which keeps only the intended synset rows and scans a
+synset file from disk; nearest-text dataset mining; per-class cross-modal
+similarity, bootstrapped in blocks as above; and Spearman rank correlation
+with average-rank ties.
 """
 
 from __future__ import annotations
@@ -32,13 +38,20 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix
+from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix, load_embeddings
 from .curator import Candidates, DatasetManifest
 from .errors import ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
 from .seeding import stream
-from .vectorops import _row_norms, cosine_blocks, nearest_rows, pair_cosine, triangle_blocks
+from .vectorops import (
+    _block_step,
+    _row_norms,
+    cosine_blocks,
+    nearest_rows,
+    pair_cosine,
+    triangle_blocks,
+)
 
 log = logging.getLogger(__name__)
 
@@ -137,9 +150,9 @@ def _pair_means(units: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     n = units.shape[0]
     sums = np.einsum("bi,id->bd", counts, units)
-    norm_sq = np.einsum("ij,ij->i", units, units)
     total_sq = np.einsum("ij,ij->i", sums, sums)
-    self_sq = (counts * norm_sq).sum(axis=1)
+    del sums  # freed before the product with the counts is formed
+    self_sq = (counts * np.einsum("ij,ij->i", units, units)).sum(axis=1)
     return (total_sq - self_sq) / (n * (n - 1))
 
 
@@ -156,11 +169,50 @@ def _draw_counts(n_boot: int, n: int, rng) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n)
 
 
+def _replicate_blocks(n_boot: int, per_replicate: int) -> Iterator[slice]:
+    """Consecutive slices that cover replicates 0 .. n_boot - 1, each of
+    about `_BLOCK_SCORES` values at `per_replicate` values per replicate.
+    No slice holds a lone replicate unless n_boot is 1: a lone row's
+    |sum u|^2 is added up in einsum's buffer pieces past 8192 values, so
+    its bits could differ from the same row's in a batch."""
+    step = max(2, _block_step(per_replicate))
+    start = 0
+    while start < n_boot:
+        stop = min(start + step, n_boot)
+        if n_boot - stop == 1:  # a lone last replicate joins this block
+            stop = n_boot
+        yield slice(start, stop)
+        start = stop
+
+
 def _bootstrap_pair_means(units: np.ndarray, n_boot: int, rng) -> np.ndarray:
-    """`_pair_means` of `n_boot` resamples of the images. A count is at
-    most n, so it is exact in the units' float dtype; the draws themselves
-    are freed before the sums are formed."""
-    return _pair_means(units, _draw_counts(n_boot, units.shape[0], rng).astype(units.dtype))
+    """`_pair_means` of `n_boot` resamples of the images, drawn and scored
+    a block of replicates at a time, each block's draws taken in turn from
+    `rng`: consecutive draws from a numpy Generator equal one draw of them
+    all, and a replicate's mean does not depend on the others in its
+    block, so the blocks give the bits of one (n_boot, n) draw. A block
+    holds at most two (k, n) arrays, or one and its (k, d) sums. A count
+    is at most n, so it is exact in the units' float dtype; the draws are
+    freed before the sums are formed."""
+    n, d = units.shape
+    means = np.empty(n_boot, dtype=units.dtype)
+    for block in _replicate_blocks(n_boot, 2 * n + d):
+        # one expression, so a block's counts are freed before the next is drawn
+        means[block] = _pair_means(
+            units, _draw_counts(block.stop - block.start, n, rng).astype(units.dtype)
+        )
+    return means
+
+
+def _bootstrap_means(values: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The means of `n_boot` resamples of `values`, drawn a block of
+    replicates at a time as `_bootstrap_pair_means` draws them: a block
+    holds its (k, n) draws and the values they pick."""
+    n = len(values)
+    means = np.empty(n_boot)
+    for block in _replicate_blocks(n_boot, 2 * n):
+        means[block] = values[rng.integers(0, n, size=(block.stop - block.start, n))].mean(axis=1)
+    return means
 
 
 def mean_pair_similarity(images: ClassImages) -> float:
@@ -291,22 +343,35 @@ def _labelled(rows, wnids: list[str], what: str) -> np.ndarray:
 
 
 def _own_score_and_false_class(
-    texts: np.ndarray, intended: list[str], synsets: EmbeddingMatrix
+    texts: np.ndarray, intended: list[str], synsets: EmbeddingMatrix | EmbeddingFile
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per text, arrays of its similarity to its intended synset and of its
     false-class proportion: the fraction of the other synsets that score
     strictly higher (exact ties do not count against the intended one).
-    The higher scores are counted tile by tile of `cosine_blocks`; a query
-    block's own scores come from `pair_cosine` at its first tile."""
+
+    Of an `EmbeddingFile`, only the intended rows are kept; every row is
+    checked as they are read. Every text is checked against the synsets,
+    then the own scores come from `pair_cosine`, a block of texts at a
+    time, and last the higher scores are counted tile by tile of
+    `cosine_blocks`, which scans a file from disk. So the call holds the
+    intended rows and one block, never the whole file.
+    """
+    kept = synsets if isinstance(synsets, EmbeddingMatrix) else load_embeddings(
+        synsets.path, keep=intended
+    )
     if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
-    cols = synsets.positions(intended, "synset text")
+    cols = kept.positions(intended, "synset text")
+    tiles = cosine_blocks(texts, synsets)
     own = np.empty(len(intended))
+    step = _block_step(kept.dim)
+    for start in range(0, len(intended), step):
+        block = slice(start, start + step)
+        own[block] = pair_cosine(texts[block], kept.rows[cols[block]])
+    del kept, cols
     higher = np.zeros(len(intended), dtype=np.intp)
-    for start, lo, scores in cosine_blocks(texts, synsets):
+    for start, _, scores in tiles:
         block = slice(start, start + len(scores))
-        if lo == 0:
-            own[block] = pair_cosine(texts[block], synsets.rows[cols[block]])
         higher[block] += np.count_nonzero(scores > own[block, np.newaxis], axis=1)
     return own, higher / (synsets.count - 1)
 
@@ -314,13 +379,14 @@ def _own_score_and_false_class(
 def binned_false_class_means(
     texts,
     intended: list[str],
-    synset_text_embeddings: EmbeddingMatrix,
+    synset_text_embeddings: EmbeddingMatrix | EmbeddingFile,
     bin_edges: list[float],
 ) -> list[SimilarityBinMean]:
     """Average false-class proportion per bin of text-to-intended-synset
     similarity. Bins are half-open [e_i, e_{i+1}): a text scoring below the
     first edge, or at or above the last, is in no bin. Empty bins are
-    reported with count 0 and no mean."""
+    reported with count 0 and no mean. An `EmbeddingFile` of synsets is
+    scanned from disk, with only the intended rows kept."""
     for a, b in zip(bin_edges, bin_edges[1:]):
         if not b > a:
             raise ValidationError(f"bin edges not strictly increasing at {a} -> {b}")
@@ -401,7 +467,8 @@ def cross_modal_class_stats(
     `intra_class_sims` yields them, with a 95% bootstrap interval over
     images. Low means suggest the class's object is absent or hard to
     recognize in its images. Each class resamples from a stream keyed by
-    the seed and its wnid."""
+    the seed and its wnid, a block of replicates at a time, as
+    `per_class_mean_diff_ci` does."""
     out = []
     for images in classes:
         if images.rows.shape[1] != synset_text_embeddings.dim:
@@ -412,9 +479,8 @@ def cross_modal_class_stats(
         (synset_row,) = synset_text_embeddings.positions([images.wnid], "synset text")
         values = pair_cosine(images.rows, synset_text_embeddings.rows[synset_row])
         value = float(values.mean())
-        n = images.n_images
-        idx = stream(seed, _stream_key(images.wnid)).integers(0, n, size=(n_boot, n))
-        out.append(_percentile_stat(images.wnid, value, values[idx].mean(axis=1), n))
+        means = _bootstrap_means(values, n_boot, stream(seed, _stream_key(images.wnid)))
+        out.append(_percentile_stat(images.wnid, value, means, images.n_images))
     return out
 
 

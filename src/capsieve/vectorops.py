@@ -118,24 +118,33 @@ def _query_block(queries, start: int, step: int, dim: int) -> np.ndarray:
 
 def cosine_blocks(queries, matrix: EmbeddingMatrix | EmbeddingFile
                   ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, lo, scores) tiles, row chunk by row chunk and, within
-    a chunk, query block by query block: scores[q, i] is the cosine of
-    query start + q with matrix row lo + i, bitwise equal to
+    """An iterator of (start, lo, scores) tiles, row chunk by row chunk
+    and, within a chunk, query block by query block: scores[q, i] is the
+    cosine of query start + q with matrix row lo + i, bitwise equal to
     cosine(queries[start + q], matrix.rows[lo + i]). Every query is checked
-    before the first row chunk is read, and each row chunk is read once,
-    from `matrix.chunks`, so an `EmbeddingFile` is read from disk once
-    whatever the number of queries. The call holds one float64 row chunk,
-    one query block and one tile, never a float64 copy of the matrix.
+    by the call itself, before the first row chunk is read, so a caller may
+    do other work between the checks and the scan. Each row chunk is read
+    once, from `matrix.chunks`, so an `EmbeddingFile` is read from disk
+    once whatever the number of queries. The scan holds one float64 row
+    chunk, one query block and one tile, never a float64 copy of the matrix.
 
-    Raises ValidationError when a query's dimension differs from the
-    matrix's or a query is all zero.
+    Raises ValidationError, when called, if a query's dimension differs
+    from the matrix's or a query is all zero.
     """
     width = min(_block_step(matrix.dim), max(matrix.count, 1))
     step = _block_step(max(width, matrix.dim))
-    starts = range(0, len(queries), step)
-    query_norms = [_row_norms(_query_block(queries, start, step, matrix.dim)) for start in starts]
+    query_norms = [_row_norms(_query_block(queries, start, step, matrix.dim))
+                   for start in range(0, len(queries), step)]
     if not all(qn.all() for qn in query_norms):
         raise ValidationError("cosine undefined for all-zero query")
+    return _tiles(queries, matrix, width, step, query_norms)
+
+
+def _tiles(queries, matrix, width: int, step: int, query_norms: list[np.ndarray]
+           ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The tiles of `cosine_blocks`, whose queries are checked and whose
+    query blocks of `step` have the norms `query_norms`."""
+    starts = range(0, len(queries), step)
     for lo, rows in matrix.chunks(width):
         rows = _f64(rows)  # freed when the loop takes the next chunk, before that is converted
         norms = _row_norms(rows)

@@ -147,6 +147,13 @@ def bootstrap_pair_means_counts(units: np.ndarray, n_boot: int, rng) -> np.ndarr
     return (total_sq - self_sq) / (n * (n - 1))
 
 
+def bootstrap_means_whole(values: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The means of `n_boot` resamples of `values` from one (n_boot, n)
+    draw, gathered and averaged at once."""
+    n = len(values)
+    return values[rng.integers(0, n, size=(n_boot, n))].mean(axis=1)
+
+
 def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[str, list]]:
     """What `read_jsonl` returns, read the simple way: one `json.loads` per
     line, and every check of a line made before the next line is read, so

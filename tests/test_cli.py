@@ -1086,6 +1086,21 @@ def test_simulate_with_a_tiny_bin_width_tests_no_bin(tmp_path, capsys, bin_width
         assert test["critical"] is None
 
 
+def test_simulate_with_an_alpha_too_small_for_its_comparisons_is_a_data_error(tmp_path, capsys):
+    # 1 - alpha / (2m) rounds to 1, where the normal quantile is undefined
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, "alpha": 1e-300}), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(
+        r"capsieve: data error: alpha 1e-300 is too small for \d+ comparisons: "
+        r"1 - alpha / \(2 \* \d+\) rounds to 1, so the test has no critical value\n",
+        err,
+    ), err
+    assert list((tmp_path / "sim").iterdir()) == []
+
+
 def test_variances_csv_holds_the_report_numbers(tmp_path):
     config_path = tmp_path / "sim.json"
     config_path.write_text(json.dumps({**SIM_CONFIG, "n": 2000}), encoding="utf-8")
@@ -1362,6 +1377,88 @@ def test_false_class_reads_the_pairs_before_the_text_embeddings(tmp_path, capsys
     assert run([str(a) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"capsieve: data error: {tmp_path / 'pairs.jsonl'}: line 1: invalid JSON")
+
+
+# The faults `false-class` may meet past its pairs file, by name: (which
+# file, the edit of its good rows, the error, with {path} for that file's
+# path). The pairs intend n00000001 (texts a and b) and n00000002 (text c);
+# the synset file also holds n00000003, which no pair intends. An edit's
+# rows are set before `keep` picks the rows that stay.
+FALSE_CLASS_FAULTS = {
+    "text zero": ("texts", {"rows": {0: 0.0}}, "{path}: all-zero vector for id 'a'"),
+    "synset nan": ("synsets", {"rows": {(2, 1): np.nan}},
+                   "{path}: non-finite values in row for id 'n00000003'"),
+    "synset zero": ("synsets", {"rows": {2: 0.0}}, "{path}: all-zero vector for id 'n00000003'"),
+    "one synset": ("synsets", {"keep": [2]}, "need at least 2 synsets to rank the intended one"),
+    "missing synset": ("synsets", {"keep": [0, 2]},
+                       "missing synset text embedding for id 'n00000002'"),
+    "synset dim": ("synsets", {"dim": 3}, "dimension mismatch: query 2 vs matrix 3"),
+}
+
+
+def false_class_run(tmp_path, capsys, faults) -> tuple[int, str]:
+    """The exit code and stderr of `false-class` on good inputs, with each
+    of `faults` (names of FALSE_CLASS_FAULTS) made in its file."""
+    write_jsonl(tmp_path / "pairs.jsonl", [{"id": "a", "wnid": "n00000001"},
+                                           {"id": "b", "wnid": "n00000001"},
+                                           {"id": "c", "wnid": "n00000002"}])
+    edits = [FALSE_CLASS_FAULTS[name][1] for name in faults]
+    dim = next((edit["dim"] for edit in edits if "dim" in edit), 2)
+    files = {"texts": (np.arange(1.0, 7.0).reshape(3, 2), ["a", "b", "c"]),
+             "synsets": (np.arange(1.0, 1.0 + 3 * dim).reshape(3, dim),
+                         ["n00000001", "n00000002", "n00000003"])}
+    for name in faults:
+        which, edit, _ = FALSE_CLASS_FAULTS[name]
+        rows, ids = files[which]
+        for at, value in edit.get("rows", {}).items():
+            rows[at] = value
+        if "keep" in edit:
+            files[which] = rows[edit["keep"]], [ids[k] for k in edit["keep"]]
+    for which, (rows, ids) in files.items():
+        (tmp_path / f"{which}.emb").write_bytes(embedding_bytes(rows, ids))
+    argv = ["diagnose", "false-class", "--text-embeddings", tmp_path / "texts.emb",
+            "--pairs", tmp_path / "pairs.jsonl", "--synset-embeddings", tmp_path / "synsets.emb",
+            "--bin-edges=-1,0,1", "--out", tmp_path / "out"]
+    code = run([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def false_class_message(tmp_path, name) -> str:
+    which, _, message = FALSE_CLASS_FAULTS[name]
+    return f"capsieve: data error: {message.format(path=tmp_path / f'{which}.emb')}\n"
+
+
+def test_false_class_runs_on_the_good_fault_inputs(tmp_path, capsys):
+    assert false_class_run(tmp_path, capsys, []) == (0, "")
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_CLASS_FAULTS))
+def test_false_class_reports_a_single_fault(tmp_path, capsys, name):
+    assert false_class_run(tmp_path, capsys, [name]) == (3, false_class_message(tmp_path, name))
+    assert files_under(tmp_path / "out") == []
+
+
+# Each pair is (the fault reported, a fault reported after it). The text
+# file comes first; then every row of the synset file is checked, intended
+# or not; then the synset count, the intended rows and last the texts'
+# dimension against the synsets'.
+FALSE_CLASS_FAULT_ORDER = [
+    ("text zero", "synset nan"),
+    ("text zero", "one synset"),
+    ("synset nan", "one synset"),
+    ("synset zero", "one synset"),
+    ("synset nan", "missing synset"),
+    ("synset zero", "missing synset"),
+    ("synset nan", "synset dim"),
+    ("one synset", "synset dim"),
+    ("missing synset", "synset dim"),
+]
+
+
+@pytest.mark.parametrize("first, later", FALSE_CLASS_FAULT_ORDER)
+def test_false_class_reports_its_faults_in_order(tmp_path, capsys, first, later):
+    assert false_class_run(tmp_path, capsys, [first, later]) == (
+        3, false_class_message(tmp_path, first))
 
 
 def test_nearest_text_checks_the_queries_before_the_corpus_rows(tmp_path, capsys):

@@ -74,9 +74,9 @@ def test_score_candidates_matches_cosine_oracle(rng):
     wnids = [f"n{j:08d}" for j in range(1, 5)]
     captions = random_matrix(rng, ids, 6)
     synsets = random_matrix(rng, wnids, 6)
-    matches = make_matches(
-        match(ids[int(rng.integers(0, 8))], wnids[int(rng.integers(0, 4))]) for _ in range(30)
-    )
+    drawn = [(ids[int(rng.integers(0, 8))], wnids[int(rng.integers(0, 4))]) for _ in range(30)]
+    # each caption's matches one run, as `find_matches` gives them
+    matches = make_matches(match(i, w) for i, w in sorted(drawn, key=lambda pair: pair[0]))
     for instance_id, wnid, score in candidate_rows(score_candidates(matches, captions, synsets)):
         expected = cosine(
             captions.rows[captions.index[instance_id]], synsets.rows[synsets.index[wnid]]
@@ -85,14 +85,17 @@ def test_score_candidates_matches_cosine_oracle(rng):
 
 
 def test_score_candidates_across_pair_blocks(rng):
-    # 700 distinct pairs span 22 blocks of 32 at d = 512; repeats keep first order
+    # 700 distinct pairs span 22 blocks of 32 at d = 512. Each caption's
+    # matches are one run, as `find_matches` gives them, and the runs are out
+    # of caption row order; repeats within a run keep first order
     ids = [f"i{j}" for j in range(70)]
     wnids = [f"n{j:08d}" for j in range(1, 11)]
     captions = random_matrix(rng, ids, 512)
     synsets = random_matrix(rng, wnids, 512)
-    pairs = [(i, w) for i in ids for w in wnids]
-    order = [pairs[int(j)] for j in rng.permutation(len(pairs))]
-    matches = [match(i, w) for i, w in order + order[::3]]
+    runs = [[(ids[int(i)], wnids[int(w)]) for w in rng.permutation(10)]
+            for i in rng.permutation(70)]
+    order = [pair for run in runs for pair in run]
+    matches = [match(i, w) for run in runs for i, w in run + run[::3]]
     out = score_candidates(make_matches(matches), captions, synsets)
     assert list(zip(out.ids, out.wnids)) == order
     for instance_id, wnid, score in candidate_rows(out):
@@ -127,7 +130,8 @@ WIDE = 2**16 + 1
 @given(dim=st.sampled_from([WIDE, 8]), count=st.integers(7, 12), data=st.data())
 def test_scoring_from_the_file_equals_scoring_the_loaded_rows(tmp_path, dim, count, data):
     # file rows shuffled against match order, pairs over at least 3 chunks,
-    # several wnids per caption and one chunk that holds exactly one pair
+    # several wnids per caption and one chunk that holds exactly one pair;
+    # each caption's matches are one run, as `find_matches` gives them
     rng = np.random.default_rng(count)
     ids = [f"i{row}" for row in rng.permutation(count)]
     wnids = [f"n{j:08d}" for j in range(1, 5)]
@@ -138,16 +142,16 @@ def test_scoring_from_the_file_equals_scoring_the_loaded_rows(tmp_path, dim, cou
                                 min_size=count, max_size=count))
     lone = 3 * data.draw(st.integers(0, count // 3 - 1))  # the first row of a one-pair chunk
     labels[lone : lone + 3] = [[wnids[0]], [], []]
-    pairs = [(ids[row], wnid) for row, row_wnids in enumerate(labels) for wnid in row_wnids]
-    order = data.draw(st.permutations(range(len(pairs))))
-    matches = [match(*pairs[k]) for k in order + order[: len(order) // 2]]
+    runs = [[(ids[row], wnid) for wnid in labels[row]]
+            for row in data.draw(st.permutations(range(count)))]
+    matches = [match(*pair) for run in runs for pair in run + run[: len(run) // 2]]
     with mock.patch("capsieve.corpus._CHECK_VALUES", 3 * dim):  # the default at WIDE
         streamed = score_candidates(make_matches(matches), EmbeddingFile(path), synsets)
         loaded = load_embeddings(path)
         in_memory = score_candidates(make_matches(matches), loaded, synsets)
     assert (streamed.ids, streamed.wnids) == (in_memory.ids, in_memory.wnids)
     assert np.array(streamed.scores).tobytes() == np.array(in_memory.scores).tobytes()
-    assert list(zip(streamed.ids, streamed.wnids)) == list(dict.fromkeys(pairs[k] for k in order))
+    assert list(zip(streamed.ids, streamed.wnids)) == list(dict.fromkeys(sum(runs, [])))
     for instance_id, wnid, score in candidate_rows(streamed):
         caption, synset = loaded.rows[loaded.index[instance_id]], synsets.rows[synsets.index[wnid]]
         assert score == cosine(caption, synset)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capsieve import diagnostics, vectorops
-from capsieve.corpus import EmbeddingMatrix
+from capsieve.corpus import EmbeddingFile, EmbeddingMatrix, write_embeddings
 from capsieve.curator import DatasetManifest
 from capsieve.diagnostics import (
     ClassImages,
@@ -29,6 +29,7 @@ from capsieve.vectorops import cosine
 
 from conftest import candidate_rows, make_candidates, random_matrix, unit
 from oracles import (
+    bootstrap_means_whole,
     bootstrap_pair_means_counts,
     bootstrap_pair_means_gather,
     false_class_exhaustive,
@@ -389,20 +390,121 @@ def test_one_replicate_alone_equals_it_in_the_batch(rng):
         assert np.array_equal(batch, alone)
 
 
+@pytest.mark.parametrize("n_boot", [1, 5, 1000])
+@pytest.mark.parametrize("k", [1, 3, 7, 64])
+@pytest.mark.parametrize("high, width", [(5, 5), (1300, 1300), (2**32 - 1, 9), (2**32, 9),
+                                         (2**32 + 7, 9), (2**40, 3)])
+def test_consecutive_draws_equal_one_draw(n_boot, k, high, width):
+    # the property the blocked bootstraps rest on: a Generator's draws, taken
+    # k replicates at a time, are the rows of one (n_boot, width) draw, with
+    # 32-bit draws below 2**32 (odd blocks split a 64-bit output) and 64-bit
+    # ones past it
+    whole = stream(3, 9).integers(0, high, size=(n_boot, width))
+    rng = stream(3, 9)
+    blocks = [rng.integers(0, high, size=(min(k, n_boot - s), width))
+              for s in range(0, n_boot, k)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("n_boot", [1, 2, 3, 4, 5, 6, 7, 10, 11, 1000])
+@pytest.mark.parametrize("step", [2, 3, 5])
+def test_replicate_blocks_cover_the_replicates_with_no_lone_one(monkeypatch, n_boot, step):
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", step * 10)
+    blocks = list(diagnostics._replicate_blocks(n_boot, 10))
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n_boot
+    assert all(step <= b.stop - b.start <= step + 1 for b in blocks[:-1])
+    assert all(b.stop - b.start >= 2 for b in blocks) or n_boot == 1
+
+
+@pytest.mark.parametrize(
+    "n, d, n_boot, block_values",
+    [(5, 3, 300, 40), (24, 512, 301, 2000), (13, 700, 100, 3000), (4, 9000, 7, 1),
+     (4, 9000, 1, 1), (3, 20000, 5, 50000)],
+)
+def test_blocked_bootstrap_equals_one_draw_bitwise(rng, monkeypatch, n, d, n_boot,
+                                                   block_values):
+    # many blocks and a ragged tail; past d = 8192 the blocks are of 2 or 3
+    # replicates, since a lone one's |sum u|^2 would be added up in pieces
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block_values)
+    units = unit_rows(rng.standard_normal((n, d)))
+    blocked = diagnostics._bootstrap_pair_means(units, n_boot, stream(4))
+    assert np.array_equal(blocked, bootstrap_pair_means_counts(units, n_boot, stream(4)))
+
+
+@pytest.mark.parametrize("n, n_boot, block_values", [(2, 1, 4), (7, 300, 30), (1300, 101, 5000)])
+def test_blocked_cross_modal_resample_equals_one_draw_bitwise(rng, monkeypatch, n, n_boot,
+                                                              block_values):
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block_values)
+    values = rng.uniform(-1.0, 1.0, size=n)
+    blocked = diagnostics._bootstrap_means(values, n_boot, stream(6))
+    assert np.array_equal(blocked, bootstrap_means_whole(values, n_boot, stream(6)))
+
+
+def test_cross_modal_interval_does_not_depend_on_the_block_size(rng, monkeypatch):
+    n = 40
+    ids = [f"i{j:02d}" for j in range(n)]
+    images = random_matrix(rng, ids, 6)
+    synsets = random_matrix(rng, ["n00000001"], 6)
+    manifest = manifest_of([(i, "n00000001") for i in ids])
+    stats = []
+    for block_values in (2**17, 240):  # one block, then 333 blocks, the last of 4 replicates
+        monkeypatch.setattr(vectorops, "_BLOCK_SCORES", block_values)
+        stats.append(cross_modal_class_stats(intra_class_sims(manifest, images), synsets,
+                                             n_boot=1000, seed=3))
+    values = vectorops.pair_cosine(images.rows, synsets.rows[0])
+    replicates = bootstrap_means_whole(values, 1000, stream(3, 1))
+    assert stats[0] == stats[1] == [
+        diagnostics._percentile_stat("n00000001", float(values.mean()), replicates, n)
+    ]
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_mean_diff_ci_memory_is_bounded(rng):
-    # the gather form would hold a 1000 x 200 x 512 float64 array: 781 MiB
+    # the gather form would hold a 1000 x 200 x 512 float64 array: 781 MiB;
+    # whole (1000, 200) draws and counts and (1000, 512) sums peak at 8.6 MiB
     n, d = 200, 512
     sets = [
         ClassImages(wnid="n00000001", rows=rng.standard_normal((n, d)).astype(np.float32))
         for _ in range(2)
     ]
-    tracemalloc.start()
-    try:
-        per_class_mean_diff_ci(sets[:1], sets[1:], n_boot=1000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    peak = traced_peak(lambda: per_class_mean_diff_ci(sets[:1], sets[1:], n_boot=1000, seed=0))
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_bootstrap_peak_does_not_grow_with_the_replicates(rng):
+    n, d = 200, 512
+    rows = rng.standard_normal((n, d)).astype(np.float32)
+    sets = [ClassImages(wnid="n00000001", rows=r) for r in (rows, rows[::-1])]
+    ids = [f"i{j:03d}" for j in range(n)]
+    manifest, images = manifest_of([(i, "n00000001") for i in ids]), embeddings(ids, rows)
+    synsets = random_matrix(rng, ["n00000001"], d)
+    runs = {
+        "compare": lambda b: per_class_mean_diff_ci(sets[:1], sets[1:], n_boot=b, seed=0),
+        "cross-modal": lambda b: cross_modal_class_stats(
+            intra_class_sims(manifest, images), synsets, n_boot=b, seed=0),
+    }
+    for name, run in runs.items():
+        run(10)  # any first-call allocations are made before the peaks are taken
+        few, many = traced_peak(lambda: run(1000)), traced_peak(lambda: run(4000))
+        assert many - few < 2**20, (
+            f"{name}: {few / 2**20:.2f} MiB at B = 1000, {many / 2**20:.2f} at 4000")
+
+
+def test_paper_scale_bootstrap_holds_under_one_mib(rng):
+    # a 1300-image class at d = 512 and B = 1000: the whole-array form peaked
+    # at 23.8 MiB
+    units = unit_rows(rng.standard_normal((1300, 512)))
+    peak = traced_peak(lambda: diagnostics._bootstrap_pair_means(units, 1000, stream(0)))
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_mean_diff_ci_memory_does_not_grow_with_classes(rng):
@@ -577,6 +679,32 @@ def test_false_class_blocks_agree_with_one_text_at_a_time(rng, monkeypatch):
         assert own == cosine(text, synsets.rows[synsets.index[wnid]])
         assert prop == false_class_exhaustive(text, wnid, synsets)
     assert len(scored) == 23
+
+
+def test_false_class_from_a_file_equals_false_class_from_its_rows(tmp_path, rng, monkeypatch):
+    # 23 texts in query blocks of 4, against 9 synset rows read in chunks of 4
+    ids = [f"n{j:08d}" for j in range(1, 10)]
+    synsets = embeddings(ids, rng.standard_normal((9, 5)))
+    write_embeddings(synsets, tmp_path / "synsets.emb")
+    texts = rng.standard_normal((23, 5))
+    intended = [ids[int(j)] for j in rng.integers(0, 3, size=23)]  # 3 of the 9 are intended
+    monkeypatch.setattr(vectorops, "_BLOCK_SCORES", 4 * 5)
+    from_file = diagnostics._own_score_and_false_class(
+        texts, intended, EmbeddingFile(tmp_path / "synsets.emb"))
+    from_rows = diagnostics._own_score_and_false_class(texts, intended, synsets)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(from_file, from_rows))
+
+
+def test_false_class_holds_the_intended_rows_not_the_synset_file(tmp_path, rng):
+    # 4000 synsets at d = 1024: a 15.6 MiB payload, of which 50 texts intend 5 rows
+    ids = [f"n{j:08d}" for j in range(1, 4001)]
+    rows = rng.standard_normal((4000, 1024)).astype(np.float32)
+    write_embeddings(embeddings(ids, rows), tmp_path / "synsets.emb")
+    texts = rng.standard_normal((50, 1024))
+    intended = [ids[int(j)] for j in rng.integers(0, 5, size=50)]
+    peak = traced_peak(lambda: binned_false_class_means(
+        texts, intended, EmbeddingFile(tmp_path / "synsets.emb"), [-1.0, 0.0, 1.0]))
+    assert peak < rows.nbytes / 2, f"peak {peak / 2**20:.2f} MiB"
 
 
 # -- nearest_text_dataset ---------------------------------------------------------

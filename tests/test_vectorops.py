@@ -303,13 +303,14 @@ def test_pair_kernel_scores_one_vector_as_its_broadcast_copy(rng, n, d):
 
 
 def test_kernel_errors(rng):
+    # `cosine_blocks` checks its queries when called, before any tile is taken
     m = matrix(scaled_rows(rng, 3, 4), ["a", "b", "c"])
     with pytest.raises(ValidationError, match="mismatch"):
-        list(cosine_blocks(np.ones((2, 5)), m))
+        cosine_blocks(np.ones((2, 5)), m)
     with pytest.raises(ValidationError, match="mismatch"):
-        list(cosine_blocks([np.ones(4), np.ones(3)], m))
+        cosine_blocks([np.ones(4), np.ones(3)], m)
     with pytest.raises(ValidationError, match="zero"):
-        list(cosine_blocks(np.zeros((1, 4)), m))
+        cosine_blocks(np.zeros((1, 4)), m)
     with pytest.raises(ValidationError, match="mismatch"):
         pair_cosine(np.ones((2, 4)), np.ones((2, 3)))
     with pytest.raises(ValidationError, match="zero"):
