@@ -48,18 +48,17 @@ id and reports the first id that has none ("missing {role} embedding for
 id {id!r}"). An embedding file's duplicate id, non-finite row or all-zero
 row is reported with the file's path.
 
-An embedding file is read one way: its header is checked and its id
-trailer read whole and indexed (every duplicate id must be found), then
-its payload is read in bounded row chunks, each checked as it arrives.
-`EmbeddingFile` scans a file so, holding one chunk at a time, as
-`diagnose nearest-text` scans its corpus and `match` its captions;
-`load_embeddings(path, keep)` keeps only the rows of the ids a stage
-uses, found through the file's index. Each row is checked once and each
-id indexed once. A non-finite row anywhere in the file is reported before
-an all-zero row, whichever rows are kept.
+An embedding file is read by one reader, `EmbeddingFile`: on opening,
+its header is checked and its id trailer read whole and indexed (every
+duplicate id must be found); its payload is then read in bounded row
+chunks, each checked as it arrives. `chunks` scans them through one
+reused buffer, as `nearest-text` scans its corpus and `match` its
+captions; `load(keep)`, which `load_embeddings(path, keep)` calls, keeps
+only the rows of the ids a stage uses. Each row is checked once and each
+id indexed once. A non-finite row anywhere in the file is reported
+before an all-zero row, whichever rows are kept.
 
-Only the embedding code uses numpy: `EmbeddingMatrix`, `EmbeddingFile`,
-`load_embeddings` and `write_embeddings` import it when they run, so the
+Only the embedding code uses numpy, importing it when it runs, so the
 JSONL readers, and the `sweep`, `assemble` and `eval` stages built on
 them, never load it.
 """
@@ -502,7 +501,8 @@ class EmbeddingMatrix(_IdRows):
                 path=self.path,
             )
         self.index = index_keys(self.ids, "embedding id", path=self.path)
-        self._check_values()
+        for _ in _checked(self.chunks(_check_step(self.dim)), self.ids, self.path):
+            pass
 
     @property
     def dim(self) -> int:
@@ -521,10 +521,6 @@ class EmbeddingMatrix(_IdRows):
         matrix = object.__new__(cls)
         matrix.rows, matrix.ids, matrix.index, matrix.path = rows, ids, index, path
         return matrix
-
-    def _check_values(self) -> None:
-        for _ in _checked(self.chunks(_check_step(self.dim)), self.ids, self.path):
-            pass
 
     def chunks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, rows lo .. lo + `rows` - 1) for consecutive chunks of the
@@ -571,16 +567,18 @@ def _read_layout(fh, path) -> tuple[int, list[str]]:
     return dim, ids
 
 
-def _read_rows(fh, path, count: int, dim: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
+def _read_rows(fh, path, count: int, dim: int, step: int, out: np.ndarray | None = None
+               ) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, rows lo .. lo + `step` - 1) of the payload at `fh`'s position,
-    unchecked, each read with `readinto` into one reused buffer that holds
-    it until the next chunk is read."""
+    unchecked, each read with `readinto`: into those rows of `out`, a
+    (count, dim) float32 array, or, without `out`, into one reused buffer
+    that holds it until the next chunk is read."""
     import numpy as np
 
-    buffer = np.empty((min(step, count), dim), dtype=_F32LE)
+    buffer = np.empty((min(step, count), dim), dtype=_F32LE) if out is None else None
     got = 0
     for lo in range(0, count, step):
-        chunk = buffer[: count - lo]
+        chunk = buffer[: count - lo] if out is None else out[lo : lo + step]
         got += fh.readinto(memoryview(chunk.reshape(-1)).cast("B"))
         if got != (lo + len(chunk)) * dim * 4:
             raise _truncated(count, dim, got, path)
@@ -588,13 +586,14 @@ def _read_rows(fh, path, count: int, dim: int, step: int) -> Iterator[tuple[int,
 
 
 class EmbeddingFile(_IdRows):
-    """An embedding file read one bounded chunk of rows at a time.
+    """The one reader that turns an embedding file into rows.
 
     On construction its header and id trailer are read and checked, and its
     ids indexed, so a header or trailer fault or a duplicate id is raised
-    then, naming the file. `chunks` reads the rows; nothing else holds
-    them. It has the `path`, `dim`, `count`, `ids`, `index`, `positions`
-    and `chunks` of an `EmbeddingMatrix`, which is all
+    then, naming the file. `chunks` scans the rows and `load` copies out
+    those a stage keeps, both a checked chunk at a time, never re-reading
+    the header or the trailer. It has the `path`, `dim`, `count`, `ids`,
+    `index`, `positions` and `chunks` of an `EmbeddingMatrix`, which is all
     `vectorops.cosine_blocks`, `nearest_rows` and
     `curator.score_candidates` read, so it can be scanned in a matrix's
     place.
@@ -622,49 +621,46 @@ class EmbeddingFile(_IdRows):
             yield from _checked(_read_rows(fh, self.path, self.count, self.dim, rows),
                                 self.ids, self.path)
 
+    def load(self, keep=None) -> EmbeddingMatrix:
+        """The file's rows as an `EmbeddingMatrix`, every value checked;
+        faults raise naming the file.
+
+        With `keep`, a collection of ids, only the rows whose id is in
+        `keep` are kept, in file order, copied out of `chunks`; an id the
+        file lacks is passed over. Without `keep`, or when it names every
+        id, each chunk of about _CHECK_VALUES values is read straight into
+        its own rows of the returned array, so a whole load costs one copy
+        of the payload, plus the file's ids and their index.
+        """
+        import numpy as np
+
+        step = _check_step(self.dim)
+        wanted = None  # the rows to keep, in file order; None for every row
+        if keep is not None:
+            kept = np.zeros(self.count + 1, dtype=bool)  # kept[-1]: ids the file lacks
+            kept[np.fromiter((self.index.get(rid, -1) for rid in keep), np.intp, len(keep))] = True
+            if not kept[:-1].all():
+                wanted = np.flatnonzero(kept[:-1])
+        if wanted is None:
+            rows = np.empty((self.count, self.dim), dtype=_F32LE)
+            with self.path.open("rb") as fh:
+                fh.seek(_HEADER_SIZE)
+                for _ in _checked(_read_rows(fh, self.path, self.count, self.dim, step, rows),
+                                  self.ids, self.path):
+                    pass
+            return EmbeddingMatrix._prechecked(rows, self.ids, self.index, self.path)
+        rows = np.empty((len(wanted), self.dim), dtype=_F32LE)
+        for lo, chunk in self.chunks(step):
+            first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
+            np.take(chunk, wanted[first:end] - lo, axis=0, out=rows[first:end])
+        ids = [self.ids[row] for row in wanted.tolist()]
+        index = {rid: pos for pos, rid in enumerate(ids)}  # distinct: a subset of the file's ids
+        return EmbeddingMatrix._prechecked(rows, ids, index, self.path)
+
 
 def load_embeddings(path, keep=None) -> EmbeddingMatrix:
-    """The rows of an embedding file, with its header arithmetic, its id
-    trailer (read whole, so that every duplicate id is found) and every
-    value checked; faults raise naming the file.
-
-    With `keep`, a collection of ids, only the rows whose id is in `keep`
-    are kept, in file order; an id the file lacks is passed over. The kept
-    rows are found through the `EmbeddingFile` index and read through its
-    `chunks`, about _CHECK_VALUES values at a time, which check every row,
-    kept or not. Without `keep`, or when it holds every id, the payload is
-    read straight into the returned rows and then checked, so a loaded file
-    costs one copy of its payload, plus its ids and their index. Either
-    way, each row is checked once and each id indexed once.
-    """
-    import numpy as np
-
-    source = EmbeddingFile(path)
-    path, index = source.path, source.index
-    wanted = None  # the rows to keep, in file order; None for every row
-    if keep is not None:
-        kept = np.zeros(source.count + 1, dtype=bool)  # kept[-1]: ids the file lacks
-        kept[np.fromiter((index.get(rid, -1) for rid in keep), np.intp, len(keep))] = True
-        if not kept[:-1].all():
-            wanted = np.flatnonzero(kept[:-1])
-    if wanted is None:
-        rows = np.empty((source.count, source.dim), dtype=_F32LE)
-        with path.open("rb") as fh:
-            fh.seek(_HEADER_SIZE)
-            # a flat view: memoryview refuses to cast an array with a 0 in its shape
-            got = fh.readinto(memoryview(rows.reshape(-1)).cast("B"))
-        if got != rows.nbytes:
-            raise _truncated(source.count, source.dim, got, path)
-        matrix = EmbeddingMatrix._prechecked(rows, source.ids, index, path)
-        matrix._check_values()
-        return matrix
-    rows = np.empty((len(wanted), source.dim), dtype=_F32LE)
-    for lo, chunk in source.chunks(_check_step(source.dim)):
-        first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
-        np.take(chunk, wanted[first:end] - lo, axis=0, out=rows[first:end])
-    ids = [source.ids[row] for row in wanted.tolist()]
-    index = {rid: pos for pos, rid in enumerate(ids)}  # distinct: a subset of the file's ids
-    return EmbeddingMatrix._prechecked(rows, ids, index, path)
+    """The rows of the embedding file at `path`: `EmbeddingFile(path).load(keep)`."""
+    return EmbeddingFile(path).load(keep)
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:

@@ -155,9 +155,10 @@ def score_candidates(
     call, so no score depends on the chunk size or the file's row order.
 
     Raises MissingKeyError for the first pair with a missing embedding,
-    naming its caption before its synset, then ValidationError when the
-    caption and synset dimensions differ, both before any caption row is
-    read; the scan then raises at an `EmbeddingFile`'s non-finite or
+    naming its caption before its synset, ValidationError when the caption
+    and synset dimensions differ, then ValidationError naming the instance
+    whose matches first resume after another's, all before any caption row
+    is read; the scan then raises at an `EmbeddingFile`'s non-finite or
     all-zero row. The only function here that scores vectors, so the only
     one that loads numpy (on its first call).
     """
@@ -189,8 +190,12 @@ def score_candidates(
     if ids and caption_embeddings.dim != synset_text_embeddings.dim:
         raise ValidationError(f"dimension mismatch: captions {caption_embeddings.dim} vs "
                               f"synset texts {synset_text_embeddings.dim}")
+    runs = np.count_nonzero(caption_rows[1:] != caption_rows[:-1])  # boundaries between runs
     order = np.argsort(caption_rows, kind="stable")  # pair slots by caption row
     caption_rows, synset_rows = caption_rows[order], synset_rows[order]
+    if np.count_nonzero(caption_rows[1:] != caption_rows[:-1]) != runs:  # one id's runs joined
+        resumed = 1 + np.flatnonzero((caption_rows[1:] == caption_rows[:-1]) & (np.diff(order) != 1))
+        raise ValidationError(f"matches of instance {ids[order[resumed].min()]!r} are not one run")
     scores = np.empty(len(ids), dtype=np.float64)
     step = max(1, _PAIR_VALUES // caption_embeddings.dim)
     for lo, chunk in caption_embeddings.chunks(_check_step(caption_embeddings.dim)):

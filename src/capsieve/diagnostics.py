@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix, load_embeddings
+from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix
 from .curator import Candidates, DatasetManifest
 from .errors import ValidationError
 from .evalmetrics import ClassStat
@@ -356,9 +356,7 @@ def _own_score_and_false_class(
     `cosine_blocks`, which scans a file from disk. So the call holds the
     intended rows and one block, never the whole file.
     """
-    kept = synsets if isinstance(synsets, EmbeddingMatrix) else load_embeddings(
-        synsets.path, keep=intended
-    )
+    kept = synsets if isinstance(synsets, EmbeddingMatrix) else synsets.load(keep=intended)
     if len(intended) and synsets.count < 2:
         raise ValidationError("need at least 2 synsets to rank the intended one")
     cols = kept.positions(intended, "synset text")

@@ -93,6 +93,16 @@ def test_prototype_must_match_x_dim():
         matched_ball_radius(samples, short, 0.5)
 
 
+def test_generate_and_matched_ball_radius_refuse_out_of_range_arguments():
+    with pytest.raises(ValidationError, match=r"^n must be >= 1, got 0$"):
+        generate(config(), 0)
+    samples = generate(config(), 1000)
+    prototype = (0.0,) * 4
+    for rate in (0.0, 1.0, -0.5):
+        with pytest.raises(ValidationError, match=rf"^rate must be in \(0, 1\), got {rate}$"):
+            matched_ball_radius(samples, prototype, rate)
+
+
 def bin_test(samples, rule, bin_width=0.05, alpha=0.01):
     """The bin test of `rule` as `bottleneck_gap` runs it."""
     return _bin_test(samples.x, _keep_mask(samples, rule), _t_bins(samples.t, bin_width), alpha)

@@ -166,6 +166,49 @@ def test_match_does_not_depend_on_the_chunk_size(pipeline_fixture, tmp_path, mon
     assert len(trees[0]) == 3 and trees[0] == trees[1]
 
 
+def test_each_stage_reads_each_embedding_header_once(pipeline_fixture, tmp_path, monkeypatch):
+    # every embedding-reading stage of the pipeline, rerun in-process: each
+    # .emb input's header and id trailer are parsed once, however many of
+    # its rows the stage scans or keeps
+    fx = pipeline_fixture
+    dirs = run_pipeline(fx, tmp_path / "pipeline")
+    manifest, manifest_b = (dirs[name] / "manifest.jsonl" for name in ("assemble", "assemble_b"))
+    images_b = tmp_path / "images_b.emb"  # a side of its own, so each file is one input
+    shutil.copyfile(fx["image_embeddings"], images_b)
+    stages = {
+        "match": ["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+                  "--caption-embeddings", fx["caption_embeddings"],
+                  "--synset-embeddings", fx["synset_embeddings"]],
+        "false-class": ["diagnose", "false-class", "--text-embeddings", fx["caption_embeddings"],
+                        "--pairs", dirs["match"] / "candidates.jsonl",
+                        "--synset-embeddings", fx["synset_embeddings"], "--bin-edges=-1:1:0.25"],
+        "nearest-text": ["diagnose", "nearest-text", "--query-embeddings", fx["synset_embeddings"],
+                         "--query-labels", fx["query_labels"],
+                         "--corpus-embeddings", fx["caption_embeddings"], "--min-sim", "0.7"],
+        "intra": ["diagnose", "intra", "--manifest", manifest,
+                  "--image-embeddings", fx["image_embeddings"]],
+        "compare": ["diagnose", "compare", "--manifest-a", manifest, "--manifest-b", manifest_b,
+                    "--image-embeddings-a", fx["image_embeddings"],
+                    "--image-embeddings-b", images_b, "--boot", 50, "--seed", 1],
+        "cross-modal": ["diagnose", "cross-modal", "--manifest", manifest,
+                        "--image-embeddings", fx["image_embeddings"],
+                        "--synset-embeddings", fx["synset_embeddings"], "--boot", 50, "--seed", 1],
+    }
+    parsed = []
+    read_layout = corpus._read_layout
+
+    def counted(fh, path):
+        parsed.append(str(path))
+        return read_layout(fh, path)
+
+    monkeypatch.setattr(corpus, "_read_layout", counted)
+    for name, argv in stages.items():
+        parsed.clear()
+        run_ok([*argv, "--out", tmp_path / name])
+        inputs = [str(arg) for arg in argv if str(arg).endswith(".emb")]
+        assert sorted(parsed) == sorted(inputs), name
+
+
 def test_write_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
     _write_csv(path, "a,b,c,d,e", [(None, 5, "n00000001", 0.1 + 0.2, np.float64(0.1))])
@@ -270,6 +313,46 @@ def test_bad_threshold_spec_is_config_error(pipeline_fixture, tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("0:1", "range must be a:b:step, got '0:1'"),
+        ("a:b:c", "non-numeric range 'a:b:c'"),
+        ("1:0:0.1", "range needs step > 0 and b >= a, got '1:0:0.1'"),
+        ("0:1:0", "range needs step > 0 and b >= a, got '0:1:0'"),
+        (",", "no numbers given"),
+    ],
+)
+def test_each_bad_threshold_spec_is_named(tmp_path, capsys, spec, message):
+    write_good_inputs(tmp_path)
+    argv = ["sweep", "--candidates", str(tmp_path / "candidates.jsonl"), "--thresholds", spec,
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"capsieve: config error: --thresholds: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_cutoff_of_zero_is_config_error(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    argv = ["eval", "--manifest", str(tmp_path / "manifest.jsonl"),
+            "--predictions", str(tmp_path / "predictions.jsonl"), "--k", "0",
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "capsieve: config error: --k: must list integers >= 1, got [0]\n"
+
+
+def test_a_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text('["sweep"]', encoding="utf-8")
+    argv = ["sweep", "--config", str(config), "--candidates", str(tmp_path / "candidates.jsonl"),
+            "--thresholds", "0:1:0.5", "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"capsieve: config error: config {config} must be a JSON object\n"
 
 
 def test_config_file_with_flag_override(pipeline_fixture, tmp_path):
@@ -974,6 +1057,26 @@ def test_missing_image_embedding_leaves_no_partial_csv(tmp_path, capsys, stage):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_compare_reads_a_side_to_its_end_after_the_last_shared_class(tmp_path, capsys):
+    # side A's classes past every one of B's are only read by the merge's
+    # drain: the last of them has an image with no embedding
+    write_good_inputs(tmp_path)
+    manifest_a = tmp_path / "manifest_a.jsonl"
+    manifest_a.write_bytes(GOOD_INPUTS["manifest.jsonl"]
+                           + b'{"id": "n00000001", "wnid": "n00000003", "score": 0.5}\n'
+                           + b'{"id": "n00000002", "wnid": "n00000004", "score": 0.5}\n'
+                           + b'{"id": "zzz", "wnid": "n00000005", "score": 0.5}\n')
+    vectors = tmp_path / "vectors.emb"
+    argv = ["diagnose", "compare", "--manifest-a", manifest_a,
+            "--manifest-b", tmp_path / "manifest.jsonl", "--image-embeddings-a", vectors,
+            "--image-embeddings-b", vectors, "--boot", 20, "--seed", 1, "--out", tmp_path / "out"]
+    assert run([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err == (
+        "capsieve: data error: missing image embedding for id 'zzz'\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 # (stage, input file, its bytes, the error): data that breaks only once the
 # first output could have been written.
 LATE_DATA_ERRORS = [
@@ -1058,6 +1161,17 @@ def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, cod
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):
+    config_path = tmp_path / "sim.json"
+    config = {**SIM_CONFIG, "image_rule": {**BALL, "prototype": "1.06,0,0,0"}}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "capsieve: config error: image_rule: selection rule prototype must be a list, "
+        "got '1.06,0,0,0'\n"
+    )
 
 
 @pytest.mark.parametrize("key, value", [("bin_width", 0.1), ("alpha", 0.05)])
@@ -1152,6 +1266,42 @@ def test_malformed_eval_weights(tmp_path, capsys, content, code):
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def write_uneven_eval_inputs(root: Path) -> list[str]:
+    """A manifest of 2 n00000001 images and 3 n00000002 images, and
+    predictions that miss one n00000001 image, so the recalls at 1 are 0.5
+    and 1.0. Returns the eval argv, without --weights and --out."""
+    write_good_inputs(root)
+    with (root / "manifest.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "e", "wnid": "n00000002", "score": 0.5}\n')
+    (root / "predictions.jsonl").write_text("".join(
+        json.dumps({"id": i, "ranked": [w]}) + "\n"
+        for i, w in [("a", "n00000002"), ("b", "n00000001"), ("c", "n00000002"),
+                     ("d", "n00000002"), ("e", "n00000002")]), encoding="utf-8")
+    return ["eval", "--manifest", str(root / "manifest.jsonl"),
+            "--predictions", str(root / "predictions.jsonl"), "--k", "1"]
+
+
+def test_eval_uniform_weights_every_class_alike(tmp_path):
+    argv = write_uneven_eval_inputs(tmp_path)
+    for weights, weighted in (("uniform", 0.75), ("freq", 0.5 * 2 / 5 + 1.0 * 3 / 5)):
+        run_ok([*argv, "--weights", weights, "--out", tmp_path / weights])
+        accuracy = read_json(tmp_path / weights / "accuracy.json")
+        assert accuracy["weights_mode"] == weights
+        assert accuracy["topk"]["1"] == {"equally_weighted": 0.75, "n_classes": 2,
+                                         "weighted": pytest.approx(weighted, abs=1e-15)}
+
+
+def test_eval_weights_that_sum_to_zero_are_a_data_error(tmp_path, capsys):
+    argv = write_uneven_eval_inputs(tmp_path)
+    weights = tmp_path / "zero.json"
+    weights.write_text('{"n00000001": 0, "n00000002": 0.0}', encoding="utf-8")
+    assert run([*argv, "--weights", str(weights), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "capsieve: data error: class weights sum to zero over the evaluated classes\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("given", ["caption-embeddings", "synset-embeddings"])

@@ -223,21 +223,25 @@ def test_non_finite_error_names_first_bad_row_across_blocks():
 
 def test_load_holds_one_copy_of_the_payload(tmp_path, rng):
     # a bytes copy of the payload, or a whole-matrix np.isfinite mask (2 MiB
-    # here), would each push the peak past the bound
+    # here), would each push the peak past the bound; a `keep` that names
+    # every id is a whole load too, read in place
     count, dim = 2000, 1024
     path = tmp_path / "big.emb"
     rows = rng.standard_normal((count, dim)).astype(np.float32)
-    write_embeddings(matrix(rows, [f"r{i}" for i in range(count)]), path)
+    ids = [f"r{i}" for i in range(count)]
+    write_embeddings(matrix(rows, ids), path)
     del rows
-    tracemalloc.start()
-    try:
-        loaded = load_embeddings(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     payload = count * dim * 4
-    assert loaded.count == count
-    assert peak < payload + 2**20, f"peak {(peak - payload) / 2**20:.2f} MiB above the payload"
+    for keep in (None, set(ids)):
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(path, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.count == count and loaded.ids == ids
+        assert peak < payload + 2**20, f"peak {(peak - payload) / 2**20:.2f} MiB above the payload"
+        del loaded
 
 
 def test_a_corpus_load_holds_no_texts(tmp_path):
@@ -265,6 +269,32 @@ def test_header_count_beyond_file_is_truncation(tmp_path):
     path.write_bytes(EMBEDDING_MAGIC + struct.pack("<IQ", 4, 2**40) + b"\x00" * 16)
     with pytest.raises(FormatError, match="truncated"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "header, trailer, message",
+    [
+        (struct.pack("<IQ", 0, 2), b'"a"\n"b"\n', "header declares dim = 0"),
+        (struct.pack("<IQ", 1, 2), b'"a"\n7\n', "id trailer entry 2 is not a string"),
+    ],
+    ids=["dim-zero", "trailer-number"],
+)
+def test_embedding_layout_faults_name_the_file(tmp_path, header, trailer, message):
+    path = tmp_path / "bad.emb"
+    values = struct.unpack("<IQ", header)[0] * 2  # two rows of dim values
+    path.write_bytes(EMBEDDING_MAGIC + header + np.ones(values, dtype="<f4").tobytes() + trailer)
+    for read in (load_embeddings, EmbeddingFile):
+        with pytest.raises(FormatError) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def test_embedding_matrix_refuses_rows_that_are_not_one_per_id():
+    with pytest.raises(ValidationError, match=r"^rows must be 2-D, got shape \(3,\)$"):
+        EmbeddingMatrix(rows=np.ones(3, dtype=np.float32), ids=["a", "b", "c"])
+    message = r"^3 ids for 2 rows; they must align 1:1$"
+    with pytest.raises(ValidationError, match=message):
+        EmbeddingMatrix(rows=np.ones((2, 4), dtype=np.float32), ids=["a", "b", "c"])
 
 
 def test_ids_with_unicode_line_separators_round_trip(tmp_path):

@@ -192,6 +192,19 @@ def test_score_candidates_checks_the_dimensions_before_the_caption_rows(tmp_path
         score_candidates(make_matches([]), EmbeddingFile(path), synsets)
 
 
+def test_score_candidates_refuses_an_instance_split_over_two_runs():
+    # two `find_matches` results concatenated: i1's second run would repeat
+    # its (i1, n00000001) candidate, and i2 resumes first
+    captions = embeddings(["i1", "i2", "i3"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    synsets = embeddings(["n00000001", "n00000002"], [[1.0, 0.0], [0.0, 1.0]])
+    pairs = [("i1", "n00000001"), ("i2", "n00000001"), ("i3", "n00000002"),
+             ("i3", "n00000001"), ("i2", "n00000002"), ("i1", "n00000001")]
+    with pytest.raises(ValidationError, match=r"^matches of instance 'i2' are not one run$"):
+        score_candidates(make_matches([match(*pair) for pair in pairs]), captions, synsets)
+    runs = sorted(pairs, key=lambda pair: pair[0])  # the same pairs, each instance one run
+    out = score_candidates(make_matches([match(*pair) for pair in runs]), captions, synsets)
+    assert list(zip(out.ids, out.wnids)) == list(dict.fromkeys(runs))
+
 def test_sweep_trivial_points():
     candidates = make_candidates([cand("a", "n00000001", 0.5), cand("b", "n00000002", 0.3)])
     beyond = threshold_sweep(candidates, [0.9])

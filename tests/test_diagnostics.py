@@ -728,6 +728,13 @@ def test_nearest_text_drops_below_threshold():
     assert manifest.drop_ledger["below_min_sim"] == 1
 
 
+@pytest.mark.parametrize("min_sim", [-1.5, 1.0000001, math.nan])
+def test_nearest_text_refuses_a_min_sim_outside_the_cosine_range(min_sim):
+    corpus = embeddings(["c0"], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match=rf"^min_sim {min_sim} outside \[-1, 1\]$"):
+        nearest_text_dataset([[1.0, 0.0, 0.0]], ["n00000001"], corpus, min_sim=min_sim)
+
+
 def test_nearest_text_monotone_in_min_sim(rng):
     corpus = random_matrix(rng, [f"c{i}" for i in range(30)], 5)
     queries = rng.standard_normal((20, 5))
