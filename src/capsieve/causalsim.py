@@ -154,7 +154,9 @@ def generate(config: GenConfig, n: int) -> Samples:
     """Draw n samples; bitwise deterministic for a given config.
 
     Samples are generated in fixed-size blocks, each filled from its own
-    counter-derived stream keyed by the block index.
+    counter-derived stream keyed by the block index. Raises
+    ValidationError when a text overflows float64, as a `text_noise_sd`
+    near the largest float makes it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -169,23 +171,34 @@ def generate(config: GenConfig, n: int) -> Samples:
         y[rows] = rng.integers(0, config.n_classes, size=m)
         rng.standard_normal(out=x[rows])
         x[rows] += means[y[rows]]
-        t[rows] = x[rows, 0] + config.text_noise_sd * rng.standard_normal(m)
+        try:
+            with np.errstate(over="raise"):
+                t[rows] = x[rows, 0] + config.text_noise_sd * rng.standard_normal(m)
+        except FloatingPointError:
+            raise ValidationError(
+                f"the text t overflows float64 with text_noise_sd {config.text_noise_sd}"
+            ) from None
     return Samples(y, x, t)
 
 
 def _ball_distances(x: np.ndarray, prototype) -> np.ndarray:
     """Euclidean distance of each image to an image_ball prototype, in row
     blocks: each row's distance is the one the whole-array expression
-    sqrt(((x - proto) ** 2).sum(axis=1)) gives, with no n x d temporary."""
+    sqrt(((x - proto) ** 2).sum(axis=1)) gives, with no n x d temporary.
+    Raises ValidationError when a squared distance overflows float64."""
     proto = np.asarray(prototype, dtype=np.float64)
     if proto.shape != (x.shape[1],):
         raise ValidationError(f"prototype shape {proto.shape} does not match x_dim {x.shape[1]}")
     out = np.empty(x.shape[0])
     step = max(1, _BLOCK_VALUES // x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        d = x[lo : lo + step] - proto
-        d *= d
-        np.sqrt(d.sum(axis=1), out=out[lo : lo + step])
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, x.shape[0], step):
+                d = x[lo : lo + step] - proto
+                d *= d
+                np.sqrt(d.sum(axis=1), out=out[lo : lo + step])
+    except FloatingPointError:
+        raise ValidationError("the image_ball distances overflow float64") from None
     return out
 
 
@@ -247,6 +260,7 @@ def _rows_mean_var(x: np.ndarray, rows: np.ndarray, cols: slice) -> tuple[np.nda
     row, so a block's sum carries on the total so far when that total is
     added to the block's first row. A single column it sums pairwise
     instead, so that column is gathered whole: it is no larger than `rows`.
+    Raises ValidationError when either overflows float64.
     """
     n = len(rows)
     width = len(range(x.shape[1])[cols])
@@ -264,8 +278,12 @@ def _rows_mean_var(x: np.ndarray, rows: np.ndarray, cols: slice) -> tuple[np.nda
             total = np.add.reduce(part, axis=0)
         return total
 
-    mean = column_sums() / np.intp(n)  # the divisors np.mean and np.var use
-    return mean, column_sums(mean) / np.intp(n - 1)
+    try:
+        with np.errstate(over="raise"):
+            mean = column_sums() / np.intp(n)  # the divisors np.mean and np.var use
+            return mean, column_sums(mean) / np.intp(n - 1)
+    except FloatingPointError:
+        raise ValidationError("a mean or variance of the images overflows float64") from None
 
 
 def _t_bins(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:

@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .errors import CapsieveError, FormatError
+from .errors import CapsieveError, FormatError, ValidationError
 from .provenance import config_digest, file_digest
 
 if TYPE_CHECKING:
@@ -130,6 +130,15 @@ def _parse_cutoffs(spec) -> list[int]:
     if len(set(ks)) != len(ks):
         raise ConfigError(f"lists a cutoff more than once: {ks}")
     return ks
+
+
+def _finite(value) -> float:
+    """A float from any value float() takes, except NaN and the infinities,
+    which Python's json reads from NaN and Infinity."""
+    converted = float(value)
+    if not math.isfinite(converted):
+        raise ConfigError(f"{converted} is not finite")
+    return converted
 
 
 def _int(value) -> int:
@@ -569,13 +578,13 @@ def _rule_from_config(spec) -> causalsim.SelectionRule:
 
     def optional(key):
         value = spec.get(key)
-        return None if value is None else _typed(value, float, f"selection rule {key}")
+        return None if value is None else _typed(value, _finite, f"selection rule {key}")
 
     prototype = spec.get("prototype")
     if prototype is not None:
         if not isinstance(prototype, list):
             raise ConfigError(f"selection rule prototype must be a list, got {prototype!r}")
-        prototype = tuple(_typed(v, float, "selection rule prototype entry") for v in prototype)
+        prototype = tuple(_typed(v, _finite, "selection rule prototype entry") for v in prototype)
     return causalsim.SelectionRule(
         kind=spec["kind"],
         threshold=optional("threshold"),
@@ -606,6 +615,9 @@ def _cmd_simulate(stage, seed, n, n_classes, x_dim, text_noise_sd, class_sep, bi
     # confound the variance comparison.
     if image_rule.get("radius") == "match":
         rate = causalsim.acceptance_rate(samples, text)
+        if rate in (0.0, 1.0):
+            raise ValidationError(f"text rule kept {round(rate * n)} of {n} samples; "
+                                  '"radius": "match" needs it to keep some but not all')
         radius = causalsim.matched_ball_radius(samples, image.prototype, rate)
         image = dataclasses.replace(image, radius=radius)
         worked_out["image_rule"] = {**image_rule, "radius": radius}

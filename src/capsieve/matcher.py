@@ -12,21 +12,25 @@ stemming, no pluralization). Multiword lemmas match across single spaces
 only, which normalization guarantees.
 
 The scan uses the Aho-Corasick algorithm (1975): insert every folded
-lemma into a trie, compute failure links breadth-first (each node's
-failure link points to the node for the longest proper suffix of its path
+lemma into a trie, compute failure links breadth-first (each state's
+failure link points to the state for the longest proper suffix of its path
 that is also a prefix of some pattern), and propagate pattern outputs down
 failure chains so every occurrence, including patterns that are suffixes
 of other patterns, is reported in a single left-to-right pass. Matching
 is O(caption length + hits) per caption independent of the pattern count,
 which is what makes scanning millions of captions against thousands of
 lemmas tractable. The scan is serial: it is pure Python and holds the
-interpreter lock, so threads would not speed it up. Each node's outputs
-are a tuple, and the nodes without any share the empty tuple.
+interpreter lock, so threads would not speed it up.
 
-`find_matches` returns `Matches`, the occurrences as five columns, with
-no object per occurrence. `match` calls it once per chunk of
-`corpus.caption_chunks`, so the stage holds the file's ids and the
-matches, never the caption texts.
+The automaton (`Matcher`) is three flat tables indexed by state: `goto`,
+`fail` and `out`, whose entries are already expanded over each lemma's
+synsets. They hold only ints, strings and containers of them, so the
+automaton has no reference cycles and refcounting frees it as soon as its
+last user drops it. `find_matches` walks the tables inline and returns
+`Matches`, the occurrences as five columns, with no object per
+occurrence. `match` calls it once per chunk of `corpus.caption_chunks`,
+so the stage holds the file's ids and the matches, never the caption
+texts.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .corpus import Captions
 from .errors import ValidationError
@@ -88,38 +92,22 @@ class Matches:
         return self
 
 
-class _Node:
-    __slots__ = ("children", "fail", "out")
+class Matcher(NamedTuple):
+    """Immutable Aho-Corasick automaton over a taxonomy's folded lemmas, as
+    flat tables indexed by state, with the root at state 0.
 
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
-        self.fail: _Node | None = None
-        self.out: tuple[str, ...] = ()
-
-
-class Matcher:
-    """Immutable Aho-Corasick automaton over a taxonomy's folded lemmas.
-
-    A lemma may belong to several synsets; `wnids_for` keeps the full
-    multimap so one textual hit can report every owning synset.
+    `goto[s]` maps a character to the next state, and every leaf shares one
+    empty dict. `fail[s]` is the state of the longest proper suffix of s's
+    path that is also a pattern prefix. `out[s]` holds a (length, wnid,
+    lemma) entry for each synset of each pattern ending at s, suffixes
+    included. A lemma may belong to several synsets; `wnids_for` keeps that
+    multimap.
     """
 
-    def __init__(self, root: _Node, wnids_for: dict[str, tuple[str, ...]]):
-        self._root = root
-        self.wnids_for = wnids_for
-
-    def scan(self, text: str) -> list[tuple[int, int, str]]:
-        """All occurrences of any pattern in `text` as (start, end, pattern),
-        without boundary filtering."""
-        hits: list[tuple[int, int, str]] = []
-        node = self._root
-        for pos, ch in enumerate(text):
-            while node is not self._root and ch not in node.children:
-                node = node.fail
-            node = node.children.get(ch, self._root)
-            for pattern in node.out:
-                hits.append((pos + 1 - len(pattern), pos + 1, pattern))
-        return hits
+    goto: list[dict[str, int]]
+    fail: list[int]
+    out: list[tuple[tuple[int, str, str], ...]]
+    wnids_for: dict[str, tuple[str, ...]]
 
 
 def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) -> Matcher:
@@ -142,42 +130,35 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
             wnid_sets.setdefault(pattern, set()).add(wnid)
     wnids_for = {p: tuple(sorted(s)) for p, s in wnid_sets.items()}
 
-    root = _Node()
-    for pattern in wnids_for:
-        node = root
+    goto: list[dict[str, int]] = [{}]
+    out: list[tuple[tuple[int, str, str], ...]] = [()]
+    for pattern, wnids in wnids_for.items():
+        state = 0
         for ch in pattern:
-            if ch not in node.children:  # not setdefault, which makes a node every time
-                node.children[ch] = _Node()
-            node = node.children[ch]
-        node.out = (pattern,)
+            children = goto[state]
+            if ch not in children:
+                children[ch] = len(goto)
+                goto.append({})
+                out.append(())
+            state = children[ch]
+        out[state] = tuple((len(pattern), wnid, pattern) for wnid in wnids)
 
     # Failure links, breadth-first; outputs propagate down failure chains so
-    # patterns that are suffixes of longer ones are still reported. A node
-    # without outputs shares the empty tuple of its class.
-    root.fail = root
-    queue: deque[_Node] = deque()
-    for child in root.children.values():
-        child.fail = root
-        queue.append(child)
+    # patterns that are suffixes of longer ones are still reported. A state
+    # without outputs shares the empty tuple, or its failure state's tuple.
+    fail = [0] * len(goto)
+    queue = deque(goto[0].values())
     while queue:
-        current = queue.popleft()
-        for ch, child in current.children.items():
-            fallback = current.fail
-            while fallback is not root and ch not in fallback.children:
-                fallback = fallback.fail
-            child.fail = fallback.children.get(ch, root)  # shallower, never child itself
-            if child.fail.out:
-                child.out += child.fail.out
+        state = queue.popleft()
+        for ch, child in goto[state].items():
+            fallback = fail[state]
+            while fallback and ch not in goto[fallback]:
+                fallback = fail[fallback]
+            fail[child] = goto[fallback].get(ch, 0)  # shallower, never child itself
+            out[child] += out[fail[child]]
             queue.append(child)
-    return Matcher(root, wnids_for)
-
-
-def _boundary_ok(text: str, start: int, end: int) -> bool:
-    if start > 0 and text[start - 1].isalnum():
-        return False
-    if end < len(text) and text[end].isalnum():
-        return False
-    return True
+    leaf: dict[str, int] = {}
+    return Matcher([children or leaf for children in goto], fail, out, wnids_for)
 
 
 def find_matches(matcher: Matcher, corpus: Captions) -> Matches:
@@ -187,17 +168,24 @@ def find_matches(matcher: Matcher, corpus: Captions) -> Matches:
     Output order is deterministic: corpus order, then span start, then
     wnid (then span end and lemma).
     """
+    goto, fail, out = matcher.goto, matcher.fail, matcher.out
     matches = Matches()
     by_key = (matches.starts, matches.wnids, matches.ends, matches.lemmas)  # a hit's sort key
-    wnids_for = matcher.wnids_for
     for instance_id, text in zip(corpus.ids, corpus.texts):
         folded = fold_text(text)
-        hits = [
-            (start, wnid, end, pattern)
-            for start, end, pattern in matcher.scan(folded)
-            if _boundary_ok(folded, start, end)
-            for wnid in wnids_for[pattern]
-        ]
+        hits = []
+        state = 0
+        for end, ch in enumerate(folded, 1):
+            while state and ch not in goto[state]:
+                state = fail[state]
+            state = goto[state].get(ch, 0)
+            # past either end of `folded` a slice is empty, and ''.isalnum() is false
+            if out[state] and not folded[end : end + 1].isalnum():
+                hits += [
+                    (end - length, wnid, end, lemma)
+                    for length, wnid, lemma in out[state]
+                    if not folded[end - length - 1 : end - length].isalnum()
+                ]
         if not hits:
             continue
         hits.sort()

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1161,6 +1162,63 @@ def test_malformed_simulate_config_is_rejected(tmp_path, capsys, key, value, cod
     assert "Traceback" not in err
     prefix = {2: "capsieve: config error:", 3: "capsieve: data error:"}[code]
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("rule, key, spec", [
+    ("text_rule", "threshold", {"kind": "text_threshold", "threshold": float("nan")}),
+    ("image_rule", "radius", {**BALL, "radius": float("inf")}),
+    ("image_rule", "prototype entry", {**BALL, "prototype": [1.06, float("-inf"), 0.0, 0.0]}),
+    ("image_rule", "text_threshold_also", {**BALL, "text_threshold_also": float("nan")}),
+], ids=["threshold-nan", "radius-inf", "proto-entry-inf", "text-also-nan"])
+def test_a_non_finite_rule_value_is_a_config_error_naming_its_key(tmp_path, capsys, rule, key,
+                                                                    spec):
+    # Python's json reads NaN and Infinity; a NaN threshold used to keep no
+    # sample and exit 3 with a message about the matched-radius rate
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, rule: spec}), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"capsieve: config error: {rule}: selection rule {key}: "), err
+    assert err.endswith(" is not finite\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, kept, n", [
+    ({"text_rule": {"kind": "text_threshold", "threshold": 1e308}}, 0, 5000),
+    ({"text_rule": {"kind": "text_threshold", "threshold": -1e308}}, 5000, 5000),
+    ({"n": 1}, 0, 1),
+], ids=["keeps-none", "keeps-all", "one-sample"])
+def test_a_matched_radius_refuses_a_text_rule_that_keeps_none_or_all(tmp_path, capsys, change,
+                                                                    kept, n):
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, **change}), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err == (
+        f"capsieve: data error: text rule kept {kept} of {n} samples; "
+        '"radius": "match" needs it to keep some but not all\n'
+    )
+    assert list((tmp_path / "sim").iterdir()) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"text_noise_sd": 1e308}, "the text t overflows float64 with text_noise_sd 1e+308"),
+    ({"class_sep": 1e308}, "the image_ball distances overflow float64"),
+    ({"class_sep": 1e200, "image_rule": {"kind": "image_threshold", "threshold": 0.5}},
+     "a mean or variance of the images overflows float64"),
+], ids=["text-noise", "ball-distance", "bin-variance"])
+def test_simulate_refuses_a_value_that_overflows(tmp_path, capsys, change, message):
+    # each used to exit 0 with infinities in its report, or 3 for the wrong
+    # reason, and to print numpy RuntimeWarnings
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, **change}), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")])
+    assert code == 3
+    assert capsys.readouterr().err == f"capsieve: data error: {message}\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert list((tmp_path / "sim").iterdir()) == []
 
 
 def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):

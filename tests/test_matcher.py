@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import sys
 import tracemalloc
 
@@ -191,6 +192,19 @@ def test_the_match_scan_holds_the_ids_and_the_matches_not_the_texts(tmp_path):
     assert peak < 9 * 2**20, f"peak {peak / 2**20:.2f} MiB for 22 MiB of captions"
 
 
+def test_a_dropped_matcher_is_freed_by_refcounting():
+    # the automaton holds no reference cycles, so it is freed when dropped,
+    # not at the next gen-2 collection
+    taxonomy = make_taxonomy([["Egyptian_cat", "cat"], ["cat"], ["a", "a a"], ["b a a"]])
+    gc.collect()
+    gc.disable()
+    try:
+        build_matcher(taxonomy)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_match_is_frozen_record():
     match = LemmaMatch(instance_id="a", wnid="n00000001", lemma="x", span=(0, 1))
     with pytest.raises(AttributeError):
@@ -229,6 +243,10 @@ def test_caption_equal_to_lemma_matches_whole_caption(lemma):
     st.lists(st.lists(edge_text.filter(fold_text), min_size=1, max_size=3), min_size=1, max_size=4),
     st.lists(edge_text, min_size=1, max_size=5),
 )
+# nested prefixes, suffixes and one-character lemmas: outputs along failure chains
+@example([["a"], ["a a"], ["b a a"]], ["b a a a", "a a b a a", "ba a", "a"])
+@example([["a a", "a"], ["a"]], ["a a a", "aa a", "a_a"])
+@example([["b a a", "a a"], ["İ", "i̇"]], ["b a a b a a", "xb a a", "İ i̇ İ"])
 def test_oracle_equivalence_unicode(lemma_lists, texts):
     taxonomy = make_taxonomy(lemma_lists)
     corpus = make_corpus(texts)
