@@ -20,31 +20,31 @@ variance of the selected sets against the unselected baseline, and a
 two-sample check that, inside narrow t-bins, selected and unselected
 images have the same mean on the non-text dimensions. Text rules pass that
 check; image rules fail it. Comparisons between rules should be made at
-matched acceptance rates (see `matched_ball_radius`), since selection
-strength alone changes variances.
+matched acceptance rates (an image_ball radius of None is matched), since
+selection strength alone changes variances.
 
 Samples are held as columns (`Samples`): one array each for y, x and t,
 so selection is a boolean mask and every statistic reads the arrays
-directly. `bottleneck_gap` builds each rule's mask once, for the selected
-set and the bin test alike. The bin test visits occupied t-bins only: one
-stable sort groups the samples by bin, the two rules share that grouping,
-and a bin's selected and unselected rows are read in ascending order,
-so the work is bounded by n however narrow the bins.
+directly. `bottleneck_gap` builds each rule's mask once, for a matched
+radius, the selected set and the bin test alike. The bin test visits
+occupied t-bins only: one stable sort groups the samples by bin, the two
+rules share that grouping, and a bin's selected and unselected rows are
+read in ascending order, so the work is bounded by n however narrow the bins.
 
 Memory is bounded by design. A `simulate` run holds x, y and t, the two
-rules' keep masks and the bin order, plus a few n-length scalar columns
-at a time. Every statistic reads x in row blocks of about 1 MiB
-(`_rows_mean_var`), bitwise equal to numpy's mean and variance of the
-gathered rows, so nothing else of size n x x_dim is ever made: no class,
-bin or selected-set copy. On the README config at n = 2M (x_dim 8) the
-peak RSS of `simulate` is 240 MiB; gathering each class and bin whole
+rules' keep masks, the bin order during the bin tests, and a few n-length
+scalar columns at a time. Every statistic reads x in row blocks of about
+1 MiB (`_rows_mean_var`), bitwise equal to numpy's mean and variance of
+the gathered rows, so nothing else of size n x x_dim is ever made: no
+class, bin or selected-set copy. On the README config at n = 2M (x_dim 8)
+the peak RSS of `simulate` is 240 MiB; gathering each class and bin whole
 took it to 286 MiB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -111,8 +111,9 @@ class SelectionRule:
       image_ball       keep |x - prototype| < radius (reads the image)
       image_threshold  keep mean(x) > threshold      (reads the image)
 
-    Image rules may additionally read the text: set `text_threshold_also`
-    to AND in a t > tau condition (off by default).
+    An image_ball radius of None is matched to the text rule by
+    `bottleneck_gap`. Image rules may additionally read the text: set
+    `text_threshold_also` to AND in a t > tau condition (off by default).
     """
 
     kind: str
@@ -127,7 +128,7 @@ class SelectionRule:
         if self.kind in ("text_threshold", "image_threshold") and self.threshold is None:
             raise ValidationError(f"{self.kind} rule needs a threshold")
         if self.kind == "image_ball":
-            if self.radius is None or self.radius < 0:
+            if self.radius is not None and self.radius < 0:
                 raise ValidationError("image_ball rule needs a radius >= 0")
             if self.prototype is None:
                 raise ValidationError("image_ball rule needs a prototype vector")
@@ -214,12 +215,6 @@ def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
     return mask
 
 
-def acceptance_rate(samples: Samples, rule: SelectionRule) -> float:
-    """The share of the samples the rule keeps, counted from its keep mask
-    without copying them."""
-    return int(np.count_nonzero(_keep_mask(samples, rule))) / len(samples)
-
-
 def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
     """Radius giving an image_ball rule approximately the target acceptance
     rate on these samples (the empirical distance quantile)."""
@@ -301,7 +296,9 @@ def _t_bins(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
             keys /= bin_width
             np.floor(keys, out=keys)
     except FloatingPointError:
-        raise ValidationError(f"bin_width {bin_width} is too small for the range of t") from None
+        low, high = float(t.min()), float(t.max())
+        by = "itself" if math.isinf(high - low) else f"over bin_width {bin_width}"
+        raise ValidationError(f"t's range, {low:g} to {high:g}, {by} overflows float64") from None
     order = np.argsort(keys, kind="stable")
     keys.sort()  # keys[order], without a second n-length copy
     changes = np.flatnonzero(keys[1:] != keys[:-1]) + 1
@@ -377,6 +374,7 @@ class BottleneckReport:
     cond_indep_stat: float  # text-rule statistic: the bottleneck claim
     bin_test_text: BinIndependenceTest
     bin_test_image: BinIndependenceTest
+    image_rule: SelectionRule  # as applied, its radius matched; not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -400,13 +398,22 @@ def bottleneck_gap(
 ) -> BottleneckReport:
     """Measure how each selection distorts the within-class image
     distribution. Variances are per class, then averaged, so class-mean
-    spread does not masquerade as within-class diversity.
+    spread does not masquerade as within-class diversity. An image_ball
+    rule with radius None gets the radius at which it keeps as many
+    samples as the text rule, which must keep some but not all.
     """
     if text_rule.reads_image:
         raise ValidationError(f"text rule must be text_threshold, got {text_rule.kind!r}")
     if not image_rule.reads_image:
         raise ValidationError("image rule must read the image")
     text_mask = _keep_mask(samples, text_rule)
+    if image_rule.kind == "image_ball" and image_rule.radius is None:
+        kept, n = int(np.count_nonzero(text_mask)), len(samples)
+        if kept in (0, n):
+            raise ValidationError(f"text rule kept {kept} of {n} samples; "
+                                  '"radius": "match" needs it to keep some but not all')
+        radius = matched_ball_radius(samples, image_rule.prototype, kept / n)
+        image_rule = replace(image_rule, radius=radius)
     image_mask = _keep_mask(samples, image_rule)
     for name, mask in (("text", text_mask), ("image", image_mask)):
         kept = int(mask.sum())
@@ -419,6 +426,7 @@ def bottleneck_gap(
     bins = _t_bins(samples.t, bin_width)
     test_text = _bin_test(samples.x, text_mask, bins, alpha)
     test_image = _bin_test(samples.x, image_mask, bins, alpha)
+    del bins  # n indices the variance passes below do not read; they set the peak
     return BottleneckReport(
         baseline_var=_per_class_dim_variance(samples.y, samples.x),
         per_dim_var_text=_per_class_dim_variance(samples.y, samples.x, text_mask),
@@ -428,4 +436,5 @@ def bottleneck_gap(
         cond_indep_stat=test_text.max_stat,
         bin_test_text=test_text,
         bin_test_image=test_image,
+        image_rule=image_rule,
     )

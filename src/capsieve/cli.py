@@ -16,15 +16,16 @@ Exit codes, by the class of the bad input:
     2  a flag or config value: a config key that names none of the
        subcommand's options, an option of another diagnose analysis (as
        a flag or a config key), a missing option, a value of the wrong type
-       or out of range, or a number list that is not strictly increasing,
+       or out of range, a number list that is not strictly increasing, a
+       simulate selection rule with a stray key or that builds no rule,
        an input path that is not an existing file, or an --out that cannot
        be made a directory. All are found before --out is made, except
        correlate's column names, which need the CSV.
     3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
        missing or wrongly typed field, or data that break an invariant
        (duplicate ids, unknown ids, non-finite vectors or CSV cells, class
-       weights that are not finite numbers >= 0). Nothing is written to
-       --out then: each stage computes all its results before any write.
+       weights that are not finite numbers >= 0), or simulate settings the
+       simulator refuses. Nothing is written to --out: results come first.
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
 error: ..." line on stderr; no input ends in a traceback.
@@ -48,7 +49,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -185,7 +185,7 @@ def _typed(value, kind, what: str):
     `bool` and `str` options take only JSON booleans and strings as they
     are; every other kind converts any value it can except a boolean. A
     kind raises TypeError or ValueError for a value of the wrong kind, and
-    ConfigError for one out of range.
+    ConfigError or ValidationError for one out of range or inconsistent.
     """
     if kind in (bool, str):
         if isinstance(value, kind):
@@ -195,7 +195,7 @@ def _typed(value, kind, what: str):
             return kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-        except ConfigError as exc:
+        except (ConfigError, ValidationError) as exc:
             raise ConfigError(f"{what}: {exc}") from None
     raise ConfigError(f"bad {what}: {value!r}")
 
@@ -568,13 +568,18 @@ def _diagnose_correlate(stage, csv, x_col, y_col):
 
 def _rule_from_config(spec) -> causalsim.SelectionRule:
     """The selection rule a config object describes. An image_ball radius
-    of "match" gives radius 0.0, for simulate to replace."""
+    of "match" gives None, which bottleneck_gap matches to the text rule."""
     from . import causalsim
 
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"selection rule must be an object with a 'kind', got {spec!r}")
-    if spec["kind"] == "image_ball" and spec.get("radius") == "match":
-        spec = {**spec, "radius": 0.0}
+    stray = sorted(set(spec) - {"kind", "threshold", "radius", "prototype", "text_threshold_also"})
+    if stray:
+        raise ConfigError(f"unknown selection rule key(s): {', '.join(map(repr, stray))}")
+    if spec["kind"] == "image_ball" and spec.get("radius") in (None, "match"):
+        if spec.get("radius") is None:
+            raise ConfigError('image_ball rule needs a radius >= 0 or "match"')
+        spec = {**spec, "radius": None}
 
     def optional(key):
         value = spec.get(key)
@@ -609,25 +614,14 @@ def _cmd_simulate(stage, seed, n, n_classes, x_dim, text_noise_sd, class_sep, bi
     text = _rule_from_config(text_rule)
     image = _rule_from_config(image_rule)
     samples = causalsim.generate(gen, n)
-    worked_out = {}
-    # With "radius": "match", pick the ball radius so the image rule accepts
-    # at the same rate as the text rule; selection strength would otherwise
-    # confound the variance comparison.
-    if image_rule.get("radius") == "match":
-        rate = causalsim.acceptance_rate(samples, text)
-        if rate in (0.0, 1.0):
-            raise ValidationError(f"text rule kept {round(rate * n)} of {n} samples; "
-                                  '"radius": "match" needs it to keep some but not all')
-        radius = causalsim.matched_ball_radius(samples, image.prototype, rate)
-        image = dataclasses.replace(image, radius=radius)
-        worked_out["image_rule"] = {**image_rule, "radius": radius}
     report = causalsim.bottleneck_gap(samples, text, image, bin_width, alpha)
 
     _write_json(stage.output("report.json"), report.as_dict())
     columns = (report.baseline_var, report.per_dim_var_text, report.per_dim_var_image)
     _write_csv(stage.output("variances.csv"), "dim,baseline,text_rule,image_rule",
                zip(range(gen.x_dim), *columns))
-    return worked_out
+    if image_rule.get("radius") == "match":  # the digest covers the radius applied
+        return {"image_rule": {**image_rule, "radius": report.image_rule.radius}}
 
 
 # -- the option table ----------------------------------------------------------

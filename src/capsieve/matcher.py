@@ -100,14 +100,12 @@ class Matcher(NamedTuple):
     empty dict. `fail[s]` is the state of the longest proper suffix of s's
     path that is also a pattern prefix. `out[s]` holds a (length, wnid,
     lemma) entry for each synset of each pattern ending at s, suffixes
-    included. A lemma may belong to several synsets; `wnids_for` keeps that
-    multimap.
+    included, so a lemma of several synsets has an entry per synset.
     """
 
     goto: list[dict[str, int]]
     fail: list[int]
     out: list[tuple[tuple[int, str, str], ...]]
-    wnids_for: dict[str, tuple[str, ...]]
 
 
 def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) -> Matcher:
@@ -128,11 +126,10 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
             if not pattern:
                 raise ValidationError(f"synset {wnid}: empty lemma")
             wnid_sets.setdefault(pattern, set()).add(wnid)
-    wnids_for = {p: tuple(sorted(s)) for p, s in wnid_sets.items()}
 
     goto: list[dict[str, int]] = [{}]
     out: list[tuple[tuple[int, str, str], ...]] = [()]
-    for pattern, wnids in wnids_for.items():
+    for pattern, wnids in wnid_sets.items():
         state = 0
         for ch in pattern:
             children = goto[state]
@@ -141,7 +138,7 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
                 goto.append({})
                 out.append(())
             state = children[ch]
-        out[state] = tuple((len(pattern), wnid, pattern) for wnid in wnids)
+        out[state] = tuple((len(pattern), wnid, pattern) for wnid in sorted(wnids))
 
     # Failure links, breadth-first; outputs propagate down failure chains so
     # patterns that are suffixes of longer ones are still reported. A state
@@ -158,7 +155,7 @@ def build_matcher(taxonomy: Taxonomy, max_lemmas_per_synset: int | None = None) 
             out[child] += out[fail[child]]
             queue.append(child)
     leaf: dict[str, int] = {}
-    return Matcher([children or leaf for children in goto], fail, out, wnids_for)
+    return Matcher([children or leaf for children in goto], fail, out)
 
 
 def find_matches(matcher: Matcher, corpus: Captions) -> Matches:

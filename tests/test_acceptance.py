@@ -281,14 +281,10 @@ def test_criterion_7_bottleneck_theorem():
         )
         samples = causalsim.generate(cfg, 100_000)
         text_rule = causalsim.SelectionRule(kind="text_threshold", threshold=1.0)
-        text_rate = causalsim.acceptance_rate(samples, text_rule)
-
         prototype = tuple(causalsim.class_means(cfg)[0])
-        radius = causalsim.matched_ball_radius(samples, prototype, text_rate)
-        image_rule = causalsim.SelectionRule(
-            kind="image_ball", radius=radius, prototype=prototype
-        )
-        report = causalsim.bottleneck_gap(samples, text_rule, image_rule)
+        image_rule = causalsim.SelectionRule(kind="image_ball", prototype=prototype)
+        report = causalsim.bottleneck_gap(samples, text_rule, image_rule)  # radius matched
+        radius = report.image_rule.radius
 
         # matched acceptance rates (+/- 10%)
         assert abs(report.acceptance_image - report.acceptance_text) <= 0.1 * report.acceptance_text

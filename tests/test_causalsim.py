@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsieve import causalsim
 from capsieve.causalsim import (
     _BLOCK_VALUES,
     GenConfig,
@@ -19,7 +20,6 @@ from capsieve.causalsim import (
     _per_class_dim_variance,
     _rows_mean_var,
     _t_bins,
-    acceptance_rate,
     bottleneck_gap,
     class_means,
     generate,
@@ -116,7 +116,7 @@ def test_bin_test_parameter_validation():
     bottleneck_gap(samples, text_rule, image_rule)
     cases = [({"bin_width": 0.0}, "bin_width"), ({"bin_width": math.nan}, "bin_width"),
              ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
-             ({"bin_width": 5e-324}, "too small")]  # t range / width overflows
+             ({"bin_width": 5e-324}, "over bin_width 5e-324 overflows")]
     for kwargs, message in cases:
         with pytest.raises(ValidationError, match=message):
             bottleneck_gap(samples, text_rule, image_rule, **kwargs)
@@ -232,6 +232,43 @@ def test_matched_ball_radius_hits_target_rate():
     rule = SelectionRule(kind="image_ball", radius=radius, prototype=tuple(np.zeros(6)))
     rate = len(select(samples, rule)) / len(samples)
     assert rate == pytest.approx(0.25, abs=0.01)
+
+
+@pytest.mark.parametrize("text_also", [None, 0.2])
+def test_a_ball_with_no_radius_gets_the_report_of_its_matched_radius(monkeypatch, text_also):
+    samples = generate(config(n_classes=3, x_dim=5, seed=5), 20_000)
+    text_rule = SelectionRule(kind="text_threshold", threshold=0.4)
+    prototype = (1.0, 0.0, 0.0, 0.0, 0.0)
+    matched = SelectionRule(kind="image_ball", prototype=prototype, text_threshold_also=text_also)
+    kept = int(np.count_nonzero(samples.t > 0.4))
+    radius = matched_ball_radius(samples, prototype, kept / len(samples))
+    explicit = SelectionRule(kind="image_ball", radius=radius, prototype=prototype,
+                             text_threshold_also=text_also)
+    expected = bottleneck_gap(samples, text_rule, explicit)
+    rules = []
+    monkeypatch.setattr(causalsim, "_keep_mask",
+                        lambda s, rule: rules.append(rule) or _keep_mask(s, rule))
+    report = bottleneck_gap(samples, text_rule, matched)
+    assert rules == [text_rule, explicit]  # one mask per rule
+    assert report.image_rule == explicit
+    assert report.acceptance_text == len(select(samples, text_rule)) / len(samples)
+    assert report.acceptance_image == len(select(samples, explicit)) / len(samples)
+    for field in vars(expected):
+        a, b = getattr(report, field), getattr(expected, field)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), field
+        else:
+            assert a == b, field
+
+
+@pytest.mark.parametrize("threshold, kept", [(1e308, 0), (-1e308, 4000)])
+def test_a_matched_ball_refuses_a_text_rule_that_keeps_none_or_all(threshold, kept):
+    samples = generate(config(), 4000)
+    text_rule = SelectionRule(kind="text_threshold", threshold=threshold)
+    ball = SelectionRule(kind="image_ball", prototype=(0.0,) * 4)
+    message = f'^text rule kept {kept} of 4000 samples; "radius": "match" needs it'
+    with pytest.raises(ValidationError, match=message):
+        bottleneck_gap(samples, text_rule, ball)
 
 
 def test_noiseless_text_rule_shrinks_only_dim0():
@@ -361,13 +398,6 @@ def test_blocked_ball_distances_equal_the_whole_array_expression(x_dim):
     proto = rng.standard_normal(x_dim)
     expected = np.sqrt(((x - proto) ** 2).sum(axis=1))
     assert _ball_distances(x, tuple(proto)).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["text_threshold", "image_ball", "image_threshold"])
-def test_acceptance_rate_is_the_selected_share(kind):
-    samples = generate(config(x_dim=6), 20_000)
-    rule = _rule(kind, 6, kind != "text_threshold")
-    assert acceptance_rate(samples, rule) == len(select(samples, rule)) / len(samples)
 
 
 def test_masked_class_variance_equals_the_variance_of_the_selected_copy():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -16,10 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capsieve
-from capsieve import corpus, vectorops
+from capsieve import causalsim, corpus, vectorops
 from capsieve.cli import _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
+from capsieve.provenance import config_digest
 
 from conftest import write_jsonl
 
@@ -1206,7 +1208,12 @@ def test_a_matched_radius_refuses_a_text_rule_that_keeps_none_or_all(tmp_path, c
     ({"class_sep": 1e308}, "the image_ball distances overflow float64"),
     ({"class_sep": 1e200, "image_rule": {"kind": "image_threshold", "threshold": 0.5}},
      "a mean or variance of the images overflows float64"),
-], ids=["text-noise", "ball-distance", "bin-variance"])
+    # t reaches 7e307, and the range over bin_width overflows; then the range itself
+    ({"class_sep": 1e308, "image_rule": {"kind": "image_threshold", "threshold": 0.5}},
+     "t's range, -3.26672 to 7.07107e+307, over bin_width 0.05 overflows float64"),
+    ({"text_noise_sd": 4e307},
+     "t's range, -1.59995e+308 to 1.72777e+308, itself overflows float64"),
+], ids=["text-noise", "ball-distance", "bin-variance", "t-range-over-bin-width", "t-range"])
 def test_simulate_refuses_a_value_that_overflows(tmp_path, capsys, change, message):
     # each used to exit 0 with infinities in its report, or 3 for the wrong
     # reason, and to print numpy RuntimeWarnings
@@ -1230,6 +1237,138 @@ def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):
         "capsieve: config error: image_rule: selection rule prototype must be a list, "
         "got '1.06,0,0,0'\n"
     )
+
+
+@pytest.mark.parametrize("rule, spec, message", [
+    ("text_rule", {"kind": "text_threshold", "treshold": 1.0},
+     "unknown selection rule key(s): 'treshold'"),
+    ("image_rule", {**BALL, "text_treshold_also": 5, "Radius": 1},
+     "unknown selection rule key(s): 'Radius', 'text_treshold_also'"),
+    ("image_rule", {"kind": "bogus", "threshold": 1.0},
+     "unknown rule kind 'bogus'; expected ('text_threshold', 'image_ball', 'image_threshold')"),
+    ("image_rule", {**BALL, "radius": -1.0}, "image_ball rule needs a radius >= 0"),
+    ("image_rule", {"kind": "image_ball", "prototype": [1.06, 0.0, 0.0, 0.0]},
+     'image_ball rule needs a radius >= 0 or "match"'),
+    ("image_rule", {**BALL, "radius": None}, 'image_ball rule needs a radius >= 0 or "match"'),
+    ("image_rule", {"kind": "image_ball", "radius": 1.0}, "image_ball rule needs a prototype vector"),
+    ("text_rule", {"kind": "text_threshold"}, "text_threshold rule needs a threshold"),
+    ("text_rule", {"kind": "text_threshold", "threshold": 0.8, "radius": "match"},
+     "bad selection rule radius: 'match'"),
+    ("text_rule", {"kind": "text_threshold", "threshold": 0.8, "text_threshold_also": 1.0},
+     "text_threshold rule reads only t"),
+], ids=["stray-key", "stray-keys", "unknown-kind", "negative-radius", "no-radius", "null-radius",
+        "no-prototype", "no-threshold", "text-radius-match", "text-also"])
+def test_a_bad_selection_rule_is_a_config_error_before_out_is_made(tmp_path, capsys, rule, spec,
+                                                                   message):
+    # each of these used to exit 3 after --out was made, or (a stray key)
+    # to exit 0 with the key ignored
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, rule: spec}), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"capsieve: config error: {rule}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Values a rule key may hold in a config: numbers finite, huge and not
+# finite, strings, null, booleans and lists of these. Small numbers and
+# prototypes of the right length are drawn on their own too, so that about
+# one run in ten finishes (33 of the 300).
+_RULE_SCALARS = st.one_of(
+    st.floats(-3, 3), st.integers(-3, 3),
+    st.sampled_from([1e308, -1e308, float("nan"), float("inf"), float("-inf"), -1]),
+    st.sampled_from(["match", "0.5", "nan", "", "text_threshold", "image_ball", "image_threshold"]),
+    st.text(max_size=4), st.none(), st.booleans(),
+)
+_RULE_VALUES = st.one_of(
+    st.floats(-3, 3), st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+    _RULE_SCALARS, st.lists(_RULE_SCALARS, max_size=5),
+)
+_IMAGE_RULES = [
+    {"kind": "image_ball", "radius": "match", "prototype": [1.06, 0.0, 0.0, 0.0]},
+    {"kind": "image_threshold", "threshold": 0.3, "text_threshold_also": -1.0},
+]
+_DROP = object()
+
+
+@st.composite
+def _simulate_rules(draw):
+    """SIM_CONFIG's text rule and an image rule, with up to two keys of one
+    of them (the five rule keys, or the stray key "treshold") set to any
+    value or dropped."""
+    rules = {"text_rule": dict(SIM_CONFIG["text_rule"]),
+             "image_rule": dict(draw(st.sampled_from(_IMAGE_RULES)))}
+    spec = rules[draw(st.sampled_from(sorted(rules)))]
+    keys = ["kind", "threshold", "radius", "prototype", "text_threshold_also", "treshold"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        value = draw(st.just(_DROP) | _RULE_VALUES)
+        if value is _DROP:
+            spec.pop(key, None)
+        else:
+            spec[key] = value
+    return rules
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rules=_simulate_rules())
+def test_any_rule_spec_exits_cleanly(tmp_path, capsys, rules):
+    config_path = tmp_path / "sim.json"
+    config = {**SIM_CONFIG, "n": 400, **rules}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["simulate", "--config", str(config_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("capsieve: "), err
+    if code == 2:
+        assert not out.exists()
+    if code == 3:
+        assert files_under(out) == []
+    if any("treshold" in spec for spec in rules.values()):
+        assert code == 2
+    if code == 0:
+        report = (out / "report.json").read_text(encoding="utf-8")
+        assert not re.search(r"NaN|Infinity", report), report
+        _, *rows = (out / "variances.csv").read_text(encoding="utf-8").splitlines()
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+def test_readme_simulate_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example `sim.json`:", 1)[1].split("```json\n", 1)[1]
+    config = json.loads(example.split("```", 1)[0])
+    config.update(n=2000, out=str(tmp_path / "sim"))
+    (tmp_path / "sim.json").write_text(json.dumps(config), encoding="utf-8")
+    run_ok(["simulate", "--config", tmp_path / "sim.json"])
+    report = read_json(tmp_path / "sim" / "report.json")
+    assert report["acceptance_image"] == pytest.approx(report["acceptance_text"], abs=0.01)
+
+
+@pytest.mark.parametrize("image_rule", [
+    BALL, {**BALL, "radius": 1.5}, {"kind": "image_threshold", "threshold": 0.3},
+], ids=["matched-ball", "ball", "image-threshold"])
+def test_simulate_digests_its_options_and_only_a_matched_radius(tmp_path, image_rule):
+    config = {**SIM_CONFIG, "image_rule": image_rule}
+    (tmp_path / "sim.json").write_text(json.dumps(config), encoding="utf-8")
+    run_ok(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "sim"])
+    params = {"command": "simulate", "bin_width": 0.05, "alpha": 0.01, **config}
+    if image_rule.get("radius") == "match":
+        gen = causalsim.GenConfig(*(config[k] for k in
+                                    ("n_classes", "x_dim", "text_noise_sd", "class_sep", "seed")))
+        report = causalsim.bottleneck_gap(
+            causalsim.generate(gen, config["n"]),
+            causalsim.SelectionRule(**config["text_rule"]),
+            causalsim.SelectionRule(kind="image_ball", prototype=tuple(BALL["prototype"])),
+        )
+        params["image_rule"] = {**image_rule, "radius": report.image_rule.radius}
+    provenance = read_json(tmp_path / "sim" / "provenance.json")
+    assert provenance["config_digest"] == config_digest(params)
 
 
 @pytest.mark.parametrize("key, value", [("bin_width", 0.1), ("alpha", 0.05)])

@@ -41,9 +41,14 @@ def test_shared_lemma_reports_both_synsets():
     assert crane[0].span == crane[1].span
 
 
+def patterns(matcher) -> set[str]:
+    """The distinct folded lemmas the automaton reports."""
+    return {lemma for entries in matcher.out for _, _, lemma in entries}
+
+
 def test_empty_taxonomy_matches_nothing():
     matcher = build_matcher(make_taxonomy([]))
-    assert len(matcher.wnids_for) == 0
+    assert len(patterns(matcher)) == 0
     assert list(find_matches(matcher, make_corpus(["anything at all"]))) == []
 
 
@@ -51,7 +56,7 @@ def test_pattern_count_is_distinct_normalized_lemmas():
     # "Ice_Bear" and "ice  bear" collapse to one pattern; "puma" repeats
     taxonomy = make_taxonomy([["Ice_Bear", "puma"], ["ice  bear"], ["puma", "cougar"]])
     matcher = build_matcher(taxonomy)
-    assert len(matcher.wnids_for) == len({"ice bear", "puma", "cougar"})
+    assert len(patterns(matcher)) == len({"ice bear", "puma", "cougar"})
 
 
 def test_a_lemma_that_folds_to_nothing_cannot_be_matched():
@@ -59,7 +64,7 @@ def test_a_lemma_that_folds_to_nothing_cannot_be_matched():
     with pytest.raises(ValidationError) as info:
         build_matcher(make_taxonomy([["cat"], ["dog", " _ "]]))
     assert str(info.value) == "synset n00000002: empty lemma"
-    assert len(build_matcher(make_taxonomy([["cat"], ["dog", " _ "]]), 1).wnids_for) == 2
+    assert len(patterns(build_matcher(make_taxonomy([["cat"], ["dog", " _ "]]), 1))) == 2
 
 
 def test_single_word_match():
@@ -146,13 +151,13 @@ def test_large_taxonomy_pattern_count(rng):
     taxonomy = make_taxonomy(lemma_lists)
     matcher = build_matcher(taxonomy)
     distinct = {fold_text(l) for lemmas in lemma_lists for l in lemmas}
-    assert len(matcher.wnids_for) == len(distinct)
+    assert len(patterns(matcher)) == len(distinct)
 
 
 def test_max_lemmas_per_synset():
     taxonomy = make_taxonomy([["cougar", "puma"]])
     headword_only = build_matcher(taxonomy, max_lemmas_per_synset=1)
-    assert len(headword_only.wnids_for) == 1
+    assert len(patterns(headword_only)) == 1
     assert list(find_matches(headword_only, make_corpus(["a puma resting"]))) == []
     full = build_matcher(taxonomy)
     assert len(find_matches(full, make_corpus(["a puma resting"]))) == 1
