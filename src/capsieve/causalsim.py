@@ -61,7 +61,10 @@ _BLOCK_VALUES = 1 << 17
 MIN_PER_GROUP = 30
 MIN_SURVIVORS = 100
 
-VALID_RULE_KINDS = ("text_threshold", "image_ball", "image_threshold")
+# Each rule kind, with the fields it does not read and so refuses.
+_UNREAD_FIELDS = {"text_threshold": ("radius", "prototype", "text_threshold_also"),
+                  "image_ball": ("threshold",), "image_threshold": ("radius", "prototype")}
+VALID_RULE_KINDS = tuple(_UNREAD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,10 @@ class SelectionRule:
                 raise ValidationError("image_ball rule needs a radius >= 0")
             if self.prototype is None:
                 raise ValidationError("image_ball rule needs a prototype vector")
-        if self.kind == "text_threshold" and (
-            self.radius is not None or self.prototype is not None or self.text_threshold_also is not None
-        ):
-            raise ValidationError("text_threshold rule reads only t")
+        unread = ", ".join(f for f in _UNREAD_FIELDS[self.kind] if getattr(self, f) is not None)
+        if unread:
+            what = "reads only t" if self.kind == "text_threshold" else f"does not read {unread}"
+            raise ValidationError(f"{self.kind} rule {what}")
 
     @property
     def reads_image(self) -> bool:
@@ -374,10 +377,11 @@ class BottleneckReport:
     cond_indep_stat: float  # text-rule statistic: the bottleneck claim
     bin_test_text: BinIndependenceTest
     bin_test_image: BinIndependenceTest
-    image_rule: SelectionRule  # as applied, its radius matched; not in as_dict
+    image_rule: SelectionRule  # as applied, its radius matched; as_dict writes the radius
 
     def as_dict(self) -> dict:
         return {
+            "image_radius": self.image_rule.radius,
             "baseline_var": [float(v) for v in self.baseline_var],
             "per_dim_var_text": [float(v) for v in self.per_dim_var_text],
             "per_dim_var_image": [float(v) for v in self.per_dim_var_image],

@@ -17,15 +17,18 @@ Exit codes, by the class of the bad input:
        subcommand's options, an option of another diagnose analysis (as
        a flag or a config key), a missing option, a value of the wrong type
        or out of range, a number list that is not strictly increasing, a
-       simulate selection rule with a stray key or that builds no rule,
-       an input path that is not an existing file, or an --out that cannot
-       be made a directory. All are found before --out is made, except
-       correlate's column names, which need the CSV.
+       simulate selection rule with a stray or unread key or that builds no
+       rule, an input path that is not an existing file, a correlate column
+       the CSV lacks, or an --out that cannot be made a directory.
     3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
        missing or wrongly typed field, or data that break an invariant
        (duplicate ids, unknown ids, non-finite vectors or CSV cells, class
        weights that are not finite numbers >= 0), or simulate settings the
-       simulator refuses. Nothing is written to --out: results come first.
+       simulator refuses.
+
+No failed run leaves a new --out: a stage computes its results before its
+first write, which makes --out. An --out that is a file is refused before
+any input is read; any other that cannot be made, at that first write.
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
 error: ..." line on stderr; no input ends in a traceback.
@@ -93,14 +96,14 @@ def _parse_thresholds(spec: str) -> list[float]:
             raise ConfigError(f"range needs step > 0 and b >= a, got {spec!r}")
         if not (b + 1e-12 - a) / step < MAX_RANGE_VALUES:  # the loop's own bound; inf fails
             raise ConfigError(f"range {spec!r} gives more than {MAX_RANGE_VALUES} values")
+        if a + step == a:  # a would repeat, and without end if a == b
+            raise ConfigError(f"numbers must be strictly increasing, got {spec!r}")
         values = []
-        i = 0
-        while True:
+        for i in range(MAX_RANGE_VALUES + 1):  # the most the bound above allows
             v = a + i * step
             if v > b + 1e-12:
                 break
             values.append(round(v, 12))
-            i += 1
     else:
         try:
             values = [float(p) for p in spec.split(",") if p.strip()]
@@ -224,14 +227,12 @@ class _Option(NamedTuple):
     """One option of a subcommand. `kind` types its value and checks its
     range; an option of kind Path is an input file, which must exist. An
     option with no value gets `default`, or is refused if that is
-    _REQUIRED. `flag` is False for a key that only a config file sets.
-    `needs` names an option that must be given whenever this one is."""
+    _REQUIRED. `flag` is False for a key that only a config file sets."""
 
     name: str
     kind: Callable = str
     default: object = None
     flag: bool = True
-    needs: str | None = None
     help: str | None = None
 
     @property
@@ -247,14 +248,13 @@ _OUT = _Option("out", Path, _REQUIRED, help="output directory")
 class _Stage:
     """One run of a subcommand or diagnose analysis. Resolves each option
     of its `_COMMANDS` entry (its flag, else its config entry, else its
-    default), types it, checks its range and that each input file exists,
-    and only then makes `--out`. Records the inputs and outputs, and
-    writes provenance.json."""
+    default), types it, checks its range and that each input file exists.
+    The command's first `output` makes `--out`. Records the inputs and
+    outputs, and writes provenance.json."""
 
     def __init__(self, command: str, flags: dict):
         self.command = command
-        self.config_path = flags.pop("config", None)
-        self.config = _load_config_file(self.config_path)
+        self.config = _load_config_file(flags.pop("config", None))
         options = _COMMANDS[command][1]
         names = {_OUT.name, *(o.name for o in options)}
         foreign = sorted(set(flags) - names)  # diagnose's parser holds every analysis's flags
@@ -269,18 +269,14 @@ class _Stage:
         self.inputs: dict[str, Path] = {}
         for o in options:
             value = self.values[o.name]
-            if o.needs and value is not None and self.values[o.needs] is None:
-                raise ConfigError(f"--{o.name} needs --{o.needs}")
             if isinstance(value, Path):
                 if not value.is_file():
                     raise ConfigError(f"--{o.name}: no such file {value}")
                 self.inputs[o.key] = value
         self.outputs: list[Path] = []
         self.out = self._resolve(_OUT, flags.get(_OUT.name))
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a file is in the way, or no permission
-            raise ConfigError(f"--out: cannot make directory {self.out}: {exc.strerror}") from None
+        if self.out.exists() and not self.out.is_dir():  # refused before any input is read
+            raise ConfigError(f"--out: cannot make directory {self.out}: File exists")
 
     def _resolve(self, option: _Option, flag):
         value = self.config.get(option.name) if flag is None else flag
@@ -292,23 +288,26 @@ class _Stage:
         return None if value is None else _typed(value, option.kind, what)
 
     def output(self, name: str) -> Path:
+        try:  # the first output makes --out
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file is in the way, or no permission
+            raise ConfigError(f"--out: cannot make directory {self.out}: {exc.strerror}") from None
         path = self.out / name
         self.outputs.append(path)
         return path
 
     def run(self) -> None:
         """Run the command, then write provenance.json. The config digest
-        covers the command, each option that is not an input file (a value
-        that names a file as "file") and what the command works out."""
+        covers the command and each option that is not an input file (a
+        value that names a file as "file")."""
         function, options = _COMMANDS[self.command]
-        worked_out = function(self, **{o.key: self.values[o.name] for o in options})
+        function(self, **{o.key: self.values[o.name] for o in options})
         name, _, analysis = self.command.partition(" ")
         params = {"command": name, "analysis": analysis} if analysis else {"command": name}
         for o in options:
             if o.kind is not Path:  # an input's content is digested under inputs
                 value = self.values[o.name]
                 params[o.key] = "file" if isinstance(value, Path) else value
-        params.update(worked_out or {})
         payload = {
             "artifact_version": __version__,
             "command": self.command,
@@ -370,9 +369,8 @@ def _load_weights(path) -> dict[str, float]:
 # -- subcommands ---------------------------------------------------------------
 #
 # Each takes the _Stage and its options' values, under their names with - as
-# _. One that works out a parameter while running returns it, for the config
-# digest to cover too. Each imports the modules it runs itself, so a child
-# loads only its own stage's code.
+# _, and computes its results before it asks for its first output. Each
+# imports the modules it runs itself, so a child loads only its own stage's.
 
 
 def _scan_captions(taxonomy, corpus, max_lemmas):
@@ -392,6 +390,10 @@ def _scan_captions(taxonomy, corpus, max_lemmas):
 
 
 def _cmd_match(stage, taxonomy, corpus, caption_embeddings, synset_embeddings, max_lemmas):
+    if caption_embeddings is not None and synset_embeddings is None:
+        raise ConfigError("--caption-embeddings needs --synset-embeddings")
+    if synset_embeddings is not None and caption_embeddings is None:
+        raise ConfigError("--synset-embeddings needs --caption-embeddings")
     from . import curator, matcher
     from .corpus import EmbeddingFile, load_embeddings
 
@@ -590,13 +592,8 @@ def _rule_from_config(spec) -> causalsim.SelectionRule:
         if not isinstance(prototype, list):
             raise ConfigError(f"selection rule prototype must be a list, got {prototype!r}")
         prototype = tuple(_typed(v, _finite, "selection rule prototype entry") for v in prototype)
-    return causalsim.SelectionRule(
-        kind=spec["kind"],
-        threshold=optional("threshold"),
-        radius=optional("radius"),
-        prototype=prototype,
-        text_threshold_also=optional("text_threshold_also"),
-    )
+    numbers = {key: optional(key) for key in ("threshold", "radius", "text_threshold_also")}
+    return causalsim.SelectionRule(kind=spec["kind"], prototype=prototype, **numbers)
 
 
 def _rule_spec(spec) -> dict:
@@ -609,7 +606,6 @@ def _cmd_simulate(stage, seed, n, n_classes, x_dim, text_noise_sd, class_sep, bi
                   text_rule, image_rule):
     from . import causalsim
 
-    stage.inputs["config"] = Path(stage.config_path)
     gen = causalsim.GenConfig(n_classes, x_dim, text_noise_sd, class_sep, seed)
     text = _rule_from_config(text_rule)
     image = _rule_from_config(image_rule)
@@ -620,8 +616,6 @@ def _cmd_simulate(stage, seed, n, n_classes, x_dim, text_noise_sd, class_sep, bi
     columns = (report.baseline_var, report.per_dim_var_text, report.per_dim_var_image)
     _write_csv(stage.output("variances.csv"), "dim,baseline,text_rule,image_rule",
                zip(range(gen.x_dim), *columns))
-    if image_rule.get("radius") == "match":  # the digest covers the radius applied
-        return {"image_rule": {**image_rule, "radius": report.image_rule.radius}}
 
 
 # -- the option table ----------------------------------------------------------
@@ -647,8 +641,8 @@ _COMMANDS = {
     "match": (_cmd_match, (
         _Option("taxonomy", Path, _REQUIRED),
         _Option("corpus", Path, _REQUIRED),
-        _Option("caption-embeddings", Path, needs="synset-embeddings"),
-        _Option("synset-embeddings", Path, needs="caption-embeddings"),
+        _Option("caption-embeddings", Path),
+        _Option("synset-embeddings", Path),
         _Option("max-lemmas", _within(_int, 1)),
     )),
     "sweep": (_cmd_sweep, (

@@ -322,7 +322,7 @@ def top_k_per_class(manifest: DatasetManifest, k: int) -> DatasetManifest:
     order = sorted(range(len(rows)), key=lambda r: (rows.wnids[r], -rows.scores[r], rows.ids[r]))
     kept = []
     for _, ranked in groupby(order, key=rows.wnids.__getitem__):
-        kept.extend(islice(ranked, k))
+        kept.extend(islice(ranked, min(k, len(rows))))  # islice takes no k past sys.maxsize
     return replace(manifest, rows=rows.take(sorted(kept)))
 
 

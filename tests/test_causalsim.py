@@ -215,6 +215,28 @@ def test_rule_validation():
         SelectionRule(kind="text_threshold", threshold=0.0, radius=1.0)
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("text_threshold", {"threshold": 0.0, "prototype": (0.0, 0.0)},
+     "text_threshold rule reads only t"),
+    ("text_threshold", {"threshold": 0.0, "text_threshold_also": 0.5},
+     "text_threshold rule reads only t"),
+    ("image_threshold", {"threshold": 0.0, "radius": 1.0},
+     "image_threshold rule does not read radius"),
+    ("image_threshold", {"threshold": 0.0, "prototype": (0.0, 0.0)},
+     "image_threshold rule does not read prototype"),
+    ("image_threshold", {"threshold": 0.0, "radius": 1.0, "prototype": (0.0, 0.0)},
+     "image_threshold rule does not read radius, prototype"),
+    ("image_ball", {"threshold": 0.0, "radius": 1.0, "prototype": (0.0, 0.0)},
+     "image_ball rule does not read threshold"),
+    ("image_ball", {"threshold": 0.0, "prototype": (0.0, 0.0)},  # a matched ball too
+     "image_ball rule does not read threshold"),
+])
+def test_a_rule_refuses_a_field_its_kind_does_not_read(kind, fields, message):
+    with pytest.raises(ValidationError) as caught:
+        SelectionRule(kind=kind, **fields)
+    assert str(caught.value) == message
+
+
 def test_image_rule_may_also_read_text():
     samples = generate(config(), 5000)
     plain = SelectionRule(kind="image_threshold", threshold=0.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import capsieve
 from capsieve import causalsim, corpus, vectorops
-from capsieve.cli import _write_csv, run
+from capsieve.cli import _COMMANDS, _parse_edges, _parse_thresholds, _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
 from capsieve.provenance import config_digest
@@ -326,6 +327,11 @@ def test_bad_threshold_spec_is_config_error(pipeline_fixture, tmp_path):
         ("1:0:0.1", "range needs step > 0 and b >= a, got '1:0:0.1'"),
         ("0:1:0", "range needs step > 0 and b >= a, got '0:1:0'"),
         (",", "no numbers given"),
+        # a step that adds nothing to a, so a repeats; the second used to
+        # loop without end, its list of values growing
+        ("1e16:1e16:1", "numbers must be strictly increasing, got '1e16:1e16:1'"),
+        ("1e308:1e308:9223372036854775808",
+         "numbers must be strictly increasing, got '1e308:1e308:9223372036854775808'"),
     ],
 )
 def test_each_bad_threshold_spec_is_named(tmp_path, capsys, spec, message):
@@ -762,14 +768,46 @@ def test_embedding_error_names_the_file_it_is_in(tmp_path, capsys):
     assert err == f"capsieve: data error: {images_b}: all-zero vector for id 'c'\n"
 
 
-CONFIG_ERRORS = [case for case in MALFORMED if case[3] == 2 and case[1] != "out"]
+FAILURES = [case for case in MALFORMED if case[1] != "out"]
 
 
-@pytest.mark.parametrize("stage, target, value, code", CONFIG_ERRORS,
-                         ids=map(_case_id, CONFIG_ERRORS))
-def test_config_error_leaves_no_out(tmp_path, capsys, stage, target, value, code):
-    assert run_corrupted(tmp_path, capsys, stage, target, value, out="fresh") == 2
+@pytest.mark.parametrize("stage, target, value, code", FAILURES, ids=map(_case_id, FAILURES))
+def test_a_failed_run_leaves_no_out(tmp_path, capsys, stage, target, value, code):
+    # --out is made by a stage's first write, and every stage computes its
+    # results before it writes
+    assert run_corrupted(tmp_path, capsys, stage, target, value, out="fresh") == code
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("corpus, code, reason", [
+    (GOOD_INPUTS["corpus.jsonl"], 2, "Not a directory"),
+    (first_line("corpus.jsonl", NOT_UTF8), 3, None),
+], ids=["good-corpus", "bad-corpus"])
+def test_an_out_below_a_file_is_found_at_the_first_write(tmp_path, capsys, corpus, code, reason):
+    write_good_inputs(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(corpus)
+    out = tmp_path / "table.csv" / "out"
+    argv = ["match", "--taxonomy", tmp_path / "taxonomy.jsonl", "--corpus",
+            tmp_path / "corpus.jsonl", "--out", out]
+    assert run([str(a) for a in argv]) == code  # a fault of the corpus comes first
+    err = capsys.readouterr().err
+    if reason:
+        assert err == f"capsieve: config error: --out: cannot make directory {out}: {reason}\n"
+    else:
+        assert err.startswith("capsieve: data error: "), err
+
+
+def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tmp_path, capsys):
+    write_good_inputs(tmp_path)
+    (tmp_path / "corpus.jsonl").write_bytes(first_line("corpus.jsonl", NOT_UTF8))
+    out = tmp_path / "table.csv"
+    argv = ["match", "--taxonomy", tmp_path / "taxonomy.jsonl", "--corpus",
+            tmp_path / "corpus.jsonl", "--out", out]
+    assert run([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: --out: cannot make directory {out}: File exists\n"
+    )
+    assert out.read_bytes() == GOOD_INPUTS["table.csv"]
 
 
 def test_repeated_ranked_wnid_names_path_and_line(tmp_path, capsys):
@@ -1057,7 +1095,7 @@ def test_missing_image_embedding_leaves_no_partial_csv(tmp_path, capsys, stage):
     assert capsys.readouterr().err == (
         "capsieve: data error: missing image embedding for id 'zzz'\n"
     )
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_reads_a_side_to_its_end_after_the_last_shared_class(tmp_path, capsys):
@@ -1077,7 +1115,7 @@ def test_compare_reads_a_side_to_its_end_after_the_last_shared_class(tmp_path, c
     assert capsys.readouterr().err == (
         "capsieve: data error: missing image embedding for id 'zzz'\n"
     )
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 # (stage, input file, its bytes, the error): data that breaks only once the
@@ -1091,7 +1129,7 @@ LATE_DATA_ERRORS = [
 
 @pytest.mark.parametrize("stage, name, content, error", LATE_DATA_ERRORS,
                          ids=[case[0] for case in LATE_DATA_ERRORS])
-def test_late_data_error_leaves_out_empty(tmp_path, capsys, stage, name, content, error):
+def test_late_data_error_leaves_no_out(tmp_path, capsys, stage, name, content, error):
     for good_name, good in GOOD_INPUTS.items():
         (tmp_path / good_name).write_bytes(good)
     (tmp_path / name).write_bytes(content)
@@ -1100,7 +1138,7 @@ def test_late_data_error_leaves_out_empty(tmp_path, capsys, stage, name, content
                       for k, v in options.items()]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"capsieve: data error: {error}\n"
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_weights_file_is_recorded_by_content_not_path(tmp_path):
@@ -1200,7 +1238,7 @@ def test_a_matched_radius_refuses_a_text_rule_that_keeps_none_or_all(tmp_path, c
         f"capsieve: data error: text rule kept {kept} of {n} samples; "
         '"radius": "match" needs it to keep some but not all\n'
     )
-    assert list((tmp_path / "sim").iterdir()) == []
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("change, message", [
@@ -1225,7 +1263,7 @@ def test_simulate_refuses_a_value_that_overflows(tmp_path, capsys, change, messa
     assert code == 3
     assert capsys.readouterr().err == f"capsieve: data error: {message}\n"
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert list((tmp_path / "sim").iterdir()) == []
+    assert not (tmp_path / "sim").exists()
 
 
 def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):
@@ -1256,12 +1294,18 @@ def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):
      "bad selection rule radius: 'match'"),
     ("text_rule", {"kind": "text_threshold", "threshold": 0.8, "text_threshold_also": 1.0},
      "text_threshold rule reads only t"),
+    ("image_rule", {"kind": "image_threshold", "threshold": 0.3, "radius": 5},
+     "image_threshold rule does not read radius"),
+    ("image_rule", {"kind": "image_threshold", "threshold": 0.3, "prototype": [1]},
+     "image_threshold rule does not read prototype"),
+    ("image_rule", {**BALL, "threshold": 99}, "image_ball rule does not read threshold"),
 ], ids=["stray-key", "stray-keys", "unknown-kind", "negative-radius", "no-radius", "null-radius",
-        "no-prototype", "no-threshold", "text-radius-match", "text-also"])
+        "no-prototype", "no-threshold", "text-radius-match", "text-also", "image-threshold-radius",
+        "image-threshold-prototype", "ball-threshold"])
 def test_a_bad_selection_rule_is_a_config_error_before_out_is_made(tmp_path, capsys, rule, spec,
                                                                    message):
-    # each of these used to exit 3 after --out was made, or (a stray key)
-    # to exit 0 with the key ignored
+    # each of these used to exit 3 after --out was made, or (a stray key, or
+    # one the rule's kind does not read) to exit 0 with the key ignored
     config_path = tmp_path / "sim.json"
     config_path.write_text(json.dumps({**SIM_CONFIG, rule: spec}), encoding="utf-8")
     assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -1288,6 +1332,17 @@ _IMAGE_RULES = [
     {"kind": "image_threshold", "threshold": 0.3, "text_threshold_also": -1.0},
 ]
 _DROP = object()
+# The rule keys each kind does not read.
+_UNREAD = {"text_threshold": {"radius", "prototype", "text_threshold_also"},
+           "image_ball": {"threshold"}, "image_threshold": {"radius", "prototype"}}
+
+
+def _sets_an_unread_key(spec) -> bool:
+    """Whether a rule spec of a known kind gives a key its kind does not
+    read a value other than null."""
+    kind = spec.get("kind")
+    unread = _UNREAD.get(kind, ()) if isinstance(kind, str) else ()
+    return any(spec.get(key) is not None for key in unread)
 
 
 @st.composite
@@ -1326,11 +1381,8 @@ def test_any_rule_spec_exits_cleanly(tmp_path, capsys, rules):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code:
         assert len(err.splitlines()) == 1 and err.startswith("capsieve: "), err
-    if code == 2:
         assert not out.exists()
-    if code == 3:
-        assert files_under(out) == []
-    if any("treshold" in spec for spec in rules.values()):
+    if any("treshold" in spec or _sets_an_unread_key(spec) for spec in rules.values()):
         assert code == 2
     if code == 0:
         report = (out / "report.json").read_text(encoding="utf-8")
@@ -1353,22 +1405,27 @@ def test_readme_simulate_example_runs(tmp_path):
 @pytest.mark.parametrize("image_rule", [
     BALL, {**BALL, "radius": 1.5}, {"kind": "image_threshold", "threshold": 0.3},
 ], ids=["matched-ball", "ball", "image-threshold"])
-def test_simulate_digests_its_options_and_only_a_matched_radius(tmp_path, image_rule):
+def test_simulate_digests_its_options_and_reports_the_radius_applied(tmp_path, image_rule):
     config = {**SIM_CONFIG, "image_rule": image_rule}
     (tmp_path / "sim.json").write_text(json.dumps(config), encoding="utf-8")
     run_ok(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "sim"])
-    params = {"command": "simulate", "bin_width": 0.05, "alpha": 0.01, **config}
-    if image_rule.get("radius") == "match":
-        gen = causalsim.GenConfig(*(config[k] for k in
-                                    ("n_classes", "x_dim", "text_noise_sd", "class_sep", "seed")))
-        report = causalsim.bottleneck_gap(
-            causalsim.generate(gen, config["n"]),
-            causalsim.SelectionRule(**config["text_rule"]),
-            causalsim.SelectionRule(kind="image_ball", prototype=tuple(BALL["prototype"])),
-        )
-        params["image_rule"] = {**image_rule, "radius": report.image_rule.radius}
     provenance = read_json(tmp_path / "sim" / "provenance.json")
-    assert provenance["config_digest"] == config_digest(params)
+    params = {"command": "simulate", "bin_width": 0.05, "alpha": 0.01, **config}
+    assert provenance["config_digest"] == config_digest(params)  # "match" as given
+    assert provenance["inputs"] == {}  # the config file is covered by the config digest
+
+    gen = causalsim.GenConfig(*(config[k] for k in
+                                ("n_classes", "x_dim", "text_noise_sd", "class_sep", "seed")))
+    radius = None if image_rule.get("radius") == "match" else image_rule.get("radius")
+    fields = {**image_rule, "radius": radius}
+    if "prototype" in fields:
+        fields["prototype"] = tuple(fields["prototype"])
+    report = causalsim.bottleneck_gap(causalsim.generate(gen, config["n"]),
+                                      causalsim.SelectionRule(**config["text_rule"]),
+                                      causalsim.SelectionRule(**fields))
+    applied = read_json(tmp_path / "sim" / "report.json")["image_radius"]
+    assert applied == report.image_rule.radius
+    assert (applied is None) == (image_rule["kind"] == "image_threshold")
 
 
 @pytest.mark.parametrize("key, value", [("bin_width", 0.1), ("alpha", 0.05)])
@@ -1409,7 +1466,7 @@ def test_simulate_with_an_alpha_too_small_for_its_comparisons_is_a_data_error(tm
         r"1 - alpha / \(2 \* \d+\) rounds to 1, so the test has no critical value\n",
         err,
     ), err
-    assert list((tmp_path / "sim").iterdir()) == []
+    assert not (tmp_path / "sim").exists()
 
 
 def test_variances_csv_holds_the_report_numbers(tmp_path):
@@ -1498,15 +1555,19 @@ def test_eval_weights_that_sum_to_zero_are_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "capsieve: data error: class weights sum to zero over the evaluated classes\n"
     )
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("given", ["caption-embeddings", "synset-embeddings"])
-def test_match_with_one_embedding_file_is_config_error(pipeline_fixture, tmp_path, given):
+@pytest.mark.parametrize("given, missing", [("caption-embeddings", "synset-embeddings"),
+                                            ("synset-embeddings", "caption-embeddings")])
+def test_match_with_one_embedding_file_is_config_error(pipeline_fixture, tmp_path, capsys,
+                                                       given, missing):
     fx = pipeline_fixture
     argv = ["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
             f"--{given}", fx[given.replace("-", "_")], "--out", tmp_path / "m"]
     assert run([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"capsieve: config error: --{given} needs --{missing}\n"
+    assert not (tmp_path / "m").exists()
 
 
 # Every variable OpenBLAS reads its thread count from, highest precedence
@@ -1687,10 +1748,6 @@ def write_good_inputs(root: Path) -> None:
         (root / name).write_bytes(good)
 
 
-def files_under(root: Path) -> list[Path]:
-    return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
-
-
 def test_nearest_text_on_an_empty_corpus_names_the_file(tmp_path, capsys):
     write_good_inputs(tmp_path)
     empty = tmp_path / "empty.emb"
@@ -1700,7 +1757,7 @@ def test_nearest_text_on_an_empty_corpus_names_the_file(tmp_path, capsys):
             "--out", tmp_path / "out"]
     assert run([str(a) for a in argv]) == 3
     assert capsys.readouterr().err == f"capsieve: data error: {empty}: empty matrix\n"
-    assert files_under(tmp_path / "out") == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_correlate_names_a_missing_column_and_the_header(tmp_path, capsys):
@@ -1712,6 +1769,7 @@ def test_correlate_names_a_missing_column_and_the_header(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"capsieve: config error: column 'z' not found in {table}; its columns are 'x', 'y'\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 def test_false_class_reads_the_pairs_before_the_text_embeddings(tmp_path, capsys):
@@ -1782,7 +1840,7 @@ def test_false_class_runs_on_the_good_fault_inputs(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(FALSE_CLASS_FAULTS))
 def test_false_class_reports_a_single_fault(tmp_path, capsys, name):
     assert false_class_run(tmp_path, capsys, [name]) == (3, false_class_message(tmp_path, name))
-    assert files_under(tmp_path / "out") == []
+    assert not (tmp_path / "out").exists()
 
 
 # Each pair is (the fault reported, a fault reported after it). The text
@@ -1907,7 +1965,7 @@ def match_error(tmp_path, capsys, faults, synset_dim=2) -> str:
     code = run([str(a) for a in argv])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert files_under(tmp_path / "out") == []
+    assert not (tmp_path / "out").exists()
     return err
 
 
@@ -2006,8 +2064,122 @@ def test_corrupt_embedding_files_exit_cleanly(tmp_path, capsys, stage, which, re
     assert "Traceback" not in err
     if code:
         assert len(err.splitlines()) == 1, err
-    if code == 3:
-        assert files_under(out) == []
+        assert not out.exists()
+
+
+# The edges of every option kind, as config values: a flag gets str() of one.
+_EDGES = [0, -1, 2**63, 1e308, 1e-320, float("nan"), float("inf"), "", [0.5], True]
+_NUMBERS = [v for v in _EDGES if type(v) in (int, float)]
+# Options that size the work, and the most any run gives them; a range
+# gives at most _RANGE_CAP values.
+_SIZE_CAPS = {"n": 400, "boot": 20, "x_dim": 8}
+_RANGE_CAP = 1000
+# Each stage of STAGES with each of its `_COMMANDS` options.
+_STAGE_OPTIONS = [(stage, option) for stage, (command, _) in sorted(STAGES.items())
+                  for option in _COMMANDS[" ".join(command)][1]]
+
+
+def _range(a, b, step) -> str:
+    """a:b:step, its step widened if it would give more than _RANGE_CAP
+    values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        count = (b - a) / step if step else math.inf
+    if math.isfinite(count) and count > _RANGE_CAP:
+        step = (b - a) / _RANGE_CAP
+    return f"{a}:{b}:{step}"
+
+
+# Every a:b:step of numeric edges, for the number-list options.
+_RANGES = [_range(*abc) for abc in itertools.product(_NUMBERS, repeat=3)]
+
+
+def _values(option) -> list:
+    """The edges an option is given: its kind's, capped if it sizes the
+    work, and every range of edges for a number list."""
+    cap = _SIZE_CAPS.get(option.name, math.inf)
+    values = [cap if v in _NUMBERS and v > cap else v for v in _EDGES]
+    return values + _RANGES if option.kind in (_parse_thresholds, _parse_edges) else values
+
+
+def _non_finite_in_outputs(out: Path) -> list[str]:
+    """The output files that hold a NaN or an infinity, in JSON's or in
+    float repr's spelling."""
+    pattern = re.compile(r"NaN|Infinity|(?<![\w.])-?(nan|inf)(?!\w)")
+    return [p.name for p in sorted(out.iterdir())
+            if pattern.search(p.read_text(encoding="utf-8"))]
+
+
+def check_edges(tmp_path, capsys, stage, given) -> None:
+    """Run `stage` on the good inputs, each option named in `given` set to
+    its (value, as_flag) and --out fresh: it exits 0, 2 or 3; an error is
+    one `capsieve:` line, with no traceback and no --out left; a success
+    writes no NaN or infinity; no run warns."""
+    write_good_inputs(tmp_path)
+    command, options = STAGES[stage]
+    config = {k: str(tmp_path / v) if isinstance(v, str) and v in GOOD_INPUTS else v
+              for k, v in options.items()}
+    flags = []
+    for name, (value, as_flag) in given.items():
+        config.pop(name, None)
+        if as_flag:
+            flags.append(f"--{name}={value}")
+        else:
+            config[name] = value
+    config_path, out = tmp_path / "run.json", tmp_path / "out"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    shutil.rmtree(out, ignore_errors=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command + ["--config", str(config_path), f"--out={out}", *flags])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (given, err)
+    assert "Traceback" not in err, given
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], given
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("capsieve: "), (given, err)
+        assert not out.exists(), given
+    else:
+        assert _non_finite_in_outputs(out) == [], given
+
+
+def _forms(option) -> list[bool]:
+    """Whether the option is given in the config, as a flag, or either: a
+    boolean flag takes no value."""
+    return [False, True] if option.flag and option.kind is not bool else [False]
+
+
+@pytest.mark.parametrize("stage, option", _STAGE_OPTIONS,
+                         ids=[f"{stage}-{option.name}" for stage, option in _STAGE_OPTIONS])
+def test_every_edge_of_an_option_exits_cleanly(tmp_path, capsys, stage, option):
+    # --top-k 2**63 or 1e308 used to end in islice's traceback, and
+    # --thresholds 1e308:1e308:9223372036854775808 to loop without end
+    for value in _values(option):
+        for as_flag in [False] if value in _RANGES else _forms(option):  # a string either way
+            check_edges(tmp_path, capsys, stage, {option.name: (value, as_flag)})
+
+
+@st.composite
+def _two_option_edges(draw):
+    """A stage of STAGES and two of its `_COMMANDS` options, each given one
+    of its `_values` or, for a number list, a comma list of edges."""
+    stage, first = draw(st.sampled_from(_STAGE_OPTIONS))
+    second = draw(st.sampled_from([o for s, o in _STAGE_OPTIONS if s == stage]))
+    given = {}
+    for option in (first, second):
+        value = draw(st.sampled_from(_values(option)))
+        if option.kind in (_parse_thresholds, _parse_edges) and draw(st.booleans()):
+            value = ",".join(map(str, draw(st.lists(st.sampled_from(_NUMBERS), min_size=1,
+                                                    max_size=3))))
+        given[option.name] = (value, draw(st.sampled_from(_forms(option))))
+    return stage, given
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_two_option_edges())
+def test_any_two_option_edges_exit_cleanly(tmp_path, capsys, case):
+    check_edges(tmp_path, capsys, *case)
 
 
 _PEAK_REPORT = """\

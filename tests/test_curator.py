@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -351,6 +352,16 @@ def test_top_k_keeps_small_classes():
         threshold=0.0,
     )
     assert top_k_per_class(manifest, 50).rows == manifest.rows
+
+
+@pytest.mark.parametrize("k", [sys.maxsize + 1, int(1e308)])
+def test_top_k_past_sys_maxsize_keeps_every_row(k):
+    # islice refuses a stop past sys.maxsize; the CLI takes --top-k 1e308
+    manifest = DatasetManifest(
+        rows=make_candidates(cand(f"i{j}", "n00000001", 0.9 - j / 100) for j in range(3)),
+        threshold=0.0,
+    )
+    assert top_k_per_class(manifest, k).rows == manifest.rows
 
 
 def test_top_k_matches_full_sort_oracle(rng):

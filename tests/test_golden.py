@@ -29,8 +29,8 @@ from test_cli import read_json, run_ok, run_pipeline
 
 TABLE = Path(__file__).with_name("golden_provenance.json")
 
-# The simulator's config file is an input, digested whole, so it names no
-# path: `--out` is passed as a flag.
+# The simulator's settings, digested under config_digest as any command's
+# config is; `--out` is passed as a flag.
 SIMULATE = {
     "n_classes": 2,
     "x_dim": 4,
