@@ -50,7 +50,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ValidationError
-from .seeding import stream
+from .seeding import linear_quantiles, stream
 
 _GENERATION_BLOCK = 8192  # samples per independently-seeded block
 # Values per row block of a temporary read from x: 1 MiB of float64.
@@ -220,10 +220,12 @@ def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
 
 def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
     """Radius giving an image_ball rule approximately the target acceptance
-    rate on these samples (the empirical distance quantile)."""
+    rate on these samples: the `rate` quantile of the distances, bitwise
+    `np.quantile(distances, rate)`, by `linear_quantiles` partitioning the
+    distances in place, so no second n-length array is made."""
     if not 0.0 < rate < 1.0:
         raise ValidationError(f"rate must be in (0, 1), got {rate}")
-    return float(np.quantile(_ball_distances(samples.x, prototype), rate, overwrite_input=True))
+    return linear_quantiles(_ball_distances(samples.x, prototype), (rate,), overwrite=True)[0]
 
 
 @dataclass(frozen=True)

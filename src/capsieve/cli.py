@@ -3,43 +3,41 @@
 Subcommands: match, sweep, assemble, eval, diagnose, simulate. One table,
 `_COMMANDS`, states the options of each (and of each diagnose analysis)
 once; the parser, the config keys, the checks on each value and the config
-digest are all derived from it. Every value can come from a JSON config
-file (--config); command-line flags win over config entries. Every run
-writes a provenance.json next to its outputs with the package version, the
-digest of the resolved configuration, and content digests of all inputs
-and outputs. Nothing time- or host-dependent is recorded, so identical
-runs produce identical bytes.
+digest derive from it. A value can come from a JSON --config; flags win
+over it. Every run writes provenance.json beside its outputs: the package
+version, the resolved configuration's digest and the content digests of
+its inputs and outputs. Nothing time- or host-dependent is recorded, so
+identical runs give identical bytes.
 
 Exit codes, by the class of the bad input:
 
     0  ok
-    2  a flag or config value: a config key that names none of the
-       subcommand's options, an option of another diagnose analysis (as
-       a flag or a config key), a missing option, a value of the wrong type
-       or out of range, a number list that is not strictly increasing, a
-       simulate selection rule with a stray or unread key or that builds no
-       rule, an input path that is not an existing file, a correlate column
-       the CSV lacks, or an --out that cannot be made a directory.
-    3  a data file: bad UTF-8, bad JSON, a row that is not an object, a
-       missing or wrongly typed field, or data that break an invariant
-       (duplicate ids, unknown ids, non-finite vectors or CSV cells, class
-       weights that are not finite numbers >= 0), or simulate settings the
-       simulator refuses.
-
-No failed run leaves a new --out: a stage computes its results before its
-first write, which makes --out. An --out that is a file is refused before
-any input is read; any other that cannot be made, at that first write.
+    2  a flag or config value: an unknown key or another analysis's
+       option, a missing option, a value of the wrong type or out of
+       range (a --boot, or simulate n or n_classes times x_dim, beyond the
+       float64 values one numpy array holds), a number list that is not
+       strictly increasing, a bad simulate rule, an input that is not a
+       file, a correlate column the CSV lacks, or an --out that cannot be
+       made a directory.
+    3  a data file: bad UTF-8 or JSON, a row that is not an object, a
+       missing or wrongly typed field, data that break an invariant
+       (duplicate or unknown ids, non-finite vectors or CSV cells, class
+       weights not finite and >= 0), or simulate settings the simulator
+       refuses.
 
 Each error prints one "capsieve: config error: ..." or "capsieve: data
-error: ..." line on stderr; no input ends in a traceback.
+error: ..." line on stderr, never a traceback. No failed run leaves a new
+--out: a stage computes its results before its first write makes --out,
+and an --out that is a file is refused before any input is read.
 
 The CLI runs on one thread: it sets OPENBLAS_NUM_THREADS to 1 unless the
-user has set it, which changes no output byte.
+user has, which changes no output byte.
 
 Each subcommand imports its own modules when it runs: `sweep`, `assemble`
 and `eval` load no numpy, `simulate` loads only `causalsim` (and
-`seeding`), and no other stage loads `causalsim`. A fresh child thus pays
-only for the code its stage runs.
+`seeding`), no other stage loads `causalsim`, and none loads `numpy.ma`,
+which `np.quantile` and `np.unique` import (`seeding.linear_quantiles`
+stands in). A fresh child thus pays only for the code its stage runs.
 """
 
 from __future__ import annotations
@@ -74,6 +72,9 @@ class ConfigError(CapsieveError):
 
 # The most values a:b:step may give, checked before any is generated.
 MAX_RANGE_VALUES = 1_000_000
+# The most float64 values one numpy array holds: numpy refuses, without
+# allocating, an array of more than sys.maxsize bytes.
+_MAX_FLOAT64S = sys.maxsize // 8
 
 
 def _parse_thresholds(spec: str) -> list[float]:
@@ -103,7 +104,7 @@ def _parse_thresholds(spec: str) -> list[float]:
             v = a + i * step
             if v > b + 1e-12:
                 break
-            values.append(round(v, 12))
+            values.append(v if v.is_integer() else round(v, 12))  # round keeps an integer
     else:
         try:
             values = [float(p) for p in spec.split(",") if p.strip()]
@@ -186,9 +187,7 @@ def _typed(value, kind, what: str):
     """`value` as a `kind`, or ConfigError naming `what`.
 
     `bool` and `str` options take only JSON booleans and strings as they
-    are; every other kind converts any value it can except a boolean. A
-    kind raises TypeError or ValueError for a value of the wrong kind, and
-    ConfigError or ValidationError for one out of range or inconsistent.
+    are; every other kind converts any value it can except a boolean.
     """
     if kind in (bool, str):
         if isinstance(value, kind):
@@ -196,9 +195,9 @@ def _typed(value, kind, what: str):
     elif not isinstance(value, bool):
         try:
             return kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError):  # a value of the wrong kind
             pass
-        except (ConfigError, ValidationError) as exc:
+        except (ConfigError, ValidationError) as exc:  # one out of range or inconsistent
             raise ConfigError(f"{what}: {exc}") from None
     raise ConfigError(f"bad {what}: {value!r}")
 
@@ -334,10 +333,11 @@ def _labelled_rows(path, embeddings, role: str):
 def _classes(manifest, image_embeddings):
     """A manifest file, and the `intra_class_sims` stream of its classes
     over an image embedding file, of which only the manifest's rows are
-    kept. `compare` and `cross-modal` import `diagnostics` only after it,
-    so `curator` is imported before numpy: the other order gives the same
-    outputs, but a heap layout that raised `compare`'s peak RSS by 0.2 MiB
-    on the bench's diagnose inputs."""
+    kept."""
+    # `compare` and `cross-modal` import `diagnostics` only after this, so
+    # `curator` is imported before numpy: the other order gives the same
+    # outputs, but a heap layout that raised `compare`'s peak RSS by 0.2 MiB
+    # on the bench's diagnose inputs.
     from . import curator, diagnostics
     from .corpus import load_embeddings
 
@@ -607,6 +607,9 @@ def _cmd_simulate(stage, seed, n, n_classes, x_dim, text_noise_sd, class_sep, bi
     from . import causalsim
 
     gen = causalsim.GenConfig(n_classes, x_dim, text_noise_sd, class_sep, seed)
+    for rows, name in ((n, "n"), (n_classes, "n_classes")):  # the images x, the class means
+        if rows * x_dim > _MAX_FLOAT64S:
+            raise ConfigError(f"{name} x x_dim, {rows} x {x_dim}, is over {_MAX_FLOAT64S} values")
     text = _rule_from_config(text_rule)
     image = _rule_from_config(image_rule)
     samples = causalsim.generate(gen, n)
@@ -633,7 +636,7 @@ _SUBCOMMANDS = {
 # The two analyses that draw a bootstrap take these, and simulate its seed.
 # 1000 is diagnostics.DEFAULT_BOOTSTRAP_REPLICATES, stated here to load no numpy.
 _SEED = _Option("seed", _within(_int, 0), 0, help="root random seed")
-_BOOT = _Option("boot", _within(_int, 1), 1000)
+_BOOT = _Option("boot", _within(_int, 1, _MAX_FLOAT64S), 1000)
 
 # Each subcommand, or diagnose analysis, with the function that runs it and
 # its options besides --out.

@@ -43,7 +43,7 @@ from .curator import Candidates, DatasetManifest
 from .errors import ValidationError
 from .evalmetrics import ClassStat
 from .provenance import config_digest
-from .seeding import stream
+from .seeding import linear_quantiles, stream
 from .vectorops import (
     _block_step,
     _row_norms,
@@ -110,11 +110,11 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 def _percentile_stat(wnid: str, value: float, replicates: np.ndarray, n: int) -> ClassStat:
     """`value` with the 95% percentile interval of its bootstrap
     `replicates`, widened if necessary to contain `value` (the percentile
-    interval of a skewed bootstrap distribution can otherwise exclude it)."""
-    lo, hi = np.percentile(replicates, [2.5, 97.5])
-    return ClassStat(
-        wnid=wnid, value=value, ci_low=min(float(lo), value), ci_high=max(float(hi), value), n=n
-    )
+    interval of a skewed bootstrap distribution can otherwise exclude it).
+    The bounds are `np.percentile(replicates, [2.5, 97.5])` bit for bit:
+    `linear_quantiles` at those percents over 100, divided as numpy does."""
+    lo, hi = linear_quantiles(replicates, np.true_divide([2.5, 97.5], 100))
+    return ClassStat(wnid=wnid, value=value, ci_low=min(lo, value), ci_high=max(hi, value), n=n)
 
 
 def intra_class_sims(

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capsieve
-from capsieve import causalsim, corpus, vectorops
+from capsieve import causalsim, cli, corpus, vectorops
 from capsieve.cli import _COMMANDS, _parse_edges, _parse_thresholds, _write_csv, run
 from capsieve.corpus import EMBEDDING_MAGIC, EmbeddingMatrix, load_embeddings, write_embeddings
 from capsieve.diagnostics import DEFAULT_BOOTSTRAP_REPLICATES
@@ -341,6 +341,37 @@ def test_each_bad_threshold_spec_is_named(tmp_path, capsys, spec, message):
     assert run(argv) == 2
     assert capsys.readouterr().err == f"capsieve: config error: --thresholds: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def rounded_range(a: float, b: float, step: float) -> list[float]:
+    """The a:b:step values as every one was once rounded: round(v, 12)."""
+    values = []
+    while (v := a + len(values) * step) <= b + 1e-12:
+        values.append(round(v, 12))
+    return values
+
+
+@pytest.mark.parametrize("a, b, step", [
+    (0.0, 1.0, 0.1), (-5.0, 5.0, 0.25), (0.1, 10.1, 0.7), (-1.0, 1.0, 1e-3),
+    (1e300, 1.1e300, 1e297), (-1e300, -0.9e300, 1e297), (2.0**52, 2.0**52 + 100, 3.5),
+    (1e15, 1e15 + 10, 0.125), (3.0, 1e6, 9999.5),
+])
+def test_a_range_gives_the_values_round_gave(a, b, step):
+    assert _parse_thresholds(f"{a!r}:{b!r}:{step!r}") == rounded_range(a, b, step)
+
+
+def test_a_range_rounds_only_values_that_are_not_integers(monkeypatch):
+    rounded = []
+
+    def spy(value, digits):
+        rounded.append(value)
+        return round(value, digits)
+
+    monkeypatch.setattr(cli, "round", spy, raising=False)
+    assert len(_parse_thresholds("1e300:1.1e300:1e294")) == 100_001  # all integers
+    assert rounded == []
+    assert _parse_thresholds("0:2:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+    assert rounded == [0.25, 0.5, 0.75, 1.25, 1.5, 1.75]
 
 
 def test_a_cutoff_of_zero_is_config_error(tmp_path, capsys):
@@ -1266,6 +1297,64 @@ def test_simulate_refuses_a_value_that_overflows(tmp_path, capsys, change, messa
     assert not (tmp_path / "sim").exists()
 
 
+# Sizes whose float64 array numpy refuses to make, without allocating it:
+# more than sys.maxsize bytes. A size under that limit would be allocated
+# for real, so none is run here.
+TOO_BIG = {"2**62": 2**62, "2**63": 2**63, "1e308": 1e308}
+
+
+@pytest.mark.parametrize("size", TOO_BIG.values(), ids=TOO_BIG.keys())
+@pytest.mark.parametrize("key", ["n", "x_dim"])
+def test_simulate_refuses_a_size_numpy_cannot_make_an_array_of(tmp_path, capsys, key, size):
+    rows, x_dim = (int(size), SIM_CONFIG["x_dim"]) if key == "n" else (SIM_CONFIG["n"], int(size))
+    with pytest.raises(ValueError):  # numpy's own refusal, which used to end in a traceback
+        np.empty((rows, x_dim))
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps({**SIM_CONFIG, key: size}), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: n x x_dim, {rows} x {x_dim}, is over 1152921504606846975 "
+        "values\n"
+    )
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_refuses_class_means_numpy_cannot_make_an_array_of(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        np.empty((2**31, 2**31))
+    config_path = tmp_path / "sim.json"
+    config = {**SIM_CONFIG, "n": 1, "n_classes": 2**31, "x_dim": 2**31}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == (
+        "capsieve: config error: n_classes x x_dim, 2147483648 x 2147483648, is over "
+        "1152921504606846975 values\n"
+    )
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("size", TOO_BIG.values(), ids=TOO_BIG.keys())
+@pytest.mark.parametrize("analysis", ["compare", "cross-modal"])
+def test_a_boot_numpy_cannot_make_an_array_of_is_a_config_error(stage_inputs, tmp_path, capsys,
+                                                                analysis, size):
+    with pytest.raises(ValueError):
+        np.empty(int(size))
+    inputs = {"compare": {"manifest-a": "manifest", "manifest-b": "manifest",
+                          "image-embeddings-a": "image_embeddings",
+                          "image-embeddings-b": "image_embeddings"},
+              "cross-modal": {"manifest": "manifest", "image-embeddings": "image_embeddings",
+                              "synset-embeddings": "synset_embeddings"}}[analysis]
+    config_path = tmp_path / "run.json"
+    config = {key: stage_inputs[name] for key, name in inputs.items()}
+    config_path.write_text(json.dumps({**config, "boot": size}), encoding="utf-8")
+    argv = ["diagnose", analysis, "--config", str(config_path), "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"capsieve: config error: --boot: {int(size)} outside [1, 1152921504606846975]\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_prototype_that_is_not_a_list_is_config_error(tmp_path, capsys):
     config_path = tmp_path / "sim.json"
     config = {**SIM_CONFIG, "image_rule": {**BALL, "prototype": "1.06,0,0,0"}}
@@ -1649,6 +1738,7 @@ import json, sys
 from capsieve.cli import run
 code = run(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules,
                   "capsieve": sorted(m for m in sys.modules if m.startswith("capsieve."))}))
 """
 
@@ -1657,7 +1747,8 @@ SIMULATE_FREE = {"corpus", "curator", "diagnostics", "matcher", "taxonomy", "vec
 DIAGNOSE_FREE = {"causalsim", "matcher", "taxonomy"}
 TABULAR_FREE = {"causalsim", "diagnostics", "matcher", "taxonomy", "vectorops", "seeding"}
 
-# (stage, argv with {input} placeholders, exit code, loads numpy, modules it must not load)
+# (stage, argv with {input} placeholders, exit code, loads numpy, modules it must not load);
+# no stage loads numpy.ma
 STAGE_IMPORTS = [
     ("match", ["match", "--taxonomy", "{taxonomy}", "--corpus", "{corpus}",
                "--caption-embeddings", "{caption_embeddings}",
@@ -1735,6 +1826,7 @@ def test_cli_child_imports_only_its_own_stage(stage_inputs, tmp_path, stage, arg
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == code, proc.stderr
     assert report["numpy"] is loads_numpy
+    assert not report["numpy.ma"], f"{stage} loaded numpy.ma"
     loaded = {name.removeprefix("capsieve.") for name in report["capsieve"]}
     assert "cli" in loaded
     assert not loaded & never, f"{stage} loaded {sorted(loaded & never)}"
