@@ -31,14 +31,21 @@ occupied t-bins only: one stable sort groups the samples by bin, the two
 rules share that grouping, and a bin's selected and unselected rows are
 read in ascending order, so the work is bounded by n however narrow the bins.
 
-Memory is bounded by design. A `simulate` run holds x, y and t, the two
-rules' keep masks, the bin order during the bin tests, and a few n-length
-scalar columns at a time. Every statistic reads x in row blocks of about
-1 MiB (`_rows_mean_var`), bitwise equal to numpy's mean and variance of
-the gathered rows, so nothing else of size n x x_dim is ever made: no
-class, bin or selected-set copy. On the README config at n = 2M (x_dim 8)
-the peak RSS of `simulate` is 240 MiB; gathering each class and bin whole
-took it to 286 MiB.
+Memory is bounded by design, and each column is held at the size its
+values need. A `simulate` run holds x and t (float64), y (the narrowest
+unsigned type that holds n_classes - 1: one byte a sample up to 256
+classes) and the two rules' keep masks (one byte a sample). Besides them
+it holds, one phase at a time: a matched ball's distances and the copy
+its radius is partitioned from (8 bytes a sample each); the t-bin keys
+(2 bytes a sample on the README config) while their stable order is
+sorted (8 bytes a sample, plus numpy's sort buffer), and that order
+alone during the bin tests; and the row indices of one class. Every
+statistic reads x in row blocks of about 1 MiB (`_rows_mean_var`),
+bitwise equal to numpy's mean and variance of the gathered rows, so
+nothing else of size n x x_dim is ever made: no class, bin or
+selected-set copy. On the README config at n = 2M (x_dim 8) the peak RSS
+of `simulate` is 214 MiB; with int64 labels, float64 bin keys and a
+second distance pass for the matched ball it was 239 MiB.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ from .seeding import linear_quantiles, stream
 _GENERATION_BLOCK = 8192  # samples per independently-seeded block
 # Values per row block of a temporary read from x: 1 MiB of float64.
 _BLOCK_VALUES = 1 << 17
+# The t-bin key types, narrowest first; a key past int64 stays float64.
+_KEY_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 # A bin is tested only when it holds this many selected and this many
 # unselected samples; bottleneck_gap needs this many survivors per rule.
@@ -94,8 +103,10 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class Samples:
-    """n samples as columns: class labels y (n,) int64, images x (n, x_dim)
-    float64 and texts t (n,) float64; row i of each is sample i."""
+    """n samples as columns: class labels y (n,), in the narrowest unsigned
+    integer type that holds the largest label (uint8 up to 256 classes),
+    images x (n, x_dim) float64 and texts t (n,) float64; row i of each is
+    sample i."""
 
     y: np.ndarray
     x: np.ndarray
@@ -158,14 +169,15 @@ def generate(config: GenConfig, n: int) -> Samples:
     """Draw n samples; bitwise deterministic for a given config.
 
     Samples are generated in fixed-size blocks, each filled from its own
-    counter-derived stream keyed by the block index. Raises
-    ValidationError when a text overflows float64, as a `text_noise_sd`
-    near the largest float makes it.
+    counter-derived stream keyed by the block index. Labels are drawn as
+    int64 and stored as `np.min_scalar_type(n_classes - 1)`: uint8 up to
+    256 classes, uint16 up to 65 536. Raises ValidationError when a text
+    overflows float64, as a `text_noise_sd` near the largest float makes it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     means = class_means(config)
-    y = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=np.min_scalar_type(config.n_classes - 1))
     x = np.empty((n, config.x_dim))
     t = np.empty(n)
     for block_idx, start in enumerate(range(0, n, _GENERATION_BLOCK)):
@@ -201,16 +213,21 @@ def _ball_distances(x: np.ndarray, prototype) -> np.ndarray:
                 d = x[lo : lo + step] - proto
                 d *= d
                 np.sqrt(d.sum(axis=1), out=out[lo : lo + step])
+                del d  # freed before the next block is made
     except FloatingPointError:
         raise ValidationError("the image_ball distances overflow float64") from None
     return out
 
 
-def _keep_mask(samples: Samples, rule: SelectionRule) -> np.ndarray:
+def _keep_mask(samples: Samples, rule: SelectionRule, distances=None) -> np.ndarray:
+    """The keep mask of `rule`; an image_ball rule compares `distances`,
+    its `_ball_distances` if already computed, to its radius."""
     if rule.kind == "text_threshold":
         mask = samples.t > rule.threshold
     elif rule.kind == "image_ball":
-        mask = _ball_distances(samples.x, rule.prototype) < rule.radius
+        if distances is None:
+            distances = _ball_distances(samples.x, rule.prototype)
+        mask = distances < rule.radius
     else:  # image_threshold
         mask = samples.x.mean(axis=1) > rule.threshold
     if rule.text_threshold_also is not None:
@@ -276,6 +293,7 @@ def _rows_mean_var(x: np.ndarray, rows: np.ndarray, cols: slice) -> tuple[np.nda
             if total is not None:
                 part[0] += total
             total = np.add.reduce(part, axis=0)
+            del part  # freed before the next block is gathered
         return total
 
     try:
@@ -294,20 +312,36 @@ def _t_bins(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     Bins are anchored at the observed minimum rather than a multiple of the
     width: a grid-aligned edge can coincide with a threshold rule's cutoff,
     leaving no bin populated on both sides and the test vacuous.
+
+    A sample's key, floor((t - t.min()) / bin_width), is computed as a
+    float and stored, in row blocks, in the narrowest signed integer type
+    that holds the largest key (float64 once that passes int64): int16 on
+    the README config, whose stable argsort is a radix sort. Each step is
+    monotone, so the largest key is that of t.max(). The bin bounds are
+    read from the keys in `order`, a block at a time, so no sorted copy of
+    the keys is made.
     """
+    low = t.min()
     try:
         with np.errstate(over="raise"):
-            keys = t - t.min()
-            keys /= bin_width
-            np.floor(keys, out=keys)
+            top = float(np.floor((t.max() - low) / bin_width))
     except FloatingPointError:
-        low, high = float(t.min()), float(t.max())
+        low, high = float(low), float(t.max())
         by = "itself" if math.isinf(high - low) else f"over bin_width {bin_width}"
         raise ValidationError(f"t's range, {low:g} to {high:g}, {by} overflows float64") from None
+    dtype = next((d for d in _KEY_TYPES if top <= np.iinfo(d).max), np.float64)
+    keys = np.empty(len(t), dtype)
+    for lo in range(0, len(t), _BLOCK_VALUES):
+        block = t[lo : lo + _BLOCK_VALUES] - low
+        block /= bin_width
+        keys[lo : lo + _BLOCK_VALUES] = np.floor(block, out=block)
+        del block  # freed before the next block is made
     order = np.argsort(keys, kind="stable")
-    keys.sort()  # keys[order], without a second n-length copy
-    changes = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    return order, np.concatenate(([0], changes, [len(t)]))
+    starts = [[0]]  # a bin starts where the key changes along `order`
+    for lo in range(0, len(t) - 1, _BLOCK_VALUES):
+        ordered = keys[order[lo : lo + _BLOCK_VALUES + 1]]  # overlaps the next block by one
+        starts.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + (lo + 1))
+    return order, np.concatenate((*starts, [len(t)]))
 
 
 def _bin_test(
@@ -316,7 +350,9 @@ def _bin_test(
     """The bin test of the rule whose keep mask is `mask`, over the bins
     of `_t_bins`."""
     order, bounds = bins
-    n_sel = np.add.reduceat(mask[order], bounds[:-1], dtype=np.intp)
+    # each bin's selected count, from the positions along `order` of the
+    # selected samples alone: no n-length count array
+    n_sel = np.diff(np.searchsorted(np.flatnonzero(mask[order]), bounds))
     n_uns = np.diff(bounds) - n_sel
     tested = np.flatnonzero((n_sel >= MIN_PER_GROUP) & (n_uns >= MIN_PER_GROUP))
 
@@ -358,7 +394,7 @@ def _per_class_dim_variance(y: np.ndarray, x: np.ndarray, mask=None) -> np.ndarr
     samples only. Each class's rows are read in row blocks, in sample
     order, so no copy of a class's images is made."""
     per_class = []
-    for c in np.flatnonzero(np.bincount(y if mask is None else y[mask]) >= 2):
+    for c in np.flatnonzero(np.bincount(y if mask is None else y[mask]) >= 2).tolist():
         rows = np.flatnonzero(y == c if mask is None else mask & (y == c))
         per_class.append(_rows_mean_var(x, rows, slice(None))[1])
     if not per_class:
@@ -413,14 +449,17 @@ def bottleneck_gap(
     if not image_rule.reads_image:
         raise ValidationError("image rule must read the image")
     text_mask = _keep_mask(samples, text_rule)
+    distances = None
     if image_rule.kind == "image_ball" and image_rule.radius is None:
         kept, n = int(np.count_nonzero(text_mask)), len(samples)
         if kept in (0, n):
             raise ValidationError(f"text rule kept {kept} of {n} samples; "
                                   '"radius": "match" needs it to keep some but not all')
-        radius = matched_ball_radius(samples, image_rule.prototype, kept / n)
-        image_rule = replace(image_rule, radius=radius)
-    image_mask = _keep_mask(samples, image_rule)
+        # one distance pass: the radius from a partitioned copy, the mask from the distances
+        distances = _ball_distances(samples.x, image_rule.prototype)
+        image_rule = replace(image_rule, radius=linear_quantiles(distances, (kept / n,))[0])
+    image_mask = _keep_mask(samples, image_rule, distances)
+    del distances  # freed before the bin tests
     for name, mask in (("text", text_mask), ("image", image_mask)):
         kept = int(mask.sum())
         if kept < MIN_SURVIVORS:

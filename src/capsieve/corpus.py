@@ -42,21 +42,22 @@ rows are kept.
 Ids are joined here too, so each id error is worded once. `index_keys`
 builds the id indexes and reports the first key seen twice ("duplicate
 {what} {key!r}", with both lines for a JSONL file); each file's ids are
-indexed once, by its loader or by the object it builds. `positions`, which
-`EmbeddingMatrix` and `EmbeddingFile` share, finds every embedding row by
-id and reports the first id that has none ("missing {role} embedding for
-id {id!r}"). An embedding file's duplicate id, non-finite row or all-zero
-row is reported with the file's path.
+checked once, by its loader or by the object it builds. `rows_of` and
+`positions`, which `EmbeddingMatrix` and `EmbeddingFile` share, find
+embedding rows by id; `positions` reports the first id that has none
+("missing {role} embedding for id {id!r}"). An embedding file's duplicate
+id, non-finite row or all-zero row is reported with the file's path.
 
 An embedding file is read by one reader, `EmbeddingFile`: on opening,
-its header is checked and its id trailer read whole and indexed (every
-duplicate id must be found); its payload is then read in bounded row
-chunks, each checked as it arrives. `chunks` scans them through one
-reused buffer, as `nearest-text` scans its corpus and `match` its
-captions; `load(keep)`, which `load_embeddings(path, keep)` calls, keeps
-only the rows of the ids a stage uses. Each row is checked once and each
-id indexed once. A non-finite row anywhere in the file is reported
-before an all-zero row, whichever rows are kept.
+its header is checked and its id trailer read whole and checked for
+repeats (every duplicate id must be found), but no index of it is kept;
+its payload is then read in bounded row chunks, each checked as it
+arrives. `chunks` scans them through one reused buffer, as `nearest-text`
+scans its corpus and `match` its captions; `load(keep)`, which
+`load_embeddings(path, keep)` calls, keeps only the rows of the ids a
+stage uses. Each row is checked once and each id checked for repeats
+once. A non-finite row anywhere in the file is reported before an
+all-zero row, whichever rows are kept.
 
 Only the embedding code uses numpy, importing it when it runs, so the
 JSONL readers, and the `sweep`, `assemble` and `eval` stages built on
@@ -75,7 +76,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, MissingKeyError, ValidationError
 
@@ -462,15 +463,23 @@ def _checked(chunks, ids: Sequence[str], path=None) -> Iterator[tuple[int, np.nd
 
 
 class _IdRows:
-    """Rows found by id: `index` maps each of `ids` to its row."""
+    """Rows found by id: `_index_of(ids)` maps each of `ids` that has a row
+    to that row."""
 
     ids: list[str]
-    index: dict[str, int]
+
+    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
+        """The row of each of `ids`, in order, as an intp array; -1 for an
+        id with no row."""
+        import numpy as np
+
+        index = self._index_of(ids)
+        return np.fromiter((index.get(rid, -1) for rid in ids), np.intp, len(ids))
 
     def positions(self, ids: Sequence[str], role: str) -> list[int]:
         """The row of each of `ids`, in order. Raises MissingKeyError for
         the first id that has no row, naming its `role`."""
-        index = self.index
+        index = self._index_of(ids)
         try:
             return [index[rid] for rid in ids]
         except KeyError as exc:
@@ -513,14 +522,17 @@ class EmbeddingMatrix(_IdRows):
         return int(self.rows.shape[0])
 
     @classmethod
-    def _prechecked(cls, rows: np.ndarray, ids: list[str], index: dict[str, int], path
-                    ) -> EmbeddingMatrix:
-        """A matrix of float32 `rows` and of `ids`, indexed as `index`,
-        made without the checks of `__post_init__`: the caller makes them,
-        so that each row is checked and each id indexed once."""
+    def _prechecked(cls, rows: np.ndarray, ids: list[str], path) -> EmbeddingMatrix:
+        """A matrix of float32 `rows` and of distinct `ids`, made without
+        the checks of `__post_init__`: the caller makes them, so that each
+        row is checked and each id checked for repeats once."""
         matrix = object.__new__(cls)
-        matrix.rows, matrix.ids, matrix.index, matrix.path = rows, ids, index, path
+        matrix.rows, matrix.ids, matrix.path = rows, ids, path
+        matrix.index = {rid: row for row, rid in enumerate(ids)}
         return matrix
+
+    def _index_of(self, ids: Iterable[str]) -> dict[str, int]:
+        return self.index
 
     def chunks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, rows lo .. lo + `rows` - 1) for consecutive chunks of the
@@ -589,12 +601,14 @@ class EmbeddingFile(_IdRows):
     """The one reader that turns an embedding file into rows.
 
     On construction its header and id trailer are read and checked, and its
-    ids indexed, so a header or trailer fault or a duplicate id is raised
-    then, naming the file. `chunks` scans the rows and `load` copies out
-    those a stage keeps, both a checked chunk at a time, never re-reading
-    the header or the trailer. It has the `path`, `dim`, `count`, `ids`,
-    `index`, `positions` and `chunks` of an `EmbeddingMatrix`, which is all
-    `vectorops.cosine_blocks`, `nearest_rows` and
+    ids checked for repeats, so a header or trailer fault or a duplicate id
+    is raised then, naming the file. It keeps no index of its ids: each
+    lookup by id scans them for the ids it asks for, and drops what it
+    built on return. `chunks` scans the rows and `load` copies out those a
+    stage keeps, both a checked chunk at a time, never re-reading the
+    header or the trailer. It has the `path`, `dim`, `count`, `ids`,
+    `rows_of`, `positions` and `chunks` of an `EmbeddingMatrix`, which is
+    all `vectorops.cosine_blocks`, `nearest_rows` and
     `curator.score_candidates` read, so it can be scanned in a matrix's
     place.
     """
@@ -603,7 +617,13 @@ class EmbeddingFile(_IdRows):
         self.path = Path(path)
         with self.path.open("rb") as fh:
             self.dim, self.ids = _read_layout(fh, self.path)
-        self.index = index_keys(self.ids, "embedding id", path=self.path)
+        index_keys(self.ids, "embedding id", path=self.path)  # raises at a repeat; not kept
+
+    def _index_of(self, ids: Iterable[str]) -> dict[str, int]:
+        """The row of each of `ids` that the file holds, in file order: a
+        dict of the asked-for ids alone."""
+        wanted = set(ids)
+        return {rid: row for row, rid in enumerate(self.ids) if rid in wanted}
 
     @property
     def count(self) -> int:
@@ -630,32 +650,26 @@ class EmbeddingFile(_IdRows):
         file lacks is passed over. Without `keep`, or when it names every
         id, each chunk of about _CHECK_VALUES values is read straight into
         its own rows of the returned array, so a whole load costs one copy
-        of the payload, plus the file's ids and their index.
+        of the payload, plus the file's ids and the matrix's index.
         """
         import numpy as np
 
         step = _check_step(self.dim)
-        wanted = None  # the rows to keep, in file order; None for every row
-        if keep is not None:
-            kept = np.zeros(self.count + 1, dtype=bool)  # kept[-1]: ids the file lacks
-            kept[np.fromiter((self.index.get(rid, -1) for rid in keep), np.intp, len(keep))] = True
-            if not kept[:-1].all():
-                wanted = np.flatnonzero(kept[:-1])
-        if wanted is None:
+        kept = None if keep is None else self._index_of(keep)  # None for every row
+        if kept is None or len(kept) == self.count:
             rows = np.empty((self.count, self.dim), dtype=_F32LE)
             with self.path.open("rb") as fh:
                 fh.seek(_HEADER_SIZE)
                 for _ in _checked(_read_rows(fh, self.path, self.count, self.dim, step, rows),
                                   self.ids, self.path):
                     pass
-            return EmbeddingMatrix._prechecked(rows, self.ids, self.index, self.path)
+            return EmbeddingMatrix._prechecked(rows, self.ids, self.path)
+        wanted = np.fromiter(kept.values(), np.intp, len(kept))  # the rows to keep, ascending
         rows = np.empty((len(wanted), self.dim), dtype=_F32LE)
         for lo, chunk in self.chunks(step):
             first, end = np.searchsorted(wanted, (lo, lo + len(chunk)))
             np.take(chunk, wanted[first:end] - lo, axis=0, out=rows[first:end])
-        ids = [self.ids[row] for row in wanted.tolist()]
-        index = {rid: pos for pos, rid in enumerate(ids)}  # distinct: a subset of the file's ids
-        return EmbeddingMatrix._prechecked(rows, ids, index, self.path)
+        return EmbeddingMatrix._prechecked(rows, list(kept), self.path)
 
 
 def load_embeddings(path, keep=None) -> EmbeddingMatrix:

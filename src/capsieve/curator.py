@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 # Values in each gathered operand of one `pair_cosine` call, whose float64
 # copy so stays 128 KiB: 64 pairs at d = 256.
 _PAIR_VALUES = 1 << 14
+# Values per chunk of the caption scan: 256 KiB of float32.
+_CAPTION_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,12 @@ def score_candidates(
     matches must be one run, as `find_matches` gives them: a pair is new
     unless its wnid came earlier in its run, so no object is made per match.
 
-    The captions are read once, chunk by chunk, so an `EmbeddingFile` is
-    scanned from disk and never held: the pairs are ordered by caption
-    row, and each chunk's pairs are scored in blocks of about _PAIR_VALUES
-    values. A `pair_cosine` score does not depend on which pairs share its
-    call, so no score depends on the chunk size or the file's row order.
+    The captions are read once, in chunks of about _CAPTION_CHUNK_VALUES
+    values, so an `EmbeddingFile` is scanned from disk and never held: the
+    pairs are ordered by caption row, and each chunk's pairs are scored in
+    blocks of about _PAIR_VALUES values. A `pair_cosine` score does not
+    depend on which pairs share its call, so no score depends on the chunk
+    size or the file's row order.
 
     Raises MissingKeyError for the first pair with a missing embedding,
     naming its caption before its synset, ValidationError when the caption
@@ -164,7 +167,6 @@ def score_candidates(
     """
     import numpy as np
 
-    from .corpus import _check_step
     from .vectorops import pair_cosine
 
     ids: list[str] = []
@@ -179,9 +181,8 @@ def score_candidates(
             run_wnids.append(wnid)
         ids.append(instance_id)
         wnids.append(wnid)
-    caption_index, synset_index = caption_embeddings.index, synset_text_embeddings.index
-    caption_rows = np.fromiter((caption_index.get(i, -1) for i in ids), np.intp, len(ids))
-    synset_rows = np.fromiter((synset_index.get(w, -1) for w in wnids), np.intp, len(ids))
+    caption_rows = caption_embeddings.rows_of(ids)
+    synset_rows = synset_text_embeddings.rows_of(wnids)
     missing = np.flatnonzero((caption_rows < 0) | (synset_rows < 0))
     if len(missing):  # the first pair with a missing row: one of these raises
         row = int(missing[0])
@@ -198,7 +199,8 @@ def score_candidates(
         raise ValidationError(f"matches of instance {ids[order[resumed].min()]!r} are not one run")
     scores = np.empty(len(ids), dtype=np.float64)
     step = max(1, _PAIR_VALUES // caption_embeddings.dim)
-    for lo, chunk in caption_embeddings.chunks(_check_step(caption_embeddings.dim)):
+    chunk_rows = max(1, _CAPTION_CHUNK_VALUES // caption_embeddings.dim)
+    for lo, chunk in caption_embeddings.chunks(chunk_rows):
         first, end = np.searchsorted(caption_rows, (lo, lo + len(chunk)))
         for start in range(first, end, step):
             block = slice(start, min(start + step, end))

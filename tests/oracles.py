@@ -194,9 +194,10 @@ def read_jsonl_per_line(path, fields, optional=None) -> tuple[list[int], dict[st
 
 def generate_naive(config: GenConfig, n: int) -> Samples:
     """Reference generator: each block's images made as a new array, the
-    class means plus a fresh (m, x_dim) draw, then copied into x."""
+    class means plus a fresh (m, x_dim) draw, then copied into x; the
+    labels in the narrowest unsigned type that holds n_classes - 1."""
     means = class_means(config)
-    y = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=np.min_scalar_type(config.n_classes - 1))
     x = np.empty((n, config.x_dim))
     t = np.empty(n)
     for block_idx, start in enumerate(range(0, n, _GENERATION_BLOCK)):
@@ -221,6 +222,18 @@ def class_dim_variance_gather(y: np.ndarray, x: np.ndarray, mask=None) -> np.nda
     if not per_class:
         raise ValidationError("no class has enough members for a variance estimate")
     return np.mean(per_class, axis=0)
+
+
+def t_bins_float_keys(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference t-bin grouping: float64 keys floor((t - t.min()) /
+    bin_width), a stable argsort of them, and a bin bound wherever the
+    sorted keys change. Raises FloatingPointError when a key overflows."""
+    with np.errstate(over="raise"):
+        keys = np.floor((t - t.min()) / bin_width)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    changes = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return order, np.concatenate(([0], changes, [len(t)]))
 
 
 def select(samples: Samples, rule: SelectionRule) -> Samples:

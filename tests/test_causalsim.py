@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from capsieve import causalsim
 from capsieve.causalsim import (
     _BLOCK_VALUES,
+    _GENERATION_BLOCK,
     GenConfig,
     VALID_RULE_KINDS,
     SelectionRule,
@@ -26,12 +28,14 @@ from capsieve.causalsim import (
     matched_ball_radius,
 )
 from capsieve.errors import ValidationError
+from capsieve.seeding import stream
 
 from oracles import (
     class_dim_variance_gather,
     cond_indep_bin_test_naive,
     generate_naive,
     select,
+    t_bins_float_keys,
 )
 
 
@@ -72,7 +76,7 @@ def test_columns_span_generation_blocks():
     n = 2 * 8192 + 5  # two full generation blocks and a partial third
     samples = generate(config(x_dim=5, text_noise_sd=0.0), n)
     assert len(samples) == n
-    assert samples.y.shape == (n,) and samples.y.dtype == np.int64
+    assert samples.y.shape == (n,) and samples.y.dtype == np.uint8
     assert samples.x.shape == (n, 5) and samples.x.dtype == np.float64
     assert samples.t.shape == (n,) and samples.t.dtype == np.float64
     assert samples.t.tobytes() == samples.x[:, 0].tobytes()
@@ -82,6 +86,17 @@ def test_columns_span_generation_blocks():
     assert kept.y.tobytes() == samples.y[mask].tobytes()
     assert kept.x.tobytes() == samples.x[mask].tobytes()
     assert kept.t.tobytes() == samples.t[mask].tobytes()
+
+
+@pytest.mark.parametrize("n_classes, x_dim, dtype", [(2, 4, np.uint8), (300, 300, np.uint16)])
+def test_labels_are_the_int64_draw_in_the_narrowest_unsigned_type(n_classes, x_dim, dtype):
+    n = _GENERATION_BLOCK + 5  # a full generation block and a partial second
+    samples = generate(config(n_classes=n_classes, x_dim=x_dim), n)
+    assert samples.y.dtype == dtype
+    draw = np.concatenate([stream(11, 0).integers(0, n_classes, size=_GENERATION_BLOCK),
+                           stream(11, 1).integers(0, n_classes, size=5)])
+    assert draw.dtype == np.int64
+    assert np.array_equal(samples.y, draw)
 
 
 def test_prototype_must_match_x_dim():
@@ -267,11 +282,11 @@ def test_a_ball_with_no_radius_gets_the_report_of_its_matched_radius(monkeypatch
     explicit = SelectionRule(kind="image_ball", radius=radius, prototype=prototype,
                              text_threshold_also=text_also)
     expected = bottleneck_gap(samples, text_rule, explicit)
-    rules = []
-    monkeypatch.setattr(causalsim, "_keep_mask",
-                        lambda s, rule: rules.append(rule) or _keep_mask(s, rule))
+    passes = []
+    monkeypatch.setattr(causalsim, "_ball_distances",
+                        lambda x, proto: passes.append(proto) or _ball_distances(x, proto))
     report = bottleneck_gap(samples, text_rule, matched)
-    assert rules == [text_rule, explicit]  # one mask per rule
+    assert passes == [prototype]  # the radius and the mask read one distance pass
     assert report.image_rule == explicit
     assert report.acceptance_text == len(select(samples, text_rule)) / len(samples)
     assert report.acceptance_image == len(select(samples, explicit)) / len(samples)
@@ -408,6 +423,43 @@ def test_bottleneck_gap_bin_tests_equal_the_oracle(
     assert vars(report.bin_test_image) == vars(
         cond_indep_bin_test_naive(samples, image_rule, bin_width)
     )
+
+
+@st.composite
+def times_and_widths(draw):
+    """t on a grid of 2**f steps, with repeats, negative values and values
+    on bin edges, and a bin width m * 2**e: its largest key spans from 0
+    past int16, int64 and float64's overflow, which a width a few ulps
+    either side of (t.max() - t.min()) / float64's max reaches exactly."""
+    steps = draw(st.lists(st.integers(-300, 300) | st.integers(-2**52, 2**52),
+                          min_size=1, max_size=60))
+    t = np.array([s * 2.0 ** draw(st.integers(-30, 30)) for s in steps])
+    if draw(st.booleans()):
+        span = float(t.max() - t.min()) or 1.0
+        width = float(np.nextafter(span / np.finfo(np.float64).max,
+                                   draw(st.sampled_from([0.0, math.inf]))))
+    else:
+        exponent = draw(st.integers(-60, 30) | st.integers(-1074, 60))
+        width = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** exponent
+    return t, width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(times_widths=times_and_widths(), block=st.sampled_from([1, 2, 5, _BLOCK_VALUES]))
+def test_integer_bin_keys_give_the_float_key_order_and_bounds(times_widths, block):
+    t, width = times_widths
+    try:
+        expected = t_bins_float_keys(t, width)
+    except FloatingPointError:
+        expected = None
+    with patch.object(causalsim, "_BLOCK_VALUES", block):  # block edges at any n
+        if expected is None:
+            with pytest.raises(ValidationError, match="overflows float64"):
+                _t_bins(t, width)
+            return
+        order, bounds = _t_bins(t, width)
+    assert order.tobytes() == expected[0].tobytes() and order.dtype == expected[0].dtype
+    assert bounds.tobytes() == expected[1].tobytes() and bounds.dtype == expected[1].dtype
 
 
 # 1, 2 and 3 rows per block at x_dim 2**17, 2**16 and about 2**17 / 3

@@ -2116,6 +2116,21 @@ _REGIONS = {"header": (0, _HEADER_BYTES), "payload": (_HEADER_BYTES, _PAYLOAD_EN
             "trailer": (_PAYLOAD_END, len(GOOD_INPUTS["vectors.emb"]))}
 
 
+def byte_edit(good: bytes, pos: int, edit: str, byte: int) -> bytes:
+    """`good` with one edit at `pos`: a byte set, inserted or deleted, or
+    everything from `pos` on cut off."""
+    return {"set": good[:pos] + bytes([byte]) + good[pos + 1:],
+            "insert": good[:pos] + bytes([byte]) + good[pos:],
+            "delete": good[:pos] + good[pos + 1:],
+            "truncate": good[:pos]}[edit]
+
+
+BYTE_EDITS = dict(
+    edit=st.sampled_from(["set", "insert", "delete", "truncate"]),
+    byte=st.integers(0, 255),
+)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -2123,8 +2138,7 @@ _REGIONS = {"header": (0, _HEADER_BYTES), "payload": (_HEADER_BYTES, _PAYLOAD_EN
     which=st.integers(0, 1),
     region=st.sampled_from(sorted(_REGIONS)),
     at=st.floats(0, 1, exclude_max=True),
-    edit=st.sampled_from(["set", "insert", "delete", "truncate"]),
-    byte=st.integers(0, 255),
+    **BYTE_EDITS,
 )
 def test_corrupt_embedding_files_exit_cleanly(tmp_path, capsys, stage, which, region, at, edit,
                                               byte):
@@ -2133,12 +2147,8 @@ def test_corrupt_embedding_files_exit_cleanly(tmp_path, capsys, stage, which, re
     names = EMBEDDING_INPUTS[stage]
     target = names[which % len(names)]
     lo, hi = _REGIONS[region]
-    pos = lo + int(at * (hi - lo))
     good = GOOD_INPUTS["vectors.emb"]
-    bad = {"set": good[:pos] + bytes([byte]) + good[pos + 1:],
-           "insert": good[:pos] + bytes([byte]) + good[pos:],
-           "delete": good[:pos] + good[pos + 1:],
-           "truncate": good[:pos]}[edit]
+    bad = byte_edit(good, lo + int(at * (hi - lo)), edit, byte)
     argv = list(command)
     for key, value in options.items():
         if key in names:
@@ -2157,6 +2167,50 @@ def test_corrupt_embedding_files_exit_cleanly(tmp_path, capsys, stage, which, re
     if code:
         assert len(err.splitlines()) == 1, err
         assert not out.exists()
+
+
+# Each JSONL input of each stage of STAGES, as (stage, option).
+JSONL_INPUTS = [(stage, key) for stage, (_, options) in STAGES.items()
+                for key, value in options.items() if str(value).endswith(".jsonl")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    target=st.sampled_from(JSONL_INPUTS),
+    at=st.floats(0, 1, exclude_max=True),
+    edit=BYTE_EDITS["edit"],
+    # JSON's own punctuation, digits and escapes often, then any byte
+    byte=st.sampled_from(b'{}[]",:\\\n 0-.eu') | BYTE_EDITS["byte"],
+)
+def test_byte_edited_jsonl_inputs_exit_cleanly(tmp_path, capsys, target, at, edit, byte):
+    stage, key = target
+    command, options = STAGES[stage]
+    out = tmp_path / "out"
+    config = dict(options, out=str(out))
+    for name, value in options.items():
+        if isinstance(value, str) and value in GOOD_INPUTS:
+            path = tmp_path / f"{name}.{value}"  # its own copy, so only one is edited
+            good = GOOD_INPUTS[value]
+            path.write_bytes(byte_edit(good, int(at * len(good)), edit, byte)
+                             if name == key else good)
+            config[name] = str(path)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    shutil.rmtree(out, ignore_errors=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command + ["--config", str(config_path)])  # any other exception fails
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code:  # after any WARNING lines, such as a skipped class's
+        assert [line for line in err.splitlines() if line.startswith("capsieve:")] == [
+            err.splitlines()[-1]], err
+        assert not out.exists()
+    else:
+        assert _non_finite_in_outputs(out) == []
 
 
 # The edges of every option kind, as config values: a flag gets str() of one.

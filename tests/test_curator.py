@@ -159,7 +159,7 @@ def test_scoring_from_the_file_equals_scoring_the_loaded_rows(tmp_path, dim, cou
 
 
 def test_scoring_from_a_file_holds_one_chunk_and_the_pairs(tmp_path, rng):
-    # 20 000 x 256 rows (19.5 MiB), read in chunks of 1024 rows (1 MiB)
+    # 20 000 x 256 rows (19.5 MiB), read in chunks of 256 rows (256 KiB)
     count, dim = 20_000, 256
     ids = [f"i{row}" for row in range(count)]
     path = tmp_path / "captions.emb"
@@ -175,7 +175,7 @@ def test_scoring_from_a_file_holds_one_chunk_and_the_pairs(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert len(out) == 2000
-    chunk = 2**20
+    chunk = 2**18
     assert peak < chunk + 2**20, f"peak {peak / 2**20:.2f} MiB for a 19.5 MiB file"
 
 
