@@ -235,16 +235,6 @@ def _keep_mask(samples: Samples, rule: SelectionRule, distances=None) -> np.ndar
     return mask
 
 
-def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
-    """Radius giving an image_ball rule approximately the target acceptance
-    rate on these samples: the `rate` quantile of the distances, bitwise
-    `np.quantile(distances, rate)`, by `linear_quantiles` partitioning the
-    distances in place, so no second n-length array is made."""
-    if not 0.0 < rate < 1.0:
-        raise ValidationError(f"rate must be in (0, 1), got {rate}")
-    return linear_quantiles(_ball_distances(samples.x, prototype), (rate,), overwrite=True)[0]
-
-
 @dataclass(frozen=True)
 class BinIndependenceTest:
     """Mean-discrepancy test between selected and unselected images within
@@ -391,10 +381,17 @@ def _bin_test(
 def _per_class_dim_variance(y: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
     """Per-dimension sample variance within each class, averaged over the
     classes with at least two members; with a keep `mask`, over the kept
-    samples only. Each class's rows are read in row blocks, in sample
-    order, so no copy of a class's images is made."""
+    samples only. The labels are counted, and each class's rows read, in
+    row blocks, in sample order, so no n-length integer copy of the labels
+    and no copy of a class's images is made."""
+    counts = np.zeros(int(y.max()) + 1, dtype=np.intp)
+    for lo in range(0, len(y), _BLOCK_VALUES):
+        block = y[lo : lo + _BLOCK_VALUES]
+        if mask is not None:
+            block = block[mask[lo : lo + _BLOCK_VALUES]]
+        counts += np.bincount(block, minlength=len(counts))
     per_class = []
-    for c in np.flatnonzero(np.bincount(y if mask is None else y[mask]) >= 2).tolist():
+    for c in np.flatnonzero(counts >= 2).tolist():
         rows = np.flatnonzero(y == c if mask is None else mask & (y == c))
         per_class.append(_rows_mean_var(x, rows, slice(None))[1])
     if not per_class:

@@ -4,23 +4,41 @@ Digests are SHA-256 over canonical JSON (sorted keys, compact separators)
 for configs and over raw bytes for files. No timestamps or host details
 are ever included: two runs with the same inputs and config must produce
 byte-identical provenance.
+
+`hashlib` is imported by each digest function, not here: it loads
+OpenSSL's libcrypto, about 3.6 MiB of resident memory, and a stage takes
+its provenance digests only after its command has returned and freed its
+arrays. So `import capsieve.cli` loads no OpenSSL, and the library stays
+out of the working peak of a stage that takes no digest during its work
+(a manifest's config digest is one). A stage that draws random numbers
+loads it anyway: `numpy.random` imports `secrets`, which imports `hmac`.
+A file is hashed through one reused read buffer of `_READ_BUFFER` bytes
+rather than a new bytes object per chunk, so the digest phase adds
+little to the resident memory the work left behind.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
+_READ_BUFFER = 1 << 18  # bytes read into one reused buffer per chunk
+
 
 def config_digest(config) -> str:
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def file_digest(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
+    buffer = bytearray(_READ_BUFFER)
+    view = memoryview(buffer)
     with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while n := fh.readinto(buffer):
+            h.update(view[:n])
     return h.hexdigest()

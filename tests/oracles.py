@@ -236,6 +236,14 @@ def t_bins_float_keys(t: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.n
     return order, np.concatenate(([0], changes, [len(t)]))
 
 
+def matched_ball_radius(samples: Samples, prototype, rate: float) -> float:
+    """Reference matched radius: `np.quantile` at `rate` of the distances
+    of the images to `prototype`, from the whole-array expression. An
+    image_ball rule of this radius keeps about that share of the samples."""
+    distances = np.sqrt(((samples.x - np.asarray(prototype, dtype=np.float64)) ** 2).sum(axis=1))
+    return float(np.quantile(distances, rate))
+
+
 def select(samples: Samples, rule: SelectionRule) -> Samples:
     """The samples the rule keeps, order preserved, as columns copied out
     of the whole set. May be empty."""

@@ -25,7 +25,6 @@ from capsieve.causalsim import (
     bottleneck_gap,
     class_means,
     generate,
-    matched_ball_radius,
 )
 from capsieve.errors import ValidationError
 from capsieve.seeding import stream
@@ -34,6 +33,7 @@ from oracles import (
     class_dim_variance_gather,
     cond_indep_bin_test_naive,
     generate_naive,
+    matched_ball_radius,
     select,
     t_bins_float_keys,
 )
@@ -104,18 +104,14 @@ def test_prototype_must_match_x_dim():
     short = (0.0, 0.0)
     with pytest.raises(ValidationError, match="x_dim"):
         select(samples, SelectionRule(kind="image_ball", radius=1.0, prototype=short))
-    with pytest.raises(ValidationError, match="x_dim"):
-        matched_ball_radius(samples, short, 0.5)
+    text_rule = SelectionRule(kind="text_threshold", threshold=0.0)
+    with pytest.raises(ValidationError, match="x_dim"):  # a matched ball
+        bottleneck_gap(samples, text_rule, SelectionRule(kind="image_ball", prototype=short))
 
 
-def test_generate_and_matched_ball_radius_refuse_out_of_range_arguments():
+def test_generate_refuses_a_sample_count_below_one():
     with pytest.raises(ValidationError, match=r"^n must be >= 1, got 0$"):
         generate(config(), 0)
-    samples = generate(config(), 1000)
-    prototype = (0.0,) * 4
-    for rate in (0.0, 1.0, -0.5):
-        with pytest.raises(ValidationError, match=rf"^rate must be in \(0, 1\), got {rate}$"):
-            matched_ball_radius(samples, prototype, rate)
 
 
 def bin_test(samples, rule, bin_width=0.05, alpha=0.01):
@@ -265,10 +261,13 @@ def test_image_rule_may_also_read_text():
 def test_matched_ball_radius_hits_target_rate():
     cfg = GenConfig(n_classes=1, x_dim=6, text_noise_sd=0.2, class_sep=0.0, seed=17)
     samples = generate(cfg, 50_000)
-    radius = matched_ball_radius(samples, np.zeros(6), 0.25)
-    rule = SelectionRule(kind="image_ball", radius=radius, prototype=tuple(np.zeros(6)))
-    rate = len(select(samples, rule)) / len(samples)
-    assert rate == pytest.approx(0.25, abs=0.01)
+    text_rule = SelectionRule(kind="text_threshold", threshold=0.6745)  # keeps about 0.25
+    ball = SelectionRule(kind="image_ball", prototype=(0.0,) * 6)
+    report = bottleneck_gap(samples, text_rule, ball)
+    assert report.acceptance_image == pytest.approx(report.acceptance_text, abs=0.001)
+    rule = report.image_rule
+    assert len(select(samples, rule)) / len(samples) == report.acceptance_image
+    assert rule.radius == matched_ball_radius(samples, rule.prototype, report.acceptance_text)
 
 
 @pytest.mark.parametrize("text_also", [None, 0.2])
@@ -481,6 +480,20 @@ def test_masked_class_variance_equals_the_variance_of_the_selected_copy():
         got = _per_class_dim_variance(samples.y, samples.x, mask)
         expected = _per_class_dim_variance(samples.y[mask], samples.x[mask])
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, _BLOCK_VALUES])
+def test_class_variance_counts_the_labels_across_row_blocks(block):
+    rng = np.random.default_rng(block)
+    y = rng.integers(1, 3, size=23).astype(np.uint8)
+    y[:4] = (0, 3, 3, 4)  # class 0 has one member; classes 3 and 4 none kept
+    x = rng.standard_normal((23, 3))
+    mask = rng.random(23) < 0.6
+    mask[1:4] = False
+    with patch.object(causalsim, "_BLOCK_VALUES", block):
+        got = _per_class_dim_variance(y, x), _per_class_dim_variance(y, x, mask)
+    assert got[0].tobytes() == class_dim_variance_gather(y, x).tobytes()
+    assert got[1].tobytes() == class_dim_variance_gather(y, x, mask).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

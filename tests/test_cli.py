@@ -1731,21 +1731,40 @@ def test_cli_child_config_error_is_one_line(tmp_path):
 # -- what each CLI child imports ----------------------------------------------
 
 # Runs one CLI stage in a fresh process, then reports its exit code, the
-# capsieve modules it loaded and whether it loaded numpy, as JSON on the
-# last line of stdout.
+# capsieve modules it loaded, whether it loaded numpy, whether importing
+# the CLI loaded hashlib, and whether OpenSSL (_hashlib) was loaded when
+# the command function returned, before the stage took its digests, as
+# JSON on the last line of stdout.
 IMPORT_REPORT = """\
 import json, sys
-from capsieve.cli import run
-code = run(sys.argv[1:])
+from capsieve import cli
+imported = sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)
+returned = []
+def wrap(function):
+    def wrapped(*args, **kwargs):
+        result = function(*args, **kwargs)
+        returned.append("_hashlib" in sys.modules)
+        return result
+    return wrapped
+cli._COMMANDS = {c: (wrap(f), options) for c, (f, options) in cli._COMMANDS.items()}
+code = cli.run(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "numpy.ma": "numpy.ma" in sys.modules,
-                  "capsieve": sorted(m for m in sys.modules if m.startswith("capsieve."))}))
+                  "capsieve": sorted(m for m in sys.modules if m.startswith("capsieve.")),
+                  "imported": imported, "returned": returned,
+                  "_hashlib": "_hashlib" in sys.modules}))
 """
 
 SIMULATE_FREE = {"corpus", "curator", "diagnostics", "matcher", "taxonomy", "vectorops",
                  "evalmetrics"}
 DIAGNOSE_FREE = {"causalsim", "matcher", "taxonomy"}
 TABULAR_FREE = {"causalsim", "diagnostics", "matcher", "taxonomy", "vectorops", "seeding"}
+# The stages whose command function loads OpenSSL (_hashlib) before it
+# returns. assemble and nearest-text take their manifest's config digest
+# at the end of their work. compare, cross-modal and simulate draw random
+# numbers, and numpy.random imports secrets, which imports hmac and so
+# _hashlib. Every other stage loads it only when it takes its digests.
+OPENSSL_BEFORE_RETURN = {"assemble", "nearest-text", "compare", "cross-modal", "simulate"}
 
 # (stage, argv with {input} placeholders, exit code, loads numpy, modules it must not load);
 # no stage loads numpy.ma
@@ -1830,6 +1849,11 @@ def test_cli_child_imports_only_its_own_stage(stage_inputs, tmp_path, stage, arg
     loaded = {name.removeprefix("capsieve.") for name in report["capsieve"]}
     assert "cli" in loaded
     assert not loaded & never, f"{stage} loaded {sorted(loaded & never)}"
+    assert report["imported"] == [], "importing capsieve.cli loaded hashlib"
+    if code or argv[0] == "--version":  # no command ran, so no digest was taken
+        assert report["returned"] == [] and not report["_hashlib"]
+    elif stage not in OPENSSL_BEFORE_RETURN:
+        assert report["returned"] == [False], f"{stage} loaded OpenSSL before its digests"
 
 
 # -- embedding files read in row chunks ---------------------------------------
