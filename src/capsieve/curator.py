@@ -25,6 +25,10 @@ scores are a tuple of Python floats, the sweep counts with `sorted` and
 `sweep`, `assemble` and `eval` stages never load numpy, whose import costs
 a CLI child more than its work on these columns. `score_candidates`,
 which only `match` calls, imports `vectorops` and numpy when it runs.
+
+A manifest carries no digest of the config that made it: the stage that
+writes it records the whole config once, in its provenance.json. Nothing
+here imports `provenance`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -41,7 +45,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from .corpus import index_keys, read_jsonl
 from .errors import MissingKeyError, ValidationError
-from .provenance import config_digest
 
 if TYPE_CHECKING:
     from .corpus import EmbeddingFile, EmbeddingMatrix
@@ -110,34 +113,24 @@ class AssembleOptions:
 
 @dataclass
 class DatasetManifest:
-    """The curated dataset: one row per kept instance, single label each.
+    """The curated dataset: one row per kept instance, single label each,
+    every score at least `threshold`.
 
-    `class_counts` is derived from the rows; `drop_ledger` records how many
-    candidate rows each assembly stage removed; `provenance` is the digest
-    of the configuration that produced the manifest. `path` and `lines`,
-    the file and the line of each row when the rows were read from one, are
-    named in a repeated instance's error.
+    A plain record: `assemble`, `top_k_per_class`,
+    `diagnostics.nearest_text_dataset` and `load_manifest` each give those
+    guarantees, and only `load_manifest`, which reads rows from outside the
+    program, checks them (a repeated id). `class_counts` is derived from
+    the rows; `drop_ledger` records how many candidate rows each assembly
+    stage removed.
     """
 
     rows: Candidates
     threshold: float
-    provenance: str = ""
     drop_ledger: dict[str, int] = field(default_factory=dict)
     class_counts: dict[str, int] = field(init=False)
-    path: InitVar[Path | None] = None
-    lines: InitVar[list[int] | None] = None
 
-    def __post_init__(self, path, lines):
-        rows = self.rows
-        index_keys(rows.ids, "instance id", path=path, lines=lines)
-        threshold = self.threshold
-        below = next((row for row, score in enumerate(rows.scores) if not score >= threshold), None)
-        if below is not None:
-            raise ValidationError(
-                f"row ({rows.ids[below]}, {rows.wnids[below]}) score {rows.scores[below]} "
-                f"below threshold {threshold}"
-            )
-        self.class_counts = dict(Counter(rows.wnids))
+    def __post_init__(self):
+        self.class_counts = dict(Counter(self.rows.wnids))
 
 
 def score_candidates(
@@ -298,18 +291,9 @@ def assemble(
         for row in flagged:
             keep[row] = False
 
-    digest = config_digest(
-        {
-            "threshold": threshold,
-            "drop_multi_label": options.drop_multi_label,
-            "drop_nsfw": options.drop_nsfw,
-            "drop_text_in_image": options.drop_text_in_image,
-        }
-    )
     return DatasetManifest(
         rows=candidates.take([row for row, kept in enumerate(keep) if kept]),
         threshold=float(threshold),
-        provenance=digest,
         drop_ledger=ledger,
     )
 
@@ -341,8 +325,8 @@ def relative_frequencies(manifest: DatasetManifest) -> dict[str, float]:
 # Candidates and manifest rows share one JSONL schema:
 #     {"id": str, "wnid": str, "score": float}
 # The manifest sidecar is a single JSON object:
-#     {"threshold": float, "counts": {wnid: int}, "drop_ledger": {stage: int},
-#      "config_digest": str}
+#     {"threshold": float, "counts": {wnid: int}, "drop_ledger": {stage: int}}
+# The run's config digest is the one in its provenance.json.
 
 
 def write_candidates(candidates: Candidates, path) -> None:
@@ -381,7 +365,6 @@ def write_manifest(manifest: DatasetManifest, rows_path, meta_path) -> None:
         "threshold": manifest.threshold,
         "counts": manifest.class_counts,
         "drop_ledger": manifest.drop_ledger,
-        "config_digest": manifest.provenance,
     }
     Path(meta_path).write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -392,6 +375,7 @@ def load_manifest(rows_path) -> DatasetManifest:
     """Read manifest rows, one per instance (a repeated id is rejected with
     both its lines); the threshold is their lowest score (-1.0 for none)."""
     lines, rows = _read_rows(rows_path)
+    index_keys(rows.ids, "instance id", path=Path(rows_path), lines=lines)
     threshold = min(rows.scores) if len(rows) else -1.0
-    return DatasetManifest(rows=rows, threshold=threshold, path=Path(rows_path), lines=lines)
+    return DatasetManifest(rows=rows, threshold=threshold)
 

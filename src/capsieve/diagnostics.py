@@ -42,7 +42,6 @@ from .corpus import WNID_RE, EmbeddingFile, EmbeddingMatrix
 from .curator import Candidates, DatasetManifest
 from .errors import ValidationError
 from .evalmetrics import ClassStat
-from .provenance import config_digest
 from .seeding import linear_quantiles, stream
 from .vectorops import (
     _block_step,
@@ -78,18 +77,13 @@ class ClassImages:
 
 @dataclass(frozen=True)
 class DatasetComparison:
-    """Share of classes where one dataset is significantly more diverse."""
+    """Share of classes where one dataset is significantly more diverse.
+    `compare_from_intervals` counts each class at most once, so the two
+    proportions lie in [0, 1] and add up to at most 1."""
 
     prop_A_lower: float
     prop_B_lower: float
     n_shared: int
-
-    def __post_init__(self):
-        for name, p in (("prop_A_lower", self.prop_A_lower), ("prop_B_lower", self.prop_B_lower)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name}={p} outside [0, 1]")
-        if self.prop_A_lower + self.prop_B_lower > 1.0 + 1e-12:
-            raise ValidationError("lower-similarity proportions exceed 1")
 
 
 @dataclass(frozen=True)
@@ -450,7 +444,6 @@ def nearest_text_dataset(
     return DatasetManifest(
         rows=rows,
         threshold=float(min_sim),
-        provenance=config_digest({"min_sim": min_sim}),
         drop_ledger={"below_min_sim": dropped, "duplicate_neighbor": collapsed},
     )
 

@@ -1,17 +1,19 @@
-"""Content digests for reproducibility manifests.
+"""Content digests for each run's provenance.json.
 
 Digests are SHA-256 over canonical JSON (sorted keys, compact separators)
 for configs and over raw bytes for files. No timestamps or host details
 are ever included: two runs with the same inputs and config must produce
 byte-identical provenance.
 
-`hashlib` is imported by each digest function, not here: it loads
-OpenSSL's libcrypto, about 3.6 MiB of resident memory, and a stage takes
-its provenance digests only after its command has returned and freed its
-arrays. So `import capsieve.cli` loads no OpenSSL, and the library stays
-out of the working peak of a stage that takes no digest during its work
-(a manifest's config digest is one). A stage that draws random numbers
-loads it anyway: `numpy.random` imports `secrets`, which imports `hmac`.
+Only `cli` imports this module: its stage runner records how a run was
+made once, the whole config's digest beside its inputs' and outputs',
+and no library function takes a digest of its own. `hashlib` is imported
+by each digest function, not here: it loads OpenSSL's libcrypto, about
+3.6 MiB of resident memory, and a stage takes its digests only after its
+command has returned and freed its arrays. So `import capsieve.cli`
+loads no OpenSSL, and the library stays out of every stage's working
+peak, except where a stage that draws random numbers loads it anyway:
+`numpy.random` imports `secrets`, which imports `hmac`.
 A file is hashed through one reused read buffer of `_READ_BUFFER` bytes
 rather than a new bytes object per chunk, so the digest phase adds
 little to the resident memory the work left behind.

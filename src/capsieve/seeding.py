@@ -23,7 +23,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def linear_quantiles(values, qs, overwrite: bool = False) -> list[float]:
+def linear_quantiles(values, qs) -> list[float]:
     """`np.quantile(values, qs)` for each q in `qs` (each in [0, 1]), bit
     for bit, as a list of floats.
 
@@ -32,12 +32,10 @@ def linear_quantiles(values, qs, overwrite: bool = False) -> list[float]:
     side of each index (the last one, for an index at or past it), and
     numpy's two-sided lerp joins them. numpy's own path calls `np.unique`,
     which imports all of `numpy.ma`. A NaN among the values makes every
-    quantile NaN, as in numpy. With `overwrite`, a float64 `values` is
-    partitioned in place, as `overwrite_input=True` does; otherwise it is
-    left as it was.
+    quantile NaN, as in numpy. A copy is partitioned, so `values` is left
+    as it was.
     """
-    arr = np.asarray(values, dtype=np.float64) if overwrite else np.array(values, np.float64)
-    arr = arr.reshape(-1)
+    arr = np.array(values, np.float64).reshape(-1)
     last = arr.shape[0] - 1
     if last < 0:
         raise ValueError("quantiles of no values")

@@ -341,8 +341,7 @@ def assemble_numpy(
 ) -> DatasetManifest:
     """`curator.assemble` with boolean masks: the threshold, then the
     multi-label rule by a bincount of kept labels per instance, then the
-    flags, which `flags` maps each instance id to. The manifest's
-    provenance is left empty."""
+    flags, which `flags` maps each instance id to."""
     position = {rid: pos for pos, rid in enumerate(flags)}
     where = np.array([position[i] for i in candidates.ids], dtype=np.intp)
     scores = np.array(candidates.scores, dtype=np.float64)

@@ -1760,11 +1760,11 @@ SIMULATE_FREE = {"corpus", "curator", "diagnostics", "matcher", "taxonomy", "vec
 DIAGNOSE_FREE = {"causalsim", "matcher", "taxonomy"}
 TABULAR_FREE = {"causalsim", "diagnostics", "matcher", "taxonomy", "vectorops", "seeding"}
 # The stages whose command function loads OpenSSL (_hashlib) before it
-# returns. assemble and nearest-text take their manifest's config digest
-# at the end of their work. compare, cross-modal and simulate draw random
-# numbers, and numpy.random imports secrets, which imports hmac and so
-# _hashlib. Every other stage loads it only when it takes its digests.
-OPENSSL_BEFORE_RETURN = {"assemble", "nearest-text", "compare", "cross-modal", "simulate"}
+# returns: compare, cross-modal and simulate draw random numbers, and
+# numpy.random imports secrets, which imports hmac and so _hashlib. Every
+# other stage, assemble and nearest-text included, loads it only when
+# _Stage.run takes its provenance digests.
+OPENSSL_BEFORE_RETURN = {"compare", "cross-modal", "simulate"}
 
 # (stage, argv with {input} placeholders, exit code, loads numpy, modules it must not load);
 # no stage loads numpy.ma

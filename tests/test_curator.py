@@ -433,21 +433,15 @@ def test_relative_frequencies_empty():
         relative_frequencies(manifest)
 
 
-def test_manifest_reports_a_repeated_instance_before_a_low_score():
-    rows = make_candidates([cand("i1", "n00000001", 0.4), cand("i1", "n00000002", 0.9)])
+def test_load_manifest_names_both_lines_of_a_repeated_instance(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    rows = [cand("i1", "n00000001", 0.4), cand("i2", "n00000001", 0.9), cand("i1", "n00000002", 0.9)]
+    lines = [json.dumps({"id": i, "wnid": w, "score": s}) for i, w, s in rows]
+    path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError) as info:
-        DatasetManifest(rows=rows, threshold=0.5)
-    assert str(info.value) == "duplicate instance id 'i1'"
-
-
-def test_manifest_invariants():
-    with pytest.raises(ValidationError, match="duplicate instance id"):
-        DatasetManifest(
-            rows=make_candidates([cand("i1", "n00000001", 0.9), cand("i1", "n00000002", 0.8)]),
-            threshold=0.0,
-        )
-    with pytest.raises(ValidationError, match="below threshold"):
-        DatasetManifest(rows=make_candidates([cand("i1", "n00000001", 0.4)]), threshold=0.5)
+        load_manifest(path)
+    assert str(info.value) == f"{path}: line 4: duplicate instance id 'i1' (first seen on line 1)"
+    assert (info.value.path, info.value.line) == (path, 4)
 
 
 def test_candidates_file_round_trip(tmp_path, rng):
@@ -467,7 +461,6 @@ def test_manifest_file_round_trip(tmp_path):
     manifest = DatasetManifest(
         rows=make_candidates([cand("i1", "n00000001", 0.9), cand("i2", "n00000002", 0.7)]),
         threshold=0.6,
-        provenance="abc123",
         drop_ledger={"below_threshold": 3, "multi_label": 0, "nsfw": 1, "text_in_image": 0},
     )
     rows_path = tmp_path / "manifest.jsonl"
@@ -481,7 +474,6 @@ def test_manifest_file_round_trip(tmp_path):
         "threshold": manifest.threshold,
         "counts": manifest.class_counts,
         "drop_ledger": manifest.drop_ledger,
-        "config_digest": manifest.provenance,
     }
 
 
@@ -573,6 +565,9 @@ def test_assemble_and_top_k_equal_the_numpy_oracles(tmp_path, rows, threshold, n
     assert exact_rows(top_k_per_class(got, k).rows) == exact_rows(
         top_k_per_class_numpy(expected, k).rows
     )
+    for manifest in (got, top_k_per_class(got, k)):  # one row per instance, none below threshold
+        assert len(set(manifest.rows.ids)) == len(manifest.rows)
+        assert all(score >= manifest.threshold for score in manifest.rows.scores)
 
 
 # integers, signed zeros, and floats of every size, as a JSONL file may hold them

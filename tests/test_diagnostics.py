@@ -541,6 +541,8 @@ def test_compare_from_intervals_counts_intervals_clear_of_zero(rng):
     assert comparison.n_shared == 6
     assert comparison.prop_A_lower == sum(d.ci_high < 0.0 for d in diffs) / 6
     assert comparison.prop_B_lower == sum(d.ci_low > 0.0 for d in diffs) / 6
+    assert 0.0 <= comparison.prop_A_lower <= 1.0 and 0.0 <= comparison.prop_B_lower <= 1.0
+    assert comparison.prop_A_lower + comparison.prop_B_lower <= 1.0
     with pytest.raises(ValidationError, match="enough images"):
         compare_from_intervals([])
 
@@ -793,6 +795,8 @@ def test_nearest_text_agrees_with_per_query_oracle(rng, monkeypatch):
         manifest = nearest_text_dataset(vectors, wnids, corpus, min_sim)
         got = candidate_rows(manifest.rows)
         assert got == nearest_text_oracle(queries, corpus, min_sim)
+        assert len(set(manifest.rows.ids)) == len(manifest.rows)
+        assert all(score >= manifest.threshold for score in manifest.rows.scores)
     tied = [i for i, w, _ in candidate_rows(manifest.rows) if w in ("n00000031", "n00000032")]
     assert tied == [min(ids[i] for i in (2, 7, 19, 30))]
 

@@ -45,9 +45,7 @@ def test_linear_quantiles_are_np_quantile_bit_for_bit(values, drawn):
         want = bits(np.quantile(values, qs))
     before = values.copy()
     assert bits(linear_quantiles(values, qs)) == want
-    assert bits(values) == bits(before), "overwrite=False changed its input"
-    assert bits(linear_quantiles(values, qs, overwrite=True)) == want
-    assert sorted(bits(values)) == sorted(bits(before)), "the partition lost or made a value"
+    assert bits(values) == bits(before), "linear_quantiles changed its input"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -70,13 +68,6 @@ def test_linear_quantiles_propagate_nan_and_infinity_as_numpy_does(values):
     with np.errstate(all="ignore"):
         want = bits(np.quantile(values, qs))
     assert bits(linear_quantiles(np.array(values), qs)) == want
-
-
-def test_linear_quantiles_with_overwrite_partition_the_array_in_place():
-    values = np.arange(10.0)[::-1].copy()
-    assert linear_quantiles(values, [0.5], overwrite=True) == [4.5]
-    assert values[4] == 4.0 and values[5] == 5.0  # the order statistics it read
-    assert values.tolist() != np.arange(10.0)[::-1].tolist()
 
 
 def test_linear_quantiles_refuse_no_values():

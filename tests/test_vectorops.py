@@ -483,6 +483,25 @@ def test_the_package_calls_no_blas():
     assert {name: found for name, found in routes.items() if found} == {}
 
 
+def imported_names(source: str) -> set[str]:
+    """Each part of every dotted module name that a module's source
+    imports, anywhere in it, and each name a `from` import takes."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            parts.update(part for name in names for part in name.split("."))
+    return parts
+
+
+def test_only_the_cli_imports_provenance():
+    # a run's config is digested once, by the stage runner, into provenance.json
+    sources = sorted(Path(vectorops.__file__).parent.glob("*.py"))
+    importers = {p.stem for p in sources
+                 if "provenance" in imported_names(p.read_text(encoding="utf-8"))}
+    assert importers == {"cli"}
+
+
 @pytest.mark.parametrize(
     "source, found",
     [
