@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,47 @@ def test_provenance_contents(pipeline_fixture, tmp_path):
     assert set(payload["inputs"]) == {"taxonomy", "corpus"}
     assert "matches.jsonl" in payload["outputs"]
     assert all(len(digest) == 64 for digest in payload["inputs"].values())
+
+
+def sidecar_matches_rows(out: Path) -> dict:
+    """The manifest sidecar of a stage's `out`, checked against its rows."""
+    meta = read_json(out / "manifest.meta.json")
+    assert set(meta) == {"threshold", "counts", "drop_ledger"}  # the config digest is the run's
+    rows = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert meta["counts"] == dict(Counter(row["wnid"] for row in rows))
+    assert all(row["score"] >= meta["threshold"] for row in rows)
+    return meta
+
+
+def test_assemble_records_top_k_in_the_run_config(pipeline_fixture, tmp_path):
+    fx = pipeline_fixture
+    run_ok(["match", "--taxonomy", fx["taxonomy"], "--corpus", fx["corpus"],
+            "--caption-embeddings", fx["caption_embeddings"],
+            "--synset-embeddings", fx["synset_embeddings"], "--out", tmp_path / "m"])
+    base = ["assemble", "--candidates", tmp_path / "m" / "candidates.jsonl",
+            "--corpus", fx["corpus"], "--threshold", "0.3"]
+    run_ok([*base, "--out", tmp_path / "all"])
+    run_ok([*base, "--top-k", "1", "--out", tmp_path / "top"])
+    every, top = sidecar_matches_rows(tmp_path / "all"), sidecar_matches_rows(tmp_path / "top")
+    assert top["threshold"] == every["threshold"] == 0.3
+    assert set(top["counts"]) == set(every["counts"])
+    assert all(count == 1 for count in top["counts"].values())
+    assert top["counts"] != every["counts"]  # the fixture has a class with more than one row
+    digests = [read_json(tmp_path / d / "provenance.json")["config_digest"] for d in ("all", "top")]
+    assert digests[0] != digests[1]
+
+
+def test_nearest_text_sidecar_holds_min_sim_counts_and_ledger(pipeline_fixture, tmp_path):
+    fx = pipeline_fixture
+    run_ok(["diagnose", "nearest-text", "--query-embeddings", fx["synset_embeddings"],
+            "--query-labels", fx["query_labels"],
+            "--corpus-embeddings", fx["caption_embeddings"],
+            "--min-sim", "0.7", "--out", tmp_path / "n"])
+    meta = sidecar_matches_rows(tmp_path / "n")
+    assert meta["threshold"] == 0.7
+    assert set(meta["drop_ledger"]) == {"below_min_sim", "duplicate_neighbor"}
+    n_queries = len(Path(fx["query_labels"]).read_text().splitlines())
+    assert sum(meta["counts"].values()) + sum(meta["drop_ledger"].values()) == n_queries
 
 
 @pytest.mark.parametrize("value", ["false", 0])
